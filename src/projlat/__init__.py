@@ -14,7 +14,6 @@ from .gf import GF, FieldAutomorphism, FieldError, parse_field
 from .lattice import (
     AmbientMismatch,
     AmbientTooLarge,
-    GLatticeReport,
     Subspace,
     SubspaceLattice,
     check_g_lattice_properties,
@@ -25,7 +24,6 @@ from .lattice import (
 )
 from .projposet import (
     NotIdempotent,
-    OmpReport,
     ProjectionPoset,
     build_projection_poset,
     enumerate_idempotents,
@@ -59,7 +57,6 @@ from .semilinear import (
     verify_lattice_map,
 )
 from .autos import (
-    CampaignReport,
     FalsificationError,
     SearchBudgetExceeded,
     classify_parity,
@@ -85,7 +82,7 @@ from .ringmaps import (
     restrict_to_projections,
     transpose_anti_automorphism,
 )
-from .reports import canonical_json, report_to_jsonable, sha256_of
+from .reports import CampaignReport, canonical_json, report_to_jsonable, sha256_of
 
 __version__ = "0.1.0"
 
@@ -96,7 +93,6 @@ __all__ = [
     "parse_field",
     "AmbientMismatch",
     "AmbientTooLarge",
-    "GLatticeReport",
     "Subspace",
     "SubspaceLattice",
     "check_g_lattice_properties",
@@ -105,7 +101,6 @@ __all__ = [
     "projection_pair_count",
     "subspace_count_total",
     "NotIdempotent",
-    "OmpReport",
     "ProjectionPoset",
     "build_projection_poset",
     "enumerate_idempotents",

@@ -19,11 +19,14 @@ swapped, and the decomposition recovers those witnesses exactly.
 
 from __future__ import annotations
 
+import functools
+import json
+import os
 import random
-from dataclasses import dataclass, field as dc_field
+import sys
 
-from .gf import GF
-from .lattice import SubspaceLattice
+from .gf import parse_field
+from .lattice import SubspaceLattice, _bits, enumerate_subspaces
 from .maps import (
     ANTI,
     AUTO,
@@ -37,7 +40,8 @@ from .maps import (
     perm_inverse,
 )
 from .matrices import all_matrices, rank
-from .projposet import ProjectionPoset
+from .projposet import ProjectionPoset, build_projection_poset
+from .reports import CampaignReport, canonical_json, sha256_of
 from .semilinear import (
     SemilinearMap,
     induced_lattice_map,
@@ -63,11 +67,24 @@ class FalsificationError(AssertionError):
         self.payload = payload or {}
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _elem_atoms(S) -> list[list[int]]:
+    """Atom ordinals under each element of S, a lattice or a poset."""
+    return [_bits(m) for m in S.elem_atom_masks]
+
+
+def _lift_atom_perm(S, elem_atoms, sigma) -> list[int | None]:
+    """Images of all elements of S under the atom permutation sigma: each
+    element's image atom set, looked up in S's atom-mask index. None marks
+    an element whose image atom set belongs to no element."""
+    midx = S.atom_mask_index
+    bit = [1 << y for y in sigma]
+    out = []
+    for atoms in elem_atoms:
+        nm = 0
+        for t in atoms:
+            nm |= bit[t]
+        out.append(midx.get(nm))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +107,7 @@ def _lattice_search_structure(L: SubspaceLattice):
             if i != j:
                 line_elem = L.join_table[atoms[i]][atoms[j]]
                 line_mask[i][j] = L.elem_atom_masks[line_elem]
-    elem_atoms = [list(_bits(msk)) for msk in L.elem_atom_masks]
-    cached = (atoms, ordinal, line_mask, elem_atoms)
+    cached = (atoms, ordinal, line_mask, _elem_atoms(L))
     L._auto_search_cache = cached
     return cached
 
@@ -101,27 +117,6 @@ def lattice_search_plan(L: SubspaceLattice) -> tuple[int, list[int]]:
     Used to partition long searches for checkpointing and worker pools."""
     m = len(L.atoms)
     return 0, list(range(m))
-
-
-def _expand_lattice_atom_perm(L: SubspaceLattice, perm: tuple[int, ...]):
-    """Lift an atom permutation to all elements; None if it does not lift."""
-    atoms, _, _, elem_atoms = _lattice_search_structure(L)
-    midx = L.atom_mask_index
-    size = L.size
-    eperm = [0] * size
-    seen = 0
-    for e in range(size):
-        nm = 0
-        for t in elem_atoms[e]:
-            nm |= 1 << perm[t]
-        ie = midx.get(nm)
-        if ie is None:
-            return None
-        eperm[e] = ie
-        seen |= 1 << ie
-    if seen != (1 << size) - 1:
-        return None
-    return tuple(eperm)
 
 
 def iter_lattice_atom_perms(
@@ -139,7 +134,7 @@ def iter_lattice_atom_perms(
     """
     if not L.verify_atomistic():
         raise FalsificationError("lattice is not atomistic; atom search unsound")
-    atoms, _, line_mask, _ = _lattice_search_structure(L)
+    atoms, _, line_mask, elem_atoms = _lattice_search_structure(L)
     m = len(atoms)
     full = (1 << m) - 1
     nodes = 0
@@ -177,10 +172,10 @@ def iter_lattice_atom_perms(
             perm = tuple(perm)
             if sorted(perm) != list(range(m)):
                 return
-            eperm = _expand_lattice_atom_perm(L, perm)
-            if eperm is not None:
+            eperm = _lift_atom_perm(L, elem_atoms, perm)
+            if None not in eperm and len(set(eperm)) == L.size:
                 found += 1
-                yield perm, eperm
+                yield perm, tuple(eperm)
             return
         opts = cand[best]
         if n_assigned == 0 and best == root_pivot:
@@ -354,8 +349,7 @@ def _poset_search_structure(P: ProjectionPoset):
     unary_masks: dict[int, int] = {}
     for t, u in enumerate(unary):
         unary_masks[u] = unary_masks.get(u, 0) | (1 << t)
-    elem_atoms = [list(_bits(msk)) for msk in P.elem_atom_masks]
-    cached = (atoms, unary, unary_masks, colors, allowed, elem_atoms)
+    cached = (atoms, unary, unary_masks, colors, allowed, _elem_atoms(P))
     P._auto_search_cache = cached
     return cached
 
@@ -367,30 +361,18 @@ def poset_search_plan(P: ProjectionPoset) -> tuple[int, list[int]]:
     m = len(P.atoms)
     init = [unary_masks[unary[z]] for z in range(m)]
     pivot = min(range(m), key=lambda z: (init[z].bit_count(), z))
-    return pivot, list(_bits(init[pivot]))
+    return pivot, _bits(init[pivot])
 
 
 def expand_poset_atom_perm(P: ProjectionPoset, perm: tuple[int, ...]):
     """Lift an atom permutation of P to all elements; None if it fails to
     lift bijectively or breaks the orthocomplementation."""
-    _, _, _, _, _, elem_atoms = _poset_search_structure(P)
-    midx = P.atom_mask_index
-    size = P.size
-    eperm = [0] * size
-    seen = 0
-    for e in range(size):
-        nm = 0
-        for t in elem_atoms[e]:
-            nm |= 1 << perm[t]
-        ie = midx.get(nm)
-        if ie is None:
-            return None
-        eperm[e] = ie
-        seen |= 1 << ie
-    if seen != (1 << size) - 1:
+    elem_atoms = _poset_search_structure(P)[-1]
+    eperm = _lift_atom_perm(P, elem_atoms, perm)
+    if None in eperm or len(set(eperm)) != P.size:
         return None
     ortho = P.ortho
-    for e in range(size):
+    for e in range(P.size):
         if eperm[ortho[e]] != ortho[eperm[e]]:
             return None
     return tuple(eperm)
@@ -503,7 +485,7 @@ def verify_poset_map(phi: PosetMap, P: ProjectionPoset) -> None:
     perm = phi.perm
     if len(perm) != P.size:
         raise ValueError("permutation size does not match the poset")
-    _, _, _, _, _, elem_atoms = _poset_search_structure(P)
+    elem_atoms = _poset_search_structure(P)[-1]
     atoms = P.atoms
     atom_ordinal = {a: t for t, a in enumerate(atoms)}
     sigma = []
@@ -514,12 +496,9 @@ def verify_poset_map(phi: PosetMap, P: ProjectionPoset) -> None:
                 "atom image is not an atom", {"atom": a, "image": ia}
             )
         sigma.append(atom_ordinal[ia])
-    midx = P.atom_mask_index
+    lifted = _lift_atom_perm(P, elem_atoms, sigma)
     for e in range(P.size):
-        nm = 0
-        for t in elem_atoms[e]:
-            nm |= 1 << sigma[t]
-        if midx.get(nm) != perm[e]:
+        if lifted[e] != perm[e]:
             raise FalsificationError(
                 "element image disagrees with its atom set",
                 {"element": e, "image": perm[e]},
@@ -683,21 +662,127 @@ def poset_atom_perm_from_lattice(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CampaignReport:
-    """Named checks with pass flags, counts, and witness payloads."""
+SCHEMA_CHECKPOINT = "projlat-checkpoint/1"
+# the fields of one completed branch in a checkpoint, with their types
+_BRANCH_FIELDS = {
+    "target": int, "count": int, "even": int, "odd": int,
+    "fail_count": int, "digest": str, "failures": list,
+}
 
-    name: str
-    ambient: tuple[int, str]
-    checks: list[tuple[str, bool, str]] = dc_field(default_factory=list)
-    counts: dict = dc_field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
+class CheckpointError(ValueError):
+    """A checkpoint file that is malformed or belongs to another campaign."""
 
-    def add(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append((name, ok, detail))
+
+def _branch_digest(keys: list[bytes]) -> str:
+    return sha256_of(sorted(k.hex() for k in keys))
+
+
+def run_poset_branch(
+    P: ProjectionPoset, target: int, budget: int | None = None, allow_short: bool = False
+) -> dict:
+    """Enumerate one root branch of the poset search and decompose every
+    map found there. Deterministic given (P, target)."""
+    keys = []
+    n_even = n_odd = 0
+    failures = []
+    try:
+        for aperm, eperm in iter_poset_atom_perms(
+            P, budget=budget, restrict_first={target}
+        ):
+            keys.append(bytes(aperm))
+            try:
+                witness = decompose_poset_automorphism(
+                    PosetMap(eperm, UNKNOWN), P, allow_short=allow_short
+                )
+                if witness.direction == AUTO:
+                    n_even += 1
+                else:
+                    n_odd += 1
+            except (FalsificationError, ValueError) as exc:
+                failures.append(str(exc))
+    except SearchBudgetExceeded as exc:
+        return {"target": target, "budget_exhausted": exc.nodes}
+    return {
+        "target": target,
+        "count": len(keys),
+        "even": n_even,
+        "odd": n_odd,
+        "digest": _branch_digest(keys),
+        "fail_count": len(failures),
+        "failures": failures[:3],
+    }
+
+
+@functools.lru_cache(maxsize=1)
+def _worker_poset(n: int, field_spec: str) -> ProjectionPoset:
+    """The poset a pool worker searches. Spawned workers share no memory
+    with the parent, so each rebuilds P from the ambient once."""
+    return build_projection_poset(enumerate_subspaces(n, parse_field(field_spec)))
+
+
+def _pool_branch(task: tuple) -> dict:
+    n, field_spec, target, budget, allow_short = task
+    return run_poset_branch(_worker_poset(n, field_spec), target, budget, allow_short)
+
+
+def _branch_results(P: ProjectionPoset, todo, budget, allow_short, jobs: int):
+    """run_poset_branch on each target, in order; in a pool of spawned
+    workers when jobs > 1, which behaves the same on every platform."""
+    if jobs <= 1 or not todo:
+        for target in todo:
+            yield run_poset_branch(P, target, budget, allow_short)
+        return
+    import multiprocessing  # only a pool needs it, and it is costly to import
+
+    ambient = (P.lattice.n, P.lattice.field.spec())
+    tasks = [(*ambient, target, budget, allow_short) for target in todo]
+    ctx = multiprocessing.get_context("spawn")
+    with ctx.Pool(jobs, initializer=_worker_poset, initargs=ambient) as pool:
+        yield from pool.imap(_pool_branch, tasks)
+
+
+def _load_checkpoint(path: str | None, fingerprint: str, targets: list[int]) -> dict:
+    """The checkpoint state at path, or a fresh one. Every completed branch
+    is checked for its fields and for a target in the plan before it is
+    trusted."""
+    if not (path and os.path.exists(path)):
+        return {"schema": SCHEMA_CHECKPOINT, "fingerprint": fingerprint, "done": {}}
+    with open(path) as fh:
+        try:
+            state = json.load(fh)
+        except ValueError as exc:
+            raise CheckpointError(f"{path} is not a checkpoint file: {exc}") from None
+    if not isinstance(state, dict) or state.get("schema") != SCHEMA_CHECKPOINT:
+        raise CheckpointError(f"{path} is not a checkpoint file")
+    if state.get("fingerprint") != fingerprint:
+        raise CheckpointError(
+            f"checkpoint {path} belongs to a different campaign "
+            f"(fingerprint mismatch)"
+        )
+    done = state.get("done")
+    if not isinstance(done, dict):
+        raise CheckpointError(f"checkpoint {path} has no table of done branches")
+    for key, entry in done.items():
+        ok = isinstance(entry, dict) and all(
+            isinstance(entry.get(f), t) and not isinstance(entry.get(f), bool)
+            for f, t in _BRANCH_FIELDS.items()
+        )
+        if not (ok and key == str(entry["target"]) and entry["target"] in targets):
+            raise CheckpointError(
+                f"checkpoint {path}: done entry {key!r} is malformed or "
+                f"names a branch outside the plan: {entry!r}"
+            )
+    return state
+
+
+def _save_checkpoint(path: str | None, state: dict) -> None:
+    if not path:
+        return
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.write(canonical_json(state))
+    os.replace(tmp, path)
 
 
 def verify_main_theorem(
@@ -705,95 +790,148 @@ def verify_main_theorem(
     P: ProjectionPoset,
     budget: int | None = None,
     enforce_length: bool = True,
-    collect=None,
+    jobs: int = 1,
+    checkpoint: str | None = None,
 ) -> CampaignReport:
     """Exhaustive two-sided check of the even/odd classification.
 
     Constructs the even and odd maps from the lattice automorphism group
-    and one duality, brute-enumerates all orthoposet automorphisms of P,
-    and checks the two sets coincide; then decomposes every enumerated map
-    back to its witness. Also cross-checks the lattice automorphism count
-    against independent semilinear generation when brute-forcing all
-    matrices is feasible.
+    (cross-checked against the projective group order and semilinear
+    generation) and one duality. Then enumerates every orthoposet
+    automorphism of P, one root branch of poset_search_plan at a time,
+    decomposes each back to its witness, and compares each branch with the
+    constructed maps whose pivot image is its target, by digest.
+
+    Completed branches go to the checkpoint file, if given, and are not
+    rerun on resume; jobs > 1 runs branches in a pool of spawned workers.
+    The report does not depend on either. The node budget applies to the
+    lattice search and to each branch; when it runs out, the report so far
+    comes back with outcome "partial".
     """
-    rep = CampaignReport("main-theorem", (L.n, L.field.spec()))
     if enforce_length and L.length < 4:
         raise ValueError(
             f"classification theorem requires lattice length >= 4, got {L.length}"
         )
+    rep = CampaignReport("verify-main-theorem", (L.n, L.field.spec()))
 
-    lattice_perms: list[tuple[int, ...]] = []
-    atom_keys: set[bytes] = set()
-    for aperm, eperm in iter_lattice_atom_perms(L, budget=budget):
-        lattice_perms.append(eperm)
-        atom_keys.add(bytes(aperm))
-    n_aut = len(lattice_perms)
-    rep.counts["lattice_automorphisms"] = n_aut
-    expected = projective_group_order(L.n, L.field.q, L.field.k)
+    # constructed side: every lattice automorphism and its dual twin
+    lattice_perms = []
+    lattice_atom_keys = set()
+    try:
+        for aperm, eperm in iter_lattice_atom_perms(L, budget=budget):
+            lattice_perms.append(eperm)
+            lattice_atom_keys.add(bytes(aperm))
+    except SearchBudgetExceeded as exc:
+        rep.add(
+            "lattice_enumeration_complete",
+            False,
+            f"budget exhausted after {exc.nodes} nodes, {exc.found} maps found; "
+            "raise --budget-nodes (the lattice search runs before the "
+            "checkpointable poset phase)",
+        )
+        rep.outcome = "partial"
+        return rep
+    want = projective_group_order(L.n, L.field.q, L.field.k)
     rep.add(
         "lattice_count_matches_projective_group_order",
-        n_aut == expected,
-        f"found {n_aut}, group order {expected}",
+        len(lattice_perms) == want,
+        f"found {len(lattice_perms)}, group order {want}",
     )
-
     try:
         semi = semilinear_atom_perms(L)
         rep.add(
             "lattice_autos_equal_semilinear_generation",
-            semi == atom_keys,
-            f"semilinear set {len(semi)}, search set {len(atom_keys)}",
+            semi == lattice_atom_keys,
+            f"semilinear set {len(semi)}",
         )
     except ValueError:
-        rep.add("lattice_autos_equal_semilinear_generation", True, "skipped: ambient too large")
-
+        rep.add(
+            "lattice_autos_equal_semilinear_generation",
+            True,
+            "skipped: ambient too large",
+        )
     gamma = standard_duality(L)
     rep.add("duality_involutory", gamma.compose(gamma).is_identity, "")
 
-    even_keys: set[bytes] = set()
-    odd_keys: set[bytes] = set()
+    pivot, targets = poset_search_plan(P)
+    even_by_branch: dict[int, list[bytes]] = {t: [] for t in targets}
+    odd_by_branch: dict[int, list[bytes]] = {t: [] for t in targets}
     for eperm in lattice_perms:
-        even_keys.add(bytes(poset_atom_perm_from_lattice(P, eperm, odd=False)))
+        ap = poset_atom_perm_from_lattice(P, eperm, odd=False)
+        even_by_branch[ap[pivot]].append(bytes(ap))
         anti = perm_compose(eperm, gamma.perm)
-        odd_keys.add(bytes(poset_atom_perm_from_lattice(P, anti, odd=True)))
-    rep.counts["even_maps"] = len(even_keys)
-    rep.counts["odd_maps"] = len(odd_keys)
+        ap = poset_atom_perm_from_lattice(P, anti, odd=True)
+        odd_by_branch[ap[pivot]].append(bytes(ap))
+    n_even_c = sum(len(v) for v in even_by_branch.values())
+    n_odd_c = sum(len(v) for v in odd_by_branch.values())
+    all_even = {k for v in even_by_branch.values() for k in v}
+    all_odd = {k for v in odd_by_branch.values() for k in v}
     rep.add(
         "even_odd_constructions_distinct",
-        not (even_keys & odd_keys) and len(even_keys) == len(odd_keys) == n_aut,
-        f"{len(even_keys)} even, {len(odd_keys)} odd",
+        not (all_even & all_odd)
+        and n_even_c == n_odd_c == len(lattice_perms)
+        and len(all_even) == len(all_odd) == len(lattice_perms),
+        f"{n_even_c} even, {n_odd_c} odd",
     )
 
-    enum_keys: set[bytes] = set()
-    n_even = n_odd = 0
-    decompose_failures: list[str] = []
-    for aperm, eperm in iter_poset_atom_perms(P, budget=budget):
-        enum_keys.add(bytes(aperm))
-        if collect is not None:
-            collect(aperm, eperm)
-        try:
-            phi = PosetMap(eperm, UNKNOWN)
-            witness = decompose_poset_automorphism(
-                phi, P, allow_short=not enforce_length
+    # enumerated side, branch by branch
+    fingerprint = sha256_of(
+        {
+            "n": L.n,
+            "field": L.field.spec(),
+            "poset_size": P.size,
+            "pivot": pivot,
+            "targets": targets,
+        }
+    )
+    state = _load_checkpoint(checkpoint, fingerprint, targets)
+    done = state["done"]
+    todo = [t for t in targets if str(t) not in done]
+    if todo:
+        sys.stderr.write(
+            f"# verify-main-theorem: {len(todo)}/{len(targets)} branches to run\n"
+        )
+    for result in _branch_results(P, todo, budget, not enforce_length, jobs):
+        if "budget_exhausted" in result:
+            rep.add(
+                "poset_enumeration_complete",
+                False,
+                f"budget exhausted in branch {result['target']} "
+                f"after {result['budget_exhausted']} nodes; "
+                f"{len(done)}/{len(targets)} branches checkpointed",
             )
-            if witness.direction == AUTO:
-                n_even += 1
-            else:
-                n_odd += 1
-        except (FalsificationError, ValueError) as exc:
-            decompose_failures.append(str(exc))
-    rep.counts["poset_automorphisms"] = len(enum_keys)
+            rep.outcome = "partial"
+            _save_checkpoint(checkpoint, state)
+            return rep
+        done[str(result["target"])] = result
+        _save_checkpoint(checkpoint, state)
+
+    branches = [done[str(t)] for t in targets]
+    total = sum(b["count"] for b in branches)
+    n_even = sum(b["even"] for b in branches)
+    n_odd = sum(b["odd"] for b in branches)
+    n_fail = sum(b["fail_count"] for b in branches)
+    failures = [f for b in branches for f in b["failures"]]
+    rep.counts["lattice_automorphisms"] = len(lattice_perms)
+    rep.counts["poset_automorphisms"] = total
     rep.counts["decomposed_even"] = n_even
     rep.counts["decomposed_odd"] = n_odd
     rep.add(
         "every_enumerated_map_decomposes",
-        not decompose_failures,
-        f"failures={decompose_failures[:3]}" if decompose_failures else
-        f"{n_even} even + {n_odd} odd",
+        n_fail == 0 and not failures and n_even + n_odd == total,
+        f"{n_fail} failures, first: {failures[:3]}"
+        if failures or n_fail
+        else f"{n_even} even + {n_odd} odd",
+    )
+    branch_match = all(
+        done[str(t)]["digest"] == _branch_digest(even_by_branch[t] + odd_by_branch[t])
+        for t in targets
     )
     rep.add(
         "enumerated_equals_constructed",
-        enum_keys == (even_keys | odd_keys),
-        f"enumerated {len(enum_keys)}, constructed {len(even_keys | odd_keys)}",
+        branch_match and total == len(all_even) + len(all_odd),
+        f"enumerated {total}, constructed {len(all_even) + len(all_odd)}, "
+        "per-branch digests compared",
     )
     return rep
 

@@ -2,38 +2,33 @@
 
 Verbs run enumeration and verification campaigns over a chosen ambient
 (GF(q)^n), write canonical JSON reports, and render Hasse diagrams. Exit
-codes: 0 all checks passed (experiments never fail the exit), 1 a check
-was falsified, 2 usage or infeasible ambient, 3 node budget exhausted
-(partial results persisted). Wall-clock timing goes to stderr only, so
-reports are byte-identical across reruns with the same seed.
+codes follow the report status: 0 pass or experiment (experiments never
+fail the exit), 1 fail (a check was falsified), 3 partial (node budget
+exhausted, partial results persisted); 2 is a usage error or infeasible
+ambient. Wall-clock timing goes to stderr only, so reports are
+byte-identical across reruns with the same seed.
 
 A config file of `key = value` lines mirrors the long flags; explicit
-flags win. The one long-running verb (verify-main-theorem) partitions its
-search by the first branching decision and can checkpoint per-branch
-results, resume, and fan branches out to worker processes.
+flags win. The one long-running verb (verify-main-theorem) wraps
+autos.verify_main_theorem, which partitions its search by the first
+branching decision and can checkpoint per-branch results, resume, and
+fan branches out to worker processes.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import multiprocessing
 import os
 import random
 import sys
 import time
 
 from .autos import (
-    CampaignReport,
+    CheckpointError,
     FalsificationError,
     SearchBudgetExceeded,
-    decompose_poset_automorphism,
     enumerate_lattice_automorphisms,
-    iter_lattice_atom_perms,
-    iter_poset_atom_perms,
-    poset_atom_perm_from_lattice,
-    poset_search_plan,
     projective_group_order,
     semilinear_atom_perms,
     verify_fundamental_correspondence,
@@ -58,14 +53,14 @@ from .lattice import (
     projection_pair_count,
     subspace_count_total,
 )
-from .maps import ANTI, AUTO, EVEN, LatticeMap, ODD, PosetMap, UNKNOWN, perm_compose
+from .maps import ANTI, EVEN, LatticeMap, ODD, perm_compose
 from .matrices import random_invertible
 from .projposet import (
     build_projection_poset,
     verify_omp_axioms,
     verify_projection_correspondence,
 )
-from .reports import canonical_json, render_text, report_to_jsonable, sha256_of
+from .reports import CampaignReport, canonical_json, render_text, report_to_jsonable
 from .ringmaps import (
     anti_automorphism_from_semilinear,
     check_im_ker_lemma,
@@ -83,7 +78,13 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-SCHEMA_CHECKPOINT = "projlat-checkpoint/1"
+EXIT_BY_STATUS = {
+    "pass": EXIT_PASS,
+    "fail": EXIT_FAIL,
+    "experiment": EXIT_PASS,
+    "partial": EXIT_BUDGET,
+}
+
 SCHEMA_MAPSET = "projlat-maps/1"
 
 
@@ -113,7 +114,10 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def _emit(doc: dict, args, verb: str) -> None:
+def _emit(rep: CampaignReport, args, verb: str, name: str | None = None) -> int:
+    """Write the report to stdout and, with --out, to VERB.json; return the
+    exit code of its status."""
+    doc = report_to_jsonable(rep, name=name)
     payload = canonical_json(doc)
     if args.format == "json":
         sys.stdout.write(payload)
@@ -123,6 +127,7 @@ def _emit(doc: dict, args, verb: str) -> None:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, f"{verb}.json"), "w") as fh:
             fh.write(payload)
+    return EXIT_BY_STATUS[doc["status"]]
 
 
 def _write_artifact(text: str, args, filename: str) -> None:
@@ -154,12 +159,6 @@ def _lattice(args, min_n: int = 1):
         raise UsageError(str(exc)) from None
 
 
-def _exit_from(rep) -> int:
-    if "experiment" in getattr(rep, "name", ""):
-        return EXIT_PASS
-    return EXIT_PASS if rep.passed else EXIT_FAIL
-
-
 # ---------------------------------------------------------------------------
 # simple verbs
 # ---------------------------------------------------------------------------
@@ -180,8 +179,7 @@ def cmd_enumerate_lattice(args) -> int:
             rep.add(f"dimension_{d}_count", False, f"{have} vs {want}")
     rep.counts["size"] = L.size
     rep.counts["by_dim"] = by_dim
-    _emit(report_to_jsonable(rep), args, "enumerate-lattice")
-    return _exit_from(rep)
+    return _emit(rep, args, "enumerate-lattice")
 
 
 def cmd_build_poset(args) -> int:
@@ -198,23 +196,20 @@ def cmd_build_poset(args) -> int:
     rep.counts["size"] = P.size
     rep.counts["atoms"] = len(P.atoms)
     rep.counts["by_grade"] = by_grade
-    _emit(report_to_jsonable(rep), args, "build-poset")
-    return _exit_from(rep)
+    return _emit(rep, args, "build-poset")
 
 
 def cmd_verify_omp(args) -> int:
     F, L = _lattice(args)
     P = build_projection_poset(L)
     rep = verify_omp_axioms(P)
-    _emit(report_to_jsonable(rep, name="verify-omp"), args, "verify-omp")
-    return EXIT_PASS if rep.passed else EXIT_FAIL
+    return _emit(rep, args, "verify-omp", name="verify-omp")
 
 
 def cmd_verify_glattice(args) -> int:
     F, L = _lattice(args)
     rep = check_g_lattice_properties(L)
-    _emit(report_to_jsonable(rep, name="verify-glattice"), args, "verify-glattice")
-    return EXIT_PASS if rep.passed else EXIT_FAIL
+    return _emit(rep, args, "verify-glattice", name="verify-glattice")
 
 
 def cmd_verify_correspondence(args) -> int:
@@ -223,12 +218,7 @@ def cmd_verify_correspondence(args) -> int:
         rep = verify_projection_correspondence(args.n, F)
     except (AmbientTooLarge, ValueError) as exc:
         raise UsageError(str(exc)) from None
-    _emit(
-        report_to_jsonable(rep, name="verify-correspondence"),
-        args,
-        "verify-correspondence",
-    )
-    return EXIT_PASS if rep.passed else EXIT_FAIL
+    return _emit(rep, args, "verify-correspondence", name="verify-correspondence")
 
 
 def expected_lattice_automorphism_count(n: int, q: int, k: int) -> int:
@@ -262,8 +252,7 @@ def cmd_enumerate_lattice_autos(args) -> int:
     except ValueError:
         rep.add("matches_semilinear_generation", True, "skipped: ambient too large")
     rep.counts["automorphisms"] = len(maps)
-    _emit(report_to_jsonable(rep), args, "enumerate-lattice-autos")
-    return _exit_from(rep)
+    return _emit(rep, args, "enumerate-lattice-autos")
 
 
 def cmd_verify_ftpg(args) -> int:
@@ -273,8 +262,7 @@ def cmd_verify_ftpg(args) -> int:
         )
     F, L = _lattice(args, min_n=3)
     rep = verify_fundamental_correspondence(L, budget=args.budget_nodes)
-    _emit(report_to_jsonable(rep), args, "verify-ftpg")
-    return _exit_from(rep)
+    return _emit(rep, args, "verify-ftpg")
 
 
 def cmd_verify_semidirect(args) -> int:
@@ -287,80 +275,7 @@ def cmd_verify_semidirect(args) -> int:
         budget=args.budget_nodes,
     )
     rep.counts["closure_mode"] = "exhaustive" if exhaustive else "sampled"
-    _emit(report_to_jsonable(rep), args, "verify-semidirect")
-    return _exit_from(rep)
-
-
-# ---------------------------------------------------------------------------
-# verify-main-theorem: checkpointable, parallelizable
-# ---------------------------------------------------------------------------
-
-_WORKER_STATE: dict = {}
-
-
-def _branch_digest(keys: list[bytes]) -> str:
-    return sha256_of(sorted(k.hex() for k in keys))
-
-
-def _run_branch(target: int):
-    """Enumerate one root branch of the poset search and decompose every
-    map found there. Deterministic given (P, target)."""
-    P = _WORKER_STATE["P"]
-    budget = _WORKER_STATE["budget"]
-    allow_short = _WORKER_STATE["allow_short"]
-    keys = []
-    n_even = n_odd = 0
-    failures = []
-    try:
-        for aperm, eperm in iter_poset_atom_perms(
-            P, budget=budget, restrict_first={target}
-        ):
-            keys.append(bytes(aperm))
-            try:
-                witness = decompose_poset_automorphism(
-                    PosetMap(eperm, UNKNOWN), P, allow_short=allow_short
-                )
-                if witness.direction == AUTO:
-                    n_even += 1
-                else:
-                    n_odd += 1
-            except (FalsificationError, ValueError) as exc:
-                failures.append(str(exc))
-    except SearchBudgetExceeded as exc:
-        return {"target": target, "budget_exhausted": exc.nodes}
-    return {
-        "target": target,
-        "count": len(keys),
-        "even": n_even,
-        "odd": n_odd,
-        "digest": _branch_digest(keys),
-        "fail_count": len(failures),
-        "failures": failures[:3],
-    }
-
-
-def _load_checkpoint(path: str, fingerprint: str) -> dict:
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            state = json.load(fh)
-        if state.get("schema") != SCHEMA_CHECKPOINT:
-            raise UsageError(f"{path} is not a checkpoint file")
-        if state.get("fingerprint") != fingerprint:
-            raise UsageError(
-                f"checkpoint {path} belongs to a different campaign "
-                f"(fingerprint mismatch)"
-            )
-        return state
-    return {"schema": SCHEMA_CHECKPOINT, "fingerprint": fingerprint, "done": {}}
-
-
-def _save_checkpoint(path: str, state: dict) -> None:
-    if not path:
-        return
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(canonical_json(state))
-    os.replace(tmp, path)
+    return _emit(rep, args, "verify-semidirect")
 
 
 def cmd_verify_main_theorem(args) -> int:
@@ -373,149 +288,13 @@ def cmd_verify_main_theorem(args) -> int:
         return EXIT_USAGE
     F, L = _lattice(args, min_n=4)
     P = build_projection_poset(L)
-    rep = CampaignReport("verify-main-theorem", (L.n, F.spec()))
-
-    # constructed side: every lattice automorphism and its dual twin
-    lattice_perms = []
-    lattice_atom_keys = set()
     try:
-        for aperm, eperm in iter_lattice_atom_perms(L, budget=args.budget_nodes):
-            lattice_perms.append(eperm)
-            lattice_atom_keys.add(bytes(aperm))
-    except SearchBudgetExceeded as exc:
-        rep.add(
-            "lattice_enumeration_complete",
-            False,
-            f"budget exhausted after {exc.nodes} nodes, {exc.found} maps found; "
-            "raise --budget-nodes (the lattice search runs before the "
-            "checkpointable poset phase)",
+        rep = verify_main_theorem(
+            L, P, budget=args.budget_nodes, jobs=args.jobs, checkpoint=args.checkpoint
         )
-        doc = report_to_jsonable(rep)
-        doc["status"] = "partial"
-        _emit(doc, args, "verify-main-theorem")
-        return EXIT_BUDGET
-    want = projective_group_order(L.n, F.q, F.k)
-    rep.add(
-        "lattice_count_matches_projective_group_order",
-        len(lattice_perms) == want,
-        f"found {len(lattice_perms)}, group order {want}",
-    )
-    try:
-        semi = semilinear_atom_perms(L)
-        rep.add(
-            "lattice_autos_equal_semilinear_generation",
-            semi == lattice_atom_keys,
-            f"semilinear set {len(semi)}",
-        )
-    except ValueError:
-        rep.add(
-            "lattice_autos_equal_semilinear_generation",
-            True,
-            "skipped: ambient too large",
-        )
-    gamma = standard_duality(L)
-    rep.add("duality_involutory", gamma.compose(gamma).is_identity, "")
-
-    pivot, targets = poset_search_plan(P)
-    even_by_branch: dict[int, list[bytes]] = {t: [] for t in targets}
-    odd_by_branch: dict[int, list[bytes]] = {t: [] for t in targets}
-    for eperm in lattice_perms:
-        ap = poset_atom_perm_from_lattice(P, eperm, odd=False)
-        even_by_branch[ap[pivot]].append(bytes(ap))
-        anti = perm_compose(eperm, gamma.perm)
-        ap = poset_atom_perm_from_lattice(P, anti, odd=True)
-        odd_by_branch[ap[pivot]].append(bytes(ap))
-    n_even_c = sum(len(v) for v in even_by_branch.values())
-    n_odd_c = sum(len(v) for v in odd_by_branch.values())
-    all_even = {k for v in even_by_branch.values() for k in v}
-    all_odd = {k for v in odd_by_branch.values() for k in v}
-    rep.add(
-        "even_odd_constructions_distinct",
-        not (all_even & all_odd)
-        and n_even_c == n_odd_c == len(lattice_perms)
-        and len(all_even) == len(all_odd) == len(lattice_perms),
-        f"{n_even_c} even, {n_odd_c} odd",
-    )
-
-    fingerprint = sha256_of(
-        {
-            "n": L.n,
-            "field": F.spec(),
-            "poset_size": P.size,
-            "pivot": pivot,
-            "targets": targets,
-        }
-    )
-    state = _load_checkpoint(args.checkpoint, fingerprint)
-    todo = [t for t in targets if str(t) not in state["done"]]
-    if todo:
-        sys.stderr.write(
-            f"# verify-main-theorem: {len(todo)}/{len(targets)} branches to run\n"
-        )
-    _WORKER_STATE["P"] = P
-    _WORKER_STATE["budget"] = args.budget_nodes
-    _WORKER_STATE["allow_short"] = False
-    budget_hit = None
-    if args.jobs > 1 and todo:
-        with multiprocessing.Pool(args.jobs) as pool:
-            for result in pool.imap(_run_branch, todo):
-                if "budget_exhausted" in result:
-                    budget_hit = result
-                    break
-                state["done"][str(result["target"])] = result
-                _save_checkpoint(args.checkpoint, state)
-    else:
-        for target in todo:
-            result = _run_branch(target)
-            if "budget_exhausted" in result:
-                budget_hit = result
-                break
-            state["done"][str(result["target"])] = result
-            _save_checkpoint(args.checkpoint, state)
-
-    if budget_hit is not None:
-        _save_checkpoint(args.checkpoint, state)
-        rep.add(
-            "poset_enumeration_complete",
-            False,
-            f"budget exhausted in branch {budget_hit['target']} "
-            f"after {budget_hit['budget_exhausted']} nodes; "
-            f"{len(state['done'])}/{len(targets)} branches checkpointed",
-        )
-        doc = report_to_jsonable(rep)
-        doc["status"] = "partial"
-        _emit(doc, args, "verify-main-theorem")
-        return EXIT_BUDGET
-
-    total = sum(state["done"][str(t)]["count"] for t in targets)
-    n_even = sum(state["done"][str(t)]["even"] for t in targets)
-    n_odd = sum(state["done"][str(t)]["odd"] for t in targets)
-    n_fail = sum(state["done"][str(t)].get("fail_count", 0) for t in targets)
-    failures = [f for t in targets for f in state["done"][str(t)]["failures"]]
-    rep.counts["lattice_automorphisms"] = len(lattice_perms)
-    rep.counts["poset_automorphisms"] = total
-    rep.counts["decomposed_even"] = n_even
-    rep.counts["decomposed_odd"] = n_odd
-    rep.add(
-        "every_enumerated_map_decomposes",
-        n_fail == 0 and not failures and n_even + n_odd == total,
-        f"{n_fail} failures, first: {failures[:3]}"
-        if failures or n_fail
-        else f"{n_even} even + {n_odd} odd",
-    )
-    branch_match = all(
-        state["done"][str(t)]["digest"]
-        == _branch_digest(even_by_branch[t] + odd_by_branch[t])
-        for t in targets
-    )
-    rep.add(
-        "enumerated_equals_constructed",
-        branch_match and total == len(all_even) + len(all_odd),
-        f"enumerated {total}, constructed {len(all_even) + len(all_odd)}, "
-        "per-branch digests compared",
-    )
-    _emit(report_to_jsonable(rep), args, "verify-main-theorem")
-    return _exit_from(rep)
+    except CheckpointError as exc:
+        raise UsageError(str(exc)) from None
+    return _emit(rep, args, "verify-main-theorem")
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +309,7 @@ def cmd_ring_lemma(args) -> int:
         rep = check_im_ker_lemma(P)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    _emit(report_to_jsonable(rep, name="ring-lemma"), args, "ring-lemma")
-    return EXIT_PASS if rep.passed else EXIT_FAIL
+    return _emit(rep, args, "ring-lemma", name="ring-lemma")
 
 
 def cmd_ring_extract(args) -> int:
@@ -558,8 +336,7 @@ def cmd_ring_extract(args) -> int:
     )
     rep.counts["cases"] = args.cases
     rep.counts["twists_recovered"] = twist_counts
-    _emit(report_to_jsonable(rep), args, "ring-extract")
-    return _exit_from(rep)
+    return _emit(rep, args, "ring-extract")
 
 
 def cmd_ring_restrict(args) -> int:
@@ -588,8 +365,7 @@ def cmd_ring_restrict(args) -> int:
         "anti_automorphisms_restrict_odd", odd_ok == args.cases, f"{odd_ok}/{args.cases}"
     )
     rep.add("transpose_restricts_odd", transpose_odd, "")
-    _emit(report_to_jsonable(rep), args, "ring-restrict")
-    return _exit_from(rep)
+    return _emit(rep, args, "ring-restrict")
 
 
 def cmd_ring_extend(args) -> int:
@@ -616,8 +392,7 @@ def cmd_ring_extend(args) -> int:
         "extension_round_trips", ok == len(sample), f"{ok}/{len(sample)} even maps"
     )
     rep.counts["sampled"] = len(sample)
-    _emit(report_to_jsonable(rep), args, "ring-extend")
-    return _exit_from(rep)
+    return _emit(rep, args, "ring-extend")
 
 
 def cmd_ring_odd_experiment(args) -> int:
@@ -629,7 +404,9 @@ def cmd_ring_odd_experiment(args) -> int:
     F, L = _lattice(args, min_n=3)
     P = build_projection_poset(L)
     allow_short = L.length < 4
-    rep = CampaignReport("ring-odd-extension-experiment", (L.n, F.spec()))
+    rep = CampaignReport(
+        "ring-odd-extension-experiment", (L.n, F.spec()), outcome="experiment"
+    )
     gamma = standard_duality(L)
     auts = enumerate_lattice_automorphisms(L, budget=args.budget_nodes)
     rng = random.Random(args.seed)
@@ -653,8 +430,7 @@ def cmd_ring_odd_experiment(args) -> int:
         "EXPERIMENT: a positive finite-scale outcome; it does not settle "
         "whether odd maps extend in general"
     )
-    _emit(report_to_jsonable(rep), args, "ring-odd-experiment")
-    return EXIT_PASS  # experiments never fail the exit status
+    return _emit(rep, args, "ring-odd-experiment")
 
 
 # ---------------------------------------------------------------------------
@@ -723,8 +499,7 @@ def cmd_verify_map(args) -> int:
             rep.add("poset_map_verified", True, "")
         except FalsificationError as exc:
             rep.add("poset_map_verified", False, str(exc))
-    _emit(report_to_jsonable(rep), args, "verify-map")
-    return _exit_from(rep)
+    return _emit(rep, args, "verify-map")
 
 
 # ---------------------------------------------------------------------------

@@ -207,11 +207,6 @@ class GF:
         """Coefficient tuple of a, constant term first."""
         return tuple(_int_to_coeffs(self.check(a), self.p, self.k))
 
-    def from_coeffs(self, c: Sequence[int]) -> int:
-        if len(c) > self.k and any(ci % self.p for ci in c[self.k :]):
-            raise FieldError(f"coefficient vector {c} too long for degree {self.k}")
-        return _coeffs_to_int(c[: self.k], self.p)
-
     def frobenius(self, power: int = 1) -> "FieldAutomorphism":
         return FieldAutomorphism(self, power % self.k)
 

@@ -10,7 +10,7 @@ the tens to hundreds) all of this is eager and exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .gf import GF, iter_vectors
@@ -23,6 +23,7 @@ from .matrices import (
     row_space,
     stack,
 )
+from .reports import CampaignReport
 
 
 class AmbientTooLarge(ValueError):
@@ -61,9 +62,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains_vector(self, v) -> bool:
-        return in_row_space(self.field, tuple(v), self.basis)
 
     def vectors(self):
         """All q^dim vectors of the subspace."""
@@ -173,21 +171,6 @@ def enumerate_subspaces(
     return SubspaceLattice(F, n, elements)
 
 
-@dataclass
-class GLatticeReport:
-    """Outcome of the structural battery on a subspace lattice."""
-
-    ambient: tuple[int, str]
-    checks: list[tuple[str, bool, str]] = dc_field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def add(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append((name, ok, detail))
-
-
 class SubspaceLattice:
     """All subspaces of GF(q)^n with order, meet/join tables, and predicates.
 
@@ -246,7 +229,6 @@ class SubspaceLattice:
         self.up_masks = up
         self.down_masks = down
         # atom sets, for export and for the automorphism search
-        self.atom_bit = {a: 1 << t for t, a in enumerate(self.atoms)}
         atom_masks = [0] * size
         for t, a in enumerate(self.atoms):
             u = up[a]
@@ -356,6 +338,7 @@ class SubspaceLattice:
 
 
 def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, lowest first."""
     out = []
     while mask:
         low = mask & -mask
@@ -364,11 +347,11 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def check_g_lattice_properties(L: SubspaceLattice) -> GLatticeReport:
+def check_g_lattice_properties(L: SubspaceLattice) -> CampaignReport:
     """Structural battery: atom complement bounds, irreducibility witnesses,
     common complements, modularity of all pairs, the covering property both
     ways, and the dimension law. Failures carry explicit witnesses."""
-    rep = GLatticeReport(ambient=(L.n, L.field.spec()))
+    rep = CampaignReport("g-lattice", (L.n, L.field.spec()))
 
     multi = [(a, L.complements_idx(a)) for a in L.atoms]
     bad = [(a, len(c)) for a, c in multi if len(c) <= 1]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .gf import GF, FieldError
+from .gf import GF
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -53,16 +53,6 @@ def mat_add(F: GF, a: Matrix, b: Matrix) -> Matrix:
 def mat_sub(F: GF, a: Matrix, b: Matrix) -> Matrix:
     add, neg = F.add_table, F.neg_table
     return tuple(tuple(add[x][neg[y]] for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_neg(F: GF, a: Matrix) -> Matrix:
-    neg = F.neg_table
-    return tuple(tuple(neg[x] for x in row) for row in a)
-
-
-def scalar_mul(F: GF, c: int, a: Matrix) -> Matrix:
-    mul = F.mul_table
-    return tuple(tuple(mul[c][x] for x in row) for row in a)
 
 
 def mat_mul(F: GF, a: Matrix, b: Matrix) -> Matrix:
@@ -191,13 +181,6 @@ def is_idempotent(F: GF, m: Matrix) -> bool:
     return mat_mul(F, m, m) == m
 
 
-def trace(F: GF, m: Matrix) -> int:
-    acc = 0
-    for i in range(len(m)):
-        acc = F.add_table[acc][m[i][i]]
-    return acc
-
-
 def in_row_space(F: GF, v: Vector, basis: Matrix) -> bool:
     """Membership test against an rref basis (no zero rows)."""
     add, mul, neg = F.add_table, F.mul_table, F.neg_table
@@ -214,16 +197,6 @@ def in_row_space(F: GF, v: Vector, basis: Matrix) -> bool:
 
 def stack(*blocks: Matrix) -> Matrix:
     return tuple(row for b in blocks for row in b)
-
-
-def map_entries(table: Sequence[int], m: Matrix) -> Matrix:
-    return tuple(tuple(table[x] for x in row) for row in m)
-
-
-def all_vectors(F: GF, n: int) -> Iterator[Vector]:
-    from .gf import iter_vectors
-
-    return iter_vectors(F, n)
 
 
 def all_matrices(F: GF, rows: int, cols: int) -> Iterator[Matrix]:
@@ -244,22 +217,3 @@ def random_invertible(F: GF, n: int, rng) -> Matrix:
         m = random_matrix(F, n, n, rng)
         if rank(F, m) == n:
             return m
-
-
-def matrix_to_jsonable(F: GF, m: Matrix) -> dict:
-    return {"field": F.spec(), "rows": [list(r) for r in m]}
-
-
-def matrix_from_jsonable(obj: dict, F: GF | None = None) -> tuple[GF, Matrix]:
-    from .gf import parse_field
-
-    field = parse_field(obj["field"])
-    if F is not None and F != field:
-        raise FieldError(f"expected field {F.spec()}, payload says {obj['field']}")
-    m = as_matrix(obj["rows"])
-    for row in m:
-        for x in row:
-            field.check(x)
-    if m and any(len(r) != len(m[0]) for r in m):
-        raise ValueError("ragged matrix payload")
-    return field, m

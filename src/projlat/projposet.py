@@ -11,8 +11,6 @@ cross-linked and cross-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .gf import GF
 from .lattice import (
     AmbientTooLarge,
@@ -34,6 +32,7 @@ from .matrices import (
     stack,
     zeros,
 )
+from .reports import CampaignReport
 
 
 class NotIdempotent(ValueError):
@@ -251,26 +250,10 @@ def build_projection_poset(L: SubspaceLattice, verify_pairs: bool = True) -> Pro
     return ProjectionPoset(L, pairs)
 
 
-@dataclass
-class OmpReport:
-    """Axiom-by-axiom outcome for a candidate orthomodular poset."""
-
-    ambient: tuple[int, str]
-    size: int
-    checks: list[tuple[str, bool, str]] = dc_field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def add(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append((name, ok, detail))
-
-
-def verify_omp_axioms(P: ProjectionPoset) -> OmpReport:
+def verify_omp_axioms(P: ProjectionPoset) -> CampaignReport:
     """Exhaustive check of the orthomodular-poset axioms on P."""
     L = P.lattice
-    rep = OmpReport(ambient=(L.n, L.field.spec()), size=P.size)
+    rep = CampaignReport("omp-axioms", (L.n, L.field.spec()), size=P.size)
     size = P.size
     up, down, ortho = P.up_masks, P.down_masks, P.ortho
 
@@ -341,7 +324,7 @@ def verify_omp_axioms(P: ProjectionPoset) -> OmpReport:
     return rep
 
 
-def verify_projection_correspondence(n: int, F: GF) -> OmpReport:
+def verify_projection_correspondence(n: int, F: GF) -> CampaignReport:
     """The pair <-> idempotent dictionary is a bijective order isomorphism.
 
     Matrix order is p <= q iff pq = qp = p; ortho corresponds to
@@ -351,7 +334,7 @@ def verify_projection_correspondence(n: int, F: GF) -> OmpReport:
     """
     L = enumerate_subspaces(n, F)
     P = build_projection_poset(L)
-    rep = OmpReport(ambient=(n, F.spec()), size=P.size)
+    rep = CampaignReport("projection-correspondence", (n, F.spec()), size=P.size)
 
     brute = enumerate_idempotents(F, n)
     rep.add(

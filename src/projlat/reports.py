@@ -12,8 +12,34 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass, field
 
 SCHEMA_REPORT = "projlat-report/1"
+
+
+@dataclass
+class CampaignReport:
+    """Named checks with pass flags, counts, and witness payloads.
+
+    size is serialized only when set. outcome is what the producer
+    declares when pass or fail would misread the run: "experiment" (a
+    finite-scale outcome that never fails) or "partial" (a budget stopped
+    the run before every check was made).
+    """
+
+    name: str
+    ambient: tuple[int, str]
+    checks: list[tuple[str, bool, str]] = field(default_factory=list)
+    counts: dict = field(default_factory=dict)
+    size: int | None = None
+    outcome: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return all(ok for _, ok, _ in self.checks)
+
+    def add(self, name: str, ok: bool, detail: str = "") -> None:
+        self.checks.append((name, ok, detail))
 
 
 def canonical_json(obj) -> str:
@@ -25,19 +51,17 @@ def sha256_of(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
-def report_status(rep) -> str:
-    """pass | fail | experiment; experiments never count as failures."""
-    if "experiment" in getattr(rep, "name", ""):
-        return "experiment"
-    return "pass" if rep.passed else "fail"
+def report_status(rep: CampaignReport) -> str:
+    """The declared outcome if any, else pass or fail by the checks."""
+    return rep.outcome or ("pass" if rep.passed else "fail")
 
 
-def report_to_jsonable(rep, name: str | None = None) -> dict:
-    """Uniform encoding for every report dataclass in the package."""
+def report_to_jsonable(rep: CampaignReport, name: str | None = None) -> dict:
+    """Canonical document of a report, optionally under another name."""
     n, field_spec = rep.ambient
     out = {
         "schema": SCHEMA_REPORT,
-        "name": name or getattr(rep, "name", "report"),
+        "name": name or rep.name,
         "ambient": {"n": n, "field": field_spec},
         "status": report_status(rep),
         "checks": [
@@ -45,11 +69,10 @@ def report_to_jsonable(rep, name: str | None = None) -> dict:
             for cname, ok, detail in rep.checks
         ],
     }
-    if hasattr(rep, "size"):
+    if rep.size is not None:
         out["size"] = rep.size
-    counts = getattr(rep, "counts", None)
-    if counts:
-        out["counts"] = counts
+    if rep.counts:
+        out["counts"] = rep.counts
     return out
 
 

@@ -108,15 +108,6 @@ def transpose_anti_automorphism(F: GF, n: int) -> RingMap:
     return anti_automorphism_from_semilinear(SemilinearMap.identity_map(F, n))
 
 
-def ring_map_from_table(F: GF, n: int, table: dict, direction: str) -> RingMap:
-    """Extensionally-given ring map (used to feed black-box inputs)."""
-
-    def apply(t: Matrix) -> Matrix:
-        return table[t]
-
-    return RingMap(F, n, direction, apply)
-
-
 def verify_ring_map(
     phi: RingMap,
     seed: int = 0,
@@ -450,7 +441,9 @@ def experiment_odd_extension(
     it does not settle whether odd maps extend in general.
     """
     L = P.lattice
-    rep = CampaignReport("odd-extension-experiment", (L.n, L.field.spec()))
+    rep = CampaignReport(
+        "odd-extension-experiment", (L.n, L.field.spec()), outcome="experiment"
+    )
     g = decompose_poset_automorphism(phi, P, allow_short=allow_short)
     if g.direction != ANTI:
         raise ValueError("poset map is even; use extend_even_to_ring_automorphism")

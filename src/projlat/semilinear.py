@@ -23,7 +23,6 @@ from .maps import ANTI, AUTO, LatticeMap
 from .matrices import (
     Matrix,
     as_matrix,
-    dot,
     identity,
     is_invertible,
     mat_inv,
@@ -58,10 +57,6 @@ class SemilinearMap:
     @property
     def n(self) -> int:
         return len(self.matrix)
-
-    @property
-    def is_linear(self) -> bool:
-        return self.twist.is_identity
 
     def apply_vector(self, v) -> tuple[int, ...]:
         return vec_mat(self.field, self.twist.on_vector(v), self.matrix)
@@ -145,9 +140,6 @@ class BilinearForm:
     @property
     def n(self) -> int:
         return len(self.gram)
-
-    def pairing(self, x, y) -> int:
-        return dot(self.field, vec_mat(self.field, tuple(x), self.gram), self.twist.on_vector(y))
 
 
 def dual_complement(x: Subspace, b: BilinearForm) -> Subspace:

@@ -3,6 +3,7 @@ throughout. Every expected number is produced by an independent oracle
 (closed-form count, brute-force generation, or frozen output of a
 computation run before the assertion was written)."""
 
+import hashlib
 import json
 import random
 import time
@@ -93,7 +94,12 @@ def test_c03_main_theorem_at_length_4_checkpointable(run_cli, tmp_path):
         "--checkpoint", str(ckpt), "--out", str(out1),
     )
     assert code == 0, err
-    doc = json.loads((out1 / "verify-main-theorem.json").read_text())
+    report = (out1 / "verify-main-theorem.json").read_bytes()
+    # frozen: the sha256 of this report as first produced, before any refactor
+    assert hashlib.sha256(report).hexdigest() == (
+        "1279215abb603129d2e0b26da9ed4a0b13693d3e6d5957af26f71fd03d9c8796"
+    )
+    doc = json.loads(report)
     assert doc["status"] == "pass"
     checks = {c["name"]: c["ok"] for c in doc["checks"]}
     assert checks == {
@@ -269,22 +275,25 @@ def test_c09_parity_classification_consistency_and_composition(P32, L32, aut_l32
     print(f"CRITERION 9 PASS: 336 consistent verdicts + 400-composition table ({elapsed:.0f}s)")
 
 
+C10_VERB_RUNS = [
+    ("enumerate-lattice", "--n", "3", "--field", "2"),
+    ("build-poset", "--n", "2", "--field", "3"),
+    ("verify-omp", "--n", "2", "--field", "2"),
+    ("verify-correspondence", "--n", "2", "--field", "3"),
+    ("enumerate-lattice-autos", "--n", "2", "--field", "3"),
+    ("verify-semidirect", "--n", "2", "--field", "2", "--seed", "9"),
+    ("ring-lemma", "--n", "2", "--field", "2"),
+    ("ring-extract", "--n", "2", "--field", "3", "--cases", "5", "--seed", "3"),
+    ("ring-restrict", "--n", "2", "--field", "3", "--cases", "3", "--seed", "4"),
+    ("ring-odd-experiment", "--n", "3", "--field", "2", "--cases", "2"),
+]
+
+
 def test_c10_reports_are_byte_identical_across_reruns(run_cli, tmp_path):
     """Criterion 10: repeating any verb with the same seed yields
     byte-identical JSON reports, both on stdout and in --out files."""
     t0 = time.monotonic()
-    verb_runs = [
-        ("enumerate-lattice", "--n", "3", "--field", "2"),
-        ("build-poset", "--n", "2", "--field", "3"),
-        ("verify-omp", "--n", "2", "--field", "2"),
-        ("verify-correspondence", "--n", "2", "--field", "3"),
-        ("enumerate-lattice-autos", "--n", "2", "--field", "3"),
-        ("verify-semidirect", "--n", "2", "--field", "2", "--seed", "9"),
-        ("ring-lemma", "--n", "2", "--field", "2"),
-        ("ring-extract", "--n", "2", "--field", "3", "--cases", "5", "--seed", "3"),
-        ("ring-restrict", "--n", "2", "--field", "3", "--cases", "3", "--seed", "4"),
-        ("ring-odd-experiment", "--n", "3", "--field", "2", "--cases", "2"),
-    ]
+    verb_runs = C10_VERB_RUNS
     for argv in verb_runs:
         outputs = []
         for rerun in range(2):
@@ -296,3 +305,38 @@ def test_c10_reports_are_byte_identical_across_reruns(run_cli, tmp_path):
         assert outputs[0] == outputs[1], f"rerun of {argv[0]} differed"
     elapsed = time.monotonic() - t0
     print(f"CRITERION 10 PASS: {len(verb_runs)} verbs byte-identical across reruns ({elapsed:.0f}s)")
+
+
+# sha256 of each report as first produced, before any refactor: a change
+# to the code may not change a report byte
+FROZEN_REPORT_SHA256 = {
+    "enumerate-lattice": "304bbaed40549ccf4fec06dbc952e1bcd111ee7d57fbe8868e6dacd87a27f734",
+    "build-poset": "36a1d93d411c35fefe4bae639d65bac3466de7014808a5b45554005b36bb1266",
+    "verify-omp": "3bea0ef7cb85864c27576795b2ebfa35127d24bec291f39e114f5a8d557b79af",
+    "verify-correspondence": "3ffca6ba95059ad6b33e88d132ec2b2263696c681c4f6d3fe23105cb987b8497",
+    "enumerate-lattice-autos": "1a396381019abc0cc5f79381131dc74f6bf91e4a2cf0366f8d5f6f3f30572eb3",
+    "verify-semidirect": "dcf02d270ffee1e6150c9c049a12196a70f913e5e4ca71b10d76978936bcbd11",
+    "ring-lemma": "b55d7c1cb6007c6e31241284d2a10e2fdfc7e35cb0cab529593b71780e5ace95",
+    "ring-extract": "fd47ebe53fbc163001a4f55900ea14747dba70b854e18b895b887042dd5f7943",
+    "ring-restrict": "007ae82faa1a87263f2c5e43aa742e7b958ade3684da27b17d4fdaf357bff551",
+    "ring-odd-experiment": "9086a71a5894d5b2bcac4baf49e9d5d411a6f93458585dd698d69b4966cf42a4",
+    "verify-glattice": "d75a1089163933bfd2f680a2598134fe976d90c42cfc94bc0b7b6d0b77b3b845",
+    "verify-main-theorem": "50eee0f51050d8424b407157bf1beab73f58837f6abec39c133eba3337bde6d6",
+}
+
+
+def test_c10_report_bytes_match_frozen_hashes(run_cli, tmp_path):
+    """The --out report of every C10 verb, of verify-glattice and of a
+    budget-stopped (partial) verify-main-theorem hashes to its frozen
+    value, and the exit code follows the report status."""
+    runs = C10_VERB_RUNS + [
+        ("verify-glattice", "--n", "2", "--field", "3"),
+        ("verify-main-theorem", "--n", "4", "--field", "2", "--budget-nodes", "500"),
+    ]
+    for argv in runs:
+        out_dir = tmp_path / argv[0]
+        code, _, err = run_cli(*argv, "--format", "json", "--out", str(out_dir))
+        report = (out_dir / f"{argv[0]}.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == FROZEN_REPORT_SHA256[argv[0]], argv
+        status = json.loads(report)["status"]
+        assert code == {"pass": 0, "experiment": 0, "partial": 3}[status], (argv, err)

@@ -181,3 +181,19 @@ def test_parity_composition_algebra():
     assert compose_parities(EVEN, ODD) == ODD
     assert compose_parities(ODD, EVEN) == ODD
     assert compose_parities(ODD, ODD) == EVEN
+
+
+def test_main_theorem_report_is_independent_of_jobs(L32, P32):
+    """One library campaign, serial and in a pool of two spawned workers:
+    the serialized reports are byte-identical."""
+    from projlat import canonical_json, report_to_jsonable
+    from projlat.autos import verify_main_theorem
+
+    docs = [
+        canonical_json(report_to_jsonable(
+            verify_main_theorem(L32, P32, enforce_length=False, jobs=jobs)
+        ))
+        for jobs in (1, 2)
+    ]
+    assert docs[0] == docs[1]
+    assert '"poset_automorphisms":336' in docs[0] and '"status":"pass"' in docs[0]

@@ -168,12 +168,11 @@ def test_verify_map_round_trip_and_falsification(run_cli, tmp_path, L32, aut_l32
 
 
 def test_worker_branch_budget_and_digest(P22):
-    from projlat import cli
+    from projlat import autos
     from projlat.autos import iter_poset_atom_perms, poset_search_plan
 
-    cli._WORKER_STATE.update({"P": P22, "budget": None, "allow_short": True})
     pivot, targets = poset_search_plan(P22)
-    res = cli._run_branch(targets[0])
+    res = autos.run_poset_branch(P22, targets[0], allow_short=True)
     assert res["count"] == res["even"] + res["odd"] + res["fail_count"]
     assert res["fail_count"] > 0  # (2,2): the dichotomy genuinely fails
     # deterministic digest: recompute from a fresh enumeration
@@ -181,28 +180,67 @@ def test_worker_branch_budget_and_digest(P22):
         bytes(ap)
         for ap, _ in iter_poset_atom_perms(P22, restrict_first={targets[0]})
     ]
-    assert res["digest"] == cli._branch_digest(keys)
+    assert res["digest"] == autos._branch_digest(keys)
 
-    cli._WORKER_STATE["budget"] = 3
-    res2 = cli._run_branch(targets[0])
+    res2 = autos.run_poset_branch(P22, targets[0], budget=3, allow_short=True)
     assert "budget_exhausted" in res2
-    cli._WORKER_STATE["budget"] = None
+
+
+def _branch_entry(target: int) -> dict:
+    return {
+        "target": target, "count": 336, "even": 168, "odd": 168,
+        "digest": "0" * 64, "fail_count": 0, "failures": [],
+    }
 
 
 def test_checkpoint_round_trip(tmp_path):
-    from projlat import cli
+    from projlat import autos
 
     path = str(tmp_path / "state.ckpt")
     state = {
-        "schema": cli.SCHEMA_CHECKPOINT,
+        "schema": autos.SCHEMA_CHECKPOINT,
         "fingerprint": "abc",
-        "done": {"3": {"count": 1}},
+        "done": {"3": _branch_entry(3)},
     }
-    cli._save_checkpoint(path, state)
-    loaded = cli._load_checkpoint(path, "abc")
+    autos._save_checkpoint(path, state)
+    loaded = autos._load_checkpoint(path, "abc", [1, 3])
     assert loaded == state
-    with pytest.raises(cli.UsageError):
-        cli._load_checkpoint(path, "different")
+    with pytest.raises(autos.CheckpointError):
+        autos._load_checkpoint(path, "different", [1, 3])
+
+
+def test_corrupted_checkpoint_entry_exits_2(run_cli, tmp_path, P42):
+    """A resumed checkpoint whose entries all claim to be done, one of them
+    without its digest: a usage error naming that entry, not a traceback."""
+    from projlat import autos, sha256_of
+
+    pivot, targets = autos.poset_search_plan(P42)
+    fingerprint = sha256_of(
+        {"n": 4, "field": "2", "poset_size": P42.size, "pivot": pivot, "targets": targets}
+    )
+    done = {str(t): _branch_entry(t) for t in targets}
+    del done[str(targets[0])]["digest"]
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_text(canonical_json(
+        {"schema": "projlat-checkpoint/1", "fingerprint": fingerprint, "done": done}
+    ))
+    code, _, err = run_cli(
+        "verify-main-theorem", "--n", "4", "--field", "2", "--checkpoint", str(ckpt)
+    )
+    assert code == 2
+    assert f"entry '{targets[0]}'" in err
+
+    # a target outside the plan is refused the same way
+    done[str(targets[0])] = _branch_entry(targets[0])
+    done["9999"] = _branch_entry(9999)
+    ckpt.write_text(canonical_json(
+        {"schema": "projlat-checkpoint/1", "fingerprint": fingerprint, "done": done}
+    ))
+    code, _, err = run_cli(
+        "verify-main-theorem", "--n", "4", "--field", "2", "--checkpoint", str(ckpt)
+    )
+    assert code == 2
+    assert "entry '9999'" in err
 
 
 def test_help_exits_cleanly(run_cli):

@@ -11,6 +11,7 @@ from projlat import (
     parse_field,
     subspace_count_total,
 )
+from projlat.lattice import subspace_join, subspace_leq, subspace_meet
 
 
 def test_counts_match_gaussian_binomials(L32, L23, L34):
@@ -42,6 +43,19 @@ def test_meet_join_against_definitions(L32):
                     assert L.leq_idx(k, m)
                 if L.leq_idx(i, k) and L.leq_idx(j, k):
                     assert L.leq_idx(jn, k)
+
+
+@pytest.mark.parametrize("ambient", ["L32", "L23", "L34"])
+def test_tables_against_rref_oracle(ambient, request):
+    """Order, meet and join tables against subspace_leq, subspace_meet and
+    subspace_join, which compute from the RREF bases alone, on every pair."""
+    L = request.getfixturevalue(ambient)
+    els = L.elements
+    for i in range(L.size):
+        for j in range(L.size):
+            assert L.leq_idx(i, j) == subspace_leq(els[i], els[j])
+            assert els[L.meet_idx(i, j)] == subspace_meet(els[i], els[j])
+            assert els[L.join_idx(i, j)] == subspace_join(els[i], els[j])
 
 
 def test_atomistic_and_length(L32, L23):

@@ -43,10 +43,14 @@ def test_report_document_shape():
 
 
 def test_experiment_reports_never_fail():
-    rep = CampaignReport("some-experiment", (3, "2"))
+    rep = CampaignReport("some-experiment", (3, "2"), outcome="experiment")
     rep.add("negative_outcome", False, "reported, not failed")
     doc = report_to_jsonable(rep)
     assert doc["status"] == "experiment"
+    # the status comes from the declared outcome, never from the name
+    named = CampaignReport("some-experiment", (3, "2"))
+    named.add("negative_outcome", False, "a failure after all")
+    assert report_to_jsonable(named)["status"] == "fail"
 
 
 def test_lattice_and_poset_documents(L22, P22):
