@@ -25,7 +25,7 @@ import os
 import random
 import sys
 
-from .gf import parse_field
+from .gf import iter_vectors, parse_field
 from .lattice import SubspaceLattice, _bits, enumerate_subspaces
 from .maps import (
     ANTI,
@@ -39,15 +39,9 @@ from .maps import (
     perm_compose,
     perm_inverse,
 )
-from .matrices import all_matrices, rank
 from .projposet import ProjectionPoset, build_projection_poset
 from .reports import CampaignReport, canonical_json, sha256_of
-from .semilinear import (
-    SemilinearMap,
-    induced_lattice_map,
-    standard_duality,
-    verify_lattice_map,
-)
+from .semilinear import standard_duality, verify_lattice_map
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -99,7 +93,6 @@ def _lattice_search_structure(L: SubspaceLattice):
         return cached
     atoms = L.atoms
     m = len(atoms)
-    ordinal = {a: t for t, a in enumerate(atoms)}
     # join lines at the atom level: line_mask[i][j] = atoms under atom_i v atom_j
     line_mask = [[0] * m for _ in range(m)]
     for i in range(m):
@@ -107,7 +100,7 @@ def _lattice_search_structure(L: SubspaceLattice):
             if i != j:
                 line_elem = L.join_table[atoms[i]][atoms[j]]
                 line_mask[i][j] = L.elem_atom_masks[line_elem]
-    cached = (atoms, ordinal, line_mask, _elem_atoms(L))
+    cached = (atoms, line_mask, _elem_atoms(L))
     L._auto_search_cache = cached
     return cached
 
@@ -134,7 +127,7 @@ def iter_lattice_atom_perms(
     """
     if not L.verify_atomistic():
         raise FalsificationError("lattice is not atomistic; atom search unsound")
-    atoms, _, line_mask, elem_atoms = _lattice_search_structure(L)
+    atoms, line_mask, elem_atoms = _lattice_search_structure(L)
     m = len(atoms)
     full = (1 << m) - 1
     nodes = 0
@@ -251,28 +244,75 @@ def enumerate_lattice_automorphisms(
 
 def semilinear_atom_perms(L: SubspaceLattice, limit: int = 2**20) -> set[bytes]:
     """Independent generation of lattice automorphisms: every invertible
-    matrix with every twist, reduced to its action on atoms. Brute force by
-    construction; used to cross-check the backtracking search."""
+    matrix with every twist, reduced to its action on atoms. Exhaustive by
+    construction; used to cross-check the backtracking search.
+
+    GL(n, q) is generated row by row, up to scalars: row 0 is a canonical
+    point vector, row i any vector outside the span of rows 0..i-1. The
+    atom with vector v goes to the point of v[0] row_0 + ... + v[n-1]
+    row_(n-1), and these sums are carried down the recursion, so no matrix
+    is reduced. A twist sigma permutes the canonical point vectors, so
+    (matrix, sigma) acts on atoms as the matrix after that permutation.
+    Vectors are base-q codes; no table has more than q * q^n entries.
+    """
     F = L.field
-    n = L.n
-    if F.q ** (n * n) > limit:
+    n, q = L.n, F.q
+    if q ** (n * n) > limit:
         raise ValueError(f"q^(n^2) too large for brute-force generation")
-    atoms, ordinal, _, _ = _lattice_search_structure(L)
-    atom_vecs = [L.atom_vector(a) for a in atoms]
-    vec_ordinal: dict[tuple[int, ...], int] = {}
-    for t, a in enumerate(atoms):
-        for v in L.elements[a].vectors():
-            if any(v):
-                vec_ordinal[v] = t
+    vecs = list(iter_vectors(F, n))  # vecs[c] has base-q code c
+    code = {v: c for c, v in enumerate(vecs)}
+    mul, add = F.mul_table, F.add_table
+    smul = [[code[tuple(mul[a][x] for x in v)] for v in vecs] for a in range(q)]
+
+    # a code splits into its first n - lo and last lo coordinates; each
+    # half adds through its own table of at most q^(n+1) entries
+    def add_table(d: int) -> list[list[int]]:
+        half = list(iter_vectors(F, d))
+        index = {v: c for c, v in enumerate(half)}
+        return [
+            [index[tuple(add[a][b] for a, b in zip(u, v))] for v in half] for u in half
+        ]
+
+    lo = n // 2
+    base = q**lo
+    hi_add, lo_add = add_table(n - lo), add_table(lo)
+
+    def plus(x: int, y: int) -> int:
+        return hi_add[x // base][y // base] * base + lo_add[x % base][y % base]
+
+    atom_vecs = [L.atom_vector(a) for a in L.atoms]
+    point = [0] * len(vecs)  # point[c]: ordinal of the atom through vector c
+    for t, v in enumerate(atom_vecs):
+        for a in range(1, q):
+            point[smul[a][code[v]]] = t
+    twist_perms = [
+        [point[code[tw.on_vector(v)]] for v in atom_vecs] for tw in F.automorphisms()
+    ]
+    # terms[i]: (atom ordinal, entry i of its vector) where that entry is nonzero
+    terms = [[(t, v[i]) for t, v in enumerate(atom_vecs) if v[i]] for i in range(n)]
     out: set[bytes] = set()
-    twists = F.automorphisms()
-    for mat in all_matrices(F, n, n):
-        if rank(F, mat) != n:
-            continue
-        for tw in twists:
-            s = SemilinearMap(F, mat, tw)
-            perm = bytes(vec_ordinal[s.apply_vector(v)] for v in atom_vecs)
-            out.add(perm)
+
+    def rec(i: int, images: list[int], span: list[int]) -> None:
+        """images[t]: code of the partial sum over rows 0..i-1 for atom t;
+        span: the codes of the span of those rows."""
+        if i == 0:
+            rows = [code[v] for v in atom_vecs]
+        else:
+            inside = set(span)
+            rows = [x for x in range(len(vecs)) if x not in inside]
+        for r in rows:
+            scaled = [smul[a][r] for a in range(q)]
+            new = images.copy()
+            for t, a in terms[i]:
+                new[t] = plus(new[t], scaled[a])
+            if i < n - 1:
+                rec(i + 1, new, span + [plus(x, y) for y in scaled[1:] for x in span])
+            else:
+                perm = [point[x] for x in new]
+                for tp in twist_perms:
+                    out.add(bytes([perm[s] for s in tp]))
+
+    rec(0, [0] * len(atom_vecs), [0])
     return out
 
 
@@ -486,10 +526,9 @@ def verify_poset_map(phi: PosetMap, P: ProjectionPoset) -> None:
     if len(perm) != P.size:
         raise ValueError("permutation size does not match the poset")
     elem_atoms = _poset_search_structure(P)[-1]
-    atoms = P.atoms
-    atom_ordinal = {a: t for t, a in enumerate(atoms)}
+    atom_ordinal = P.atom_ordinal
     sigma = []
-    for a in atoms:
+    for a in P.atoms:
         ia = perm[a]
         if ia not in atom_ordinal:
             raise FalsificationError(
@@ -511,21 +550,33 @@ def verify_poset_map(phi: PosetMap, P: ProjectionPoset) -> None:
             )
 
 
+def _transport(P: ProjectionPoset, lattice_perm, odd: bool, what: str) -> tuple[int, ...]:
+    """The poset permutation induced by a lattice map: (a, b) -> (f(a), f(b))
+    for an automorphism, (g(b), g(a)) for an anti-automorphism. Raises with
+    the first pair, in element order, whose image leaves the poset."""
+    table, w, lp = P.pair_table, P.lattice.size, lattice_perm
+    if len(lp) != w:
+        raise ValueError("lattice map size does not match the poset's lattice")
+    if odd:
+        perm = [table[lp[b] * w + lp[a]] for a, b in P.pairs]
+    else:
+        perm = [table[lp[a] * w + lp[b]] for a, b in P.pairs]
+    if None in perm:
+        a, b = P.pairs[perm.index(None)]
+        raise FalsificationError(
+            f"{what} image of a projection pair left the poset",
+            {"missing": (lp[b], lp[a]) if odd else (lp[a], lp[b])},
+        )
+    return tuple(perm)
+
+
 def even_from_lattice_automorphism(
     f: LatticeMap, P: ProjectionPoset, verify: bool = True
 ) -> PosetMap:
     """(a, b) -> (f(a), f(b)); the converse half of the classification."""
     if f.direction != AUTO:
         raise ValueError("even maps come from lattice automorphisms")
-    index = P.index
-    fp = f.perm
-    try:
-        perm = tuple(index[(fp[a], fp[b])] for a, b in P.pairs)
-    except KeyError as e:
-        raise FalsificationError(
-            "automorphism image of a projection pair left the poset",
-            {"missing": e.args[0]},
-        ) from None
+    perm = _transport(P, f.perm, False, "automorphism")
     phi = PosetMap(perm, EVEN, witness=f)
     if verify:
         verify_poset_map(phi, P)
@@ -538,15 +589,7 @@ def odd_from_anti_automorphism(
     """(a, b) -> (g(b), g(a)); odd maps from order-reversing witnesses."""
     if g.direction != ANTI:
         raise ValueError("odd maps come from lattice anti-automorphisms")
-    index = P.index
-    gp = g.perm
-    try:
-        perm = tuple(index[(gp[b], gp[a])] for a, b in P.pairs)
-    except KeyError as e:
-        raise FalsificationError(
-            "anti-automorphism image of a projection pair left the poset",
-            {"missing": e.args[0]},
-        ) from None
+    perm = _transport(P, g.perm, True, "anti-automorphism")
     phi = PosetMap(perm, ODD, witness=g)
     if verify:
         verify_poset_map(phi, P)
@@ -643,18 +686,17 @@ def poset_atom_perm_from_lattice(
     """Fast path: the action on P-atoms induced by a lattice map, without
     materializing the full poset permutation."""
     _ = _poset_search_structure(P)
-    atoms = P.atoms
-    ordinal = {a: t for t, a in enumerate(atoms)}
-    index = P.index
-    out = []
-    for a in atoms:
-        ia, ka = P.pairs[a]
-        pair = (lattice_perm[ka], lattice_perm[ia]) if odd else (
-            lattice_perm[ia],
-            lattice_perm[ka],
-        )
-        out.append(ordinal[index[pair]])
-    return tuple(out)
+    table, w, lp, ordinal = P.pair_table, P.lattice.size, lattice_perm, P.atom_ordinal
+    if len(lp) != w:
+        raise ValueError("lattice map size does not match the poset's lattice")
+    try:
+        if odd:
+            return tuple([ordinal[table[lp[b] * w + lp[a]]] for a, b in P.atom_pairs])
+        return tuple([ordinal[table[lp[a] * w + lp[b]]] for a, b in P.atom_pairs])
+    except KeyError:
+        raise FalsificationError(
+            "lattice map sends a projection atom to no atom of the poset", {}
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +855,18 @@ def verify_main_theorem(
             f"classification theorem requires lattice length >= 4, got {L.length}"
         )
     rep = CampaignReport("verify-main-theorem", (L.n, L.field.spec()))
+    # a bad checkpoint is refused before any search runs
+    pivot, targets = poset_search_plan(P)
+    fingerprint = sha256_of(
+        {
+            "n": L.n,
+            "field": L.field.spec(),
+            "poset_size": P.size,
+            "pivot": pivot,
+            "targets": targets,
+        }
+    )
+    state = _load_checkpoint(checkpoint, fingerprint, targets)
 
     # constructed side: every lattice automorphism and its dual twin
     lattice_perms = []
@@ -853,7 +907,6 @@ def verify_main_theorem(
     gamma = standard_duality(L)
     rep.add("duality_involutory", gamma.compose(gamma).is_identity, "")
 
-    pivot, targets = poset_search_plan(P)
     even_by_branch: dict[int, list[bytes]] = {t: [] for t in targets}
     odd_by_branch: dict[int, list[bytes]] = {t: [] for t in targets}
     for eperm in lattice_perms:
@@ -875,16 +928,6 @@ def verify_main_theorem(
     )
 
     # enumerated side, branch by branch
-    fingerprint = sha256_of(
-        {
-            "n": L.n,
-            "field": L.field.spec(),
-            "poset_size": P.size,
-            "pivot": pivot,
-            "targets": targets,
-        }
-    )
-    state = _load_checkpoint(checkpoint, fingerprint, targets)
     done = state["done"]
     todo = [t for t in targets if str(t) not in done]
     if todo:

@@ -539,7 +539,7 @@ VERBS = {
     "enumerate-lattice-autos": (
         cmd_enumerate_lattice_autos,
         "Backtracking enumeration of all lattice automorphisms, "
-        "cross-checked against brute-force semilinear generation and the "
+        "cross-checked against exhaustive semilinear generation and the "
         "projective group order.",
     ),
     "verify-ftpg": (

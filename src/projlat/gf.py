@@ -119,6 +119,7 @@ class GF:
         self.k = k
         self.q = q
         self.modulus = mod
+        self._automorphisms_verified = False
         self._build_tables()
 
     def _build_tables(self) -> None:
@@ -211,10 +212,13 @@ class GF:
         return FieldAutomorphism(self, power % self.k)
 
     def automorphisms(self) -> list["FieldAutomorphism"]:
-        """All field automorphisms: the k Frobenius powers, each verified."""
+        """All field automorphisms: the k Frobenius powers, each verified on
+        the first call for this field; a fresh list every call."""
         autos = [FieldAutomorphism(self, i) for i in range(self.k)]
-        for s in autos:
-            s.verify()
+        if not self._automorphisms_verified:
+            for s in autos:
+                s.verify()
+            self._automorphisms_verified = True
         return autos
 
     # -- identity ----------------------------------------------------------
@@ -283,15 +287,15 @@ class FieldAutomorphism:
     power: int
 
     def __post_init__(self):
-        object.__setattr__(self, "power", self.power % self.field.k)
-
-    @property
-    def table(self) -> tuple[int, ...]:
-        e = self.field.p**self.power
-        return tuple(self.field.power(a, e) for a in range(self.field.q))
+        F = self.field
+        object.__setattr__(self, "power", self.power % F.k)
+        # the image of every element, computed once; not a dataclass field,
+        # so equality and hashing stay on (field, power)
+        e = F.p**self.power
+        object.__setattr__(self, "table", tuple(F.power(a, e) for a in range(F.q)))
 
     def __call__(self, a: int) -> int:
-        return self.field.power(a, self.field.p**self.power)
+        return self.table[a]
 
     def on_vector(self, v: Sequence[int]) -> tuple[int, ...]:
         t = self.table

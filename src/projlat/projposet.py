@@ -92,10 +92,16 @@ class ProjectionPoset:
         self.ortho = [self.index[(b, a)] for a, b in pairs]
         self.by_image: dict[int, list[int]] = {}
         self.by_kernel: dict[int, list[int]] = {}
+        # flat (image, kernel) -> element table: entry a * L.size + b is the
+        # element (a, b), None when a and b are not complements
+        self.pair_table: list[int | None] = [None] * (L.size * L.size)
         for i, (a, b) in enumerate(pairs):
             self.by_image.setdefault(a, []).append(i)
             self.by_kernel.setdefault(b, []).append(i)
+            self.pair_table[a * L.size + b] = i
         self._build_order()
+        self.atom_pairs = [pairs[a] for a in self.atoms]
+        self.atom_ordinal = {a: t for t, a in enumerate(self.atoms)}
         self._covers: list[tuple[int, int]] | None = None
         self._graded: bool | None = None
         self._idempotents: list[Matrix] | None = None

@@ -25,6 +25,7 @@ from projlat import (
     projective_group_order,
     standard_duality,
 )
+from projlat import enumerate_subspaces, parse_field
 from projlat.autos import (
     expand_poset_atom_perm,
     iter_poset_atom_perms,
@@ -32,6 +33,8 @@ from projlat.autos import (
     poset_search_plan,
     semilinear_atom_perms,
 )
+from projlat.matrices import all_matrices, rank
+from projlat.semilinear import SemilinearMap
 
 
 def test_lattice_automorphism_counts(L22, L32, L23, L33, aut_l32):
@@ -50,6 +53,58 @@ def test_search_matches_semilinear_generation(L32, aut_l32):
     ordinal = {a: t for t, a in enumerate(atoms)}
     searched = {bytes(ordinal[f.perm[a]] for a in atoms) for f in aut_l32}
     assert searched == semi
+
+
+def _brute_semilinear_atom_perms(L):
+    """Reference oracle: every n x n matrix kept when its rank is n, with
+    every twist, applied as a SemilinearMap to the atom vectors."""
+    F, n = L.field, L.n
+    vec_ordinal = {}
+    for t, a in enumerate(L.atoms):
+        for v in L.elements[a].vectors():
+            if any(v):
+                vec_ordinal[v] = t
+    atom_vecs = [L.atom_vector(a) for a in L.atoms]
+    out = set()
+    for mat in all_matrices(F, n, n):
+        if rank(F, mat) != n:
+            continue
+        for tw in F.automorphisms():
+            s = SemilinearMap(F, mat, tw)
+            out.add(bytes(vec_ordinal[s.apply_vector(v)] for v in atom_vecs))
+    return out
+
+
+@pytest.mark.parametrize("n, spec", [(2, "3"), (2, "2^2"), (3, "2"), (3, "3"), (4, "2")])
+def test_semilinear_oracle_matches_brute_force(n, spec):
+    L = enumerate_subspaces(n, parse_field(spec))
+    assert semilinear_atom_perms(L) == _brute_semilinear_atom_perms(L)
+
+
+def test_semilinear_oracle_limit_guard(L32, L34):
+    for n, spec in [(3, "5"), (4, "3")]:
+        with pytest.raises(ValueError):
+            semilinear_atom_perms(enumerate_subspaces(n, parse_field(spec)))
+    # the bound is on q^(n^2), inclusive
+    with pytest.raises(ValueError):
+        semilinear_atom_perms(L32, limit=2**9 - 1)
+    assert len(semilinear_atom_perms(L32, limit=2**9)) == 168
+    assert len(semilinear_atom_perms(L34)) == projective_group_order(3, 4, 2)
+
+
+def test_semilinear_oracle_runs_no_rref(monkeypatch, L42):
+    from projlat import matrices
+
+    calls = []
+    rref = matrices.rref
+
+    def counted(*args):
+        calls.append(args)
+        return rref(*args)
+
+    monkeypatch.setattr(matrices, "rref", counted)
+    assert len(semilinear_atom_perms(L42)) == 20160
+    assert calls == []
 
 
 def test_lattice_group_closure_spot_check(aut_l32):
@@ -154,6 +209,55 @@ def test_poset_atom_perm_transport_agrees(L32, P32, aut_l32):
     psi = odd_from_anti_automorphism(LatticeMap(g_perm, ANTI), P32, verify=False)
     ap_odd = poset_atom_perm_from_lattice(P32, g_perm, odd=True)
     assert expand_poset_atom_perm(P32, ap_odd) == psi.perm
+
+
+def test_flat_pair_table_matches_full_constructions(L42, P42, aut_l42):
+    """The atom action read from the flat pair table equals the atom
+    restriction of the full even and odd maps, which in turn match a
+    lookup of every image pair in P.index."""
+    gamma = standard_duality(L42)
+    ordinal = {a: t for t, a in enumerate(P42.atoms)}
+    for f in random.Random(11).sample(aut_l42, 50):
+        g = LatticeMap(perm_compose(f.perm, gamma.perm), ANTI)
+        phi = even_from_lattice_automorphism(f, P42)
+        psi = odd_from_anti_automorphism(g, P42)
+        assert phi.perm == tuple(P42.index[(f.perm[a], f.perm[b])] for a, b in P42.pairs)
+        assert psi.perm == tuple(P42.index[(g.perm[b], g.perm[a])] for a, b in P42.pairs)
+        assert poset_atom_perm_from_lattice(P42, f.perm, odd=False) == tuple(
+            ordinal[phi.perm[a]] for a in P42.atoms
+        )
+        assert poset_atom_perm_from_lattice(P42, g.perm, odd=True) == tuple(
+            ordinal[psi.perm[a]] for a in P42.atoms
+        )
+
+
+def test_constructors_reject_a_pair_leaving_the_poset(L42, P42):
+    """Swapping two points x, y sends (x, h), with h a hyperplane through y
+    but not x, to (y, h), which is not complementary. Both constructors
+    name the first pair, in element order, whose image leaves the poset."""
+    x, y = L42.atoms[0], L42.atoms[1]
+    swap = list(range(L42.size))
+    swap[x], swap[y] = y, x
+    swap = tuple(swap)
+    cases = [
+        (even_from_lattice_automorphism, AUTO, False, "automorphism"),
+        (odd_from_anti_automorphism, ANTI, True, "anti-automorphism"),
+    ]
+    for construct, direction, odd, what in cases:
+        images = [(swap[b], swap[a]) if odd else (swap[a], swap[b]) for a, b in P42.pairs]
+        missing = next(pair for pair in images if pair not in P42.index)
+        with pytest.raises(FalsificationError) as exc:
+            construct(LatticeMap(swap, direction), P42)
+        assert str(exc.value) == f"{what} image of a projection pair left the poset"
+        assert exc.value.payload == {"missing": missing}
+        with pytest.raises(FalsificationError):
+            poset_atom_perm_from_lattice(P42, swap, odd=odd)
+        # a map of another lattice is refused before any lookup
+        other = tuple(range(L42.size - 1))
+        with pytest.raises(ValueError):
+            construct(LatticeMap(other, direction), P42)
+        with pytest.raises(ValueError):
+            poset_atom_perm_from_lattice(P42, other, odd=odd)
 
 
 def test_search_budget_raises(L32):

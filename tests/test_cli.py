@@ -230,6 +230,15 @@ def test_corrupted_checkpoint_entry_exits_2(run_cli, tmp_path, P42):
     assert code == 2
     assert f"entry '{targets[0]}'" in err
 
+    # the checkpoint is checked before any search, so a budget that stops
+    # the lattice search does not hide it
+    code, _, err = run_cli(
+        "verify-main-theorem", "--n", "4", "--field", "2", "--checkpoint", str(ckpt),
+        "--budget-nodes", "10",
+    )
+    assert code == 2
+    assert f"entry '{targets[0]}'" in err
+
     # a target outside the plan is refused the same way
     done[str(targets[0])] = _branch_entry(targets[0])
     done["9999"] = _branch_entry(9999)

@@ -51,6 +51,35 @@ def test_frobenius_generates_all_automorphisms(spec):
     assert order == F.k or (F.k == 1 and order == 1)
 
 
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 3), (3, 2), (2, 4)])
+def test_automorphisms_verified_once_per_field(monkeypatch, p, k):
+    """Many automorphisms() calls verify each Frobenius power once, each
+    call returns a fresh list, and every cached table is a -> a^(p^i)."""
+    from projlat.gf import FieldAutomorphism
+
+    verified = []
+    verify = FieldAutomorphism.verify
+
+    def counted(self):
+        verified.append(self.power)
+        verify(self)
+
+    monkeypatch.setattr(FieldAutomorphism, "verify", counted)
+    F = GF(p, k)  # a fresh instance, not the one parse_field shares
+    lists = [F.automorphisms() for _ in range(20)]
+    assert sorted(verified) == list(range(k))
+    assert lists[0] == lists[-1] and lists[0] is not lists[-1]
+    for s in lists[0]:
+        for a in range(F.q):
+            x = 1
+            for _ in range(p**s.power):
+                x = F.mul(x, a)
+            assert s.table[a] == s(a) == x
+    # the table is not part of equality or hashing
+    assert F.frobenius(1) == FieldAutomorphism(F, 1 + k)
+    assert hash(F.frobenius(1)) == hash(FieldAutomorphism(F, 1 + k))
+
+
 def test_prime_field_has_trivial_automorphism_group():
     F = parse_field("5")
     assert len(F.automorphisms()) == 1
