@@ -1,14 +1,16 @@
 """Exhaustive automorphism machinery for subspace lattices and projection
 posets.
 
-Both searches backtrack on atom images. Atoms determine everything here:
-order is atom-set inclusion in both structures (verified per instance, not
-assumed), so a candidate atom permutation lifts through an atom-mask
-dictionary and the lift is verified outright at every leaf. Constraint
-propagation uses only order-definable (and, for posets, ortho-definable)
-invariants, so no genuine automorphism can ever be pruned; spurious leaves
-die at verification. That split keeps the search honest: pruning is a
-performance device, never a correctness assumption.
+Both searches run one backtracking core on atom images, _atom_search; each
+supplies only its initial candidates, its narrowing step and its leaf lift.
+Atoms determine everything here: order is atom-set inclusion in both
+structures (verified per instance, not assumed), so a candidate atom
+permutation lifts through an atom-mask dictionary and the lift is verified
+outright at every leaf. Constraint propagation uses only order-definable
+(and, for posets, ortho-definable) invariants, so no genuine automorphism
+can ever be pruned; spurious leaves die at verification. That split keeps
+the search honest: pruning is a performance device, never a correctness
+assumption.
 
 Parity machinery: an automorphism of the projection poset is even when
 projections sharing an image keep sharing an image, odd when they end up
@@ -81,6 +83,97 @@ def _lift_atom_perm(S, elem_atoms, sigma) -> list[int | None]:
     return out
 
 
+def _lift_bijective(S, elem_atoms, sigma) -> tuple[int, ...] | None:
+    """The lift of sigma to all elements of S, or None when it is not a
+    permutation of the elements."""
+    eperm = _lift_atom_perm(S, elem_atoms, sigma)
+    if None in eperm or len(set(eperm)) != S.size:
+        return None
+    return tuple(eperm)
+
+
+# ---------------------------------------------------------------------------
+# the atom search, shared by the lattice and the poset
+# ---------------------------------------------------------------------------
+
+
+def _search_plan(init_cand: list[int]) -> tuple[int, list[int]]:
+    """The atom the search branches on first, the one with the fewest
+    initial candidates (lowest ordinal on ties), and its candidates."""
+    pivot = min(range(len(init_cand)), key=lambda z: (init_cand[z].bit_count(), z))
+    return pivot, _bits(init_cand[pivot])
+
+
+def _atom_search(init_cand, narrow, lift, budget, restrict_first, stats):
+    """Backtracking on atom images, yielding (atom_perm, lift(atom_perm))
+    for every forced permutation whose lift is not None.
+
+    init_cand[z] masks the possible images of atom z. Each node tries every
+    candidate y of the most constrained unassigned atom x (fewest
+    candidates, lowest ordinal): narrow(x, y, assigned, cand) gets copies
+    with x assigned to y, shrinks the unassigned atoms' candidates in place
+    and returns False when one runs empty. lift verifies outright.
+    restrict_first limits the images of the pivot of _search_plan."""
+    m = len(init_cand)
+    nodes = 0
+    found = 0
+    root_pivot, _ = _search_plan(init_cand)
+    root_mask = None
+    if restrict_first is not None:
+        root_mask = sum(1 << y for y in set(restrict_first))
+
+    def rec(assigned: list[int | None], cand: list[int], n_assigned: int):
+        nonlocal nodes, found
+        # choose the most constrained unassigned atom
+        best = -1
+        best_pc = m + 1
+        all_forced = True
+        for z in range(m):
+            if assigned[z] is None:
+                pc = cand[z].bit_count()
+                if pc == 0:
+                    return
+                if pc > 1:
+                    all_forced = False
+                if pc < best_pc:
+                    best, best_pc = z, pc
+        if best == -1 or all_forced:
+            # complete the permutation with the forced choices; the check
+            # below rejects target collisions, the lift everything else
+            perm = list(assigned)
+            for z in range(m):
+                if perm[z] is None:
+                    perm[z] = cand[z].bit_length() - 1
+            perm = tuple(perm)
+            if sorted(perm) != list(range(m)):
+                return
+            eperm = lift(perm)
+            if eperm is not None:
+                found += 1
+                yield perm, eperm
+            return
+        opts = cand[best]
+        if n_assigned == 0 and best == root_pivot and root_mask is not None:
+            opts &= root_mask
+        for y in _bits(opts):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                if stats is not None:
+                    stats["nodes"] = nodes
+                raise SearchBudgetExceeded(nodes, found)
+            new_assigned = assigned.copy()
+            new_assigned[best] = y
+            new_cand = cand.copy()
+            new_cand[best] = 1 << y
+            if narrow(best, y, new_assigned, new_cand):
+                yield from rec(new_assigned, new_cand, n_assigned + 1)
+
+    yield from rec([None] * m, list(init_cand), 0)
+    if stats is not None:
+        stats["nodes"] = nodes
+        stats["found"] = found
+
+
 # ---------------------------------------------------------------------------
 # lattice automorphism search
 # ---------------------------------------------------------------------------
@@ -100,16 +193,16 @@ def _lattice_search_structure(L: SubspaceLattice):
             if i != j:
                 line_elem = L.join_table[atoms[i]][atoms[j]]
                 line_mask[i][j] = L.elem_atom_masks[line_elem]
-    cached = (atoms, line_mask, _elem_atoms(L))
+    cached = ([(1 << m) - 1] * m, line_mask, _elem_atoms(L))
     L._auto_search_cache = cached
     return cached
 
 
 def lattice_search_plan(L: SubspaceLattice) -> tuple[int, list[int]]:
-    """Deterministic root branching: (pivot atom ordinal, target ordinals).
-    Used to partition long searches for checkpointing and worker pools."""
-    m = len(L.atoms)
-    return 0, list(range(m))
+    """Deterministic root branching: (pivot atom ordinal, target ordinals),
+    the search's own first branching. Used to partition long searches for
+    checkpointing and worker pools."""
+    return _search_plan(_lattice_search_structure(L)[0])
 
 
 def iter_lattice_atom_perms(
@@ -127,96 +220,38 @@ def iter_lattice_atom_perms(
     """
     if not L.verify_atomistic():
         raise FalsificationError("lattice is not atomistic; atom search unsound")
-    atoms, line_mask, elem_atoms = _lattice_search_structure(L)
-    m = len(atoms)
-    full = (1 << m) - 1
-    nodes = 0
-    found = 0
+    init_cand, line_mask, elem_atoms = _lattice_search_structure(L)
+    m = len(init_cand)
 
-    root_pivot, _ = lattice_search_plan(L)
-    root_mask = full
-    if restrict_first is not None:
-        root_mask = 0
-        for y in restrict_first:
-            root_mask |= 1 << y
-
-    def rec(assigned: list[int | None], cand: list[int], n_assigned: int):
-        nonlocal nodes, found
-        # choose the most constrained unassigned atom
-        best = -1
-        best_pc = m + 1
-        all_forced = True
+    def narrow(best, y, assigned, cand) -> bool:
+        not_y = ~(1 << y)
         for z in range(m):
             if assigned[z] is None:
-                pc = cand[z].bit_count()
-                if pc == 0:
-                    return
-                if pc > 1:
-                    all_forced = False
-                if pc < best_pc:
-                    best, best_pc = z, pc
-        if best == -1 or all_forced:
-            # complete the permutation with the forced choices; the leaf
-            # verification below rejects target collisions
-            perm = list(assigned)
+                nc = cand[z] & not_y
+                if nc == 0:
+                    return False
+                cand[z] = nc
+        lm_row = line_mask[best]
+        lmy_row = line_mask[y]
+        for x2 in range(m):
+            y2 = assigned[x2]
+            if y2 is None or x2 == best:
+                continue
+            lm = lm_row[x2]
+            lmi = lmy_row[y2]
+            not_lmi = ~lmi
             for z in range(m):
-                if perm[z] is None:
-                    perm[z] = cand[z].bit_length() - 1
-            perm = tuple(perm)
-            if sorted(perm) != list(range(m)):
-                return
-            eperm = _lift_atom_perm(L, elem_atoms, perm)
-            if None not in eperm and len(set(eperm)) == L.size:
-                found += 1
-                yield perm, tuple(eperm)
-            return
-        opts = cand[best]
-        if n_assigned == 0 and best == root_pivot:
-            opts &= root_mask
-        for y in _bits(opts):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                if stats is not None:
-                    stats["nodes"] = nodes
-                raise SearchBudgetExceeded(nodes, found)
-            ybit = 1 << y
-            new_assigned = assigned.copy()
-            new_assigned[best] = y
-            new_cand = cand.copy()
-            new_cand[best] = ybit
-            ok = True
-            for z in range(m):
-                if new_assigned[z] is None:
-                    nc = new_cand[z] & ~ybit
+                if assigned[z] is None:
+                    nc = cand[z] & (lmi if lm >> z & 1 else not_lmi)
                     if nc == 0:
-                        ok = False
-                        break
-                    new_cand[z] = nc
-            if ok:
-                lm_row = line_mask[best]
-                lmy_row = line_mask[y]
-                for x2 in range(m):
-                    y2 = new_assigned[x2]
-                    if y2 is None or x2 == best:
-                        continue
-                    lm = lm_row[x2]
-                    lmi = lmy_row[y2]
-                    not_lmi = ~lmi
-                    for z in range(m):
-                        if new_assigned[z] is None:
-                            nc = new_cand[z] & (lmi if lm >> z & 1 else not_lmi)
-                            if nc == 0:
-                                ok = False
-                                break
-                            new_cand[z] = nc
-                    if not ok:
-                        break
-            if ok:
-                yield from rec(new_assigned, new_cand, n_assigned + 1)
-    yield from rec([None] * m, [full] * m, 0)
-    if stats is not None:
-        stats["nodes"] = nodes
-        stats["found"] = found
+                        return False
+                    cand[z] = nc
+        return True
+
+    yield from _atom_search(
+        init_cand, narrow, lambda perm: _lift_bijective(L, elem_atoms, perm),
+        budget, restrict_first, stats,
+    )
 
 
 def iter_lattice_automorphisms(L: SubspaceLattice, budget: int | None = None):
@@ -253,12 +288,17 @@ def semilinear_atom_perms(L: SubspaceLattice, limit: int = 2**20) -> set[bytes]:
     row_(n-1), and these sums are carried down the recursion, so no matrix
     is reduced. A twist sigma permutes the canonical point vectors, so
     (matrix, sigma) acts on atoms as the matrix after that permutation.
-    Vectors are base-q codes; no table has more than q * q^n entries.
+    Vectors are base-q codes; no table has more than q * q^n entries. The
+    work and the result set grow with |PGammaL(n, q)|, so ambients where
+    that group order exceeds limit are refused.
     """
     F = L.field
     n, q = L.n, F.q
-    if q ** (n * n) > limit:
-        raise ValueError(f"q^(n^2) too large for brute-force generation")
+    order = projective_group_order(n, q, F.k)
+    if order > limit:
+        raise ValueError(
+            f"|PGammaL({n}, {q})| = {order} exceeds the semilinear generation limit {limit}"
+        )
     vecs = list(iter_vectors(F, n))  # vecs[c] has base-q code c
     code = {v: c for c, v in enumerate(vecs)}
     mul, add = F.mul_table, F.add_table
@@ -386,10 +426,12 @@ def _poset_search_structure(P: ProjectionPoset):
                 continue
             c = colors[y2][y]
             allowed[y][c] = allowed[y].get(c, 0) | (1 << y2)
+    # each atom's initial candidates: the atoms of its unary color
     unary_masks: dict[int, int] = {}
     for t, u in enumerate(unary):
         unary_masks[u] = unary_masks.get(u, 0) | (1 << t)
-    cached = (atoms, unary, unary_masks, colors, allowed, _elem_atoms(P))
+    init_cand = [unary_masks[u] for u in unary]
+    cached = (init_cand, colors, allowed, _elem_atoms(P))
     P._auto_search_cache = cached
     return cached
 
@@ -397,25 +439,20 @@ def _poset_search_structure(P: ProjectionPoset):
 def poset_search_plan(P: ProjectionPoset) -> tuple[int, list[int]]:
     """Deterministic root branching for checkpoint/worker partitioning:
     the pivot the search itself will pick first, and its candidate list."""
-    _, unary, unary_masks, _, _, _ = _poset_search_structure(P)
-    m = len(P.atoms)
-    init = [unary_masks[unary[z]] for z in range(m)]
-    pivot = min(range(m), key=lambda z: (init[z].bit_count(), z))
-    return pivot, _bits(init[pivot])
+    return _search_plan(_poset_search_structure(P)[0])
 
 
 def expand_poset_atom_perm(P: ProjectionPoset, perm: tuple[int, ...]):
     """Lift an atom permutation of P to all elements; None if it fails to
     lift bijectively or breaks the orthocomplementation."""
-    elem_atoms = _poset_search_structure(P)[-1]
-    eperm = _lift_atom_perm(P, elem_atoms, perm)
-    if None in eperm or len(set(eperm)) != P.size:
+    eperm = _lift_bijective(P, _poset_search_structure(P)[-1], perm)
+    if eperm is None:
         return None
     ortho = P.ortho
     for e in range(P.size):
         if eperm[ortho[e]] != ortho[eperm[e]]:
             return None
-    return tuple(eperm)
+    return eperm
 
 
 def iter_poset_atom_perms(
@@ -426,77 +463,26 @@ def iter_poset_atom_perms(
 ):
     """All atom permutations extending to orthoposet automorphisms of P,
     yielding (atom_perm, element_perm) pairs in deterministic order."""
-    atoms, unary, unary_masks, colors, allowed, _ = _poset_search_structure(P)
-    m = len(atoms)
-    nodes = 0
-    found = 0
-    root_pivot, _ = poset_search_plan(P)
-    root_mask = None
-    if restrict_first is not None:
-        root_mask = 0
-        for y in restrict_first:
-            root_mask |= 1 << y
+    init_cand, colors, allowed, _ = _poset_search_structure(P)
+    m = len(init_cand)
 
-    init_cand = [unary_masks[unary[z]] for z in range(m)]
-
-    def rec(assigned: list[int | None], cand: list[int], n_assigned: int):
-        nonlocal nodes, found
-        best = -1
-        best_pc = m + 1
-        all_forced = True
+    def narrow(best, y, assigned, cand) -> bool:
+        not_y = ~(1 << y)
+        allowed_y = allowed[y]
         for z in range(m):
             if assigned[z] is None:
-                pc = cand[z].bit_count()
-                if pc == 0:
-                    return
-                if pc > 1:
-                    all_forced = False
-                if pc < best_pc:
-                    best, best_pc = z, pc
-        if best == -1 or all_forced:
-            perm = list(assigned)
-            for z in range(m):
-                if perm[z] is None:
-                    perm[z] = cand[z].bit_length() - 1
-            perm = tuple(perm)
-            if sorted(perm) != list(range(m)):
-                return
-            eperm = expand_poset_atom_perm(P, perm)
-            if eperm is not None:
-                found += 1
-                yield perm, eperm
-            return
-        opts = cand[best]
-        if n_assigned == 0 and best == root_pivot and root_mask is not None:
-            opts &= root_mask
-        colors_best = colors[best]
-        for y in _bits(opts):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                if stats is not None:
-                    stats["nodes"] = nodes
-                raise SearchBudgetExceeded(nodes, found)
-            ybit = 1 << y
-            new_assigned = assigned.copy()
-            new_assigned[best] = y
-            new_cand = cand.copy()
-            new_cand[best] = ybit
-            allowed_y = allowed[y]
-            ok = True
-            for z in range(m):
-                if new_assigned[z] is None:
-                    nc = new_cand[z] & ~ybit & allowed_y.get(colors[z][best], 0)
-                    if nc == 0:
-                        ok = False
-                        break
-                    new_cand[z] = nc
-            if ok:
-                yield from rec(new_assigned, new_cand, n_assigned + 1)
+                nc = cand[z] & not_y & allowed_y.get(colors[z][best], 0)
+                if nc == 0:
+                    return False
+                cand[z] = nc
+        return True
 
-    yield from rec([None] * m, init_cand, 0)
-    if stats is not None:
-        stats["nodes"] = nodes
-        stats["found"] = found
+    # the leaf looks expand_poset_atom_perm up at call time, so a wrapper
+    # installed on the module name sees every leaf
+    yield from _atom_search(
+        init_cand, narrow, lambda perm: expand_poset_atom_perm(P, perm),
+        budget, restrict_first, stats,
+    )
 
 
 def enumerate_poset_automorphisms(

@@ -139,11 +139,12 @@ def _write_artifact(text: str, args, filename: str) -> None:
         sys.stdout.write(text)
 
 
-def _ambient(args, min_n: int = 1):
+def _ambient(args, min_n: int = 1, why: str = "for this verb"):
+    """The field of --field; an --n below min_n is refused, naming why."""
     if args.n is None:
         raise UsageError("--n is required for this verb")
     if args.n < min_n:
-        raise UsageError(f"--n must be at least {min_n} for this verb")
+        raise UsageError(f"refused: --n must be at least {min_n} {why}")
     try:
         F = parse_field(args.field)
     except (FieldError, ValueError) as exc:
@@ -151,8 +152,8 @@ def _ambient(args, min_n: int = 1):
     return F
 
 
-def _lattice(args, min_n: int = 1):
-    F = _ambient(args, min_n)
+def _lattice(args, min_n: int = 1, why: str = "for this verb"):
+    F = _ambient(args, min_n, why)
     try:
         return F, enumerate_subspaces(args.n, F)
     except AmbientTooLarge as exc:
@@ -256,11 +257,7 @@ def cmd_enumerate_lattice_autos(args) -> int:
 
 
 def cmd_verify_ftpg(args) -> int:
-    if args.n is not None and args.n < 3:
-        raise UsageError(
-            "semilinear witness matching requires ambient dimension >= 3"
-        )
-    F, L = _lattice(args, min_n=3)
+    F, L = _lattice(args, 3, "(witness matching requires ambient dimension >= 3)")
     rep = verify_fundamental_correspondence(L, budget=args.budget_nodes)
     return _emit(rep, args, "verify-ftpg")
 
@@ -279,14 +276,7 @@ def cmd_verify_semidirect(args) -> int:
 
 
 def cmd_verify_main_theorem(args) -> int:
-    if args.n is not None and args.n < 4:
-        sys.stderr.write(
-            "verify-main-theorem: refused: the classification theorem assumes "
-            "lattice length >= 4; this ambient has length "
-            f"{args.n}. Use --n 4 or higher.\n"
-        )
-        return EXIT_USAGE
-    F, L = _lattice(args, min_n=4)
+    F, L = _lattice(args, 4, "(the classification theorem assumes lattice length >= 4)")
     P = build_projection_poset(L)
     try:
         rep = verify_main_theorem(
@@ -369,12 +359,7 @@ def cmd_ring_restrict(args) -> int:
 
 
 def cmd_ring_extend(args) -> int:
-    if args.n is not None and args.n < 4:
-        sys.stderr.write(
-            "ring-extend: refused: decomposition assumes lattice length >= 4.\n"
-        )
-        return EXIT_USAGE
-    F, L = _lattice(args, min_n=4)
+    F, L = _lattice(args, 4, "(decomposition assumes lattice length >= 4)")
     P = build_projection_poset(L)
     rep = CampaignReport("ring-extend", (L.n, F.spec()))
     auts = enumerate_lattice_automorphisms(L, budget=args.budget_nodes)
@@ -396,12 +381,7 @@ def cmd_ring_extend(args) -> int:
 
 
 def cmd_ring_odd_experiment(args) -> int:
-    if args.n is not None and args.n < 3:
-        raise UsageError(
-            "the odd-extension experiment needs ambient dimension >= 3 "
-            "(witness matching uses the dimension >= 3 hypothesis)"
-        )
-    F, L = _lattice(args, min_n=3)
+    F, L = _lattice(args, 3, "(odd-extension witness matching needs dimension >= 3)")
     P = build_projection_poset(L)
     allow_short = L.length < 4
     rep = CampaignReport(

@@ -204,7 +204,6 @@ class SubspaceLattice:
         size = self.size
         # ground-truth containment, element by element
         up = [0] * size
-        down = [0] * size
         by_dim = sorted(range(size), key=lambda i: self.dims[i])
         for i in range(size):
             bi = els[i].basis
@@ -219,25 +218,11 @@ class SubspaceLattice:
                 if all(in_row_space(F, row, els[j].basis) for row in bi):
                     ui |= 1 << j
             up[i] = ui
-        for i in range(size):
-            u = up[i]
-            while u:
-                low = u & -u
-                j = low.bit_length() - 1
-                down[j] |= 1 << i
-                u ^= low
         self.up_masks = up
-        self.down_masks = down
+        self.down_masks = down_masks(up)
         # atom sets, for export and for the automorphism search
-        atom_masks = [0] * size
-        for t, a in enumerate(self.atoms):
-            u = up[a]
-            while u:
-                low = u & -u
-                atom_masks[low.bit_length() - 1] |= 1 << t
-                u ^= low
-        self.elem_atom_masks = atom_masks
-        self.atom_mask_index = {m: i for i, m in enumerate(atom_masks)}
+        self.elem_atom_masks = atom_masks(up, self.atoms)
+        self.atom_mask_index = {m: i for i, m in enumerate(self.elem_atom_masks)}
         if len(self.atom_mask_index) != size:
             raise AssertionError("distinct subspaces share an atom set")
 
@@ -278,16 +263,7 @@ class SubspaceLattice:
         return strictly_between == 0
 
     def cover_pairs(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.size):
-            u = self.up_masks[i] & ~(1 << i)
-            while u:
-                low = u & -u
-                j = low.bit_length() - 1
-                if self.covers_idx(i, j):
-                    out.append((i, j))
-                u ^= low
-        return out
+        return cover_pairs(self.up_masks, self.down_masks)
 
     def complements_idx(self, i: int) -> list[int]:
         bot, top = self.bottom, self.top
@@ -325,13 +301,8 @@ class SubspaceLattice:
         return self.elements[i].basis[0]
 
     def verify_atomistic(self) -> bool:
-        """Order coincides with atom-set inclusion (spot ground truth vs masks)."""
-        am = self.elem_atom_masks
-        for i in range(self.size):
-            for j in range(self.size):
-                if self.leq_idx(i, j) != (am[i] & ~am[j] == 0):
-                    return False
-        return True
+        """Order coincides with atom-set inclusion, exhaustively."""
+        return order_is_atom_inclusion(self.up_masks, self.atoms)
 
     def __repr__(self) -> str:
         return f"SubspaceLattice({self.field.spec()}^{self.n}, {self.size} elements)"
@@ -345,6 +316,57 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+# Order helpers shared by the lattice and the projection poset. An order on
+# elements 0..size-1 is given by its up-sets: bit j of up[i] is set iff i <= j.
+
+
+def down_masks(up: list[int]) -> list[int]:
+    """The same order read downward: bit i of entry j is set iff i <= j."""
+    down = [0] * len(up)
+    for i, ui in enumerate(up):
+        for j in _bits(ui):
+            down[j] |= 1 << i
+    return down
+
+
+def atom_masks(up: list[int], atoms: list[int]) -> list[int]:
+    """Atom set of every element: bit t of entry i is set iff atoms[t] <= i."""
+    masks = [0] * len(up)
+    for t, a in enumerate(atoms):
+        for i in _bits(up[a]):
+            masks[i] |= 1 << t
+    return masks
+
+
+def cover_pairs(up: list[int], down: list[int]) -> list[tuple[int, int]]:
+    """Pairs (i, j) with j covering i: i < j and nothing strictly between."""
+    out = []
+    for i, ui in enumerate(up):
+        for j in _bits(ui & ~(1 << i)):
+            if ui & down[j] == (1 << i) | (1 << j):
+                out.append((i, j))
+    return out
+
+
+def order_is_atom_inclusion(up: list[int], atoms: list[int]) -> bool:
+    """Whether i <= j exactly when the atoms below i are all below j, with
+    no two elements below the same atoms. The atoms of i are among those of
+    j exactly when j is above every atom below i, so each up[i] must be the
+    AND of the up-sets of the atoms below i (every element when there are
+    none): one AND per atom-element incidence instead of size^2 pairs."""
+    masks = atom_masks(up, atoms)
+    if len(set(masks)) != len(up):
+        return False
+    everything = (1 << len(up)) - 1
+    for i, mask in enumerate(masks):
+        above = everything
+        for t in _bits(mask):
+            above &= up[atoms[t]]
+        if up[i] != above:
+            return False
+    return True
 
 
 def check_g_lattice_properties(L: SubspaceLattice) -> CampaignReport:

@@ -16,7 +16,12 @@ from .lattice import (
     AmbientTooLarge,
     Subspace,
     SubspaceLattice,
+    _bits,
+    atom_masks,
+    cover_pairs,
+    down_masks,
     enumerate_subspaces,
+    order_is_atom_inclusion,
     projection_pair_count,
 )
 from .matrices import (
@@ -37,6 +42,19 @@ from .reports import CampaignReport
 
 class NotIdempotent(ValueError):
     """Raised when a projection matrix is expected but M @ M != M."""
+
+
+def _least_bound(masks: list[int], i: int, j: int, what: str) -> int | None:
+    """The least common bound of i and j in the order of masks (up masks
+    for upper bounds, down masks for lower), or None if none is least."""
+    common = masks[i] & masks[j]
+    found = None
+    for m in _bits(common):
+        if common & ~masks[m] == 0:
+            if found is not None:
+                raise AssertionError(f"two distinct {what}")
+            found = m
+    return found
 
 
 def projector_matrix(F: GF, image: Subspace, kernel: Subspace) -> Matrix:
@@ -112,7 +130,6 @@ class ProjectionPoset:
         lup = L.up_masks
         size = self.size
         up = [0] * size
-        down = [0] * size
         img, ker = self.image, self.kernel
         for i in range(size):
             a, b = img[i], ker[i]
@@ -122,24 +139,11 @@ class ProjectionPoset:
                 if ua >> img[j] & 1 and lup[ker[j]] >> b & 1:
                     ui |= 1 << j
             up[i] = ui
-        for i in range(size):
-            u = up[i]
-            while u:
-                low = u & -u
-                down[low.bit_length() - 1] |= 1 << i
-                u ^= low
         self.up_masks = up
-        self.down_masks = down
+        self.down_masks = down_masks(up)
         self.atoms = [i for i, g in enumerate(self.grade) if g == 1]
-        atom_masks = [0] * size
-        for t, a in enumerate(self.atoms):
-            u = up[a]
-            while u:
-                low = u & -u
-                atom_masks[low.bit_length() - 1] |= 1 << t
-                u ^= low
-        self.elem_atom_masks = atom_masks
-        self.atom_mask_index = {m: i for i, m in enumerate(atom_masks)}
+        self.elem_atom_masks = atom_masks(up, self.atoms)
+        self.atom_mask_index = {m: i for i, m in enumerate(self.elem_atom_masks)}
 
     # -- order -------------------------------------------------------------
 
@@ -148,46 +152,14 @@ class ProjectionPoset:
 
     def lub_idx(self, i: int, j: int) -> int | None:
         """Least upper bound in the poset, or None if there is no least one."""
-        common = self.up_masks[i] & self.up_masks[j]
-        found = None
-        u = common
-        while u:
-            low = u & -u
-            m = low.bit_length() - 1
-            if common & ~self.up_masks[m] == 0:
-                if found is not None:
-                    raise AssertionError("two distinct least upper bounds")
-                found = m
-            u ^= low
-        return found
+        return _least_bound(self.up_masks, i, j, "least upper bounds")
 
     def glb_idx(self, i: int, j: int) -> int | None:
-        common = self.down_masks[i] & self.down_masks[j]
-        found = None
-        u = common
-        while u:
-            low = u & -u
-            m = low.bit_length() - 1
-            if common & ~self.down_masks[m] == 0:
-                if found is not None:
-                    raise AssertionError("two distinct greatest lower bounds")
-                found = m
-            u ^= low
-        return found
+        return _least_bound(self.down_masks, i, j, "greatest lower bounds")
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         if self._covers is None:
-            out = []
-            for i in range(self.size):
-                u = self.up_masks[i] & ~(1 << i)
-                while u:
-                    low = u & -u
-                    j = low.bit_length() - 1
-                    between = self.up_masks[i] & self.down_masks[j]
-                    if between == (1 << i) | (1 << j):
-                        out.append((i, j))
-                    u ^= low
-            self._covers = out
+            self._covers = cover_pairs(self.up_masks, self.down_masks)
         return self._covers
 
     def is_graded_by_image_dim(self) -> bool:
@@ -201,17 +173,7 @@ class ProjectionPoset:
 
     def verify_atomistic(self) -> bool:
         """Order relation coincides with atom-set inclusion, exhaustively."""
-        if len(self.atom_mask_index) != self.size:
-            return False
-        am = self.elem_atom_masks
-        up = self.up_masks
-        for i in range(self.size):
-            ui = up[i]
-            mi = am[i]
-            for j in range(self.size):
-                if (ui >> j & 1) != (mi & ~am[j] == 0):
-                    return False
-        return True
+        return order_is_atom_inclusion(self.up_masks, self.atoms)
 
     # -- matrix view -------------------------------------------------------
 

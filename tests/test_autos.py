@@ -26,9 +26,12 @@ from projlat import (
     standard_duality,
 )
 from projlat import enumerate_subspaces, parse_field
+from projlat import autos
 from projlat.autos import (
     expand_poset_atom_perm,
+    iter_lattice_atom_perms,
     iter_poset_atom_perms,
+    lattice_search_plan,
     poset_atom_perm_from_lattice,
     poset_search_plan,
     semilinear_atom_perms,
@@ -81,14 +84,13 @@ def test_semilinear_oracle_matches_brute_force(n, spec):
     assert semilinear_atom_perms(L) == _brute_semilinear_atom_perms(L)
 
 
-def test_semilinear_oracle_limit_guard(L32, L34):
-    for n, spec in [(3, "5"), (4, "3")]:
-        with pytest.raises(ValueError):
-            semilinear_atom_perms(enumerate_subspaces(n, parse_field(spec)))
-    # the bound is on q^(n^2), inclusive
+def test_semilinear_oracle_limit_guard(L33, L34):
     with pytest.raises(ValueError):
-        semilinear_atom_perms(L32, limit=2**9 - 1)
-    assert len(semilinear_atom_perms(L32, limit=2**9)) == 168
+        semilinear_atom_perms(enumerate_subspaces(4, parse_field("3")))
+    # the bound is on |PGammaL(n, q)|, inclusive
+    with pytest.raises(ValueError):
+        semilinear_atom_perms(L33, limit=5615)
+    assert len(semilinear_atom_perms(L33, limit=5616)) == 5616
     assert len(semilinear_atom_perms(L34)) == projective_group_order(3, 4, 2)
 
 
@@ -183,15 +185,37 @@ def test_decompose_refuses_short_lattices(P32):
         decompose_poset_automorphism(maps[1], P32)  # length 3 < 4
 
 
-def test_branch_partition_is_exact(P22):
+SEARCHES = {
+    "lattice": (iter_lattice_atom_perms, lattice_search_plan),
+    "poset": (iter_poset_atom_perms, poset_search_plan),
+}
+
+
+@pytest.mark.parametrize("kind, ambient", [("lattice", "L32"), ("poset", "P22")])
+def test_branch_partition_is_exact(kind, ambient, request, monkeypatch):
     """Branch-restricted searches partition the full enumeration: the root
-    pivot's branches are disjoint and their union is everything."""
-    full = {ap for ap, _ in iter_poset_atom_perms(P22)}
-    pivot, targets = poset_search_plan(P22)
+    pivot's branches are disjoint and their union is everything. The plan's
+    pivot is the atom the search core branches on first."""
+    S = request.getfixturevalue(ambient)
+    search, plan = SEARCHES[kind]
+    branched = []
+    core = autos._atom_search
+
+    def recording_core(init_cand, narrow, *rest):
+        def recording_narrow(x, y, assigned, cand):
+            branched.append(x)
+            return narrow(x, y, assigned, cand)
+
+        return core(init_cand, recording_narrow, *rest)
+
+    monkeypatch.setattr(autos, "_atom_search", recording_core)
+    full = {ap for ap, _ in search(S)}
+    pivot, targets = plan(S)
+    assert branched[0] == pivot
     union = set()
     total = 0
     for t in targets:
-        chunk = {ap for ap, _ in iter_poset_atom_perms(P22, restrict_first={t})}
+        chunk = {ap for ap, _ in search(S, restrict_first={t})}
         assert all(ap[pivot] == t for ap in chunk)
         total += len(chunk)
         union |= chunk

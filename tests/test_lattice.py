@@ -11,7 +11,12 @@ from projlat import (
     parse_field,
     subspace_count_total,
 )
-from projlat.lattice import subspace_join, subspace_leq, subspace_meet
+from projlat.lattice import (
+    order_is_atom_inclusion,
+    subspace_join,
+    subspace_leq,
+    subspace_meet,
+)
 
 
 def test_counts_match_gaussian_binomials(L32, L23, L34):
@@ -63,6 +68,50 @@ def test_atomistic_and_length(L32, L23):
     assert L23.verify_atomistic()
     assert L32.length == 3
     assert L23.length == 2
+
+
+def _atomistic_by_pairs(up, atoms):
+    """Reference: the pairwise check the shared one replaced. Distinct atom
+    sets, and i <= j iff the atoms below i are all below j, on every pair."""
+    size = len(up)
+    am = [sum(1 << t for t, a in enumerate(atoms) if up[a] >> i & 1) for i in range(size)]
+    if len(set(am)) != size:
+        return False
+    return all(
+        bool(up[i] >> j & 1) == (am[i] & ~am[j] == 0)
+        for i in range(size)
+        for j in range(size)
+    )
+
+
+@pytest.mark.parametrize("ambient", ["23", "32", "42"])
+def test_atomistic_check_matches_pairwise_reference(ambient, request):
+    """order_is_atom_inclusion, behind both verify_atomistic methods, agrees
+    with the pairwise reference on L and P, and on corrupted up-mask tables
+    of each."""
+    for S in (request.getfixturevalue("L" + ambient), request.getfixturevalue("P" + ambient)):
+        up, atoms = S.up_masks, S.atoms
+        assert S.verify_atomistic() is True
+        assert order_is_atom_inclusion(up, atoms) is _atomistic_by_pairs(up, atoms) is True
+        x = atoms[0]
+        corrupted = []
+        for i in (x, S.size // 2, S.top):
+            bad = list(up)
+            bad[i] &= ~(1 << i)  # a dropped reflexive bit
+            corrupted.append(bad)
+        bad = list(up)
+        bad[S.top] |= 1 << x  # a spurious comparability: top <= x
+        corrupted.append(bad)
+        for bad in corrupted:
+            assert order_is_atom_inclusion(bad, atoms) is _atomistic_by_pairs(bad, atoms) is False
+
+
+def test_atomistic_check_refuses_a_chain():
+    """In the 3-chain 0 < 1 < 2 with atom 1, elements 1 and 2 lie above the
+    same atoms, so the order is not atom-set inclusion; nor is it when 2 is
+    also made <= 1, where only the distinct-atom-sets condition fails."""
+    for up in ([0b111, 0b110, 0b100], [0b111, 0b110, 0b110]):
+        assert order_is_atom_inclusion(up, [1]) is _atomistic_by_pairs(up, [1]) is False
 
 
 def test_hyperplane_criterion(L32):
