@@ -370,6 +370,27 @@ def projective_group_order(n: int, q: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _DenseIds(dict):
+    """Dense ids in order of first sight: looking up a new key gives it
+    the next id."""
+
+    def __missing__(self, key) -> int:
+        value = self[key] = len(self)
+        return value
+
+
+class _Memo(dict):
+    """fn(key), evaluated once per distinct key."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def _poset_search_structure(P: ProjectionPoset):
     """Atom pair invariants for pruning. Every ingredient is definable from
     the order and the orthocomplementation alone, so the constraints hold
@@ -383,49 +404,59 @@ def _poset_search_structure(P: ProjectionPoset):
         raise FalsificationError("poset not graded by image rank; invariants unsound")
     atoms = P.atoms
     m = len(atoms)
-    n_grades = max(P.grade) + 1
-    grade_masks = [0] * n_grades
-    for e in range(P.size):
-        grade_masks[P.grade[e]] |= 1 << e
+    size = P.size
     up = P.up_masks
     ortho = P.ortho
 
-    def profile(mask: int) -> tuple[int, ...]:
-        return tuple((mask & gm).bit_count() for gm in grade_masks)
+    # masks are read top-first here, bit size-1-e standing for element e:
+    # up-sets of high-grade elements then lie in the low bits, so their
+    # intersections are short ints and hash fast
+    def top_first(mask: int) -> int:
+        return int(format(mask, f"0{size}b")[::-1], 2)
 
-    unary_raw = [
-        (profile(up[x]), profile(up[x] & up[ortho[x]])) for x in atoms
-    ]
-    unary_ids: dict[tuple, int] = {}
-    unary = [unary_ids.setdefault(u, len(unary_ids)) for u in unary_raw]
+    grade_masks = [0] * (max(P.grade) + 1)
+    for e, g in enumerate(P.grade):
+        grade_masks[g] |= 1 << (size - 1 - e)
+    # few distinct masks recur across many pairs: each one's profile (its
+    # count per grade) is computed once, and stands as a dense id
+    profile_ids = _DenseIds()
+    profile = _Memo(
+        lambda mask: profile_ids[tuple((mask & gm).bit_count() for gm in grade_masks)]
+    )
+    up_a = [top_first(up[x]) for x in atoms]
+    up_oa = [top_first(up[ortho[x]]) for x in atoms]
+    ortho_a = [ortho[x] for x in atoms]
+    ortho_bit = [size - 1 - o for o in ortho_a]
+    unary_ids = _DenseIds()
+    unary = [unary_ids[profile[u], profile[u & uo]] for u, uo in zip(up_a, up_oa)]
 
-    color_ids: dict[tuple, int] = {}
-    colors = [[0] * m for _ in range(m)]
-    for i in range(m):
-        xi = atoms[i]
-        for j in range(m):
-            if i == j:
-                continue
-            xj = atoms[j]
-            key = (
-                unary[i],
-                unary[j],
-                xj == ortho[xi],
-                bool(up[xi] >> ortho[xj] & 1),
-                bool(up[xj] >> ortho[xi] & 1),
-                profile(up[xi] & up[xj]),
-                profile(up[xi] & up[ortho[xj]]),
-                profile(up[ortho[xi]] & up[xj]),
-            )
-            colors[i][j] = color_ids.setdefault(key, len(color_ids))
+    # the color of (i, j) is the first key below; that of (j, i) swaps its
+    # mirrored fields, so both come from one visit of the unordered pair.
     # allowed[y][c] = ordinals y2 with colors[y2][y] == c
-    allowed: list[dict[int, int]] = [dict() for _ in range(m)]
-    for y in range(m):
-        for y2 in range(m):
-            if y2 == y:
-                continue
-            c = colors[y2][y]
-            allowed[y][c] = allowed[y].get(c, 0) | (1 << y2)
+    color_ids = _DenseIds()
+    colors = [[0] * m for _ in range(m)]
+    allowed: list[list[int]] = [[] for _ in range(m)]
+    for i in range(m):
+        xi, oi, up_i, up_oi = atoms[i], ortho_a[i], up_a[i], up_oa[i]
+        colors_i, allowed_i, bit_i, u_i = colors[i], allowed[i], 1 << i, unary[i]
+        for j in range(i + 1, m):
+            xj, up_j = atoms[j], up_a[j]
+            i_below_oj = bool(up_i >> ortho_bit[j] & 1)
+            j_below_oi = bool(up_j >> ortho_bit[i] & 1)
+            both = profile[up_i & up_j]
+            i_oj = profile[up_i & up_oa[j]]
+            oi_j = profile[up_oi & up_j]
+            c_ij = colors_i[j] = color_ids[
+                u_i, unary[j], xj == oi, i_below_oj, j_below_oi, both, i_oj, oi_j
+            ]
+            c_ji = colors[j][i] = color_ids[
+                unary[j], u_i, xi == ortho_a[j], j_below_oi, i_below_oj, both, oi_j, i_oj
+            ]
+            if len(color_ids) > len(allowed_i):
+                for row in allowed:
+                    row.extend([0] * (len(color_ids) - len(row)))
+            allowed[j][c_ij] |= bit_i
+            allowed_i[c_ji] |= 1 << j
     # each atom's initial candidates: the atoms of its unary color
     unary_masks: dict[int, int] = {}
     for t, u in enumerate(unary):
@@ -471,7 +502,7 @@ def iter_poset_atom_perms(
         allowed_y = allowed[y]
         for z in range(m):
             if assigned[z] is None:
-                nc = cand[z] & not_y & allowed_y.get(colors[z][best], 0)
+                nc = cand[z] & not_y & allowed_y[colors[z][best]]
                 if nc == 0:
                     return False
                 cand[z] = nc

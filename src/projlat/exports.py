@@ -12,15 +12,11 @@ from .gf import GF, parse_field
 from .lattice import SubspaceLattice
 from .maps import LatticeMap, PosetMap, UNKNOWN
 from .projposet import ProjectionPoset
-from .reports import sha256_of
-from .ringmaps import RingMap, matrix_units
-from .matrices import scalar_matrix
 from .semilinear import SemilinearMap
 
 SCHEMA_LATTICE = "projlat-lattice/1"
 SCHEMA_POSET = "projlat-poset/1"
 SCHEMA_MAP = "projlat-map/1"
-SCHEMA_RINGMAP = "projlat-ringmap/1"
 
 
 def lattice_to_jsonable(L: SubspaceLattice) -> dict:
@@ -90,26 +86,6 @@ def map_from_jsonable(doc: dict) -> LatticeMap | PosetMap:
     if doc["kind"] == "lattice":
         return LatticeMap(perm, doc["direction"], witness=witness)
     return PosetMap(perm, doc.get("parity", UNKNOWN), witness=witness)
-
-
-def ringmap_to_jsonable(rm: RingMap) -> dict:
-    """Intensional encoding: direction plus the semilinear witness, tagged
-    with a hash of the map's values on the generator set so an independent
-    session can spot a mismatched reconstruction."""
-    if rm.witness is None:
-        raise ValueError("only witness-backed ring maps are exportable")
-    F, n = rm.field, rm.n
-    gens = [matrix_units(F, n)[i][j] for i in range(n) for j in range(n)]
-    gens += [scalar_matrix(F, lam, n) for lam in F.elements()]
-    table = [[list(r) for r in rm.apply(t)] for t in gens]
-    return {
-        "schema": SCHEMA_RINGMAP,
-        "n": n,
-        "field": F.spec(),
-        "direction": rm.direction,
-        "S": _witness_jsonable(rm.witness),
-        "verified_on": sha256_of(table),
-    }
 
 
 def dot_hasse_lattice(L: SubspaceLattice) -> str:

@@ -318,10 +318,6 @@ class FieldAutomorphism:
     def is_identity(self) -> bool:
         return self.power == 0
 
-    @property
-    def is_involution(self) -> bool:
-        return (2 * self.power) % self.field.k == 0
-
     def order(self) -> int:
         k = self.field.k
         from math import gcd

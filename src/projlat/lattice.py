@@ -11,6 +11,7 @@ the tens to hundreds) all of this is eager and exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .gf import GF, iter_vectors
@@ -18,10 +19,7 @@ from .matrices import (
     Matrix,
     as_matrix,
     in_row_space,
-    left_kernel,
-    rank,
     row_space,
-    stack,
 )
 from .reports import CampaignReport
 
@@ -73,36 +71,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace({self.field.spec()}^{self.n}, dim={self.dim}, {self.basis})"
-
-
-def _same_ambient(a: Subspace, b: Subspace) -> None:
-    if a.field != b.field or a.n != b.n:
-        raise AmbientMismatch(f"{a!r} vs {b!r}")
-
-
-def subspace_leq(a: Subspace, b: Subspace) -> bool:
-    _same_ambient(a, b)
-    return all(in_row_space(a.field, row, b.basis) for row in a.basis)
-
-
-def subspace_join(a: Subspace, b: Subspace) -> Subspace:
-    _same_ambient(a, b)
-    return Subspace(a.field, a.n, row_space(a.field, stack(a.basis, b.basis)))
-
-
-def subspace_meet(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection: combinations u@A = -v@B read off the stacked left kernel."""
-    _same_ambient(a, b)
-    F = a.field
-    if not a.basis or not b.basis:
-        return Subspace.zero(F, a.n)
-    from .matrices import vec_mat
-
-    combined = stack(a.basis, b.basis)
-    ker = left_kernel(F, combined)
-    da = len(a.basis)
-    rows = [vec_mat(F, k[:da], a.basis) for k in ker]
-    return Subspace(F, a.n, row_space(F, as_matrix(rows)))
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -291,10 +259,19 @@ class SubspaceLattice:
     def subspace_index(self, s: Subspace) -> int:
         return self.index[s]
 
-    @property
+    @cached_property
     def length(self) -> int:
-        """Longest chain length bottom to top: n for a subspace lattice."""
-        return self.n
+        """The number of cover steps in a longest chain from bottom to top,
+        derived from the cover relation. An element strictly above another
+        has strictly more elements below it, so visiting elements by that
+        count settles every chain below an element before the element."""
+        below: list[list[int]] = [[] for _ in range(self.size)]
+        for i, j in self.cover_pairs():
+            below[j].append(i)
+        height = [0] * self.size
+        for j in sorted(range(self.size), key=lambda e: self.down_masks[e].bit_count()):
+            height[j] = max((height[i] + 1 for i in below[j]), default=0)
+        return height[self.top]
 
     def atom_vector(self, i: int) -> tuple[int, ...]:
         """Canonical spanning vector of an atom (its single RREF basis row)."""

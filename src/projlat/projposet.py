@@ -19,7 +19,6 @@ from .lattice import (
     _bits,
     atom_masks,
     cover_pairs,
-    down_masks,
     enumerate_subspaces,
     order_is_atom_inclusion,
     projection_pair_count,
@@ -126,23 +125,35 @@ class ProjectionPoset:
         self._matrix_index: dict[Matrix, int] | None = None
 
     def _build_order(self) -> None:
+        """The order is L's order on images times its dual on kernels:
+        (a, b) <= (c, d) iff c is above a and d below b. So the up-set of
+        (a, b) is the elements whose image lies in a's up-set, intersected
+        with those whose kernel lies in b's down-set, and each of the two
+        is an OR of element groups over one lattice up- or down-set."""
         L = self.lattice
-        lup = L.up_masks
-        size = self.size
-        up = [0] * size
-        img, ker = self.image, self.kernel
-        for i in range(size):
-            a, b = img[i], ker[i]
-            ua = lup[a]
-            ui = 0
-            for j in range(size):
-                if ua >> img[j] & 1 and lup[ker[j]] >> b & 1:
-                    ui |= 1 << j
-            up[i] = ui
-        self.up_masks = up
-        self.down_masks = down_masks(up)
+        img_group = [0] * L.size
+        ker_group = [0] * L.size
+        for i, (a, b) in enumerate(self.pairs):
+            img_group[a] |= 1 << i
+            ker_group[b] |= 1 << i
+
+        def union_over(groups: list[int], lattice_masks: list[int]) -> list[int]:
+            out = []
+            for mask in lattice_masks:
+                u = 0
+                for c in _bits(mask):
+                    u |= groups[c]
+                out.append(u)
+            return out
+
+        img_up = union_over(img_group, L.up_masks)
+        img_down = union_over(img_group, L.down_masks)
+        ker_up = union_over(ker_group, L.up_masks)
+        ker_down = union_over(ker_group, L.down_masks)
+        self.up_masks = [img_up[a] & ker_down[b] for a, b in self.pairs]
+        self.down_masks = [img_down[a] & ker_up[b] for a, b in self.pairs]
         self.atoms = [i for i, g in enumerate(self.grade) if g == 1]
-        self.elem_atom_masks = atom_masks(up, self.atoms)
+        self.elem_atom_masks = atom_masks(self.up_masks, self.atoms)
         self.atom_mask_index = {m: i for i, m in enumerate(self.elem_atom_masks)}
 
     # -- order -------------------------------------------------------------
@@ -258,13 +269,17 @@ def verify_omp_axioms(P: ProjectionPoset) -> CampaignReport:
         f"violations={bad_meet[:3]}" if bad_meet else "p ^ p' = 0, p v p' = 1 for all p",
     )
 
-    # orthogonal joins: p <= q' implies p v q exists
+    # orthogonal joins: p <= q' implies p v q exists. The q with p <= q'
+    # are the orthocomplements of p's up-set (ortho is its own inverse,
+    # checked above), each unordered pair taken once at q >= p; the
+    # violations are sorted into (p, q) order for the report
     no_join = []
     for i in range(size):
-        for j in range(i, size):
-            if up[i] >> ortho[j] & 1:
-                if P.lub_idx(i, j) is None:
-                    no_join.append((i, j))
+        for k in _bits(up[i]):
+            j = ortho[k]
+            if j >= i and P.lub_idx(i, j) is None:
+                no_join.append((i, j))
+    no_join.sort()
     rep.add(
         "orthogonal_joins_exist",
         not no_join,

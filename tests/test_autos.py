@@ -25,7 +25,7 @@ from projlat import (
     projective_group_order,
     standard_duality,
 )
-from projlat import enumerate_subspaces, parse_field
+from projlat import build_projection_poset, enumerate_subspaces, parse_field
 from projlat import autos
 from projlat.autos import (
     expand_poset_atom_perm,
@@ -282,6 +282,154 @@ def test_constructors_reject_a_pair_leaving_the_poset(L42, P42):
             construct(LatticeMap(other, direction), P42)
         with pytest.raises(ValueError):
             poset_atom_perm_from_lattice(P42, other, odd=odd)
+
+
+def _colors_by_ordered_pairs(P):
+    """Reference: the poset search's atom-pair colors keyed one ordered pair
+    at a time, every profile computed afresh. Returns (initial candidates,
+    colors, allowed) with allowed[y] a dict from color to the mask of the
+    y2 with colors[y2][y] equal to it."""
+    atoms = P.atoms
+    m = len(atoms)
+    grade_masks = [0] * (max(P.grade) + 1)
+    for e in range(P.size):
+        grade_masks[P.grade[e]] |= 1 << e
+    up, ortho = P.up_masks, P.ortho
+
+    def profile(mask):
+        return tuple((mask & gm).bit_count() for gm in grade_masks)
+
+    unary_ids = {}
+    unary = [
+        unary_ids.setdefault((profile(up[x]), profile(up[x] & up[ortho[x]])), len(unary_ids))
+        for x in atoms
+    ]
+    color_ids = {}
+    colors = [[0] * m for _ in range(m)]
+    for i in range(m):
+        xi = atoms[i]
+        for j in range(m):
+            if i == j:
+                continue
+            xj = atoms[j]
+            key = (
+                unary[i],
+                unary[j],
+                xj == ortho[xi],
+                bool(up[xi] >> ortho[xj] & 1),
+                bool(up[xj] >> ortho[xi] & 1),
+                profile(up[xi] & up[xj]),
+                profile(up[xi] & up[ortho[xj]]),
+                profile(up[ortho[xi]] & up[xj]),
+            )
+            colors[i][j] = color_ids.setdefault(key, len(color_ids))
+    allowed = [dict() for _ in range(m)]
+    for y in range(m):
+        for y2 in range(m):
+            if y2 != y:
+                c = colors[y2][y]
+                allowed[y][c] = allowed[y].get(c, 0) | (1 << y2)
+    unary_masks = {}
+    for t, u in enumerate(unary):
+        unary_masks[u] = unary_masks.get(u, 0) | (1 << t)
+    return [unary_masks[u] for u in unary], colors, allowed
+
+
+def _color_renaming(colors, reference):
+    """The map from colors to reference colors when both split the ordered
+    atom pairs into the same classes, else None."""
+    to_ref, from_ref = {}, {}
+    m = len(colors)
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                c, r = colors[i][j], reference[i][j]
+                if to_ref.setdefault(c, r) != r or from_ref.setdefault(r, c) != c:
+                    return None
+    return to_ref
+
+
+def _assert_matches_reference(P):
+    init_cand, colors, allowed, _ = autos._poset_search_structure(P)
+    ref_cand, ref_colors, ref_allowed = _colors_by_ordered_pairs(P)
+    assert init_cand == ref_cand
+    rename = _color_renaming(colors, ref_colors)
+    assert rename is not None
+    assert sorted(rename) == list(range(len(rename)))  # dense color ids
+    for y in range(len(colors)):
+        assert [ref_allowed[y].get(rename[c], 0) for c in range(len(rename))] == allowed[y]
+    return colors
+
+
+@pytest.mark.parametrize(
+    "n, spec", [(2, "2"), (2, "3"), (3, "2"), (3, "3"), (4, "2"), (3, "2^2")]
+)
+def test_poset_colors_match_ordered_pair_reference(n, spec):
+    _assert_matches_reference(build_projection_poset(enumerate_subspaces(n, parse_field(spec))))
+
+
+def _corrupt(P, how):
+    """Corrupt P's order in place, in one of three ways. flip: one bit of
+    the up-set of an atom x mid-way in the atom order, so that x's pairs
+    are met both first and mirrored. trade: one element above x traded for
+    x's own orthocomplement, of the same grade, so that only the second of
+    x's unary profiles changes. orient: for each pair of atoms below each
+    other's orthocomplements, a seeded choice of one of the two relations
+    is dropped, so that the colors of (i, j) and (j, i) differ both for
+    i < j and for i > j."""
+    up, ortho, atoms = P.up_masks, P.ortho, P.atoms
+    x = atoms[len(atoms) // 2]
+    above = [ortho[y] for y in atoms if up[x] >> ortho[y] & 1]
+    if how == "flip":
+        up[x] ^= 1 << above[0]
+    elif how == "trade":
+        up[x] ^= 1 << above[0] | 1 << ortho[x]
+    else:
+        rng = random.Random(5)
+        for i, xi in enumerate(atoms):
+            for xj in atoms[i + 1 :]:
+                if up[xi] >> ortho[xj] & 1:
+                    a, b = rng.choice(((xi, xj), (xj, xi)))
+                    up[a] ^= 1 << ortho[b]
+    # the corrupted order fails the checks that guard the search; the
+    # colors are built regardless, to compare the two builds
+    P.verify_atomistic = lambda: True
+    P._graded = True
+
+
+@pytest.mark.parametrize("how", ["flip", "trade", "orient"])
+def test_corrupted_order_colors_match_reference(L32, how):
+    """A corrupted order changes the colors, and both builds change them
+    the same way."""
+    clean = _assert_matches_reference(build_projection_poset(L32))
+    P = build_projection_poset(L32)
+    _corrupt(P, how)
+    corrupted = _assert_matches_reference(P)
+    assert _color_renaming(corrupted, clean) is None
+
+
+@pytest.mark.parametrize(
+    "ambient, branch, maps, nodes", [("L32", None, 336, 2128), ("L42", 0, 336, 5475)]
+)
+def test_poset_search_unchanged_on_reference_colors(ambient, branch, maps, nodes, request):
+    """The same yields, in the same order, and the same node counts as the
+    search run on the reference colors."""
+    L = request.getfixturevalue(ambient)
+    runs = []
+    for reference in (False, True):
+        P = build_projection_poset(L)
+        if reference:
+            init_cand, colors, allowed = _colors_by_ordered_pairs(P)
+            n_colors = 1 + max(c for row in colors for c in row)
+            dense = [[a.get(c, 0) for c in range(n_colors)] for a in allowed]
+            P._auto_search_cache = (init_cand, colors, dense, autos._elem_atoms(P))
+        _, targets = poset_search_plan(P)
+        stats = {}
+        restrict = None if branch is None else {targets[branch]}
+        runs.append((list(iter_poset_atom_perms(P, restrict_first=restrict, stats=stats)), stats))
+    (got, stats), (want, ref_stats) = runs
+    assert got == want
+    assert len(got) == maps and stats["nodes"] == ref_stats["nodes"] == nodes
 
 
 def test_search_budget_raises(L32):

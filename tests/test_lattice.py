@@ -4,6 +4,7 @@ battery (complements, modularity, covering, dimension law)."""
 import pytest
 
 from projlat import (
+    AmbientMismatch,
     AmbientTooLarge,
     check_g_lattice_properties,
     enumerate_subspaces,
@@ -11,12 +12,46 @@ from projlat import (
     parse_field,
     subspace_count_total,
 )
-from projlat.lattice import (
-    order_is_atom_inclusion,
-    subspace_join,
-    subspace_leq,
-    subspace_meet,
+from projlat.lattice import Subspace, order_is_atom_inclusion
+from projlat.matrices import (
+    as_matrix,
+    in_row_space,
+    left_kernel,
+    row_space,
+    stack,
+    vec_mat,
 )
+
+
+# Reference operations on subspaces, computed from the RREF bases alone.
+
+
+def _same_ambient(a: Subspace, b: Subspace) -> None:
+    if a.field != b.field or a.n != b.n:
+        raise AmbientMismatch(f"{a!r} vs {b!r}")
+
+
+def subspace_leq(a: Subspace, b: Subspace) -> bool:
+    _same_ambient(a, b)
+    return all(in_row_space(a.field, row, b.basis) for row in a.basis)
+
+
+def subspace_join(a: Subspace, b: Subspace) -> Subspace:
+    _same_ambient(a, b)
+    return Subspace(a.field, a.n, row_space(a.field, stack(a.basis, b.basis)))
+
+
+def subspace_meet(a: Subspace, b: Subspace) -> Subspace:
+    """Intersection: combinations u@A = -v@B read off the stacked left kernel."""
+    _same_ambient(a, b)
+    F = a.field
+    if not a.basis or not b.basis:
+        return Subspace.zero(F, a.n)
+    combined = stack(a.basis, b.basis)
+    ker = left_kernel(F, combined)
+    da = len(a.basis)
+    rows = [vec_mat(F, k[:da], a.basis) for k in ker]
+    return Subspace(F, a.n, row_space(F, as_matrix(rows)))
 
 
 def test_counts_match_gaussian_binomials(L32, L23, L34):
@@ -63,11 +98,12 @@ def test_tables_against_rref_oracle(ambient, request):
             assert els[L.join_idx(i, j)] == subspace_join(els[i], els[j])
 
 
-def test_atomistic_and_length(L32, L23):
+def test_atomistic_and_length(L22, L32, L23, L33, L42):
     assert L32.verify_atomistic()
     assert L23.verify_atomistic()
-    assert L32.length == 3
-    assert L23.length == 2
+    # the longest bottom-to-top chain, derived from the cover relation
+    for L, want in ((L22, 2), (L32, 3), (L23, 2), (L33, 3), (L42, 4)):
+        assert L.length == want
 
 
 def _atomistic_by_pairs(up, atoms):

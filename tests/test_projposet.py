@@ -6,6 +6,7 @@ import pytest
 from projlat import (
     NotIdempotent,
     build_projection_poset,
+    enumerate_subspaces,
     enumerate_idempotents,
     idempotent_to_subspaces,
     parse_field,
@@ -14,6 +15,7 @@ from projlat import (
     verify_omp_axioms,
     verify_projection_correspondence,
 )
+from projlat.lattice import down_masks
 from projlat.matrices import identity, is_idempotent, mat_mul, zeros
 
 
@@ -58,6 +60,53 @@ def test_grading_and_atoms(P32, L32):
     assert all(P.grade[a] == 1 for a in P.atoms)
     assert P.verify_atomistic()
     assert P.is_graded_by_image_dim()
+
+
+def _order_by_pairs(P):
+    """Reference: the order tested on every pair of elements, (a, b) <= (c, d)
+    iff a <= c and d <= b in the lattice, and the down-sets by transposing."""
+    lup = P.lattice.up_masks
+    img, ker = P.image, P.kernel
+    up = []
+    for i in range(P.size):
+        ua, b = lup[img[i]], ker[i]
+        ui = 0
+        for j in range(P.size):
+            if ua >> img[j] & 1 and lup[ker[j]] >> b & 1:
+                ui |= 1 << j
+        up.append(ui)
+    return up, down_masks(up)
+
+
+@pytest.mark.parametrize(
+    "n, spec", [(2, "2"), (2, "3"), (3, "2"), (3, "3"), (4, "2"), (3, "2^2")]
+)
+def test_product_order_matches_pairwise_order(n, spec):
+    P = build_projection_poset(enumerate_subspaces(n, parse_field(spec)))
+    up, down = _order_by_pairs(P)
+    assert P.up_masks == up
+    assert P.down_masks == down
+
+
+def test_orthogonal_joins_visit_every_orthogonal_pair(L32):
+    """The orthogonal-joins check asks for the join of exactly the pairs
+    (p, q), q >= p, with p <= q', and reports the first failures in order."""
+    P = build_projection_poset(L32)
+    up, ortho = P.up_masks, P.ortho
+    want = [
+        (i, j)
+        for i in range(P.size)
+        for j in range(i, P.size)
+        if up[i] >> ortho[j] & 1
+    ]
+    calls = []
+    # no join exists anywhere: every pair the checks ask about is reported
+    P.lub_idx = lambda i, j: calls.append((i, j))
+    checks = {name: (ok, detail) for name, ok, detail in verify_omp_axioms(P).checks}
+    # complementation asks first, once per element
+    assert calls[: P.size] == [(i, ortho[i]) for i in range(P.size)]
+    assert sorted(calls[P.size : P.size + len(want)]) == want
+    assert checks["orthogonal_joins_exist"] == (False, f"violations={want[:3]}")
 
 
 def test_omp_axioms_small(P22, P32, P23, P33):

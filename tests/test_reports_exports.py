@@ -5,19 +5,39 @@ import json
 from projlat import canonical_json, report_to_jsonable, sha256_of
 from projlat.autos import CampaignReport
 from projlat.exports import (
+    _witness_jsonable,
     dot_hasse_lattice,
     dot_hasse_poset,
     lattice_to_jsonable,
     map_from_jsonable,
     map_to_jsonable,
     poset_to_jsonable,
-    ringmap_to_jsonable,
 )
 from projlat.maps import ANTI, AUTO
 from projlat.semilinear import SemilinearMap, standard_duality
-from projlat.ringmaps import conjugation_automorphism
-from projlat.matrices import random_invertible
+from projlat.ringmaps import RingMap, conjugation_automorphism, matrix_units
+from projlat.matrices import random_invertible, scalar_matrix
 import random
+
+
+def ringmap_to_jsonable(rm: RingMap) -> dict:
+    """Intensional encoding: direction plus the semilinear witness, tagged
+    with a hash of the map's values on the generator set so an independent
+    session can spot a mismatched reconstruction."""
+    if rm.witness is None:
+        raise ValueError("only witness-backed ring maps are exportable")
+    F, n = rm.field, rm.n
+    gens = [matrix_units(F, n)[i][j] for i in range(n) for j in range(n)]
+    gens += [scalar_matrix(F, lam, n) for lam in F.elements()]
+    table = [[list(r) for r in rm.apply(t)] for t in gens]
+    return {
+        "schema": "projlat-ringmap/1",
+        "n": n,
+        "field": F.spec(),
+        "direction": rm.direction,
+        "S": _witness_jsonable(rm.witness),
+        "verified_on": sha256_of(table),
+    }
 
 
 def test_canonical_json_is_stable():
