@@ -12,7 +12,6 @@ semilinear maps for lattice maps, ring (anti-)automorphisms for poset maps.
 
 from .gf import GF, FieldAutomorphism, FieldError, parse_field
 from .lattice import (
-    AmbientMismatch,
     AmbientTooLarge,
     Subspace,
     SubspaceLattice,
@@ -91,7 +90,6 @@ __all__ = [
     "FieldAutomorphism",
     "FieldError",
     "parse_field",
-    "AmbientMismatch",
     "AmbientTooLarge",
     "Subspace",
     "SubspaceLattice",

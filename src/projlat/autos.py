@@ -380,13 +380,17 @@ class _DenseIds(dict):
 
 
 class _Memo(dict):
-    """fn(key), evaluated once per distinct key."""
+    """fn(key), evaluated once per distinct key. With `canon`, each key is
+    stored as canon[key], so memos sharing one canon share their keys."""
 
-    def __init__(self, fn):
+    def __init__(self, fn, canon=None):
         super().__init__()
         self.fn = fn
+        self.canon = canon
 
     def __missing__(self, key):
+        if self.canon is not None:
+            key = self.canon[key]
         value = self[key] = self.fn(key)
         return value
 
@@ -537,9 +541,10 @@ def enumerate_poset_automorphisms(
 # ---------------------------------------------------------------------------
 
 
-def verify_poset_map(phi: PosetMap, P: ProjectionPoset) -> None:
-    """Full orthoposet-automorphism verification through atom masks."""
-    perm = phi.perm
+def verify_poset_map(phi, P: ProjectionPoset) -> None:
+    """Full orthoposet-automorphism verification through atom masks, of a
+    PosetMap or of a bare permutation."""
+    perm = phi.perm if isinstance(phi, PosetMap) else phi
     if len(perm) != P.size:
         raise ValueError("permutation size does not match the poset")
     elem_atoms = _poset_search_structure(P)[-1]

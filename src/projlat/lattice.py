@@ -28,10 +28,6 @@ class AmbientTooLarge(ValueError):
     """Raised when exhaustive enumeration of an ambient is refused."""
 
 
-class AmbientMismatch(ValueError):
-    """Raised when operands live over different ambients."""
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of GF(q)^n, canonically the RREF basis with no zero rows."""

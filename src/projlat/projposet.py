@@ -11,6 +11,9 @@ cross-linked and cross-checked.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import or_
+
 from .gf import GF
 from .lattice import (
     AmbientTooLarge,
@@ -175,12 +178,35 @@ class ProjectionPoset:
 
     def is_graded_by_image_dim(self) -> bool:
         """Every cover step raises the image dimension by exactly 1; this is
-        what lets the image dimension serve as an order-invariant height."""
+        what lets the image dimension serve as an order-invariant height.
+
+        Checked without listing covers, as two conditions that together
+        are equivalent: nothing above i other than i has grade <= grade[i],
+        and everything above i at grade >= grade[i] + 2 lies above some
+        element above i at grade[i] + 1."""
         if self._graded is None:
-            self._graded = all(
-                self.grade[j] == self.grade[i] + 1 for i, j in self.cover_pairs()
-            )
+            self._graded = self._check_grading()
         return self._graded
+
+    def _check_grading(self) -> bool:
+        up, grade = self.up_masks, self.grade
+        top_grade = max(grade)
+        at_grade = [0] * (top_grade + 2)
+        for i, g in enumerate(grade):
+            at_grade[g] |= 1 << i
+        at_most = list(accumulate(at_grade, or_))
+        for i, g in enumerate(grade):
+            u = up[i]
+            if u & at_most[g] != 1 << i:
+                return False
+            far = u & ~at_most[g + 1]
+            if far:
+                reach = 0
+                for k in _bits(u & at_grade[g + 1]):
+                    reach |= up[k]
+                if far & ~reach:
+                    return False
+        return True
 
     def verify_atomistic(self) -> bool:
         """Order relation coincides with atom-set inclusion, exhaustively."""

@@ -4,7 +4,6 @@ battery (complements, modularity, covering, dimension law)."""
 import pytest
 
 from projlat import (
-    AmbientMismatch,
     AmbientTooLarge,
     check_g_lattice_properties,
     enumerate_subspaces,
@@ -24,6 +23,10 @@ from projlat.matrices import (
 
 
 # Reference operations on subspaces, computed from the RREF bases alone.
+
+
+class AmbientMismatch(ValueError):
+    """Raised when operands live over different ambients."""
 
 
 def _same_ambient(a: Subspace, b: Subspace) -> None:

@@ -1,6 +1,8 @@
 """The projection poset: complement pairs, the idempotent-matrix bijection,
 order/orthocomplement structure, and the OMP axioms."""
 
+import copy
+
 import pytest
 
 from projlat import (
@@ -15,7 +17,7 @@ from projlat import (
     verify_omp_axioms,
     verify_projection_correspondence,
 )
-from projlat.lattice import down_masks
+from projlat.lattice import _bits, down_masks
 from projlat.matrices import identity, is_idempotent, mat_mul, zeros
 
 
@@ -60,6 +62,64 @@ def test_grading_and_atoms(P32, L32):
     assert all(P.grade[a] == 1 for a in P.atoms)
     assert P.verify_atomistic()
     assert P.is_graded_by_image_dim()
+
+
+def _graded_by_covers(P):
+    """Reference: every cover pair of P raises the grade by exactly 1."""
+    return all(P.grade[j] == P.grade[i] + 1 for i, j in P.cover_pairs())
+
+
+def _corrupted(P, grade=None, up=None):
+    """A copy of P with its grades or order masks replaced and no cached
+    cover pairs or grading verdict."""
+    Q = copy.copy(P)
+    Q.grade = grade if grade is not None else P.grade
+    if up is not None:
+        Q.up_masks, Q.down_masks = up, down_masks(up)
+    Q._covers = Q._graded = None
+    return Q
+
+
+GRADING_AMBIENTS = [(2, "2"), (2, "3"), (3, "2"), (3, "3"), (4, "2")]
+
+
+@pytest.mark.parametrize("n, spec", GRADING_AMBIENTS)
+def test_grading_check_matches_cover_pairs(n, spec):
+    P = build_projection_poset(enumerate_subspaces(n, parse_field(spec)))
+    assert P.is_graded_by_image_dim() is _graded_by_covers(P) is True
+
+
+@pytest.mark.parametrize("n, spec", GRADING_AMBIENTS)
+def test_grading_check_matches_cover_pairs_on_raised_grades(n, spec):
+    """One element's grade raised by 1, for the bottom, the top, an atom
+    and an element of every middle grade."""
+    P = build_projection_poset(enumerate_subspaces(n, parse_field(spec)))
+    picks = {P.bottom, P.top}
+    picks.update(P.grade.index(g) for g in range(1, n))
+    for e in sorted(picks):
+        grade = list(P.grade)
+        grade[e] += 1
+        Q = _corrupted(P, grade=grade)
+        assert Q.is_graded_by_image_dim() is _graded_by_covers(Q) is False, e
+
+
+@pytest.mark.parametrize("n, spec", GRADING_AMBIENTS)
+def test_grading_check_matches_cover_pairs_on_removed_middles(n, spec):
+    """Middle elements of a two-step interval [i, j] removed from i's
+    up-set: removing one leaves the grading intact, removing every one
+    makes i < j a cover that skips a grade."""
+    P = build_projection_poset(enumerate_subspaces(n, parse_field(spec)))
+    up, grade = P.up_masks, P.grade
+    for i in [P.bottom] + ([P.atoms[0]] if n >= 3 else []):
+        j = next(k for k in _bits(up[i]) if grade[k] == grade[i] + 2)
+        middles = up[i] & P.down_masks[j] & ~(1 << i | 1 << j)
+        assert middles.bit_count() >= 2
+        one = middles & -middles
+        for removed, graded in ((one, True), (middles, False)):
+            corrupted = list(up)
+            corrupted[i] &= ~removed
+            Q = _corrupted(P, up=corrupted)
+            assert Q.is_graded_by_image_dim() is _graded_by_covers(Q) is graded
 
 
 def _order_by_pairs(P):

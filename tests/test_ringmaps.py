@@ -2,6 +2,7 @@
 witness extraction from black-box ring isomorphisms, restriction to the
 projection poset, and the even-extension construction."""
 
+import hashlib
 import random
 
 import pytest
@@ -14,9 +15,11 @@ from projlat import (
     ODD,
     SemilinearMap,
     anti_automorphism_from_semilinear,
+    build_projection_poset,
     center_is_scalars,
     check_im_ker_lemma,
     conjugation_automorphism,
+    enumerate_subspaces,
     even_from_lattice_automorphism,
     extend_even_to_ring_automorphism,
     extract_semilinear_from_ring_iso,
@@ -24,7 +27,17 @@ from projlat import (
     restrict_to_projections,
     transpose_anti_automorphism,
 )
-from projlat.matrices import identity, mat_inv, mat_mul, random_invertible, zeros
+from projlat.matrices import (
+    all_matrices,
+    identity,
+    mat_inv,
+    mat_mul,
+    random_invertible,
+    random_matrix,
+    rank,
+    transpose,
+    zeros,
+)
 from projlat.ringmaps import RingMap, matrix_units, verify_ring_map
 
 
@@ -146,3 +159,121 @@ def test_ring_map_preserves_idempotents(f3, P23):
         assert img in midx  # idempotents map to idempotents
     assert phi.apply(identity(2)) == identity(2)
     assert phi.apply(zeros(2, 2)) == zeros(2, 2)
+
+
+# Reference: the ring maps of a semilinear witness as two dense products,
+# M^-1 twist(T) M and M^-1 twist(T)^t M.
+
+
+def _reference_apply(s, direction):
+    F, m = s.field, s.matrix
+    m_inv = mat_inv(F, m)
+    if direction == AUTO:
+        return lambda t: mat_mul(F, mat_mul(F, m_inv, s.twist.on_matrix(t)), m)
+    return lambda t: mat_mul(F, mat_mul(F, m_inv, transpose(s.twist.on_matrix(t))), m)
+
+
+def _ring_map(s, direction):
+    if direction == AUTO:
+        return conjugation_automorphism(s)
+    return anti_automorphism_from_semilinear(s)
+
+
+@pytest.mark.parametrize("n, spec", [(2, "2"), (2, "3"), (2, "2^2"), (3, "2")])
+def test_row_tables_match_products_on_every_matrix(n, spec):
+    F = parse_field(spec)
+    rng = random.Random(41)
+    mats = list(all_matrices(F, n, n))
+    for twist in F.automorphisms():
+        for m in (identity(n), random_invertible(F, n, rng)):
+            s = SemilinearMap(F, m, twist)
+            for direction in (AUTO, ANTI):
+                phi, ref = _ring_map(s, direction), _reference_apply(s, direction)
+                assert all(phi.apply(t) == ref(t) for t in mats), (twist, m, direction)
+
+
+@pytest.mark.parametrize("n, spec", [(3, "2^2"), (3, "5"), (2, "3^2"), (4, "2")])
+def test_row_tables_match_products_on_seeded_matrices(n, spec):
+    F = parse_field(spec)
+    rng = random.Random(43)
+    for twist in F.automorphisms():
+        s = SemilinearMap(F, random_invertible(F, n, rng), twist)
+        for direction in (AUTO, ANTI):
+            phi, ref = _ring_map(s, direction), _reference_apply(s, direction)
+            for _ in range(200):
+                t = random_matrix(F, n, n, rng)
+                assert phi.apply(t) == ref(t), (twist, direction, t)
+
+
+def test_row_tables_match_products_on_drawn_inputs():
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings
+    from hypothesis import strategies as st
+
+    fields = [parse_field(spec) for spec in ("2", "3", "5", "2^2", "3^2", "2^3")]
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.data())
+    def prop(data):
+        F = data.draw(st.sampled_from(fields))
+        n = data.draw(st.integers(1, 4))
+        entry = st.integers(0, F.q - 1)
+        square = st.tuples(*[st.tuples(*[entry] * n)] * n)
+        m = data.draw(square)
+        assume(rank(F, m) == n)
+        s = SemilinearMap(F, m, data.draw(st.sampled_from(F.automorphisms())))
+        t = data.draw(square)
+        for direction in (AUTO, ANTI):
+            assert _ring_map(s, direction).apply(t) == _reference_apply(s, direction)(t)
+
+    prop()
+
+
+def _reference_perm(ref, P):
+    midx = P.matrix_index()
+    return tuple(midx[ref(P.idempotent(i))] for i in range(P.size))
+
+
+def test_restriction_matches_reference_perms(P32, P33, f2, f3):
+    rng = random.Random(47)
+    for P, F in ((P32, f2), (P33, f3)):
+        for _ in range(4):
+            s = SemilinearMap(F, random_invertible(F, 3, rng), F.frobenius(0))
+            for direction in (AUTO, ANTI):
+                got = restrict_to_projections(_ring_map(s, direction), P)
+                assert got.perm == _reference_perm(_reference_apply(s, direction), P)
+                assert got.parity == (EVEN if direction == AUTO else ODD)
+
+
+def test_restriction_matches_reference_perms_at_3_5(f5):
+    P = build_projection_poset(enumerate_subspaces(3, f5))
+    rng = random.Random(53)
+    for _ in range(3):
+        s = SemilinearMap(f5, random_invertible(f5, 3, rng), f5.frobenius(0))
+        for direction in (AUTO, ANTI):
+            got = restrict_to_projections(_ring_map(s, direction), P)
+            assert got.perm == _reference_perm(_reference_apply(s, direction), P)
+
+
+def test_restriction_reads_only_apply(P32, f2):
+    """A ring map is used only through apply: the restriction of a map whose
+    stored witness disagrees with its apply follows the apply."""
+    rng = random.Random(59)
+    s_apply = SemilinearMap(f2, random_invertible(f2, 3, rng), f2.frobenius(0))
+    s_other = SemilinearMap(f2, random_invertible(f2, 3, rng), f2.frobenius(0))
+    want = _reference_perm(_reference_apply(s_apply, AUTO), P32)
+    assert want != _reference_perm(_reference_apply(s_other, AUTO), P32)
+    phi = RingMap(f2, 3, AUTO, conjugation_automorphism(s_apply).apply, witness=s_other)
+    assert restrict_to_projections(phi, P32).perm == want
+
+
+def test_ring_restrict_report_at_3_5_is_frozen(run_cli, tmp_path):
+    """The report of ring-restrict at (3,5), the ambient of the
+    structure-3x5 benchmark, hashes to its value before the row tables."""
+    argv = ("ring-restrict", "--n", "3", "--field", "5", "--cases", "24", "--seed", "0")
+    code, _, err = run_cli(*argv, "--format", "json", "--out", str(tmp_path))
+    assert code == 0, err
+    report = (tmp_path / "ring-restrict.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == (
+        "cb1525c78e3fa93955f83ea2430d12c693fd15cf730346994e9cafd971f4d911"
+    )
