@@ -63,9 +63,16 @@ class FalsificationError(AssertionError):
         self.payload = payload or {}
 
 
-def _elem_atoms(S) -> list[list[int]]:
-    """Atom ordinals under each element of S, a lattice or a poset."""
-    return [_bits(m) for m in S.elem_atom_masks]
+def _atom_lists(S) -> list[list[int]]:
+    """Atom ordinals under each element of S, a lattice or a poset, once S
+    is verified atomistic: every lift through atom masks rests on order
+    being atom-set inclusion. Checked and built once per structure."""
+    cached = getattr(S, "_atom_lists_cache", None)
+    if cached is None:
+        if not S.verify_atomistic():
+            raise FalsificationError(f"{S!r} is not atomistic; atom lifts unsound")
+        cached = S._atom_lists_cache = [_bits(m) for m in S.elem_atom_masks]
+    return cached
 
 
 def _lift_atom_perm(S, elem_atoms, sigma) -> list[int | None]:
@@ -180,7 +187,8 @@ def _atom_search(init_cand, narrow, lift, budget, restrict_first, stats):
 
 
 def _lattice_search_structure(L: SubspaceLattice):
-    """Per-lattice caches for the collinearity-constrained atom search."""
+    """Per-lattice pruning data for the collinearity-constrained atom
+    search."""
     cached = getattr(L, "_auto_search_cache", None)
     if cached is not None:
         return cached
@@ -193,7 +201,7 @@ def _lattice_search_structure(L: SubspaceLattice):
             if i != j:
                 line_elem = L.join_table[atoms[i]][atoms[j]]
                 line_mask[i][j] = L.elem_atom_masks[line_elem]
-    cached = ([(1 << m) - 1] * m, line_mask, _elem_atoms(L))
+    cached = ([(1 << m) - 1] * m, line_mask)
     L._auto_search_cache = cached
     return cached
 
@@ -218,9 +226,8 @@ def iter_lattice_atom_perms(
     under a common rank-2 element (and non-incident triples must stay
     non-incident), propagated pairwise as assignments accumulate.
     """
-    if not L.verify_atomistic():
-        raise FalsificationError("lattice is not atomistic; atom search unsound")
-    init_cand, line_mask, elem_atoms = _lattice_search_structure(L)
+    elem_atoms = _atom_lists(L)
+    init_cand, line_mask = _lattice_search_structure(L)
     m = len(init_cand)
 
     def narrow(best, y, assigned, cand) -> bool:
@@ -402,8 +409,6 @@ def _poset_search_structure(P: ProjectionPoset):
     cached = getattr(P, "_auto_search_cache", None)
     if cached is not None:
         return cached
-    if not P.verify_atomistic():
-        raise FalsificationError("projection poset is not atomistic; search unsound")
     if not P.is_graded_by_image_dim():
         raise FalsificationError("poset not graded by image rank; invariants unsound")
     atoms = P.atoms
@@ -466,21 +471,23 @@ def _poset_search_structure(P: ProjectionPoset):
     for t, u in enumerate(unary):
         unary_masks[u] = unary_masks.get(u, 0) | (1 << t)
     init_cand = [unary_masks[u] for u in unary]
-    cached = (init_cand, colors, allowed, _elem_atoms(P))
+    cached = (init_cand, colors, allowed)
     P._auto_search_cache = cached
     return cached
 
 
 def poset_search_plan(P: ProjectionPoset) -> tuple[int, list[int]]:
     """Deterministic root branching for checkpoint/worker partitioning:
-    the pivot the search itself will pick first, and its candidate list."""
+    the pivot the search itself will pick first, and its candidate list.
+    A poset that is not atomistic is refused here, before any search."""
+    _atom_lists(P)
     return _search_plan(_poset_search_structure(P)[0])
 
 
 def expand_poset_atom_perm(P: ProjectionPoset, perm: tuple[int, ...]):
     """Lift an atom permutation of P to all elements; None if it fails to
     lift bijectively or breaks the orthocomplementation."""
-    eperm = _lift_bijective(P, _poset_search_structure(P)[-1], perm)
+    eperm = _lift_bijective(P, _atom_lists(P), perm)
     if eperm is None:
         return None
     ortho = P.ortho
@@ -498,7 +505,8 @@ def iter_poset_atom_perms(
 ):
     """All atom permutations extending to orthoposet automorphisms of P,
     yielding (atom_perm, element_perm) pairs in deterministic order."""
-    init_cand, colors, allowed, _ = _poset_search_structure(P)
+    _atom_lists(P)  # the atomisticity guard, before any node
+    init_cand, colors, allowed = _poset_search_structure(P)
     m = len(init_cand)
 
     def narrow(best, y, assigned, cand) -> bool:
@@ -547,7 +555,7 @@ def verify_poset_map(phi, P: ProjectionPoset) -> None:
     perm = phi.perm if isinstance(phi, PosetMap) else phi
     if len(perm) != P.size:
         raise ValueError("permutation size does not match the poset")
-    elem_atoms = _poset_search_structure(P)[-1]
+    elem_atoms = _atom_lists(P)
     atom_ordinal = P.atom_ordinal
     sigma = []
     for a in P.atoms:
@@ -707,7 +715,7 @@ def poset_atom_perm_from_lattice(
 ) -> tuple[int, ...]:
     """Fast path: the action on P-atoms induced by a lattice map, without
     materializing the full poset permutation."""
-    _ = _poset_search_structure(P)
+    _atom_lists(P)  # the atomisticity guard
     table, w, lp, ordinal = P.pair_table, P.lattice.size, lattice_perm, P.atom_ordinal
     if len(lp) != w:
         raise ValueError("lattice map size does not match the poset's lattice")

@@ -8,11 +8,12 @@ exhausted, partial results persisted); 2 is a usage error or infeasible
 ambient. Wall-clock timing goes to stderr only, so reports are
 byte-identical across reruns with the same seed.
 
-A config file of `key = value` lines mirrors the long flags; explicit
-flags win. The one long-running verb (verify-main-theorem) wraps
-autos.verify_main_theorem, which partitions its search by the first
-branching decision and can checkpoint per-branch results, resume, and
-fan branches out to worker processes.
+Each verb takes only the flags it reads. A config file's `key = value`
+lines are parsed as that verb's `--key value` flags, placed before the
+explicit ones, which therefore win. The one long-running verb
+(verify-main-theorem) wraps autos.verify_main_theorem, which partitions
+its search by the first branching decision and can checkpoint per-branch
+results, resume, and fan branches out to worker processes.
 """
 
 from __future__ import annotations
@@ -95,23 +96,6 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
-
-
-def _load_config(path: str) -> dict:
-    """key = value lines; '#' starts a comment; keys mirror long flags."""
-    int_keys = {"n", "seed", "jobs", "budget_nodes", "cases", "samples"}
-    out = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line (want key = value): {raw.strip()!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            out[key] = int(val) if key in int_keys else val
-    return out
 
 
 def _emit(rep: CampaignReport, args, verb: str, name: str | None = None) -> int:
@@ -419,6 +403,8 @@ def cmd_ring_odd_experiment(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
+    if args.target == "autos":
+        raise UsageError("export-dot draws the lattice or the poset, not autos")
     F, L = _lattice(args)
     if args.target == "lattice":
         _write_artifact(dot_hasse_lattice(L), args, "lattice.dot")
@@ -454,11 +440,10 @@ def cmd_verify_map(args) -> int:
     """Re-verify an exported map file against a freshly built ambient."""
     if not args.infile:
         raise UsageError("--in FILE is required for verify-map")
-    with open(args.infile) as fh:
-        doc = json.load(fh)
     try:
-        m = map_from_jsonable(doc)
-    except (KeyError, ValueError) as exc:
+        with open(args.infile) as fh:
+            m = map_from_jsonable(json.load(fh))
+    except (OSError, KeyError, ValueError) as exc:
         raise UsageError(f"bad map file: {exc}") from None
     F, L = _lattice(args)
     rep = CampaignReport("verify-map", (L.n, F.spec()))
@@ -486,49 +471,74 @@ def cmd_verify_map(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# every flag once; each verb in VERBS names those it reads beyond COMMON_FLAGS
+FLAGS = {
+    "--n": dict(type=int, help="ambient dimension"),
+    "--field": dict(default="2", help="prime or prime power 'p^k' (default: 2)"),
+    "--out": dict(help="directory for report artifacts"),
+    "--config": dict(help="file of key = value lines, read as flags of this verb"),
+    "--format": dict(choices=["json", "text"], default="text", help="stdout report"),
+    "--seed": dict(type=int, default=0, help="seed for sampled checks"),
+    "--jobs": dict(type=int, default=1, help="worker processes for the poset branches"),
+    "--budget-nodes": dict(
+        type=int,
+        help="abort each search after this many backtracking nodes (exit 3); in "
+        "verify-main-theorem it applies to the lattice search and to each branch",
+    ),
+    "--checkpoint": dict(help="checkpoint file of completed branches"),
+    "--cases": dict(type=int, default=100, help="sample size for seeded campaigns"),
+    "--samples": dict(type=int, default=300, help="sample count for closure checks"),
+    "--target": dict(
+        choices=["lattice", "poset", "autos"], default="lattice", help="what to write"
+    ),
+    "--in": dict(dest="infile", help="input map file"),
+}
+COMMON_FLAGS = ("--n", "--field", "--out", "--config")
+
 VERBS = {
     "enumerate-lattice": (
-        cmd_enumerate_lattice,
+        cmd_enumerate_lattice, ("--format",),
         "Enumerate all subspaces of GF(q)^n and check the counts per "
         "dimension against the Gaussian binomial formula.",
     ),
     "build-poset": (
-        cmd_build_poset,
+        cmd_build_poset, ("--format",),
         "Build the poset of projections (complementary subspace pairs with "
         "the modular-pair conditions) and check its size formula, grading, "
         "and atomisticity.",
     ),
     "verify-omp": (
-        cmd_verify_omp,
+        cmd_verify_omp, ("--format",),
         "Check the orthomodular poset axioms on the projection poset: "
         "bounds, involutive order-reversing orthocomplement, orthogonal "
         "joins, and the orthomodular law.",
     ),
     "verify-glattice": (
-        cmd_verify_glattice,
+        cmd_verify_glattice, ("--format",),
         "Check the geometric-lattice battery on the subspace lattice: "
         "complement richness, modular pairs, covering, and the dimension "
         "law.",
     ),
     "verify-correspondence": (
-        cmd_verify_correspondence,
+        cmd_verify_correspondence, ("--format",),
         "Check that complementary pairs biject with idempotent matrices, "
         "that the bijection is an order isomorphism, and that the "
         "orthocomplement matches p -> 1 - p.",
     ),
     "enumerate-lattice-autos": (
-        cmd_enumerate_lattice_autos,
+        cmd_enumerate_lattice_autos, ("--format", "--budget-nodes"),
         "Backtracking enumeration of all lattice automorphisms, "
         "cross-checked against exhaustive semilinear generation and the "
         "projective group order.",
     ),
     "verify-ftpg": (
-        cmd_verify_ftpg,
+        cmd_verify_ftpg, ("--format", "--budget-nodes"),
         "Match every enumerated lattice automorphism (dimension >= 3) to a "
         "semilinear witness and report the twist histogram.",
     ),
     "verify-main-theorem": (
         cmd_verify_main_theorem,
+        ("--format", "--budget-nodes", "--jobs", "--checkpoint"),
         "Enumerate ALL automorphisms of the projection poset, decompose "
         "each into a lattice automorphism (even) or anti-automorphism "
         "(odd), and check the set equals the constructed even/odd maps. "
@@ -536,61 +546,61 @@ VERBS = {
         "--jobs.",
     ),
     "verify-semidirect": (
-        cmd_verify_semidirect,
+        cmd_verify_semidirect, ("--format", "--budget-nodes", "--seed", "--samples"),
         "Check the group structure: even maps form a normal subgroup, the "
         "duality is an involution, and odd maps factor uniquely as "
         "even . duality.",
     ),
     "ring-lemma": (
-        cmd_ring_lemma,
+        cmd_ring_lemma, ("--format",),
         "Check the idempotent image/kernel product laws over every ordered "
         "pair of idempotent matrices.",
     ),
     "ring-extract": (
-        cmd_ring_extract,
+        cmd_ring_extract, ("--format", "--seed", "--cases"),
         "Round-trip test: conjugation ring automorphisms from seeded random "
         "semilinear maps, witness re-extracted from the black-box ring map "
         "and compared exactly (matrix and field twist).",
     ),
     "ring-restrict": (
-        cmd_ring_restrict,
+        cmd_ring_restrict, ("--format", "--seed", "--cases"),
         "Restrict seeded random ring automorphisms and anti-automorphisms "
         "to the projection poset and classify parity: automorphisms must "
         "land even, anti-automorphisms odd.",
     ),
     "ring-extend": (
-        cmd_ring_extend,
+        cmd_ring_extend, ("--format", "--budget-nodes", "--seed", "--cases"),
         "Extend sampled even poset automorphisms to ring automorphisms via "
         "decomposition and semilinear matching; verify each restriction "
         "reproduces the input. Requires n >= 4.",
     ),
     "ring-odd-experiment": (
-        cmd_ring_odd_experiment,
+        cmd_ring_odd_experiment, ("--format", "--budget-nodes", "--seed", "--cases"),
         "EXPERIMENT: attempt to extend sampled odd poset automorphisms to "
         "ring anti-automorphisms at this finite scale. Reports outcomes "
         "without claiming anything beyond the tested ambient.",
     ),
     "export-dot": (
-        cmd_export_dot,
+        cmd_export_dot, ("--target",),
         "Write the Hasse diagram of the lattice or projection poset in DOT "
         "format.",
     ),
     "export-json": (
-        cmd_export_json,
+        cmd_export_json, ("--target", "--budget-nodes"),
         "Write the lattice, the projection poset, or the lattice "
         "automorphism group as canonical JSON.",
     ),
     "verify-map": (
-        cmd_verify_map,
+        cmd_verify_map, ("--format", "--in"),
         "Load an exported map file and re-verify it against a freshly "
         "built ambient.",
     ),
 }
 
 
-def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser:
-    """Config-file values become per-subparser defaults, so explicit flags
-    always win (subparser defaults would otherwise shadow parent ones)."""
+def build_parser() -> argparse.ArgumentParser:
+    """One subparser per verb, taking the common flags and its own; a flag
+    the verb does not read is a usage error."""
     parser = argparse.ArgumentParser(
         prog="projlat",
         description=(
@@ -600,82 +610,51 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
         ),
     )
     sub = parser.add_subparsers(dest="verb", metavar="VERB")
-    for verb, (func, help_text) in VERBS.items():
+    for verb, (func, flags, help_text) in VERBS.items():
         p = sub.add_parser(verb, help=help_text, description=help_text)
-        p.add_argument("--n", type=int, default=None, help="ambient dimension")
-        p.add_argument(
-            "--field",
-            default="2",
-            help="field size as a prime or prime power 'p^k' (default: 2)",
-        )
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-        p.add_argument(
-            "--jobs", type=int, default=1, help="worker processes for long searches"
-        )
-        p.add_argument(
-            "--budget-nodes",
-            type=int,
-            default=None,
-            help="abort searches after this many backtracking nodes (exit 3)",
-        )
-        p.add_argument("--out", default=None, help="directory for report artifacts")
-        p.add_argument(
-            "--checkpoint", default=None, help="checkpoint file for long searches"
-        )
-        p.add_argument(
-            "--format",
-            choices=["json", "dot", "text"],
-            default="text",
-            help="stdout format (default: text)",
-        )
-        p.add_argument("--config", default=None, help="key = value defaults file")
-        p.add_argument(
-            "--cases", type=int, default=100, help="sample size for seeded campaigns"
-        )
-        p.add_argument(
-            "--samples",
-            type=int,
-            default=300,
-            help="sample count for sampled closure checks",
-        )
-        p.add_argument(
-            "--target",
-            choices=["lattice", "poset", "autos"],
-            default="lattice",
-            help="artifact for export verbs",
-        )
-        p.add_argument("--in", dest="infile", default=None, help="input map file")
+        for flag in COMMON_FLAGS + flags:
+            p.add_argument(flag, **FLAGS[flag])
         p.set_defaults(func=func)
-        if config_defaults:
-            p.set_defaults(**config_defaults)
     return parser
+
+
+def _config_flags(path: str) -> list[str]:
+    """The key = value lines of a config file as --key=value tokens (one
+    token each, so a value may start with '-'); '#' starts a comment."""
+    tokens = []
+    with open(path) as fh:
+        for raw in fh:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise UsageError(f"bad config line (want key = value): {raw.strip()!r}")
+            key, val = (part.strip() for part in line.split("=", 1))
+            tokens.append(f"--{key.replace('_', '-')}={val}")
+    return tokens
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    defaults = None
-    if "--config" in argv:
-        try:
-            cfg_path = argv[argv.index("--config") + 1]
-        except IndexError:
-            sys.stderr.write("projlat: --config needs a file path\n")
-            return EXIT_USAGE
-        try:
-            defaults = _load_config(cfg_path)
-        except OSError as exc:
-            sys.stderr.write(f"projlat: cannot read config: {exc}\n")
-            return EXIT_USAGE
-        except UsageError as exc:
-            sys.stderr.write(f"projlat: {exc}\n")
-            return EXIT_USAGE
-        if "in" in defaults:
-            defaults["infile"] = defaults.pop("in")
-    parser = build_parser(defaults)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # config values go right after the verb, so the verb's parser
+            # checks them and explicit flags, parsed later, win
+            try:
+                tokens = _config_flags(args.config)
+            except (OSError, UsageError) as exc:
+                sys.stderr.write(f"projlat: bad config {args.config}: {exc}\n")
+                return EXIT_USAGE
+            try:
+                args = parser.parse_args(argv[:1] + tokens + argv[1:])
+            except SystemExit:
+                sys.stderr.write(f"projlat: the error is in config {args.config}\n")
+                raise
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
-    if not getattr(args, "verb", None):
+    if not args.verb:
         parser.print_help()
         return EXIT_USAGE
     t0 = time.monotonic()

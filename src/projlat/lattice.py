@@ -90,23 +90,27 @@ def projection_pair_count(n: int, q: int) -> int:
     return sum(gaussian_binomial(n, d, q) * q ** (d * (n - d)) for d in range(n + 1))
 
 
-def enumerate_subspaces(
-    n: int, F: GF, limit: int = 10**6, max_elements: int = 10**4
-) -> "SubspaceLattice":
+VECTOR_LIMIT = 10**6
+ELEMENT_LIMIT = 10**4
+
+
+def enumerate_subspaces(n: int, F: GF) -> "SubspaceLattice":
     """Every subspace exactly once via RREF pivot patterns, dimension-major order.
 
-    Refuses ambients whose vector count exceeds `limit` or whose subspace
-    count exceeds `max_elements`: the lattice stores order masks and
-    meet/join tables quadratic in the element count.
+    Refuses ambients whose vector count exceeds VECTOR_LIMIT or whose
+    subspace count exceeds ELEMENT_LIMIT: the lattice stores order masks
+    and meet/join tables quadratic in the element count.
     """
     if n < 1:
         raise ValueError(f"ambient dimension must be >= 1, got {n}")
-    if F.q**n > limit:
-        raise AmbientTooLarge(f"q^n = {F.q}^{n} exceeds enumeration limit {limit}")
-    total = subspace_count_total(n, F.q)
-    if total > max_elements:
+    if F.q**n > VECTOR_LIMIT:
         raise AmbientTooLarge(
-            f"{total} subspaces exceeds the element limit {max_elements}"
+            f"q^n = {F.q}^{n} exceeds enumeration limit {VECTOR_LIMIT}"
+        )
+    total = subspace_count_total(n, F.q)
+    if total > ELEMENT_LIMIT:
+        raise AmbientTooLarge(
+            f"{total} subspaces exceeds the element limit {ELEMENT_LIMIT}"
         )
     elements: list[Subspace] = []
     for d in range(n + 1):

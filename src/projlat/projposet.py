@@ -88,11 +88,17 @@ def idempotent_to_subspaces(F: GF, m: Matrix) -> tuple[Subspace, Subspace]:
     )
 
 
-def enumerate_idempotents(F: GF, n: int, limit: int = 2**20) -> list[Matrix]:
-    """Brute-force scan of all q^(n^2) matrices, in flat lexicographic order."""
+IDEMPOTENT_SCAN_LIMIT = 2**20
+
+
+def enumerate_idempotents(F: GF, n: int) -> list[Matrix]:
+    """Brute-force scan of all q^(n^2) matrices, in flat lexicographic order;
+    refused above IDEMPOTENT_SCAN_LIMIT of them."""
     total = F.q ** (n * n)
-    if total > limit:
-        raise AmbientTooLarge(f"q^(n^2) = {total} exceeds brute-force limit {limit}")
+    if total > IDEMPOTENT_SCAN_LIMIT:
+        raise AmbientTooLarge(
+            f"q^(n^2) = {total} exceeds brute-force limit {IDEMPOTENT_SCAN_LIMIT}"
+        )
     return [m for m in all_matrices(F, n, n) if is_idempotent(F, m)]
 
 
@@ -234,19 +240,15 @@ class ProjectionPoset:
         return f"ProjectionPoset({L.field.spec()}^{L.n}, {self.size} elements)"
 
 
-def build_projection_poset(L: SubspaceLattice, verify_pairs: bool = True) -> ProjectionPoset:
+def build_projection_poset(L: SubspaceLattice) -> ProjectionPoset:
     """All complementary pairs, each re-checked against the modular-pair and
     dual-modular-pair conditions rather than trusting modularity."""
-    pairs = []
-    for a in range(L.size):
-        for b in L.complements_idx(a):
-            if verify_pairs:
-                if not (
-                    L.is_modular_pair_idx(a, b)
-                    and L.is_dual_modular_pair_idx(a, b)
-                ):
-                    continue
-            pairs.append((a, b))
+    pairs = [
+        (a, b)
+        for a in range(L.size)
+        for b in L.complements_idx(a)
+        if L.is_modular_pair_idx(a, b) and L.is_dual_modular_pair_idx(a, b)
+    ]
     expected = projection_pair_count(L.n, L.field.q)
     if len(pairs) != expected:
         raise AssertionError(

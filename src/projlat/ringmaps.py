@@ -128,16 +128,18 @@ def transpose_anti_automorphism(F: GF, n: int) -> RingMap:
     return anti_automorphism_from_semilinear(SemilinearMap.identity_map(F, n))
 
 
-def verify_ring_map(
-    phi: RingMap,
-    seed: int = 0,
-    samples: int = 100,
-    exhaustive_limit: int = 4096,
-) -> None:
-    """Check the ring-map laws on matrix units, scalars and seeded samples.
-    Bijectivity is checked, exhaustively, only when q^(n^2) is at most
-    exhaustive_limit; above it this makes no claim about it. Raises on any
-    violation."""
+# the seeded random probes of this module's checks, and the largest matrix
+# or vector space they walk exhaustively instead
+SAMPLE_SEED = 0
+SAMPLES = 100
+EXHAUSTIVE_LIMIT = 4096
+
+
+def verify_ring_map(phi: RingMap) -> None:
+    """Check the ring-map laws on matrix units, scalars and SAMPLES seeded
+    pairs. Bijectivity is checked, exhaustively, only when q^(n^2) is at
+    most EXHAUSTIVE_LIMIT; above it this makes no claim about it. Raises on
+    any violation."""
     F, n = phi.field, phi.n
     ident = identity(n)
     zero = zeros(n, n)
@@ -166,11 +168,11 @@ def verify_ring_map(
     for lam in F.elements():
         for b in flat_units:
             check_pair(scalar_matrix(F, lam, n), b)
-    rng = random.Random(seed)
-    for _ in range(samples):
+    rng = random.Random(SAMPLE_SEED)
+    for _ in range(SAMPLES):
         check_pair(random_matrix(F, n, n, rng), random_matrix(F, n, n, rng))
 
-    if F.q ** (n * n) <= exhaustive_limit:
+    if F.q ** (n * n) <= EXHAUSTIVE_LIMIT:
         seen = set()
         for t in all_matrices(F, n, n):
             seen.add(phi.apply(t))
@@ -212,7 +214,7 @@ def center_is_scalars(F: GF, n: int) -> CampaignReport:
     ident_vec = tuple(identity(n)[i][j] for i in range(n) for j in range(n))
     spans_identity = len(sol) == 1 and row_space(F, (ident_vec,)) == row_space(F, sol)
     rep.add("solution_space_is_spanned_by_identity", spans_identity, "")
-    if F.q ** (n * n) <= 4096:
+    if F.q ** (n * n) <= EXHAUSTIVE_LIMIT:
         scalars = {scalar_matrix(F, lam, n) for lam in F.elements()}
         center = set()
         mats = list(all_matrices(F, n, n))
@@ -290,7 +292,6 @@ def extract_semilinear_from_ring_iso(
     phi: RingMap,
     idempotent: Matrix | None = None,
     seed: int = 0,
-    samples: int = 100,
 ) -> tuple[SemilinearMap, FieldAutomorphism]:
     """Rebuild the semilinear witness of a ring automorphism.
 
@@ -360,12 +361,12 @@ def extract_semilinear_from_ring_iso(
     # semilinearity of the transport: exhaustive when the vector space is
     # small, seeded random + structured probes otherwise
     rng = random.Random(seed)
-    if F.q**n <= 4096:
+    if F.q**n <= EXHAUSTIVE_LIMIT:
         from .gf import iter_vectors
 
         probe = list(iter_vectors(F, n))
     else:
-        probe = [tuple(rng.randrange(F.q) for _ in range(n)) for _ in range(samples)]
+        probe = [tuple(rng.randrange(F.q) for _ in range(n)) for _ in range(SAMPLES)]
     for x in probe:
         if transport(x) != s.apply_vector(x):
             raise FalsificationError(
@@ -376,7 +377,7 @@ def extract_semilinear_from_ring_iso(
     conj = conjugation_automorphism(s).apply
     gens = [units[i][j] for i in range(n) for j in range(n)]
     gens += [scalar_matrix(F, lam, n) for lam in F.elements()]
-    gens += [random_matrix(F, n, n, rng) for _ in range(samples)]
+    gens += [random_matrix(F, n, n, rng) for _ in range(SAMPLES)]
     for t in gens:
         if phi.apply(t) != conj(t):
             raise FalsificationError(

@@ -350,7 +350,7 @@ def _color_renaming(colors, reference):
 
 
 def _assert_matches_reference(P):
-    init_cand, colors, allowed, _ = autos._poset_search_structure(P)
+    init_cand, colors, allowed = autos._poset_search_structure(P)
     ref_cand, ref_colors, ref_allowed = _colors_by_ordered_pairs(P)
     assert init_cand == ref_cand
     rename = _color_renaming(colors, ref_colors)
@@ -422,7 +422,7 @@ def test_poset_search_unchanged_on_reference_colors(ambient, branch, maps, nodes
             init_cand, colors, allowed = _colors_by_ordered_pairs(P)
             n_colors = 1 + max(c for row in colors for c in row)
             dense = [[a.get(c, 0) for c in range(n_colors)] for a in allowed]
-            P._auto_search_cache = (init_cand, colors, dense, autos._elem_atoms(P))
+            P._auto_search_cache = (init_cand, colors, dense)
         _, targets = poset_search_plan(P)
         stats = {}
         restrict = None if branch is None else {targets[branch]}
@@ -448,6 +448,58 @@ def test_verify_rejects_corrupted_map(P32):
     corrupted = PosetMap(tuple(good), UNKNOWN)
     with pytest.raises(FalsificationError):
         verify_poset_map(corrupted, P32)
+
+
+def test_verify_poset_map_builds_no_pair_colours(L32):
+    """Verifying one map checks atomisticity and lists atoms, once per
+    poset, without the search's pair colours; a poset whose order is not
+    atom-set inclusion is refused."""
+    P = build_projection_poset(L32)
+    calls = []
+    check = P.verify_atomistic
+    P.verify_atomistic = lambda: calls.append(1) or check()
+    ident = tuple(range(P.size))
+    autos.verify_poset_map(ident, P)
+    autos.verify_poset_map(ident, P)
+    assert calls == [1]
+    assert not hasattr(P, "_auto_search_cache")
+
+    bad = build_projection_poset(L32)
+    bad.up_masks[bad.atoms[0]] |= 1 << bad.atoms[1]
+    with pytest.raises(FalsificationError):
+        autos.verify_poset_map(ident, bad)
+
+
+def test_lattice_search_checks_atomisticity_once():
+    L = enumerate_subspaces(3, parse_field("2"))
+    calls = []
+    check = L.verify_atomistic
+    L.verify_atomistic = lambda: calls.append(1) or check()
+    for _ in range(2):
+        assert len(list(iter_lattice_atom_perms(L))) == 168
+    assert calls == [1]
+    assert len(autos._lattice_search_structure(L)) == 2  # pruning data only
+
+
+def test_main_theorem_budget_applies_to_each_search(L32, P32):
+    """At (3,2) the campaign runs 2,387 nodes in all: 259 in the lattice
+    search and at most 76 in any poset branch. A budget of 259 therefore
+    completes it, and 258 stops the lattice search."""
+    from projlat.autos import verify_main_theorem
+
+    stats = {}
+    list(iter_lattice_atom_perms(L32, stats=stats))
+    nodes = [stats["nodes"]]
+    for target in poset_search_plan(P32)[1]:
+        list(iter_poset_atom_perms(P32, restrict_first={target}, stats=stats))
+        nodes.append(stats["nodes"])
+    assert (sum(nodes), nodes[0], max(nodes[1:])) == (2387, 259, 76)
+
+    rep = verify_main_theorem(L32, P32, budget=259, enforce_length=False)
+    assert rep.passed and rep.outcome is None
+    assert rep.counts["poset_automorphisms"] == 336
+    rep = verify_main_theorem(L32, P32, budget=258, enforce_length=False)
+    assert rep.outcome == "partial" and not rep.passed
 
 
 def test_parity_composition_algebra():

@@ -56,6 +56,14 @@ def test_usage_errors_exit_2(run_cli):
         ("ring-extend", "--n", "3", "--field", "2"),  # needs n >= 4
         ("ring-odd-experiment", "--n", "2", "--field", "2"),  # needs n >= 3
         ("no-such-verb",),
+        # flags the verb would ignore
+        ("verify-ftpg", "--n", "3", "--jobs", "2"),
+        ("enumerate-lattice-autos", "--n", "2", "--checkpoint", "F"),
+        ("verify-omp", "--n", "2", "--format", "dot"),
+        ("export-json", "--n", "2", "--format", "json"),
+        ("ring-lemma", "--n", "2", "--seed", "1"),
+        ("verify-map", "--n", "2", "--in", "absent.json"),  # unreadable map file
+        ("export-dot", "--n", "2", "--target", "autos"),  # no diagram of autos
     ]
     for argv in cases:
         code, _, _ = run_cli(*argv)
@@ -114,6 +122,18 @@ def test_bad_config_exits_2(run_cli, tmp_path):
     assert code == 2
     code, _, _ = run_cli("verify-omp", "--config", str(tmp_path / "absent.cfg"))
     assert code == 2
+    # lines are parsed as the verb's flags: a bad type, an unknown key, a bad
+    # choice and a flag the verb does not read are usage errors naming the file
+    for verb, line in [
+        ("enumerate-lattice-autos", "budget_nodes = abc"),
+        ("verify-omp", "nn = 3"),
+        ("verify-omp", "format = xml"),
+        ("verify-ftpg", "jobs = 2"),
+    ]:
+        cfg.write_text(f"n = 3\n{line}\n")
+        code, _, err = run_cli(verb, "--config", str(cfg))
+        assert code == 2, line
+        assert str(cfg) in err
 
 
 def test_reruns_are_byte_identical(run_cli):
@@ -265,3 +285,57 @@ def test_experiment_verb_always_exits_zero(run_cli):
     )
     assert code == 0
     assert "EXPERIMENT" in out
+
+
+def test_config_keys_reach_every_flag(run_cli, tmp_path, aut_l32):
+    """Keys with underscores and the key `in` reach their flags."""
+    good = tmp_path / "good.json"
+    good.write_text(canonical_json(map_to_jsonable(aut_l32[3])))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n = 3\nin = {good}\n")
+    code, out, _ = run_cli("verify-map", "--config", str(cfg))
+    assert code == 0 and "PASS" in out
+    cfg.write_text("n = 3\nbudget_nodes = 10\n")
+    code, _, err = run_cli("enumerate-lattice-autos", "--config", str(cfg))
+    assert code == 3 and "budget" in err
+
+
+REPORT_FLAGS = {"--n", "--field", "--out", "--config", "--format"}
+VERB_FLAGS = {
+    "enumerate-lattice": REPORT_FLAGS,
+    "build-poset": REPORT_FLAGS,
+    "verify-omp": REPORT_FLAGS,
+    "verify-glattice": REPORT_FLAGS,
+    "verify-correspondence": REPORT_FLAGS,
+    "enumerate-lattice-autos": REPORT_FLAGS | {"--budget-nodes"},
+    "verify-ftpg": REPORT_FLAGS | {"--budget-nodes"},
+    "verify-main-theorem": REPORT_FLAGS | {"--budget-nodes", "--jobs", "--checkpoint"},
+    "verify-semidirect": REPORT_FLAGS | {"--budget-nodes", "--seed", "--samples"},
+    "ring-lemma": REPORT_FLAGS,
+    "ring-extract": REPORT_FLAGS | {"--seed", "--cases"},
+    "ring-restrict": REPORT_FLAGS | {"--seed", "--cases"},
+    "ring-extend": REPORT_FLAGS | {"--budget-nodes", "--seed", "--cases"},
+    "ring-odd-experiment": REPORT_FLAGS | {"--budget-nodes", "--seed", "--cases"},
+    "export-dot": {"--n", "--field", "--out", "--config", "--target"},
+    "export-json": {"--n", "--field", "--out", "--config", "--target", "--budget-nodes"},
+    "verify-map": REPORT_FLAGS | {"--in"},
+}
+
+
+def test_each_verb_takes_exactly_the_flags_it_reads():
+    import argparse
+
+    from projlat.cli import build_parser
+
+    parser = build_parser()
+    (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        verb: {
+            a.option_strings[0]
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for verb, sub in verbs.choices.items()
+    }
+    assert got == VERB_FLAGS
+    assert sum(map(len, got.values())) == 105

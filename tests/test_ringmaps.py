@@ -49,7 +49,13 @@ def test_im_ker_lemma_exhaustive(P22, P32, P23):
 
 def test_center_is_scalars(f2, f3, f4):
     for F, n in ((f2, 2), (f2, 3), (f3, 2), (f4, 2)):
-        assert center_is_scalars(F, n)
+        rep = center_is_scalars(F, n)
+        assert rep.passed, rep.checks
+        assert [name for name, _, _ in rep.checks] == [
+            "solution_space_is_one_dimensional",
+            "solution_space_is_spanned_by_identity",
+            "brute_force_center_is_scalars",
+        ]
 
 
 def test_matrix_units_multiply_correctly(f3):
