@@ -261,30 +261,31 @@ def iter_lattice_atom_perms(
     )
 
 
-def iter_lattice_automorphisms(L: SubspaceLattice, budget: int | None = None):
-    """Stream LatticeMaps in deterministic search order (no verification
-    shortcut: every leaf was lifted through the atom-mask dictionary)."""
-    for _, eperm in iter_lattice_atom_perms(L, budget=budget):
-        yield LatticeMap(eperm, AUTO)
-
-
+# the largest atom counts the full enumerations of L and of P accept
 MAX_SEARCH_ATOMS = 40
+MAX_POSET_SEARCH_ATOMS = 150
 
 
 def enumerate_lattice_automorphisms(
     L: SubspaceLattice, budget: int | None = None
 ) -> list[LatticeMap]:
-    """All order-automorphisms of L, sorted by their permutation."""
+    """All order-automorphisms of L, sorted by their permutation; every
+    one was lifted and verified at its search leaf."""
     if len(L.atoms) > MAX_SEARCH_ATOMS:
         raise ValueError(
             f"{len(L.atoms)} atoms exceeds the search bound {MAX_SEARCH_ATOMS}"
         )
-    maps = list(iter_lattice_automorphisms(L, budget=budget))
+    maps = [
+        LatticeMap(eperm, AUTO) for _, eperm in iter_lattice_atom_perms(L, budget=budget)
+    ]
     maps.sort(key=lambda f: f.perm)
     return maps
 
 
-def semilinear_atom_perms(L: SubspaceLattice, limit: int = 2**20) -> set[bytes]:
+SEMILINEAR_LIMIT = 2**20
+
+
+def semilinear_atom_perms(L: SubspaceLattice) -> set[bytes]:
     """Independent generation of lattice automorphisms: every invertible
     matrix with every twist, reduced to its action on atoms. Exhaustive by
     construction; used to cross-check the backtracking search.
@@ -297,14 +298,15 @@ def semilinear_atom_perms(L: SubspaceLattice, limit: int = 2**20) -> set[bytes]:
     (matrix, sigma) acts on atoms as the matrix after that permutation.
     Vectors are base-q codes; no table has more than q * q^n entries. The
     work and the result set grow with |PGammaL(n, q)|, so ambients where
-    that group order exceeds limit are refused.
+    that group order exceeds SEMILINEAR_LIMIT are refused.
     """
     F = L.field
     n, q = L.n, F.q
     order = projective_group_order(n, q, F.k)
-    if order > limit:
+    if order > SEMILINEAR_LIMIT:
         raise ValueError(
-            f"|PGammaL({n}, {q})| = {order} exceeds the semilinear generation limit {limit}"
+            f"|PGammaL({n}, {q})| = {order} exceeds the semilinear generation "
+            f"limit {SEMILINEAR_LIMIT}"
         )
     vecs = list(iter_vectors(F, n))  # vecs[c] has base-q code c
     code = {v: c for c, v in enumerate(vecs)}
@@ -534,8 +536,10 @@ def enumerate_poset_automorphisms(
     """All order-automorphisms of P commuting with the orthocomplementation,
     sorted by permutation. Parity tags are left unknown; classify_parity is
     a separate, falsifiable step."""
-    if len(P.atoms) > 150:
-        raise ValueError(f"{len(P.atoms)} atoms exceeds the search bound 150")
+    if len(P.atoms) > MAX_POSET_SEARCH_ATOMS:
+        raise ValueError(
+            f"{len(P.atoms)} atoms exceeds the search bound {MAX_POSET_SEARCH_ATOMS}"
+        )
     out = [
         PosetMap(eperm, UNKNOWN)
         for _, eperm in iter_poset_atom_perms(P, budget=budget)
@@ -663,22 +667,19 @@ def classify_parity(phi, P: ProjectionPoset) -> str:
     return verdict
 
 
-def decompose_poset_automorphism(
-    phi: PosetMap, P: ProjectionPoset, allow_short: bool = False
-) -> LatticeMap:
+def decompose_poset_automorphism(phi: PosetMap, P: ProjectionPoset) -> LatticeMap:
     """Recover the lattice (anti-)automorphism behind an orthoposet map.
 
     Even: f(a) is the common image of the images of every projection with
     image a. Odd: g(b) is the common image of the images of every
     projection with kernel b. Either way the witness is rebuilt on every
     lattice element, verified as a lattice map, and the reconstruction is
-    checked to reproduce phi exactly.
+    checked to reproduce phi exactly. Every step is checked, so this runs
+    at any lattice length: below length 4, where the theorem does not
+    apply, a map without a witness raises instead (the verbs that rest on
+    the theorem refuse n < 4 themselves).
     """
     L = P.lattice
-    if L.length < 4 and not allow_short:
-        raise ValueError(
-            f"decomposition theorem requires lattice length >= 4, got {L.length}"
-        )
     parity = classify_parity(phi, P)
     perm = phi.perm
     img = P.image
@@ -750,9 +751,7 @@ def _branch_digest(keys: list[bytes]) -> str:
     return sha256_of(sorted(k.hex() for k in keys))
 
 
-def run_poset_branch(
-    P: ProjectionPoset, target: int, budget: int | None = None, allow_short: bool = False
-) -> dict:
+def run_poset_branch(P: ProjectionPoset, target: int, budget: int | None = None) -> dict:
     """Enumerate one root branch of the poset search and decompose every
     map found there. Deterministic given (P, target)."""
     keys = []
@@ -764,9 +763,7 @@ def run_poset_branch(
         ):
             keys.append(bytes(aperm))
             try:
-                witness = decompose_poset_automorphism(
-                    PosetMap(eperm, UNKNOWN), P, allow_short=allow_short
-                )
+                witness = decompose_poset_automorphism(PosetMap(eperm, UNKNOWN), P)
                 if witness.direction == AUTO:
                     n_even += 1
                 else:
@@ -794,21 +791,21 @@ def _worker_poset(n: int, field_spec: str) -> ProjectionPoset:
 
 
 def _pool_branch(task: tuple) -> dict:
-    n, field_spec, target, budget, allow_short = task
-    return run_poset_branch(_worker_poset(n, field_spec), target, budget, allow_short)
+    n, field_spec, target, budget = task
+    return run_poset_branch(_worker_poset(n, field_spec), target, budget)
 
 
-def _branch_results(P: ProjectionPoset, todo, budget, allow_short, jobs: int):
+def _branch_results(P: ProjectionPoset, todo, budget, jobs: int):
     """run_poset_branch on each target, in order; in a pool of spawned
     workers when jobs > 1, which behaves the same on every platform."""
     if jobs <= 1 or not todo:
         for target in todo:
-            yield run_poset_branch(P, target, budget, allow_short)
+            yield run_poset_branch(P, target, budget)
         return
     import multiprocessing  # only a pool needs it, and it is costly to import
 
     ambient = (P.lattice.n, P.lattice.field.spec())
-    tasks = [(*ambient, target, budget, allow_short) for target in todo]
+    tasks = [(*ambient, target, budget) for target in todo]
     ctx = multiprocessing.get_context("spawn")
     with ctx.Pool(jobs, initializer=_worker_poset, initargs=ambient) as pool:
         yield from pool.imap(_pool_branch, tasks)
@@ -861,7 +858,6 @@ def verify_main_theorem(
     L: SubspaceLattice,
     P: ProjectionPoset,
     budget: int | None = None,
-    enforce_length: bool = True,
     jobs: int = 1,
     checkpoint: str | None = None,
 ) -> CampaignReport:
@@ -880,10 +876,6 @@ def verify_main_theorem(
     lattice search and to each branch; when it runs out, the report so far
     comes back with outcome "partial".
     """
-    if enforce_length and L.length < 4:
-        raise ValueError(
-            f"classification theorem requires lattice length >= 4, got {L.length}"
-        )
     rep = CampaignReport("verify-main-theorem", (L.n, L.field.spec()))
     # a bad checkpoint is refused before any search runs
     pivot, targets = poset_search_plan(P)
@@ -964,7 +956,7 @@ def verify_main_theorem(
         sys.stderr.write(
             f"# verify-main-theorem: {len(todo)}/{len(targets)} branches to run\n"
         )
-    for result in _branch_results(P, todo, budget, not enforce_length, jobs):
+    for result in _branch_results(P, todo, budget, jobs):
         if "budget_exhausted" in result:
             rep.add(
                 "poset_enumeration_complete",
@@ -1009,16 +1001,21 @@ def verify_main_theorem(
     return rep
 
 
+# the subgroup closure check composes every pair of even maps while there
+# are at most CLOSURE_PAIR_LIMIT pairs, and CLOSURE_SAMPLES seeded pairs above
+CLOSURE_PAIR_LIMIT = 10**6
+CLOSURE_SAMPLES = 300
+
+
 def verify_semidirect_structure(
     L: SubspaceLattice,
     P: ProjectionPoset,
-    exhaustive: bool = True,
     seed: int = 0,
-    samples: int = 300,
     budget: int | None = None,
 ) -> CampaignReport:
     """Group structure of the even/odd maps: evens form a normal subgroup,
-    the duality is an involution, and the odds are exactly its coset."""
+    the duality is an involution, and the odds are exactly its coset. The
+    closure mode, exhaustive or sampled, goes to counts["closure_mode"]."""
     rep = CampaignReport("semidirect", (L.n, L.field.spec()))
     gamma_l = standard_duality(L)
     rep.add("duality_involutory", gamma_l.compose(gamma_l).is_identity, "gamma^2 = 1 on L")
@@ -1044,6 +1041,8 @@ def verify_semidirect_structure(
         "gamma^2 = 1 on P",
     )
 
+    exhaustive = len(evens) ** 2 <= CLOSURE_PAIR_LIMIT
+    rep.counts["closure_mode"] = "exhaustive" if exhaustive else "sampled"
     if exhaustive:
         closure_ok = all(
             bytes(perm_compose(e1, e2)) in even_set for e1 in evens for e2 in evens
@@ -1052,13 +1051,13 @@ def verify_semidirect_structure(
     else:
         rng = random.Random(seed)
         closure_ok = True
-        for _ in range(samples):
+        for _ in range(CLOSURE_SAMPLES):
             e1 = evens[rng.randrange(len(evens))]
             e2 = evens[rng.randrange(len(evens))]
             if bytes(perm_compose(e1, e2)) not in even_set:
                 closure_ok = False
                 break
-        closure_note = f"{samples} sampled compositions, seed {seed}"
+        closure_note = f"{CLOSURE_SAMPLES} sampled compositions, seed {seed}"
     inverses_ok = all(bytes(perm_inverse(e)) in even_set for e in evens)
     rep.add(
         "evens_form_subgroup",

@@ -97,7 +97,7 @@ def _coeffs_to_int(c: Sequence[int], p: int) -> int:
 class GF:
     """A concrete small Galois field with table-driven arithmetic."""
 
-    def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None):
+    def __init__(self, p: int, k: int = 1):
         if not is_prime(p):
             raise FieldError(f"characteristic must be prime, got {p}")
         if k < 1:
@@ -105,16 +105,10 @@ class GF:
         q = p**k
         if q > 512:
             raise FieldError(f"field size {q} too large for table arithmetic")
-        if k == 1:
-            mod: tuple[int, ...] | None = None
-        else:
-            if modulus is None:
-                modulus = FIXED_MODULI.get((p, k)) or _find_modulus(p, k)
-            mod = tuple(int(c) % p for c in modulus)
-            if len(mod) != k + 1 or mod[-1] != 1:
-                raise FieldError(f"modulus must be monic of degree {k}: {modulus}")
-            if not is_irreducible(mod, p):
-                raise FieldError(f"modulus {mod} is reducible over GF({p})")
+        # the pinned modulus, else the smallest irreducible one
+        mod = None if k == 1 else FIXED_MODULI.get((p, k)) or _find_modulus(p, k)
+        if mod is not None and not is_irreducible(mod, p):
+            raise FieldError(f"modulus {mod} is reducible over GF({p})")
         self.p = p
         self.k = k
         self.q = q
@@ -160,11 +154,6 @@ class GF:
 
     # -- element operations ------------------------------------------------
 
-    def check(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.q:
-            raise FieldError(f"{a!r} is not an element of {self}")
-        return a
-
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
 
@@ -200,13 +189,6 @@ class GF:
 
     def elements(self) -> range:
         return range(self.q)
-
-    def units(self) -> range:
-        return range(1, self.q)
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Coefficient tuple of a, constant term first."""
-        return tuple(_int_to_coeffs(self.check(a), self.p, self.k))
 
     def frobenius(self, power: int = 1) -> "FieldAutomorphism":
         return FieldAutomorphism(self, power % self.k)
@@ -248,13 +230,14 @@ def _find_modulus(p: int, k: int) -> tuple[int, ...]:
     raise FieldError(f"no irreducible polynomial of degree {k} over GF({p})")
 
 
-_FIELD_CACHE: dict[tuple[int, int, tuple[int, ...] | None], GF] = {}
+_FIELD_CACHE: dict[tuple[int, int], GF] = {}
 
 
-def make_field(p: int, k: int = 1, modulus: Sequence[int] | None = None) -> GF:
-    """Shared GF instances so tables are built once per (p, k, modulus)."""
-    probe = GF(p, k, modulus)
-    return _FIELD_CACHE.setdefault(probe._key(), probe)
+def make_field(p: int, k: int = 1) -> GF:
+    """Shared GF instances so tables are built once per (p, k)."""
+    if (p, k) not in _FIELD_CACHE:
+        _FIELD_CACHE[p, k] = GF(p, k)
+    return _FIELD_CACHE[p, k]
 
 
 def parse_field(spec: str) -> GF:
@@ -317,12 +300,6 @@ class FieldAutomorphism:
     @property
     def is_identity(self) -> bool:
         return self.power == 0
-
-    def order(self) -> int:
-        k = self.field.k
-        from math import gcd
-
-        return k // gcd(k, self.power) if self.power else 1
 
     def verify(self) -> None:
         """Exhaustively confirm the map is additive, multiplicative, bijective."""

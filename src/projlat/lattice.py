@@ -57,14 +57,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def vectors(self):
-        """All q^dim vectors of the subspace."""
-        F = self.field
-        from .matrices import vec_mat
-
-        for c in iter_vectors(F, self.dim):
-            yield vec_mat(F, c, self.basis) if self.basis else (0,) * self.n
-
     def __repr__(self) -> str:
         return f"Subspace({self.field.spec()}^{self.n}, dim={self.dim}, {self.basis})"
 
@@ -255,9 +247,6 @@ class SubspaceLattice:
         jt, mt = self.join_table, self.meet_table
         ab = jt[a][b]
         return all(jt[mt[x][a]][b] == mt[x][ab] for x in self.up_set(b))
-
-    def subspace_index(self, s: Subspace) -> int:
-        return self.index[s]
 
     @cached_property
     def length(self) -> int:

@@ -86,15 +86,6 @@ def vec_mat(F: GF, v: Vector, m: Matrix) -> Vector:
     return tuple(out)
 
 
-def dot(F: GF, u: Vector, v: Vector) -> int:
-    add, mul = F.add_table, F.mul_table
-    acc = 0
-    for x, y in zip(u, v):
-        if x and y:
-            acc = add[acc][mul[x][y]]
-    return acc
-
-
 def scale_vec(F: GF, c: int, v: Vector) -> Vector:
     mul = F.mul_table
     return tuple(mul[c][x] for x in v)

@@ -416,16 +416,14 @@ def restrict_to_projections(phi: RingMap, P: ProjectionPoset) -> PosetMap:
     return PosetMap(perm, parity, witness=phi)
 
 
-def extend_even_to_ring_automorphism(
-    phi: PosetMap, P: ProjectionPoset, allow_short: bool = False
-) -> RingMap:
+def extend_even_to_ring_automorphism(phi: PosetMap, P: ProjectionPoset) -> RingMap:
     """Even poset automorphism -> ring automorphism restricting to it.
 
     Decomposes to the lattice automorphism, matches its semilinear witness
     (ambient >= 3), conjugates, and verifies the restriction reproduces phi
     on every projection."""
     L = P.lattice
-    f = decompose_poset_automorphism(phi, P, allow_short=allow_short)
+    f = decompose_poset_automorphism(phi, P)
     if f.direction != AUTO:
         raise ValueError("poset map is odd; no ring automorphism can restrict to it")
     s = match_semilinear(f, L)
@@ -436,9 +434,7 @@ def extend_even_to_ring_automorphism(
     return ring
 
 
-def experiment_odd_extension(
-    phi: PosetMap, P: ProjectionPoset, allow_short: bool = False
-) -> CampaignReport:
+def experiment_odd_extension(phi: PosetMap, P: ProjectionPoset) -> CampaignReport:
     """EXPERIMENT: extend an odd poset automorphism to a ring
     anti-automorphism at this finite scale.
 
@@ -453,7 +449,7 @@ def experiment_odd_extension(
     rep = CampaignReport(
         "odd-extension-experiment", (L.n, L.field.spec()), outcome="experiment"
     )
-    g = decompose_poset_automorphism(phi, P, allow_short=allow_short)
+    g = decompose_poset_automorphism(phi, P)
     if g.direction != ANTI:
         raise ValueError("poset map is even; use extend_even_to_ring_automorphism")
     gamma = standard_duality(L)

@@ -35,7 +35,7 @@ from .matrices import (
 
 
 class MatchFailure(ValueError):
-    """No semilinear witness under the allowed twists reproduces the map."""
+    """No semilinear witness reproduces the map."""
 
 
 @dataclass(frozen=True)
@@ -158,16 +158,16 @@ def dual_complement(x: Subspace, b: BilinearForm) -> Subspace:
     return out
 
 
-def make_duality(b: BilinearForm, L: SubspaceLattice, verify: bool = True) -> LatticeMap:
-    """The anti-automorphism X -> orthogonal complement of X under the form.
+def make_duality(b: BilinearForm, L: SubspaceLattice) -> LatticeMap:
+    """The anti-automorphism X -> orthogonal complement of X under the form,
+    verified order-reversing.
 
     Involutivity depends on the form being reflexive; callers must check
     g.compose(g).is_identity rather than assume it.
     """
     perm = tuple(L.index[dual_complement(x, b)] for x in L.elements)
     g = LatticeMap(perm, ANTI, witness=b)
-    if verify:
-        verify_lattice_map(g, L)
+    verify_lattice_map(g, L)
     return g
 
 
@@ -177,11 +177,7 @@ def standard_duality(L: SubspaceLattice) -> LatticeMap:
     return make_duality(BilinearForm.standard(L.field, L.n), L)
 
 
-def match_semilinear(
-    f: LatticeMap,
-    L: SubspaceLattice,
-    twists: list[FieldAutomorphism] | None = None,
-) -> SemilinearMap:
+def match_semilinear(f: LatticeMap, L: SubspaceLattice) -> SemilinearMap:
     """Recover a normalized semilinear witness for a lattice automorphism.
 
     Requires ambient dimension >= 3. The matrix comes from the images of
@@ -196,8 +192,6 @@ def match_semilinear(
         raise ValueError(f"witness recovery requires ambient dimension >= 3, got {n}")
     if f.direction != AUTO:
         raise ValueError("only automorphisms have semilinear witnesses")
-    if twists is None:
-        twists = F.automorphisms()
 
     def atom_rep(subspace_index: int) -> tuple[int, ...]:
         return L.elements[subspace_index].basis[0]
@@ -227,11 +221,9 @@ def match_semilinear(
         if t[0] == 0 or any(t[j] for j in range(2, n)):
             raise MatchFailure(f"image of pencil point {v} leaves the pencil")
         sigma_table[lam] = F.div(t[1], t[0])
-    sigma = next((tw for tw in twists if list(tw.table) == sigma_table), None)
+    sigma = next((tw for tw in F.automorphisms() if list(tw.table) == sigma_table), None)
     if sigma is None:
-        raise MatchFailure(
-            f"pencil action {sigma_table} is not among the allowed twists"
-        )
+        raise MatchFailure(f"pencil action {sigma_table} is not a field automorphism")
 
     s = SemilinearMap(F, m, sigma).normalized()
     induced = induced_lattice_map(s, L, verify=False)

@@ -164,14 +164,16 @@ def test_c05_duality_and_semidirect_structure(L32, L42, P32, P42):
         gamma = standard_duality(L)
         assert gamma.direction == ANTI
         assert gamma.compose(gamma).is_identity
-    rep32 = verify_semidirect_structure(L32, P32, exhaustive=True)
+    rep32 = verify_semidirect_structure(L32, P32)
     assert rep32.passed, rep32.checks
+    assert rep32.counts["closure_mode"] == "exhaustive"
     names32 = {name for name, ok, _ in rep32.checks}
     assert {"evens_form_subgroup", "evens_normal_under_gamma",
             "odds_are_unique_even_gamma_factorizations",
             "gamma_squared_identity"} <= names32
-    rep42 = verify_semidirect_structure(L42, P42, exhaustive=False, seed=0, samples=300)
+    rep42 = verify_semidirect_structure(L42, P42, seed=0)
     assert rep42.passed, rep42.checks
+    assert rep42.counts["closure_mode"] == "sampled"
     elapsed = time.monotonic() - t0
     print(f"CRITERION 5 PASS: involution + subgroup/normality/unique-coset ({elapsed:.0f}s)")
 

@@ -36,7 +36,8 @@ from projlat.autos import (
     poset_search_plan,
     semilinear_atom_perms,
 )
-from projlat.matrices import all_matrices, rank
+from projlat.gf import iter_vectors
+from projlat.matrices import all_matrices, rank, vec_mat
 from projlat.semilinear import SemilinearMap
 
 
@@ -64,9 +65,9 @@ def _brute_semilinear_atom_perms(L):
     F, n = L.field, L.n
     vec_ordinal = {}
     for t, a in enumerate(L.atoms):
-        for v in L.elements[a].vectors():
-            if any(v):
-                vec_ordinal[v] = t
+        for c in iter_vectors(F, 1):
+            if c != (0,):
+                vec_ordinal[vec_mat(F, c, L.elements[a].basis)] = t
     atom_vecs = [L.atom_vector(a) for a in L.atoms]
     out = set()
     for mat in all_matrices(F, n, n):
@@ -84,14 +85,16 @@ def test_semilinear_oracle_matches_brute_force(n, spec):
     assert semilinear_atom_perms(L) == _brute_semilinear_atom_perms(L)
 
 
-def test_semilinear_oracle_limit_guard(L33, L34):
+def test_semilinear_oracle_limit_guard(L33, L34, monkeypatch):
     with pytest.raises(ValueError):
         semilinear_atom_perms(enumerate_subspaces(4, parse_field("3")))
-    # the bound is on |PGammaL(n, q)|, inclusive
-    with pytest.raises(ValueError):
-        semilinear_atom_perms(L33, limit=5615)
-    assert len(semilinear_atom_perms(L33, limit=5616)) == 5616
     assert len(semilinear_atom_perms(L34)) == projective_group_order(3, 4, 2)
+    # the bound is on |PGammaL(n, q)|, inclusive
+    monkeypatch.setattr(autos, "SEMILINEAR_LIMIT", 5615)
+    with pytest.raises(ValueError):
+        semilinear_atom_perms(L33)
+    monkeypatch.setattr(autos, "SEMILINEAR_LIMIT", 5616)
+    assert len(semilinear_atom_perms(L33)) == 5616
 
 
 def test_semilinear_oracle_runs_no_rref(monkeypatch, L42):
@@ -141,7 +144,7 @@ def test_poset_22_dichotomy_fails_below_length_4(P22):
     witnesses = {"auto": 0, "anti": 0, "none": 0}
     for m in maps:
         try:
-            w = decompose_poset_automorphism(m, P22, allow_short=True)
+            w = decompose_poset_automorphism(m, P22)
             witnesses["auto" if w.direction == AUTO else "anti"] += 1
         except (FalsificationError, ValueError):
             witnesses["none"] += 1
@@ -179,10 +182,13 @@ def test_decompose_round_trip_42(L42, P42, aut_l42):
         assert w2.direction == ANTI and w2.perm == g.perm
 
 
-def test_decompose_refuses_short_lattices(P32):
+def test_decompose_runs_at_length_3(P32):
+    """Decomposition checks no lattice length: at (3,2), length 3, all 336
+    poset automorphisms decompose, each with its verified witness."""
     maps = enumerate_poset_automorphisms(P32)
-    with pytest.raises(ValueError):
-        decompose_poset_automorphism(maps[1], P32)  # length 3 < 4
+    directions = [decompose_poset_automorphism(m, P32).direction for m in maps]
+    assert len(maps) == 336
+    assert directions.count(AUTO) == directions.count(ANTI) == 168
 
 
 SEARCHES = {
@@ -495,10 +501,10 @@ def test_main_theorem_budget_applies_to_each_search(L32, P32):
         nodes.append(stats["nodes"])
     assert (sum(nodes), nodes[0], max(nodes[1:])) == (2387, 259, 76)
 
-    rep = verify_main_theorem(L32, P32, budget=259, enforce_length=False)
+    rep = verify_main_theorem(L32, P32, budget=259)
     assert rep.passed and rep.outcome is None
     assert rep.counts["poset_automorphisms"] == 336
-    rep = verify_main_theorem(L32, P32, budget=258, enforce_length=False)
+    rep = verify_main_theorem(L32, P32, budget=258)
     assert rep.outcome == "partial" and not rep.passed
 
 
@@ -519,7 +525,7 @@ def test_main_theorem_report_is_independent_of_jobs(L32, P32):
 
     docs = [
         canonical_json(report_to_jsonable(
-            verify_main_theorem(L32, P32, enforce_length=False, jobs=jobs)
+            verify_main_theorem(L32, P32, jobs=jobs)
         ))
         for jobs in (1, 2)
     ]

@@ -64,6 +64,14 @@ def test_usage_errors_exit_2(run_cli):
         ("ring-lemma", "--n", "2", "--seed", "1"),
         ("verify-map", "--n", "2", "--in", "absent.json"),  # unreadable map file
         ("export-dot", "--n", "2", "--target", "autos"),  # no diagram of autos
+        # counts below 1
+        ("ring-extract", "--n", "2", "--cases", "-1"),
+        ("ring-restrict", "--n", "2", "--cases", "0"),
+        ("verify-main-theorem", "--n", "4", "--jobs", "-3"),
+        ("verify-main-theorem", "--n", "4", "--jobs", "0"),
+        ("enumerate-lattice-autos", "--n", "2", "--budget-nodes", "0"),
+        # an abbreviated flag
+        ("verify-omp", "--n", "2", "--fie", "3"),
     ]
     for argv in cases:
         code, _, _ = run_cli(*argv)
@@ -129,6 +137,8 @@ def test_bad_config_exits_2(run_cli, tmp_path):
         ("verify-omp", "nn = 3"),
         ("verify-omp", "format = xml"),
         ("verify-ftpg", "jobs = 2"),
+        ("verify-omp", "fie = 3"),  # a prefix of field, not a key
+        ("ring-extract", "cases = -1"),
     ]:
         cfg.write_text(f"n = 3\n{line}\n")
         code, _, err = run_cli(verb, "--config", str(cfg))
@@ -192,7 +202,7 @@ def test_worker_branch_budget_and_digest(P22):
     from projlat.autos import iter_poset_atom_perms, poset_search_plan
 
     pivot, targets = poset_search_plan(P22)
-    res = autos.run_poset_branch(P22, targets[0], allow_short=True)
+    res = autos.run_poset_branch(P22, targets[0])
     assert res["count"] == res["even"] + res["odd"] + res["fail_count"]
     assert res["fail_count"] > 0  # (2,2): the dichotomy genuinely fails
     # deterministic digest: recompute from a fresh enumeration
@@ -202,7 +212,7 @@ def test_worker_branch_budget_and_digest(P22):
     ]
     assert res["digest"] == autos._branch_digest(keys)
 
-    res2 = autos.run_poset_branch(P22, targets[0], budget=3, allow_short=True)
+    res2 = autos.run_poset_branch(P22, targets[0], budget=3)
     assert "budget_exhausted" in res2
 
 
@@ -310,7 +320,7 @@ VERB_FLAGS = {
     "enumerate-lattice-autos": REPORT_FLAGS | {"--budget-nodes"},
     "verify-ftpg": REPORT_FLAGS | {"--budget-nodes"},
     "verify-main-theorem": REPORT_FLAGS | {"--budget-nodes", "--jobs", "--checkpoint"},
-    "verify-semidirect": REPORT_FLAGS | {"--budget-nodes", "--seed", "--samples"},
+    "verify-semidirect": REPORT_FLAGS | {"--budget-nodes", "--seed"},
     "ring-lemma": REPORT_FLAGS,
     "ring-extract": REPORT_FLAGS | {"--seed", "--cases"},
     "ring-restrict": REPORT_FLAGS | {"--seed", "--cases"},
@@ -338,4 +348,58 @@ def test_each_verb_takes_exactly_the_flags_it_reads():
         for verb, sub in verbs.choices.items()
     }
     assert got == VERB_FLAGS
-    assert sum(map(len, got.values())) == 105
+    assert sum(map(len, got.values())) == 104
+
+
+# every public callable's parameters that have a default, with the repr of
+# that default: a library option that no verb sets to a second value should
+# be a constant instead, so a new one has to be added here on purpose
+LIBRARY_DEFAULTS = {
+    "GF": {"k": "1"},
+    "LatticeMap": {"witness": "None"},
+    "PosetMap": {"parity": "'unknown'", "witness": "None"},
+    "induced_lattice_map": {"verify": "True"},
+    "CampaignReport": {
+        "checks": "<factory>", "counts": "<factory>", "size": "None", "outcome": "None",
+    },
+    "FalsificationError": {"payload": "None"},
+    "enumerate_lattice_automorphisms": {"budget": "None"},
+    "enumerate_poset_automorphisms": {"budget": "None"},
+    "even_from_lattice_automorphism": {"verify": "True"},
+    "odd_from_anti_automorphism": {"verify": "True"},
+    "verify_fundamental_correspondence": {"budget": "None"},
+    "verify_main_theorem": {"budget": "None", "jobs": "1", "checkpoint": "None"},
+    "verify_semidirect_structure": {"seed": "0", "budget": "None"},
+    "RingMap": {"witness": "None"},
+    "extract_semilinear_from_ring_iso": {"idempotent": "None", "seed": "0"},
+    "report_to_jsonable": {"name": "None"},
+}
+
+
+def _defaults(obj) -> dict:
+    import inspect
+
+    try:
+        params = inspect.signature(obj).parameters.values()
+    except ValueError:  # exception classes with the built-in constructor
+        return {}
+    return {p.name: repr(p.default) for p in params if p.default is not p.empty}
+
+
+def test_library_defaults_are_pinned():
+    import projlat
+    from projlat import autos, gf
+
+    got = {}
+    for name in projlat.__all__:
+        obj = getattr(projlat, name)
+        if callable(obj) and _defaults(obj):
+            got[name] = _defaults(obj)
+    assert got == LIBRARY_DEFAULTS
+    # helpers outside __all__ that once took an option
+    assert _defaults(autos.semilinear_atom_perms) == {}
+    assert _defaults(autos.run_poset_branch) == {"budget": "None"}
+    assert _defaults(gf.make_field) == {"k": "1"}
+    removed = {"allow_short", "enforce_length", "exhaustive", "samples", "limit",
+               "twists", "modulus"}
+    assert not removed & {p for d in got.values() for p in d}

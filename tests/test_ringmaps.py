@@ -283,3 +283,15 @@ def test_ring_restrict_report_at_3_5_is_frozen(run_cli, tmp_path):
     assert hashlib.sha256(report).hexdigest() == (
         "cb1525c78e3fa93955f83ea2430d12c693fd15cf730346994e9cafd971f4d911"
     )
+
+
+def test_ring_extend_report_at_4_2_is_frozen(run_cli, tmp_path):
+    """ring-extend runs to a pass at (4,2), and its report hashes to its
+    value from before the verb stopped restricting each extension twice."""
+    argv = ("ring-extend", "--n", "4", "--field", "2", "--cases", "3", "--seed", "0")
+    code, _, err = run_cli(*argv, "--format", "json", "--out", str(tmp_path))
+    assert code == 0, err
+    report = (tmp_path / "ring-extend.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == (
+        "290159c3b19d935056b3e5ed7f99aa72bbf11e9610d40bdd16276c63e68d9d08"
+    )
