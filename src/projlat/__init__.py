@@ -75,8 +75,7 @@ from .ringmaps import (
     center_is_scalars,
     check_im_ker_lemma,
     conjugation_automorphism,
-    experiment_odd_extension,
-    extend_even_to_ring_automorphism,
+    extend_to_ring_map,
     extract_semilinear_from_ring_iso,
     restrict_to_projections,
     transpose_anti_automorphism,
@@ -144,8 +143,7 @@ __all__ = [
     "center_is_scalars",
     "check_im_ker_lemma",
     "conjugation_automorphism",
-    "experiment_odd_extension",
-    "extend_even_to_ring_automorphism",
+    "extend_to_ring_map",
     "extract_semilinear_from_ring_iso",
     "restrict_to_projections",
     "transpose_anti_automorphism",

@@ -554,34 +554,20 @@ def enumerate_poset_automorphisms(
 
 
 def verify_poset_map(phi, P: ProjectionPoset) -> None:
-    """Full orthoposet-automorphism verification through atom masks, of a
-    PosetMap or of a bare permutation."""
-    perm = phi.perm if isinstance(phi, PosetMap) else phi
+    """Full orthoposet-automorphism verification, of a PosetMap or of a
+    bare permutation: the map must be exactly the lift of its own atom
+    permutation through expand_poset_atom_perm, which checks bijectivity
+    and the orthocomplementation. On failure the payload is that atom
+    permutation, None marking an atom sent to a non-atom."""
+    perm = tuple(phi.perm if isinstance(phi, PosetMap) else phi)
     if len(perm) != P.size:
         raise ValueError("permutation size does not match the poset")
-    elem_atoms = _atom_lists(P)
-    atom_ordinal = P.atom_ordinal
-    sigma = []
-    for a in P.atoms:
-        ia = perm[a]
-        if ia not in atom_ordinal:
-            raise FalsificationError(
-                "atom image is not an atom", {"atom": a, "image": ia}
-            )
-        sigma.append(atom_ordinal[ia])
-    lifted = _lift_atom_perm(P, elem_atoms, sigma)
-    for e in range(P.size):
-        if lifted[e] != perm[e]:
-            raise FalsificationError(
-                "element image disagrees with its atom set",
-                {"element": e, "image": perm[e]},
-            )
-    ortho = P.ortho
-    for e in range(P.size):
-        if perm[ortho[e]] != ortho[perm[e]]:
-            raise FalsificationError(
-                "map does not commute with orthocomplementation", {"element": e}
-            )
+    sigma = tuple(P.atom_ordinal.get(perm[a]) for a in P.atoms)
+    if None in sigma or expand_poset_atom_perm(P, sigma) != perm:
+        raise FalsificationError(
+            "map is not the orthoposet automorphism its atom images induce",
+            {"atom_perm": sigma},
+        )
 
 
 def _transport(P: ProjectionPoset, lattice_perm, odd: bool, what: str) -> tuple[int, ...]:
@@ -604,30 +590,20 @@ def _transport(P: ProjectionPoset, lattice_perm, odd: bool, what: str) -> tuple[
     return tuple(perm)
 
 
-def even_from_lattice_automorphism(
-    f: LatticeMap, P: ProjectionPoset, verify: bool = True
-) -> PosetMap:
-    """(a, b) -> (f(a), f(b)); the converse half of the classification."""
+def even_from_lattice_automorphism(f: LatticeMap, P: ProjectionPoset) -> PosetMap:
+    """(a, b) -> (f(a), f(b)); the converse half of the classification.
+    Not verified here: verify_poset_map checks the result."""
     if f.direction != AUTO:
         raise ValueError("even maps come from lattice automorphisms")
-    perm = _transport(P, f.perm, False, "automorphism")
-    phi = PosetMap(perm, EVEN, witness=f)
-    if verify:
-        verify_poset_map(phi, P)
-    return phi
+    return PosetMap(_transport(P, f.perm, False, "automorphism"), EVEN, witness=f)
 
 
-def odd_from_anti_automorphism(
-    g: LatticeMap, P: ProjectionPoset, verify: bool = True
-) -> PosetMap:
-    """(a, b) -> (g(b), g(a)); odd maps from order-reversing witnesses."""
+def odd_from_anti_automorphism(g: LatticeMap, P: ProjectionPoset) -> PosetMap:
+    """(a, b) -> (g(b), g(a)); odd maps from order-reversing witnesses.
+    Not verified here: verify_poset_map checks the result."""
     if g.direction != ANTI:
         raise ValueError("odd maps come from lattice anti-automorphisms")
-    perm = _transport(P, g.perm, True, "anti-automorphism")
-    phi = PosetMap(perm, ODD, witness=g)
-    if verify:
-        verify_poset_map(phi, P)
-    return phi
+    return PosetMap(_transport(P, g.perm, True, "anti-automorphism"), ODD, witness=g)
 
 
 def classify_parity(phi, P: ProjectionPoset) -> str:
@@ -670,44 +646,25 @@ def classify_parity(phi, P: ProjectionPoset) -> str:
 def decompose_poset_automorphism(phi: PosetMap, P: ProjectionPoset) -> LatticeMap:
     """Recover the lattice (anti-)automorphism behind an orthoposet map.
 
-    Even: f(a) is the common image of the images of every projection with
-    image a. Odd: g(b) is the common image of the images of every
-    projection with kernel b. Either way the witness is rebuilt on every
-    lattice element, verified as a lattice map, and the reconstruction is
-    checked to reproduce phi exactly. Every step is checked, so this runs
-    at any lattice length: below length 4, where the theorem does not
-    apply, a map without a witness raises instead (the verbs that rest on
-    the theorem refuse n < 4 themselves).
+    Even: f(a) is the image of the image of one projection with image a.
+    Odd: g(b) is the image of the image of one projection with kernel b.
+    The witness is accepted only when it rebuilds phi exactly, which makes
+    every member of each family agree with it, and is then verified as a
+    lattice map. Every step is checked, so this runs at any lattice
+    length: below length 4, where the theorem does not apply, a map
+    without a witness raises instead (the verbs that rest on the theorem
+    refuse n < 4 themselves).
     """
-    L = P.lattice
-    parity = classify_parity(phi, P)
-    perm = phi.perm
-    img = P.image
-    size = L.size
-    f_perm: list[int | None] = [None] * size
-    groups = P.by_image if parity == EVEN else P.by_kernel
-    for a, group in groups.items():
-        targets = {img[perm[i]] for i in group}
-        if len(targets) != 1:
-            raise FalsificationError(
-                "witness recovery saw inconsistent images",
-                {"source": a, "targets": sorted(targets)},
-            )
-        f_perm[a] = targets.pop()
-    if any(v is None for v in f_perm):
-        raise FalsificationError("witness recovery is not total", {})
-    direction = AUTO if parity == EVEN else ANTI
-    fmap = LatticeMap(tuple(f_perm), direction)
-    verify_lattice_map(fmap, L)
-    rebuilt = (
-        even_from_lattice_automorphism(fmap, P, verify=False)
-        if parity == EVEN
-        else odd_from_anti_automorphism(fmap, P, verify=False)
-    )
-    if rebuilt.perm != perm:
+    odd = classify_parity(phi, P) == ODD
+    perm, img = phi.perm, P.image
+    families = P.by_kernel if odd else P.by_image
+    f_perm = tuple(img[perm[families[a][0]]] for a in range(P.lattice.size))
+    if _transport(P, f_perm, odd, "witness") != perm:
         raise FalsificationError(
             "recovered witness does not reproduce the poset map", {}
         )
+    fmap = LatticeMap(f_perm, ANTI if odd else AUTO)
+    verify_lattice_map(fmap, P.lattice)
     return fmap
 
 
@@ -854,6 +811,23 @@ def _save_checkpoint(path: str | None, state: dict) -> None:
     os.replace(tmp, path)
 
 
+def _constructed_side(L: SubspaceLattice, P: ProjectionPoset, budget: int | None):
+    """The maps the classification constructs: the standard duality gamma,
+    the atom keys of every lattice automorphism f, and, in search order,
+    the P-atom permutations of the even maps (a, b) -> (f(a), f(b)) and of
+    the odd maps built from the anti-automorphisms f . gamma."""
+    gamma = standard_duality(L)
+    keys: set[bytes] = set()
+    evens: list[tuple[int, ...]] = []
+    odds: list[tuple[int, ...]] = []
+    for aperm, eperm in iter_lattice_atom_perms(L, budget=budget):
+        keys.add(bytes(aperm))
+        evens.append(poset_atom_perm_from_lattice(P, eperm, odd=False))
+        anti = perm_compose(eperm, gamma.perm)
+        odds.append(poset_atom_perm_from_lattice(P, anti, odd=True))
+    return gamma, keys, evens, odds
+
+
 def verify_main_theorem(
     L: SubspaceLattice,
     P: ProjectionPoset,
@@ -890,13 +864,8 @@ def verify_main_theorem(
     )
     state = _load_checkpoint(checkpoint, fingerprint, targets)
 
-    # constructed side: every lattice automorphism and its dual twin
-    lattice_perms = []
-    lattice_atom_keys = set()
     try:
-        for aperm, eperm in iter_lattice_atom_perms(L, budget=budget):
-            lattice_perms.append(eperm)
-            lattice_atom_keys.add(bytes(aperm))
+        gamma, lattice_keys, evens, odds = _constructed_side(L, P, budget)
     except SearchBudgetExceeded as exc:
         rep.add(
             "lattice_enumeration_complete",
@@ -910,14 +879,14 @@ def verify_main_theorem(
     want = projective_group_order(L.n, L.field.q, L.field.k)
     rep.add(
         "lattice_count_matches_projective_group_order",
-        len(lattice_perms) == want,
-        f"found {len(lattice_perms)}, group order {want}",
+        len(evens) == want,
+        f"found {len(evens)}, group order {want}",
     )
     try:
         semi = semilinear_atom_perms(L)
         rep.add(
             "lattice_autos_equal_semilinear_generation",
-            semi == lattice_atom_keys,
+            semi == lattice_keys,
             f"semilinear set {len(semi)}",
         )
     except ValueError:
@@ -926,27 +895,17 @@ def verify_main_theorem(
             True,
             "skipped: ambient too large",
         )
-    gamma = standard_duality(L)
     rep.add("duality_involutory", gamma.compose(gamma).is_identity, "")
 
-    even_by_branch: dict[int, list[bytes]] = {t: [] for t in targets}
-    odd_by_branch: dict[int, list[bytes]] = {t: [] for t in targets}
-    for eperm in lattice_perms:
-        ap = poset_atom_perm_from_lattice(P, eperm, odd=False)
-        even_by_branch[ap[pivot]].append(bytes(ap))
-        anti = perm_compose(eperm, gamma.perm)
-        ap = poset_atom_perm_from_lattice(P, anti, odd=True)
-        odd_by_branch[ap[pivot]].append(bytes(ap))
-    n_even_c = sum(len(v) for v in even_by_branch.values())
-    n_odd_c = sum(len(v) for v in odd_by_branch.values())
-    all_even = {k for v in even_by_branch.values() for k in v}
-    all_odd = {k for v in odd_by_branch.values() for k in v}
+    by_branch: dict[int, list[bytes]] = {t: [] for t in targets}
+    for ap in evens + odds:
+        by_branch[ap[pivot]].append(bytes(ap))
+    all_even = set(map(bytes, evens))
+    all_odd = set(map(bytes, odds))
     rep.add(
         "even_odd_constructions_distinct",
-        not (all_even & all_odd)
-        and n_even_c == n_odd_c == len(lattice_perms)
-        and len(all_even) == len(all_odd) == len(lattice_perms),
-        f"{n_even_c} even, {n_odd_c} odd",
+        not (all_even & all_odd) and len(all_even) == len(all_odd) == len(evens),
+        f"{len(evens)} even, {len(odds)} odd",
     )
 
     # enumerated side, branch by branch
@@ -977,7 +936,7 @@ def verify_main_theorem(
     n_odd = sum(b["odd"] for b in branches)
     n_fail = sum(b["fail_count"] for b in branches)
     failures = [f for b in branches for f in b["failures"]]
-    rep.counts["lattice_automorphisms"] = len(lattice_perms)
+    rep.counts["lattice_automorphisms"] = len(evens)
     rep.counts["poset_automorphisms"] = total
     rep.counts["decomposed_even"] = n_even
     rep.counts["decomposed_odd"] = n_odd
@@ -989,8 +948,7 @@ def verify_main_theorem(
         else f"{n_even} even + {n_odd} odd",
     )
     branch_match = all(
-        done[str(t)]["digest"] == _branch_digest(even_by_branch[t] + odd_by_branch[t])
-        for t in targets
+        done[str(t)]["digest"] == _branch_digest(by_branch[t]) for t in targets
     )
     rep.add(
         "enumerated_equals_constructed",
@@ -1017,15 +975,8 @@ def verify_semidirect_structure(
     the duality is an involution, and the odds are exactly its coset. The
     closure mode, exhaustive or sampled, goes to counts["closure_mode"]."""
     rep = CampaignReport("semidirect", (L.n, L.field.spec()))
-    gamma_l = standard_duality(L)
+    gamma_l, _, evens, odds = _constructed_side(L, P, budget)
     rep.add("duality_involutory", gamma_l.compose(gamma_l).is_identity, "gamma^2 = 1 on L")
-
-    evens: list[tuple[int, ...]] = []
-    odds: list[tuple[int, ...]] = []
-    for _, eperm in iter_lattice_atom_perms(L, budget=budget):
-        evens.append(poset_atom_perm_from_lattice(P, eperm, odd=False))
-        anti = perm_compose(eperm, gamma_l.perm)
-        odds.append(poset_atom_perm_from_lattice(P, anti, odd=True))
     even_set = {bytes(e) for e in evens}
     odd_set = {bytes(o) for o in odds}
     gamma_p = poset_atom_perm_from_lattice(P, gamma_l.perm, odd=True)

@@ -8,7 +8,7 @@ only), bottom at the bottom.
 
 from __future__ import annotations
 
-from .gf import GF, parse_field
+from .gf import parse_field
 from .lattice import SubspaceLattice
 from .maps import LatticeMap, PosetMap, UNKNOWN
 from .projposet import ProjectionPoset

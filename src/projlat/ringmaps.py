@@ -416,52 +416,26 @@ def restrict_to_projections(phi: RingMap, P: ProjectionPoset) -> PosetMap:
     return PosetMap(perm, parity, witness=phi)
 
 
-def extend_even_to_ring_automorphism(phi: PosetMap, P: ProjectionPoset) -> RingMap:
-    """Even poset automorphism -> ring automorphism restricting to it.
+def extend_to_ring_map(phi: PosetMap, P: ProjectionPoset) -> RingMap:
+    """The ring map that restricts to the orthoposet automorphism phi: an
+    automorphism when phi is even, an anti-automorphism when it is odd.
 
-    Decomposes to the lattice automorphism, matches its semilinear witness
-    (ambient >= 3), conjugates, and verifies the restriction reproduces phi
-    on every projection."""
-    L = P.lattice
-    f = decompose_poset_automorphism(phi, P)
-    if f.direction != AUTO:
-        raise ValueError("poset map is odd; no ring automorphism can restrict to it")
-    s = match_semilinear(f, L)
-    ring = conjugation_automorphism(s)
-    back = restrict_to_projections(ring, P)
-    if back.perm != phi.perm:
-        raise FalsificationError("extension does not restrict to the original map")
-    return ring
-
-
-def experiment_odd_extension(phi: PosetMap, P: ProjectionPoset) -> CampaignReport:
-    """EXPERIMENT: extend an odd poset automorphism to a ring
-    anti-automorphism at this finite scale.
-
-    The odd map's anti-automorphism witness g factors through the standard
-    duality as g = f . gamma with f order-preserving; matching f to a
-    semilinear map and composing conjugation with transposition yields an
-    anti-automorphism whose restriction is checked against phi. A positive
-    finite outcome here demonstrates the construction at desk scale only;
-    it does not settle whether odd maps extend in general.
+    Decomposes phi to its witness. An odd witness g is f . gamma, with
+    gamma the standard duality (an involution) and f = g . gamma
+    order-preserving. f is matched to a semilinear map s (ambient >= 3),
+    and the extension is conjugation by s, composed with transposition
+    when phi is odd. Every extension is checked against the ring-map laws
+    and must restrict to phi on every projection. For odd maps a success
+    demonstrates the construction at this finite scale only; it does not
+    settle whether odd maps extend in general.
     """
     L = P.lattice
-    rep = CampaignReport(
-        "odd-extension-experiment", (L.n, L.field.spec()), outcome="experiment"
-    )
-    g = decompose_poset_automorphism(phi, P)
-    if g.direction != ANTI:
-        raise ValueError("poset map is even; use extend_even_to_ring_automorphism")
-    gamma = standard_duality(L)
-    f = LatticeMap(perm_compose(g.perm, gamma.perm), AUTO)
+    w = decompose_poset_automorphism(phi, P)
+    odd = w.direction == ANTI
+    f = LatticeMap(perm_compose(w.perm, standard_duality(L).perm), AUTO) if odd else w
     s = match_semilinear(f, L)
-    ring = anti_automorphism_from_semilinear(s)
+    ring = anti_automorphism_from_semilinear(s) if odd else conjugation_automorphism(s)
     verify_ring_map(ring)
-    rep.add("anti_automorphism_laws_verified", True, "verify_ring_map passed")
-    back = restrict_to_projections(ring, P)
-    ok = back.perm == phi.perm
-    rep.add("restriction_reproduces_odd_map", ok, "")
-    rep.counts["twist_power"] = s.twist.power
-    if not ok:
-        raise FalsificationError("anti-automorphism does not restrict to the odd map")
-    return rep
+    if restrict_to_projections(ring, P).perm != phi.perm:
+        raise FalsificationError("extension does not restrict to the original map")
+    return ring

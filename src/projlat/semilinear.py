@@ -15,7 +15,7 @@ from ambient dimension 3 up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .gf import GF, FieldAutomorphism
 from .lattice import Subspace, SubspaceLattice
@@ -90,13 +90,11 @@ class SemilinearMap:
         return f"SemilinearMap({self.field.spec()}, twist^{self.twist.power}, {self.matrix})"
 
 
-def induced_lattice_map(s: SemilinearMap, L: SubspaceLattice, verify: bool = True) -> LatticeMap:
-    """The subspace permutation X -> s(X), verified order-preserving."""
+def induced_lattice_map(s: SemilinearMap, L: SubspaceLattice) -> LatticeMap:
+    """The subspace permutation X -> s(X). Not verified here:
+    verify_lattice_map checks it."""
     perm = tuple(L.index[s.apply_subspace(x)] for x in L.elements)
-    m = LatticeMap(perm, AUTO, witness=s)
-    if verify:
-        verify_lattice_map(m, L)
-    return m
+    return LatticeMap(perm, AUTO, witness=s)
 
 
 def verify_lattice_map(m: LatticeMap, L: SubspaceLattice) -> None:
@@ -226,7 +224,7 @@ def match_semilinear(f: LatticeMap, L: SubspaceLattice) -> SemilinearMap:
         raise MatchFailure(f"pencil action {sigma_table} is not a field automorphism")
 
     s = SemilinearMap(F, m, sigma).normalized()
-    induced = induced_lattice_map(s, L, verify=False)
+    induced = induced_lattice_map(s, L)
     if induced.perm != f.perm:
         raise MatchFailure("candidate witness does not reproduce the map")
     return s

@@ -27,7 +27,7 @@ from projlat import (
     enumerate_idempotents,
     enumerate_poset_automorphisms,
     even_from_lattice_automorphism,
-    extend_even_to_ring_automorphism,
+    extend_to_ring_map,
     extract_semilinear_from_ring_iso,
     odd_from_anti_automorphism,
     parse_field,
@@ -246,8 +246,8 @@ def test_c08_restriction_parity_and_extension(P32, f2, L42, P42, aut_l42):
 
     sample = random.Random(8).sample(aut_l42, 100)
     for f in sample:
-        phi = even_from_lattice_automorphism(f, P42, verify=False)
-        ring = extend_even_to_ring_automorphism(phi, P42)
+        phi = even_from_lattice_automorphism(f, P42)
+        ring = extend_to_ring_map(phi, P42)
         assert ring.direction == AUTO
         assert restrict_to_projections(ring, P42).perm == phi.perm
     elapsed = time.monotonic() - t0

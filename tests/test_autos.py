@@ -35,6 +35,7 @@ from projlat.autos import (
     poset_atom_perm_from_lattice,
     poset_search_plan,
     semilinear_atom_perms,
+    verify_poset_map,
 )
 from projlat.gf import iter_vectors
 from projlat.matrices import all_matrices, rank, vec_mat
@@ -159,6 +160,8 @@ def test_even_odd_constructions(L32, P32, aut_l32):
     g = LatticeMap(perm_compose(f.perm, gamma.perm), ANTI)
     psi = odd_from_anti_automorphism(g, P32)
     assert psi.parity == ODD
+    verify_poset_map(phi, P32)
+    verify_poset_map(psi, P32)
     assert classify_parity(phi, P32) == EVEN
     assert classify_parity(psi, P32) == ODD
     # grade is order-definable, so both parities preserve it; odd maps send
@@ -173,11 +176,11 @@ def test_decompose_round_trip_42(L42, P42, aut_l42):
     gamma = standard_duality(L42)
     rng = random.Random(4)
     for f in rng.sample(aut_l42, 5):
-        phi = even_from_lattice_automorphism(f, P42, verify=False)
+        phi = even_from_lattice_automorphism(f, P42)
         w = decompose_poset_automorphism(phi, P42)
         assert w.direction == AUTO and w.perm == f.perm
         g = LatticeMap(perm_compose(f.perm, gamma.perm), ANTI)
-        psi = odd_from_anti_automorphism(g, P42, verify=False)
+        psi = odd_from_anti_automorphism(g, P42)
         w2 = decompose_poset_automorphism(psi, P42)
         assert w2.direction == ANTI and w2.perm == g.perm
 
@@ -231,12 +234,12 @@ def test_branch_partition_is_exact(kind, ambient, request, monkeypatch):
 def test_poset_atom_perm_transport_agrees(L32, P32, aut_l32):
     gamma = standard_duality(L32)
     f = aut_l32[29]
-    phi = even_from_lattice_automorphism(f, P32, verify=False)
+    phi = even_from_lattice_automorphism(f, P32)
     ap = poset_atom_perm_from_lattice(P32, f.perm, odd=False)
     eperm = expand_poset_atom_perm(P32, ap)
     assert eperm == phi.perm
     g_perm = perm_compose(f.perm, gamma.perm)
-    psi = odd_from_anti_automorphism(LatticeMap(g_perm, ANTI), P32, verify=False)
+    psi = odd_from_anti_automorphism(LatticeMap(g_perm, ANTI), P32)
     ap_odd = poset_atom_perm_from_lattice(P32, g_perm, odd=True)
     assert expand_poset_atom_perm(P32, ap_odd) == psi.perm
 
@@ -251,6 +254,8 @@ def test_flat_pair_table_matches_full_constructions(L42, P42, aut_l42):
         g = LatticeMap(perm_compose(f.perm, gamma.perm), ANTI)
         phi = even_from_lattice_automorphism(f, P42)
         psi = odd_from_anti_automorphism(g, P42)
+        verify_poset_map(phi, P42)
+        verify_poset_map(psi, P42)
         assert phi.perm == tuple(P42.index[(f.perm[a], f.perm[b])] for a, b in P42.pairs)
         assert psi.perm == tuple(P42.index[(g.perm[b], g.perm[a])] for a, b in P42.pairs)
         assert poset_atom_perm_from_lattice(P42, f.perm, odd=False) == tuple(
@@ -444,8 +449,6 @@ def test_search_budget_raises(L32):
 
 
 def test_verify_rejects_corrupted_map(P32):
-    from projlat.autos import verify_poset_map
-
     maps = enumerate_poset_automorphisms(P32)
     good = list(maps[3].perm)
     # swap two images of the same grade to keep it a permutation
@@ -474,6 +477,131 @@ def test_verify_poset_map_builds_no_pair_colours(L32):
     bad.up_masks[bad.atoms[0]] |= 1 << bad.atoms[1]
     with pytest.raises(FalsificationError):
         autos.verify_poset_map(ident, bad)
+
+
+def _reference_verify_poset_map(perm, P):
+    """Reference: the poset-map check with its own lift loop and ortho
+    loop, as it was before it went through expand_poset_atom_perm."""
+    elem_atoms = autos._atom_lists(P)
+    sigma = []
+    for a in P.atoms:
+        if perm[a] not in P.atom_ordinal:
+            raise FalsificationError("atom image is not an atom")
+        sigma.append(P.atom_ordinal[perm[a]])
+    lifted = autos._lift_atom_perm(P, elem_atoms, sigma)
+    if any(lifted[e] != perm[e] for e in range(P.size)):
+        raise FalsificationError("element image disagrees with its atom set")
+    if any(perm[P.ortho[e]] != P.ortho[perm[e]] for e in range(P.size)):
+        raise FalsificationError("map does not commute with orthocomplementation")
+
+
+def _reference_decompose(phi, P):
+    """Reference: decomposition by a consistency set per family and a
+    totality scan, then the lattice-map check and the rebuild, as it was
+    before the rebuild alone decided it."""
+    L = P.lattice
+    parity = classify_parity(phi, P)
+    f_perm = [None] * L.size
+    for a, group in (P.by_image if parity == EVEN else P.by_kernel).items():
+        targets = {P.image[phi.perm[i]] for i in group}
+        if len(targets) != 1:
+            raise FalsificationError("witness recovery saw inconsistent images")
+        f_perm[a] = targets.pop()
+    if None in f_perm:
+        raise FalsificationError("witness recovery is not total")
+    fmap = LatticeMap(tuple(f_perm), AUTO if parity == EVEN else ANTI)
+    autos.verify_lattice_map(fmap, L)
+    construct = even_from_lattice_automorphism if parity == EVEN else odd_from_anti_automorphism
+    if construct(fmap, P).perm != phi.perm:
+        raise FalsificationError("recovered witness does not reproduce the poset map")
+    return fmap
+
+
+def _outcomes(perm, P):
+    """(verified, witness) for the library and for the references: a
+    check that raises reads False, a decomposition that raises None."""
+
+    def run(check, decompose):
+        try:
+            check(perm, P)
+            verified = True
+        except FalsificationError:
+            verified = False
+        try:
+            w = decompose(PosetMap(perm, UNKNOWN), P)
+            witness = (w.perm, w.direction)
+        except (FalsificationError, ValueError):
+            witness = None
+        return verified, witness
+
+    return (
+        run(verify_poset_map, decompose_poset_automorphism),
+        run(_reference_verify_poset_map, _reference_decompose),
+    )
+
+
+@pytest.mark.parametrize("ambient, maps", [("P22", 48), ("P32", 336)])
+def test_checks_match_references_on_every_automorphism(ambient, maps, request):
+    P = request.getfixturevalue(ambient)
+    found = enumerate_poset_automorphisms(P)
+    assert len(found) == maps
+    for m in found:
+        got, want = _outcomes(m.perm, P)
+        assert got == want and got[0]
+
+
+def test_checks_match_references_on_a_branch_42(P42):
+    _, targets = poset_search_plan(P42)
+    count = 0
+    for _, eperm in iter_poset_atom_perms(P42, restrict_first={targets[5]}):
+        got, want = _outcomes(eperm, P42)
+        assert got == want and got[0] and got[1] is not None
+        count += 1
+    assert count == 336
+
+
+def _corrupted(P, base, how):
+    """base with the images of two elements swapped: two atoms of the same
+    grade ("atoms"), or an atom and an element of grade 2 ("non-atom")."""
+    perm = list(base)
+    a = P.atoms[0]
+    if how == "atoms":
+        b = P.atoms[1]
+    else:
+        b = next(e for e in range(P.size) if P.grade[e] == 2)
+    perm[a], perm[b] = perm[b], perm[a]
+    return tuple(perm)
+
+
+@pytest.mark.parametrize("ambient", ["P22", "P32", "P42"])
+@pytest.mark.parametrize("how", ["atoms", "non-atom"])
+def test_checks_match_references_on_corrupted_maps(ambient, how, request):
+    P = request.getfixturevalue(ambient)
+    _, eperm = next(iter_poset_atom_perms(P, restrict_first={poset_search_plan(P)[1][-1]}))
+    perm = _corrupted(P, eperm, how)
+    got, want = _outcomes(perm, P)
+    assert got == want == (False, None)
+    with pytest.raises(FalsificationError) as exc:
+        verify_poset_map(perm, P)
+    sigma = tuple(P.atom_ordinal.get(perm[a]) for a in P.atoms)
+    assert exc.value.payload == {"atom_perm": sigma}
+    assert (None in sigma) == (how == "non-atom")
+
+
+def test_checks_match_references_on_an_ortho_breaking_swap(P22):
+    """At (2,2) the atoms form an antichain, so swapping two atoms that are
+    not each other's orthocomplement lifts to an order automorphism, which
+    the orthocomplement check alone rejects."""
+    a = P22.atoms[0]
+    b = next(x for x in P22.atoms[1:] if x != P22.ortho[a])
+    perm = list(range(P22.size))
+    perm[a], perm[b] = b, a
+    perm = tuple(perm)
+    sigma = tuple(P22.atom_ordinal[perm[x]] for x in P22.atoms)
+    assert autos._lift_bijective(P22, autos._atom_lists(P22), sigma) == perm
+    assert expand_poset_atom_perm(P22, sigma) is None
+    got, want = _outcomes(perm, P22)
+    assert got == want and not got[0]
 
 
 def test_lattice_search_checks_atomisticity_once():

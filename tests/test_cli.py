@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from projlat import canonical_json
+from projlat import FalsificationError, canonical_json
 from projlat.exports import map_to_jsonable
 
 
@@ -297,6 +297,35 @@ def test_experiment_verb_always_exits_zero(run_cli):
     assert "EXPERIMENT" in out
 
 
+@pytest.mark.parametrize(
+    "verb, want_code, want_detail",
+    [("ring-extend", 1, "2/3 even maps"), ("ring-odd-experiment", 0, "2/3")],
+)
+def test_failed_extension_is_a_false_check(
+    run_cli, tmp_path, monkeypatch, verb, want_code, want_detail
+):
+    """A falsified extension on one of three sampled maps is a false check
+    in the written report: ring-extend then exits 1, the experiment 0."""
+    from projlat import cli
+
+    extend = cli.extend_to_ring_map
+    calls = []
+
+    def fail_second(phi, P):
+        calls.append(phi)
+        if len(calls) == 2:
+            raise FalsificationError("extension does not restrict to the original map")
+        return extend(phi, P)
+
+    monkeypatch.setattr(cli, "extend_to_ring_map", fail_second)
+    argv = (verb, "--n", "4", "--field", "2", "--cases", "3", "--seed", "0")
+    code, _, err = run_cli(*argv, "--format", "json", "--out", str(tmp_path))
+    assert code == want_code, err
+    assert len(calls) == 3
+    doc = json.loads((tmp_path / f"{verb}.json").read_text())
+    assert [(c["ok"], c["detail"]) for c in doc["checks"]] == [(False, want_detail)]
+
+
 def test_config_keys_reach_every_flag(run_cli, tmp_path, aut_l32):
     """Keys with underscores and the key `in` reach their flags."""
     good = tmp_path / "good.json"
@@ -358,15 +387,12 @@ LIBRARY_DEFAULTS = {
     "GF": {"k": "1"},
     "LatticeMap": {"witness": "None"},
     "PosetMap": {"parity": "'unknown'", "witness": "None"},
-    "induced_lattice_map": {"verify": "True"},
     "CampaignReport": {
         "checks": "<factory>", "counts": "<factory>", "size": "None", "outcome": "None",
     },
     "FalsificationError": {"payload": "None"},
     "enumerate_lattice_automorphisms": {"budget": "None"},
     "enumerate_poset_automorphisms": {"budget": "None"},
-    "even_from_lattice_automorphism": {"verify": "True"},
-    "odd_from_anti_automorphism": {"verify": "True"},
     "verify_fundamental_correspondence": {"budget": "None"},
     "verify_main_theorem": {"budget": "None", "jobs": "1", "checkpoint": "None"},
     "verify_semidirect_structure": {"seed": "0", "budget": "None"},
@@ -401,5 +427,5 @@ def test_library_defaults_are_pinned():
     assert _defaults(autos.run_poset_branch) == {"budget": "None"}
     assert _defaults(gf.make_field) == {"k": "1"}
     removed = {"allow_short", "enforce_length", "exhaustive", "samples", "limit",
-               "twists", "modulus"}
+               "twists", "modulus", "verify"}
     assert not removed & {p for d in got.values() for p in d}

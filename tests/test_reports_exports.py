@@ -95,7 +95,7 @@ def test_map_round_trip_both_kinds(L32, P32, aut_l32):
 
     from projlat import even_from_lattice_automorphism
 
-    phi = even_from_lattice_automorphism(f, P32, verify=False)
+    phi = even_from_lattice_automorphism(f, P32)
     back_phi = map_from_jsonable(map_to_jsonable(phi))
     assert back_phi.perm == phi.perm and back_phi.parity == phi.parity
 

@@ -12,6 +12,7 @@ from projlat import (
     ANTI,
     EVEN,
     FalsificationError,
+    LatticeMap,
     ODD,
     SemilinearMap,
     anti_automorphism_from_semilinear,
@@ -21,10 +22,13 @@ from projlat import (
     conjugation_automorphism,
     enumerate_subspaces,
     even_from_lattice_automorphism,
-    extend_even_to_ring_automorphism,
+    extend_to_ring_map,
     extract_semilinear_from_ring_iso,
+    odd_from_anti_automorphism,
     parse_field,
+    perm_compose,
     restrict_to_projections,
+    standard_duality,
     transpose_anti_automorphism,
 )
 from projlat.matrices import (
@@ -146,13 +150,19 @@ def test_restriction_parities(P32, f2):
 
 
 def test_extension_round_trip(L42, P42, aut_l42):
+    """Even maps extend to ring automorphisms, odd ones to ring
+    anti-automorphisms, each restricting back to its map."""
+    gamma = standard_duality(L42)
     rng = random.Random(29)
     for f in rng.sample(aut_l42, 3):
-        phi = even_from_lattice_automorphism(f, P42, verify=False)
-        ring = extend_even_to_ring_automorphism(phi, P42)
-        assert ring.direction == AUTO
-        back = restrict_to_projections(ring, P42)
-        assert back.perm == phi.perm
+        phi = even_from_lattice_automorphism(f, P42)
+        psi = odd_from_anti_automorphism(
+            LatticeMap(perm_compose(f.perm, gamma.perm), ANTI), P42
+        )
+        for poset_map, direction in ((phi, AUTO), (psi, ANTI)):
+            ring = extend_to_ring_map(poset_map, P42)
+            assert ring.direction == direction
+            assert restrict_to_projections(ring, P42).perm == poset_map.perm
 
 
 def test_ring_map_preserves_idempotents(f3, P23):
@@ -294,4 +304,17 @@ def test_ring_extend_report_at_4_2_is_frozen(run_cli, tmp_path):
     report = (tmp_path / "ring-extend.json").read_bytes()
     assert hashlib.sha256(report).hexdigest() == (
         "290159c3b19d935056b3e5ed7f99aa72bbf11e9610d40bdd16276c63e68d9d08"
+    )
+
+
+def test_ring_odd_experiment_report_at_4_2_is_frozen(run_cli, tmp_path):
+    """The odd-extension experiment at (4,2), where the classification
+    holds, hashes to its value from before one function extended maps of
+    both parities."""
+    argv = ("ring-odd-experiment", "--n", "4", "--field", "2", "--cases", "3", "--seed", "0")
+    code, _, err = run_cli(*argv, "--format", "json", "--out", str(tmp_path))
+    assert code == 0, err
+    report = (tmp_path / "ring-odd-experiment.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == (
+        "8a7ece51430532d268db922140e9919a9adeae1538e99671a87627e65917c9dd"
     )

@@ -79,6 +79,7 @@ def test_match_semilinear_round_trip(L32, f2):
     for _ in range(10):
         s = SemilinearMap(f2, random_invertible(f2, 3, rng), f2.frobenius(0))
         m = induced_lattice_map(s, L32)
+        verify_lattice_map(m, L32)
         s2 = match_semilinear(m, L32)
         assert induced_lattice_map(s2, L32).perm == m.perm
         assert s2.normalized().matrix == s.normalized().matrix
@@ -88,6 +89,7 @@ def test_match_semilinear_recovers_frobenius(L34, f4):
     rng = random.Random(3)
     s = SemilinearMap(f4, random_invertible(f4, 3, rng), f4.frobenius(1))
     m = induced_lattice_map(s, L34)
+    verify_lattice_map(m, L34)
     s2 = match_semilinear(m, L34)
     assert s2.twist.power == 1
     assert s2.normalized().matrix == s.normalized().matrix
