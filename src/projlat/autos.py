@@ -24,10 +24,9 @@ from __future__ import annotations
 import functools
 import json
 import os
-import random
 import sys
 
-from .gf import iter_vectors, parse_field
+from .gf import parse_field
 from .lattice import SubspaceLattice, _bits, enumerate_subspaces
 from .maps import (
     ANTI,
@@ -38,9 +37,11 @@ from .maps import (
     LatticeMap,
     PosetMap,
     identity_perm,
+    is_permutation,
     perm_compose,
     perm_inverse,
 )
+from .matrices import identity, scale_vec, vec_mat
 from .projposet import ProjectionPoset, build_projection_poset
 from .reports import CampaignReport, canonical_json, sha256_of
 from .semilinear import standard_duality, verify_lattice_map
@@ -286,19 +287,18 @@ SEMILINEAR_LIMIT = 2**20
 
 
 def semilinear_atom_perms(L: SubspaceLattice) -> set[bytes]:
-    """Independent generation of lattice automorphisms: every invertible
-    matrix with every twist, reduced to its action on atoms. Exhaustive by
-    construction; used to cross-check the backtracking search.
+    """Independent generation of lattice automorphisms: the action on atoms
+    of PGammaL(n, q), every invertible matrix with every twist; used to
+    cross-check the backtracking search.
 
-    GL(n, q) is generated row by row, up to scalars: row 0 is a canonical
-    point vector, row i any vector outside the span of rows 0..i-1. The
-    atom with vector v goes to the point of v[0] row_0 + ... + v[n-1]
-    row_(n-1), and these sums are carried down the recursion, so no matrix
-    is reduced. A twist sigma permutes the canonical point vectors, so
-    (matrix, sigma) acts on atoms as the matrix after that permutation.
-    Vectors are base-q codes; no table has more than q * q^n entries. The
-    work and the result set grow with |PGammaL(n, q)|, so ambients where
-    that group order exceeds SEMILINEAR_LIMIT are refused.
+    The group is the closure of at most four generators' atom actions: the
+    cyclic permutation matrix, I + e_01 (n > 1), diag(omega, 1, ..., 1)
+    with omega primitive (q > 2) and the Frobenius (k > 1). Conjugates of
+    the transvection I + e_01 give every elementary transvection, hence
+    SL(n, q), and the diagonal adds every determinant. A matrix acts on row
+    vectors; each image, scaled to lead with 1, is its atom's canonical
+    vector, so nothing is row-reduced. The result has |PGammaL(n, q)|
+    maps, so ambients where that order exceeds SEMILINEAR_LIMIT are refused.
     """
     F = L.field
     n, q = L.n, F.q
@@ -308,61 +308,68 @@ def semilinear_atom_perms(L: SubspaceLattice) -> set[bytes]:
             f"|PGammaL({n}, {q})| = {order} exceeds the semilinear generation "
             f"limit {SEMILINEAR_LIMIT}"
         )
-    vecs = list(iter_vectors(F, n))  # vecs[c] has base-q code c
-    code = {v: c for c, v in enumerate(vecs)}
-    mul, add = F.mul_table, F.add_table
-    smul = [[code[tuple(mul[a][x] for x in v)] for v in vecs] for a in range(q)]
-
-    # a code splits into its first n - lo and last lo coordinates; each
-    # half adds through its own table of at most q^(n+1) entries
-    def add_table(d: int) -> list[list[int]]:
-        half = list(iter_vectors(F, d))
-        index = {v: c for c, v in enumerate(half)}
-        return [
-            [index[tuple(add[a][b] for a, b in zip(u, v))] for v in half] for u in half
-        ]
-
-    lo = n // 2
-    base = q**lo
-    hi_add, lo_add = add_table(n - lo), add_table(lo)
-
-    def plus(x: int, y: int) -> int:
-        return hi_add[x // base][y // base] * base + lo_add[x % base][y % base]
-
     atom_vecs = [L.atom_vector(a) for a in L.atoms]
-    point = [0] * len(vecs)  # point[c]: ordinal of the atom through vector c
-    for t, v in enumerate(atom_vecs):
-        for a in range(1, q):
-            point[smul[a][code[v]]] = t
-    twist_perms = [
-        [point[code[tw.on_vector(v)]] for v in atom_vecs] for tw in F.automorphisms()
-    ]
-    # terms[i]: (atom ordinal, entry i of its vector) where that entry is nonzero
-    terms = [[(t, v[i]) for t, v in enumerate(atom_vecs) if v[i]] for i in range(n)]
-    out: set[bytes] = set()
+    ordinal = {v: t for t, v in enumerate(atom_vecs)}
 
-    def rec(i: int, images: list[int], span: list[int]) -> None:
-        """images[t]: code of the partial sum over rows 0..i-1 for atom t;
-        span: the codes of the span of those rows."""
-        if i == 0:
-            rows = [code[v] for v in atom_vecs]
-        else:
-            inside = set(span)
-            rows = [x for x in range(len(vecs)) if x not in inside]
-        for r in rows:
-            scaled = [smul[a][r] for a in range(q)]
-            new = images.copy()
-            for t, a in terms[i]:
-                new[t] = plus(new[t], scaled[a])
-            if i < n - 1:
-                rec(i + 1, new, span + [plus(x, y) for y in scaled[1:] for x in span])
-            else:
-                perm = [point[x] for x in new]
-                for tp in twist_perms:
-                    out.add(bytes([perm[s] for s in tp]))
+    def atom_action(image) -> bytes:
+        perm = []
+        for v in atom_vecs:
+            w = image(v)
+            perm.append(ordinal[scale_vec(F, F.inv_table[next(x for x in w if x)], w)])
+        if not is_permutation(perm):
+            raise FalsificationError("a semilinear generator does not permute the atoms")
+        return bytes(perm)
 
-    rec(0, [0] * len(atom_vecs), [0])
-    return out
+    eye = identity(n)
+    mats = [eye[1:] + eye[:1]]
+    if n > 1:
+        mats.append(((1, 1) + eye[0][2:],) + eye[1:])
+    if q > 2:
+        omega = next(a for a in range(2, q) if len({F.power(a, e) for e in range(q - 1)}) == q - 1)
+        mats.append(((omega,) + eye[0][1:],) + eye[1:])
+    gens = [atom_action(lambda v, m=m: vec_mat(F, v, m)) for m in mats]
+    if F.k > 1:
+        gens.append(atom_action(F.automorphisms()[1].on_vector))
+    return generated_group(gens, bytes(range(len(atom_vecs))), None)
+
+
+def generated_group(gens, ident, within: dict | None) -> set | None:
+    """The group that the permutations gens generate, by breadth-first
+    products from the identity permutation ident (Holt, Eick & O'Brien,
+    Handbook of Computational Group Theory, 2005, section 4.1); a finite
+    group needs no inverses. Products take the type of ident, tuple or
+    bytes. With within, a dict whose keys are the allowed permutations,
+    each product is stored as within's own key, so no permutation is
+    copied, and the result is None at the first product outside within."""
+    make = type(ident)
+    group, frontier = {ident}, [ident]
+    while frontier:
+        grown = []
+        for g in frontier:
+            for s in gens:
+                h = make([g[x] for x in s])
+                if h in group:
+                    continue
+                if within is not None:
+                    h = within.get(h)
+                    if h is None:
+                        return None
+                group.add(h)
+                grown.append(h)
+        frontier = grown
+    return group
+
+
+def check_semilinear_generation(rep, L: SubspaceLattice, keys, name, detail) -> None:
+    """Add the check `name` to rep: the searched atom permutations keys, as
+    bytes, equal semilinear_atom_perms(L); detail is formatted with that
+    set's size. Above SEMILINEAR_LIMIT the check passes, marked skipped."""
+    try:
+        semi = semilinear_atom_perms(L)
+    except ValueError:
+        rep.add(name, True, "skipped: ambient too large")
+        return
+    rep.add(name, semi == keys, detail.format(len(semi)))
 
 
 def projective_group_order(n: int, q: int, k: int) -> int:
@@ -882,19 +889,10 @@ def verify_main_theorem(
         len(evens) == want,
         f"found {len(evens)}, group order {want}",
     )
-    try:
-        semi = semilinear_atom_perms(L)
-        rep.add(
-            "lattice_autos_equal_semilinear_generation",
-            semi == lattice_keys,
-            f"semilinear set {len(semi)}",
-        )
-    except ValueError:
-        rep.add(
-            "lattice_autos_equal_semilinear_generation",
-            True,
-            "skipped: ambient too large",
-        )
+    check_semilinear_generation(
+        rep, L, lattice_keys, "lattice_autos_equal_semilinear_generation",
+        "semilinear set {}",
+    )
     rep.add("duality_involutory", gamma.compose(gamma).is_identity, "")
 
     by_branch: dict[int, list[bytes]] = {t: [] for t in targets}
@@ -959,74 +957,77 @@ def verify_main_theorem(
     return rep
 
 
-# the subgroup closure check composes every pair of even maps while there
-# are at most CLOSURE_PAIR_LIMIT pairs, and CLOSURE_SAMPLES seeded pairs above
+# the subgroup check composes every pair of permutations while there are
+# at most CLOSURE_PAIR_LIMIT pairs, and closes greedy generators above
 CLOSURE_PAIR_LIMIT = 10**6
-CLOSURE_SAMPLES = 300
+
+
+def subgroup_check(perms: list[tuple[int, ...]]) -> tuple[str, bool, str]:
+    """Whether perms, permutations of one degree, form a group: (mode,
+    verdict, note). Mode "exhaustive", the reference, composes every pair;
+    mode "generated" takes generators greedily from perms, last first, and
+    requires their closure to stay inside perms and to equal them. Both
+    also require the identity and every inverse."""
+    members = {p: p for p in perms}
+    ident = identity_perm(len(perms[0]))
+    if len(perms) ** 2 <= CLOSURE_PAIR_LIMIT:
+        mode, note = "exhaustive", f"all {len(perms)}^2 compositions"
+        closed = all(perm_compose(a, b) in members for a in perms for b in perms)
+    else:
+        gens, group = [], {ident}
+        for p in reversed(perms):
+            if p not in group:
+                gens.append(p)
+                group = generated_group(gens, ident, members)
+                if group is None:
+                    break
+        mode, note = "generated", f"closure of {len(gens)} generators"
+        closed = group is not None and len(group) == len(members)
+    ok = closed and ident in members and all(perm_inverse(p) in members for p in perms)
+    return mode, ok, note
 
 
 def verify_semidirect_structure(
     L: SubspaceLattice,
     P: ProjectionPoset,
-    seed: int = 0,
     budget: int | None = None,
 ) -> CampaignReport:
     """Group structure of the even/odd maps: evens form a normal subgroup,
     the duality is an involution, and the odds are exactly its coset. The
-    closure mode, exhaustive or sampled, goes to counts["closure_mode"]."""
+    mode of subgroup_check goes to counts["closure_mode"]."""
     rep = CampaignReport("semidirect", (L.n, L.field.spec()))
     gamma_l, _, evens, odds = _constructed_side(L, P, budget)
     rep.add("duality_involutory", gamma_l.compose(gamma_l).is_identity, "gamma^2 = 1 on L")
-    even_set = {bytes(e) for e in evens}
-    odd_set = {bytes(o) for o in odds}
+    even_set = set(evens)
+    odd_set = set(odds)
     gamma_p = poset_atom_perm_from_lattice(P, gamma_l.perm, odd=True)
 
     rep.counts["even"] = len(even_set)
     rep.counts["odd"] = len(odd_set)
 
-    m = len(P.atoms)
-    ident = identity_perm(m)
     rep.add(
         "gamma_squared_identity",
-        perm_compose(gamma_p, gamma_p) == ident,
+        perm_compose(gamma_p, gamma_p) == identity_perm(len(P.atoms)),
         "gamma^2 = 1 on P",
     )
 
-    exhaustive = len(evens) ** 2 <= CLOSURE_PAIR_LIMIT
-    rep.counts["closure_mode"] = "exhaustive" if exhaustive else "sampled"
-    if exhaustive:
-        closure_ok = all(
-            bytes(perm_compose(e1, e2)) in even_set for e1 in evens for e2 in evens
-        )
-        closure_note = f"all {len(evens)}^2 compositions"
-    else:
-        rng = random.Random(seed)
-        closure_ok = True
-        for _ in range(CLOSURE_SAMPLES):
-            e1 = evens[rng.randrange(len(evens))]
-            e2 = evens[rng.randrange(len(evens))]
-            if bytes(perm_compose(e1, e2)) not in even_set:
-                closure_ok = False
-                break
-        closure_note = f"{CLOSURE_SAMPLES} sampled compositions, seed {seed}"
-    inverses_ok = all(bytes(perm_inverse(e)) in even_set for e in evens)
-    rep.add(
-        "evens_form_subgroup",
-        closure_ok and inverses_ok and bytes(ident) in even_set,
-        closure_note,
-    )
+    rep.counts["closure_mode"], subgroup_ok, closure_note = subgroup_check(evens)
+    rep.add("evens_form_subgroup", subgroup_ok, closure_note)
 
     normal_ok = all(
-        bytes(perm_compose(perm_compose(gamma_p, e), gamma_p)) in even_set
-        for e in evens
+        perm_compose(perm_compose(gamma_p, e), gamma_p) in even_set for e in evens
     )
     rep.add("evens_normal_under_gamma", normal_ok, "gamma e gamma^-1 even for all e")
 
-    coset = {bytes(perm_compose(e, gamma_p)) for e in evens}
+    # e -> e gamma is injective, so the coset has len(even_set) elements and
+    # equals odd_set when they all lie in it and the sizes agree
+    coset_ok = len(odd_set) == len(even_set) and all(
+        perm_compose(e, gamma_p) in odd_set for e in evens
+    )
     rep.add(
         "odds_are_unique_even_gamma_factorizations",
-        coset == odd_set and len(coset) == len(even_set),
-        f"coset size {len(coset)}",
+        coset_ok,
+        f"coset size {len(even_set)}",
     )
     return rep
 

@@ -149,6 +149,7 @@ class SubspaceLattice:
         self.bottom = self.index[Subspace.zero(F, n)]
         self.top = self.index[Subspace.full(F, n)]
         self.atoms = [i for i, d in enumerate(self.dims) if d == 1]
+        self.atom_ordinal = {a: t for t, a in enumerate(self.atoms)}
         self.coatoms = [i for i, d in enumerate(self.dims) if d == n - 1]
         self.dim_index: dict[int, list[int]] = {}
         for i, d in enumerate(self.dims):

@@ -171,9 +171,9 @@ def test_c05_duality_and_semidirect_structure(L32, L42, P32, P42):
     assert {"evens_form_subgroup", "evens_normal_under_gamma",
             "odds_are_unique_even_gamma_factorizations",
             "gamma_squared_identity"} <= names32
-    rep42 = verify_semidirect_structure(L42, P42, seed=0)
+    rep42 = verify_semidirect_structure(L42, P42)
     assert rep42.passed, rep42.checks
-    assert rep42.counts["closure_mode"] == "sampled"
+    assert rep42.counts["closure_mode"] == "generated"
     elapsed = time.monotonic() - t0
     print(f"CRITERION 5 PASS: involution + subgroup/normality/unique-coset ({elapsed:.0f}s)")
 
@@ -283,7 +283,7 @@ C10_VERB_RUNS = [
     ("verify-omp", "--n", "2", "--field", "2"),
     ("verify-correspondence", "--n", "2", "--field", "3"),
     ("enumerate-lattice-autos", "--n", "2", "--field", "3"),
-    ("verify-semidirect", "--n", "2", "--field", "2", "--seed", "9"),
+    ("verify-semidirect", "--n", "2", "--field", "2"),
     ("ring-lemma", "--n", "2", "--field", "2"),
     ("ring-extract", "--n", "2", "--field", "3", "--cases", "5", "--seed", "3"),
     ("ring-restrict", "--n", "2", "--field", "3", "--cases", "3", "--seed", "4"),

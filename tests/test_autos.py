@@ -35,7 +35,9 @@ from projlat.autos import (
     poset_atom_perm_from_lattice,
     poset_search_plan,
     semilinear_atom_perms,
+    subgroup_check,
     verify_poset_map,
+    verify_semidirect_structure,
 )
 from projlat.gf import iter_vectors
 from projlat.matrices import all_matrices, rank, vec_mat
@@ -80,7 +82,11 @@ def _brute_semilinear_atom_perms(L):
     return out
 
 
-@pytest.mark.parametrize("n, spec", [(2, "3"), (2, "2^2"), (3, "2"), (3, "3"), (4, "2")])
+# at (2,5) Aut(L) is S_6, larger than PGammaL(2,5): the oracle must give
+# the group's action, not the search's
+@pytest.mark.parametrize(
+    "n, spec", [(1, "2^2"), (2, "3"), (2, "2^2"), (2, "5"), (3, "2"), (3, "3"), (4, "2")]
+)
 def test_semilinear_oracle_matches_brute_force(n, spec):
     L = enumerate_subspaces(n, parse_field(spec))
     assert semilinear_atom_perms(L) == _brute_semilinear_atom_perms(L)
@@ -111,6 +117,52 @@ def test_semilinear_oracle_runs_no_rref(monkeypatch, L42):
     monkeypatch.setattr(matrices, "rref", counted)
     assert len(semilinear_atom_perms(L42)) == 20160
     assert calls == []
+
+
+@pytest.mark.parametrize("n, spec", [(2, "3"), (3, "2"), (2, "5")])
+def test_generated_subgroup_mode_agrees_with_all_pairs(n, spec, monkeypatch):
+    L = enumerate_subspaces(n, parse_field(spec))
+    P = build_projection_poset(L)
+    exhaustive = verify_semidirect_structure(L, P)
+    monkeypatch.setattr(autos, "CLOSURE_PAIR_LIMIT", 0)
+    generated = verify_semidirect_structure(L, P)
+    assert exhaustive.counts.pop("closure_mode") == "exhaustive"
+    assert generated.counts.pop("closure_mode") == "generated"
+    assert exhaustive.passed and exhaustive.counts == generated.counts
+    assert [c[:2] for c in exhaustive.checks] == [c[:2] for c in generated.checks]
+
+
+def _cyclic_group(m: int) -> list[tuple[int, ...]]:
+    """The powers of the m-cycle x -> x + 1 mod m, identity first."""
+    cycle = tuple(range(1, m)) + (0,)
+    group = [tuple(range(m))]
+    while len(group) < m:
+        group.append(perm_compose(cycle, group[-1]))
+    return group
+
+
+@pytest.mark.parametrize("limit, mode", [(10**6, "exhaustive"), (0, "generated")])
+def test_subgroup_check_beyond_256_points(limit, mode, monkeypatch):
+    monkeypatch.setattr(autos, "CLOSURE_PAIR_LIMIT", limit)
+    group = _cyclic_group(300)
+    assert subgroup_check(group)[:2] == (mode, True)
+    # the dropped power is an involution, so only closure can miss it
+    assert subgroup_check(group[:150] + group[151:])[:2] == (mode, False)
+
+
+@pytest.mark.parametrize("limit, mode", [(10**6, "exhaustive"), (0, "generated")])
+def test_subgroup_check_rejects_corruptions(L32, limit, mode, monkeypatch):
+    monkeypatch.setattr(autos, "CLOSURE_PAIR_LIMIT", limit)
+    group = sorted(tuple(k) for k in semilinear_atom_perms(L32))
+    assert subgroup_check(group)[:2] == (mode, True)
+    # drop an involution: every remaining inverse stays, so only closure
+    # can miss it
+    at = next(i for i, g in enumerate(group) if g != group[0] and perm_compose(g, g) == group[0])
+    assert subgroup_check(group[:at] + group[at + 1:])[:2] == (mode, False)
+    # a transposition of two points is no collineation of the Fano plane
+    swap = (1, 0) + tuple(range(2, 7))
+    assert swap not in group
+    assert subgroup_check(group[:at] + [swap] + group[at + 1:])[:2] == (mode, False)
 
 
 def test_lattice_group_closure_spot_check(aut_l32):

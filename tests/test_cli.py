@@ -18,6 +18,10 @@ def test_simple_verbs_pass(run_cli):
         ("verify-glattice", "2", "3"),
         ("verify-correspondence", "2", "2"),
         ("enumerate-lattice-autos", "2", "3"),
+        # the two-element chain has one automorphism over every field
+        ("enumerate-lattice-autos", "1", "2"),
+        ("enumerate-lattice-autos", "1", "4"),
+        ("enumerate-lattice-autos", "1", "9"),
     ]:
         code, out, err = run_cli(verb, "--n", n, "--field", field)
         assert code == 0, (verb, err)
@@ -62,6 +66,7 @@ def test_usage_errors_exit_2(run_cli):
         ("verify-omp", "--n", "2", "--format", "dot"),
         ("export-json", "--n", "2", "--format", "json"),
         ("ring-lemma", "--n", "2", "--seed", "1"),
+        ("verify-semidirect", "--n", "2", "--seed", "1"),
         ("verify-map", "--n", "2", "--in", "absent.json"),  # unreadable map file
         ("export-dot", "--n", "2", "--target", "autos"),  # no diagram of autos
         # counts below 1
@@ -349,7 +354,7 @@ VERB_FLAGS = {
     "enumerate-lattice-autos": REPORT_FLAGS | {"--budget-nodes"},
     "verify-ftpg": REPORT_FLAGS | {"--budget-nodes"},
     "verify-main-theorem": REPORT_FLAGS | {"--budget-nodes", "--jobs", "--checkpoint"},
-    "verify-semidirect": REPORT_FLAGS | {"--budget-nodes", "--seed"},
+    "verify-semidirect": REPORT_FLAGS | {"--budget-nodes"},
     "ring-lemma": REPORT_FLAGS,
     "ring-extract": REPORT_FLAGS | {"--seed", "--cases"},
     "ring-restrict": REPORT_FLAGS | {"--seed", "--cases"},
@@ -377,7 +382,24 @@ def test_each_verb_takes_exactly_the_flags_it_reads():
         for verb, sub in verbs.choices.items()
     }
     assert got == VERB_FLAGS
-    assert sum(map(len, got.values())) == 104
+    assert sum(map(len, got.values())) == 103
+
+
+def test_help_texts_name_only_flags_the_verb_takes():
+    """A verb's description and flag help name no flag it does not take,
+    so no help text can outlive its flag."""
+    import argparse
+    import re
+
+    from projlat.cli import build_parser
+
+    parser = build_parser()
+    (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for verb, sub in verbs.choices.items():
+        taken = {flag for a in sub._actions for flag in a.option_strings}
+        texts = [sub.description] + [a.help or "" for a in sub._actions]
+        named = {flag for text in texts for flag in re.findall(r"--[a-z][a-z-]*", text)}
+        assert named <= taken, (verb, named - taken)
 
 
 # every public callable's parameters that have a default, with the repr of
@@ -395,7 +417,7 @@ LIBRARY_DEFAULTS = {
     "enumerate_poset_automorphisms": {"budget": "None"},
     "verify_fundamental_correspondence": {"budget": "None"},
     "verify_main_theorem": {"budget": "None", "jobs": "1", "checkpoint": "None"},
-    "verify_semidirect_structure": {"seed": "0", "budget": "None"},
+    "verify_semidirect_structure": {"budget": "None"},
     "RingMap": {"witness": "None"},
     "extract_semilinear_from_ring_iso": {"idempotent": "None", "seed": "0"},
     "report_to_jsonable": {"name": "None"},
