@@ -64,37 +64,93 @@ class FalsificationError(AssertionError):
         self.payload = payload or {}
 
 
-def _atom_lists(S) -> list[list[int]]:
-    """Atom ordinals under each element of S, a lattice or a poset, once S
-    is verified atomistic: every lift through atom masks rests on order
-    being atom-set inclusion. Checked and built once per structure."""
-    cached = getattr(S, "_atom_lists_cache", None)
-    if cached is None:
-        if not S.verify_atomistic():
-            raise FalsificationError(f"{S!r} is not atomistic; atom lifts unsound")
-        cached = S._atom_lists_cache = [_bits(m) for m in S.elem_atom_masks]
+def _lift_plan(S):
+    """How the lift builds each element's image atom set, for S a lattice
+    or a projection poset; checked and built once per structure, after S
+    is verified atomistic (every lift through atom masks rests on that).
+
+    A plan is (stages, unions, pairs). Starting from one bit per atom
+    image, each stage is a list of index lists, and entry k of the next
+    masks ORs the current masks at the indices in entry k. Element e's
+    image atom set is then the OR of the final masks at unions[e], or
+    with pairs the AND of the final masks at pairs[e]. L's plan is its
+    atom lists as unions, no stage. P's plan follows its product order
+    (see _product_plan) and is accepted only when it rebuilds every
+    entry of P.elem_atom_masks from the identity: a bijection of the
+    atoms commutes with unions and intersections, so the plan's lift of
+    every atom permutation is then the per-element one."""
+    cached = getattr(S, "_lift_plan_cache", None)
+    if cached is not None:
+        return cached
+    if not S.verify_atomistic():
+        raise FalsificationError(f"{S!r} is not atomistic; atom lifts unsound")
+    if isinstance(S, ProjectionPoset):
+        cached = _product_plan(S)
+        if _lift_atom_perm(cached, range(len(S.atoms)), int) != S.elem_atom_masks:
+            raise FalsificationError(
+                f"{S!r}: atom sets are not image x kernel products; product lift unsound"
+            )
+    else:
+        cached = ((), [_bits(m) for m in S.elem_atom_masks], None)
+    S._lift_plan_cache = cached
     return cached
 
 
-def _lift_atom_perm(S, elem_atoms, sigma) -> list[int | None]:
-    """Images of all elements of S under the atom permutation sigma: each
-    element's image atom set, looked up in S's atom-mask index. None marks
-    an element whose image atom set belongs to no element."""
-    midx = S.atom_mask_index
-    bit = [1 << y for y in sigma]
+def _product_plan(P: ProjectionPoset):
+    """P's lift plan. The atoms under (a, b) are I(a) & K(b): I(a) the
+    P-atoms whose image point lies in a, K(b) those whose kernel
+    hyperplane contains b. Stage one ORs the atoms of each image point's
+    block (by L's atom ordinal), then of each kernel hyperplane's block
+    (by coatom ordinal). Stage two ORs those blocks into I(a) for every
+    lattice element a, then K(b) for every b. Pairs AND I(a) with K(b)."""
+    L = P.lattice
+    n_points = len(L.atoms)
+    hyperplane = {h: n_points + t for t, h in enumerate(L.coatoms)}
+    blocks: list[list[int]] = [[] for _ in range(n_points + len(L.coatoms))]
+    for t, (p, h) in enumerate(P.atom_pairs):
+        blocks[L.atom_ordinal[p]].append(t)
+        blocks[hyperplane[h]].append(t)
+    coatoms = sum(1 << h for h in L.coatoms)
+    stage_two = _lift_plan(L)[1] + [
+        [hyperplane[h] for h in _bits(u & coatoms)] for u in L.up_masks
+    ]
+    return (blocks, stage_two), None, [(a, L.size + b) for a, b in P.pairs]
+
+
+def _lift_atom_perm(plan, sigma, get) -> list:
+    """get applied to every element's image atom set under sigma, a
+    permutation of the atom ordinals, each set built as plan says (see
+    _lift_plan). With an atom-mask index's get the result is the image
+    elements, None where a set belongs to no element; with int it is the
+    sets themselves."""
+    stages, unions, pairs = plan
+    masks = [1 << y for y in sigma]
+    for groups in stages:
+        nxt = []
+        for group in groups:
+            nm = 0
+            for t in group:
+                nm |= masks[t]
+            nxt.append(nm)
+        masks = nxt
+    if pairs is not None:
+        return [get(masks[i] & masks[j]) for i, j in pairs]
+    # the stage loop once more, looking each set up as it is built: a
+    # separate pass of lookups would slow the lattice search's leaf
     out = []
-    for atoms in elem_atoms:
+    for group in unions:
         nm = 0
-        for t in atoms:
-            nm |= bit[t]
-        out.append(midx.get(nm))
+        for t in group:
+            nm |= masks[t]
+        out.append(get(nm))
     return out
 
 
-def _lift_bijective(S, elem_atoms, sigma) -> tuple[int, ...] | None:
-    """The lift of sigma to all elements of S, or None when it is not a
-    permutation of the elements."""
-    eperm = _lift_atom_perm(S, elem_atoms, sigma)
+def _lift_bijective(S, plan, sigma) -> tuple[int, ...] | None:
+    """The lift of the atom permutation sigma to all elements of S through
+    S's plan; None when some image atom set belongs to no element or the
+    lift is not a permutation of the elements."""
+    eperm = _lift_atom_perm(plan, sigma, S.atom_mask_index.get)
     if None in eperm or len(set(eperm)) != S.size:
         return None
     return tuple(eperm)
@@ -227,7 +283,7 @@ def iter_lattice_atom_perms(
     under a common rank-2 element (and non-incident triples must stay
     non-incident), propagated pairwise as assignments accumulate.
     """
-    elem_atoms = _atom_lists(L)
+    plan = _lift_plan(L)  # and the atomisticity guard, before any node
     init_cand, line_mask = _lattice_search_structure(L)
     m = len(init_cand)
 
@@ -257,7 +313,7 @@ def iter_lattice_atom_perms(
         return True
 
     yield from _atom_search(
-        init_cand, narrow, lambda perm: _lift_bijective(L, elem_atoms, perm),
+        init_cand, narrow, lambda perm: _lift_bijective(L, plan, perm),
         budget, restrict_first, stats,
     )
 
@@ -489,21 +545,28 @@ def poset_search_plan(P: ProjectionPoset) -> tuple[int, list[int]]:
     """Deterministic root branching for checkpoint/worker partitioning:
     the pivot the search itself will pick first, and its candidate list.
     A poset that is not atomistic is refused here, before any search."""
-    _atom_lists(P)
+    _lift_plan(P)
     return _search_plan(_poset_search_structure(P)[0])
 
 
-def expand_poset_atom_perm(P: ProjectionPoset, perm: tuple[int, ...]):
-    """Lift an atom permutation of P to all elements; None if it fails to
-    lift bijectively or breaks the orthocomplementation."""
-    eperm = _lift_bijective(P, _atom_lists(P), perm)
+def _lift_poset_atom_perm(P: ProjectionPoset, sigma) -> tuple[int, ...] | None:
+    """The lift of an atom permutation of P to all elements; None if it
+    fails to lift bijectively or does not commute with the
+    orthocomplementation (eperm . ortho != ortho . eperm)."""
+    eperm = _lift_bijective(P, _lift_plan(P), sigma)
     if eperm is None:
         return None
     ortho = P.ortho
-    for e in range(P.size):
-        if eperm[ortho[e]] != ortho[eperm[e]]:
-            return None
+    if list(map(eperm.__getitem__, ortho)) != list(map(ortho.__getitem__, eperm)):
+        return None
     return eperm
+
+
+def expand_poset_atom_perm(P: ProjectionPoset, perm: tuple[int, ...]):
+    """The poset search leaf: _lift_poset_atom_perm, under the module name
+    the leaf looks up at call time, so a wrapper installed on that name
+    sees every leaf and nothing else."""
+    return _lift_poset_atom_perm(P, perm)
 
 
 def iter_poset_atom_perms(
@@ -514,7 +577,7 @@ def iter_poset_atom_perms(
 ):
     """All atom permutations extending to orthoposet automorphisms of P,
     yielding (atom_perm, element_perm) pairs in deterministic order."""
-    _atom_lists(P)  # the atomisticity guard, before any node
+    _lift_plan(P)  # the atomisticity guard, before any node
     init_cand, colors, allowed = _poset_search_structure(P)
     m = len(init_cand)
 
@@ -563,14 +626,14 @@ def enumerate_poset_automorphisms(
 def verify_poset_map(phi, P: ProjectionPoset) -> None:
     """Full orthoposet-automorphism verification, of a PosetMap or of a
     bare permutation: the map must be exactly the lift of its own atom
-    permutation through expand_poset_atom_perm, which checks bijectivity
-    and the orthocomplementation. On failure the payload is that atom
+    permutation, which _lift_poset_atom_perm checks for bijectivity and
+    the orthocomplementation. On failure the payload is that atom
     permutation, None marking an atom sent to a non-atom."""
     perm = tuple(phi.perm if isinstance(phi, PosetMap) else phi)
     if len(perm) != P.size:
         raise ValueError("permutation size does not match the poset")
     sigma = tuple(P.atom_ordinal.get(perm[a]) for a in P.atoms)
-    if None in sigma or expand_poset_atom_perm(P, sigma) != perm:
+    if None in sigma or _lift_poset_atom_perm(P, sigma) != perm:
         raise FalsificationError(
             "map is not the orthoposet automorphism its atom images induce",
             {"atom_perm": sigma},
@@ -619,20 +682,17 @@ def classify_parity(phi, P: ProjectionPoset) -> str:
     For each subspace with at least two complements, the images of its
     projection family must all share an image (even evidence) or all share
     a kernel (odd evidence); mixed or absent evidence falsifies the
-    dichotomy and raises with a reproducible payload.
+    dichotomy and raises with a reproducible payload. Every family is
+    scanned, so the payload lists every violation.
     """
     perm = phi.perm if isinstance(phi, PosetMap) else phi
     img, ker = P.image, P.kernel
     verdict: str | None = None
     bad: list[dict] = []
-    for a, group in P.by_image.items():
-        if len(group) < 2:
-            continue
-        imgs = {img[perm[i]] for i in group}
-        kers = {ker[perm[i]] for i in group}
-        if len(imgs) == 1:
+    for a, group in P.image_families:
+        if len({img[perm[i]] for i in group}) == 1:
             v = EVEN
-        elif len(kers) == 1:
+        elif len({ker[perm[i]] for i in group}) == 1:
             v = ODD
         else:
             bad.append({"image": a, "family": group})
@@ -680,7 +740,7 @@ def poset_atom_perm_from_lattice(
 ) -> tuple[int, ...]:
     """Fast path: the action on P-atoms induced by a lattice map, without
     materializing the full poset permutation."""
-    _atom_lists(P)  # the atomisticity guard
+    _lift_plan(P)  # the atomisticity guard
     table, w, lp, ordinal = P.pair_table, P.lattice.size, lattice_perm, P.atom_ordinal
     if len(lp) != w:
         raise ValueError("lattice map size does not match the poset's lattice")
@@ -700,6 +760,10 @@ def poset_atom_perm_from_lattice(
 
 
 SCHEMA_CHECKPOINT = "projlat-checkpoint/1"
+# part of the campaign fingerprint: raise it whenever the poset search
+# visits its branches or maps in another order, so that a checkpoint
+# written under the old order is refused instead of trusted
+SEARCH_ORDER_VERSION = 1
 # the fields of one completed branch in a checkpoint, with their types
 _BRANCH_FIELDS = {
     "target": int, "count": int, "even": int, "odd": int,
@@ -867,6 +931,7 @@ def verify_main_theorem(
             "poset_size": P.size,
             "pivot": pivot,
             "targets": targets,
+            "search_order": SEARCH_ORDER_VERSION,
         }
     )
     state = _load_checkpoint(checkpoint, fingerprint, targets)

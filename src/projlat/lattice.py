@@ -237,6 +237,12 @@ class SubspaceLattice:
     def up_set(self, i: int) -> list[int]:
         return _bits(self.up_masks[i])
 
+    @cached_property
+    def up_lists(self) -> list[list[int]]:
+        """Every element's up-set as a list, lowest first, built once: the
+        comparable pairs a lattice-map check walks."""
+        return [_bits(u) for u in self.up_masks]
+
     def is_modular_pair_idx(self, a: int, b: int) -> bool:
         """(a,b)M: (x v a) ^ b == x v (a ^ b) for every x <= b."""
         jt, mt = self.join_table, self.meet_table

@@ -36,7 +36,10 @@ def perm_inverse(f) -> tuple[int, ...]:
 
 
 def is_permutation(f) -> bool:
-    return sorted(f) == list(range(len(f)))
+    """Whether f holds each of 0..len(f)-1 exactly once. Tested by set
+    membership, not by sorting, so entries that do not compare with ints
+    give False rather than TypeError."""
+    return set(f) == set(range(len(f)))
 
 
 def compose_directions(d1: str, d2: str) -> str:

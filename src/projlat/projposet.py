@@ -125,6 +125,9 @@ class ProjectionPoset:
             self.by_image.setdefault(a, []).append(i)
             self.by_kernel.setdefault(b, []).append(i)
             self.pair_table[a * L.size + b] = i
+        # the families classify_parity scans: images with two or more
+        # complements, in by_image order
+        self.image_families = [(a, g) for a, g in self.by_image.items() if len(g) > 1]
         self._build_order()
         self.atom_pairs = [pairs[a] for a in self.atoms]
         self.atom_ordinal = {a: t for t, a in enumerate(self.atoms)}

@@ -21,11 +21,11 @@ import functools
 import random
 from dataclasses import dataclass, field as dc_field
 
+from . import autos
 from .autos import (
     CampaignReport,
     FalsificationError,
     _Memo,
-    classify_parity,
     decompose_poset_automorphism,
     verify_poset_map,
 )
@@ -406,7 +406,9 @@ def restrict_to_projections(phi: RingMap, P: ProjectionPoset) -> PosetMap:
             "image of a projection is not a projection", {"index": perm.index(None)}
         )
     verify_poset_map(perm, P)
-    parity = classify_parity(perm, P)
+    # looked up at call time, like the poset search leaf, so a wrapper
+    # installed on autos.classify_parity sees restrictions too
+    parity = autos.classify_parity(perm, P)
     expected = EVEN if phi.direction == AUTO else ODD
     if parity != expected:
         raise FalsificationError(

@@ -98,21 +98,19 @@ def induced_lattice_map(s: SemilinearMap, L: SubspaceLattice) -> LatticeMap:
 
 
 def verify_lattice_map(m: LatticeMap, L: SubspaceLattice) -> None:
-    """Exhaustive order check: preserving for AUTO, reversing for ANTI."""
-    up = L.up_masks
+    """Exhaustive order check: preserving for AUTO, reversing for ANTI.
+    Every comparable pair i <= j is checked, i ascending and j ascending
+    within i; f(j) must lie in the up-set of f(i) for AUTO and in its
+    down-set for ANTI."""
     perm = m.perm
-    for i in range(L.size):
-        u = up[i]
-        pi = perm[i]
-        while u:
-            low = u & -u
-            j = low.bit_length() - 1
-            ok = (up[pi] >> perm[j] & 1) if m.direction == AUTO else (up[perm[j]] >> pi & 1)
-            if not ok:
+    target = L.up_masks if m.direction == AUTO else L.down_masks
+    for i, above in enumerate(L.up_lists):
+        allowed = target[perm[i]]
+        for j in above:
+            if not allowed >> perm[j] & 1:
                 raise ValueError(
                     f"{m.direction} claim fails: {i} <= {j} but images violate it"
                 )
-            u ^= low
     # the reverse implication follows because perm is a bijection and <= is
     # finite: counting comparable pairs before and after forces equivalence
 

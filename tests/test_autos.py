@@ -40,6 +40,7 @@ from projlat.autos import (
     verify_semidirect_structure,
 )
 from projlat.gf import iter_vectors
+from projlat.lattice import _bits as lattice_bits
 from projlat.matrices import all_matrices, rank, vec_mat
 from projlat.semilinear import SemilinearMap
 
@@ -512,9 +513,9 @@ def test_verify_rejects_corrupted_map(P32):
 
 
 def test_verify_poset_map_builds_no_pair_colours(L32):
-    """Verifying one map checks atomisticity and lists atoms, once per
-    poset, without the search's pair colours; a poset whose order is not
-    atom-set inclusion is refused."""
+    """Verifying one map checks atomisticity and builds the lift plan, once
+    per poset, without the search's pair colours; a poset whose order is
+    not atom-set inclusion is refused."""
     P = build_projection_poset(L32)
     calls = []
     check = P.verify_atomistic
@@ -531,16 +532,204 @@ def test_verify_poset_map_builds_no_pair_colours(L32):
         autos.verify_poset_map(ident, bad)
 
 
+def _reference_image_masks(S, sigma):
+    """Reference image atom sets of an atom permutation of S, a lattice or
+    a poset: one OR per atom-element incidence."""
+    bit = [1 << y for y in sigma]
+    out = []
+    for mask in S.elem_atom_masks:
+        nm = 0
+        for t in lattice_bits(mask):
+            nm |= bit[t]
+        out.append(nm)
+    return out
+
+
+def _reference_lift(S, sigma):
+    """Each element's reference image atom set looked up in S's atom-mask
+    index, None when no element has it."""
+    return [S.atom_mask_index.get(m) for m in _reference_image_masks(S, sigma)]
+
+
+def _reference_expand(P, sigma):
+    """The search leaf's check on the reference lift: bijective, and
+    commuting with the orthocomplementation element by element."""
+    eperm = _reference_lift(P, sigma)
+    if None in eperm or len(set(eperm)) != P.size:
+        return None
+    if any(eperm[P.ortho[e]] != P.ortho[eperm[e]] for e in range(P.size)):
+        return None
+    return tuple(eperm)
+
+
+def _assert_lift_matches_reference(S, sigma):
+    plan = autos._lift_plan(S)
+    assert autos._lift_atom_perm(plan, sigma, int) == _reference_image_masks(S, sigma)
+    assert autos._lift_atom_perm(plan, sigma, S.atom_mask_index.get) == _reference_lift(S, sigma)
+    if hasattr(S, "ortho"):
+        assert expand_poset_atom_perm(S, sigma) == _reference_expand(S, sigma)
+
+
+def test_product_lift_matches_reference_on_every_leaf_of_a_branch_42(P42, monkeypatch):
+    leaves = []
+    leaf = autos.expand_poset_atom_perm
+    monkeypatch.setattr(
+        autos, "expand_poset_atom_perm", lambda P, perm: leaves.append(perm) or leaf(P, perm)
+    )
+    _, targets = poset_search_plan(P42)
+    found = list(iter_poset_atom_perms(P42, restrict_first={targets[7]}))
+    assert len(found) == len(leaves) == 336
+    for sigma in leaves:
+        _assert_lift_matches_reference(P42, sigma)
+
+
+@pytest.mark.parametrize("ambient, maps", [("P22", 48), ("P32", 336)])
+def test_product_lift_matches_reference_on_every_automorphism(ambient, maps, request):
+    P = request.getfixturevalue(ambient)
+    found = enumerate_poset_automorphisms(P)
+    assert len(found) == maps
+    for m in found:
+        sigma = tuple(P.atom_ordinal[m.perm[a]] for a in P.atoms)
+        _assert_lift_matches_reference(P, sigma)
+        assert expand_poset_atom_perm(P, sigma) == m.perm
+
+
+@pytest.mark.parametrize(
+    "n, spec", [(2, "2"), (2, "3"), (3, "2"), (3, "3"), (4, "2"), (3, "2^2"), (3, "5")]
+)
+def test_product_lift_matches_reference_on_seeded_perms(n, spec):
+    """Random atom permutations; near misses, a genuine automorphism (the
+    duality's odd map) with two atom images swapped; and a map that is
+    not a permutation of the atoms, which no lift accepts."""
+    L = enumerate_subspaces(n, parse_field(spec))
+    P = build_projection_poset(L)
+    m = len(P.atoms)
+    rng = random.Random(n * 100 + len(spec))
+    gamma = poset_atom_perm_from_lattice(P, standard_duality(L).perm, odd=True)
+    assert expand_poset_atom_perm(P, gamma) is not None
+    _assert_lift_matches_reference(P, gamma)
+    for _ in range(4):
+        sigma = list(range(m))
+        rng.shuffle(sigma)
+        _assert_lift_matches_reference(P, sigma)
+        near = list(gamma)
+        i, j = rng.sample(range(m), 2)
+        near[i], near[j] = near[j], near[i]
+        _assert_lift_matches_reference(P, near)
+        lattice_sigma = list(range(len(L.atoms)))
+        rng.shuffle(lattice_sigma)
+        _assert_lift_matches_reference(L, lattice_sigma)
+    clash = list(gamma)
+    clash[0] = clash[1]
+    assert expand_poset_atom_perm(P, clash) is None
+    assert _reference_expand(P, clash) is None
+
+
+def test_product_lift_refuses_masks_that_are_not_products(L32):
+    """A poset whose atom sets are not image x kernel products is refused
+    before any lift, although its order is still atom-set inclusion."""
+    P = build_projection_poset(L32)
+    P.elem_atom_masks[P.top] &= ~1
+    assert P.verify_atomistic()
+    with pytest.raises(FalsificationError, match="not image x kernel products"):
+        poset_search_plan(P)
+    with pytest.raises(FalsificationError, match="not image x kernel products"):
+        verify_poset_map(tuple(range(P.size)), P)
+
+
+def test_verify_poset_map_is_not_a_search_leaf(P32, monkeypatch):
+    """Only the poset search goes through expand_poset_atom_perm, so a
+    wrapper on that name counts search leaves and nothing else."""
+    maps = enumerate_poset_automorphisms(P32)
+    monkeypatch.setattr(autos, "expand_poset_atom_perm", None)
+    for m in maps[:20]:
+        verify_poset_map(m, P32)
+    with pytest.raises(TypeError):
+        next(iter_poset_atom_perms(P32))
+
+
+def _reference_classify_parity(perm, P):
+    """Reference: parity classification as it was before the families with
+    two or more members were listed once, both sets built per family."""
+    img, ker = P.image, P.kernel
+    verdict = None
+    bad = []
+    for a, group in P.by_image.items():
+        if len(group) < 2:
+            continue
+        imgs = {img[perm[i]] for i in group}
+        kers = {ker[perm[i]] for i in group}
+        if len(imgs) == 1:
+            v = EVEN
+        elif len(kers) == 1:
+            v = ODD
+        else:
+            bad.append({"image": a, "family": group})
+            continue
+        if verdict is None:
+            verdict = v
+        elif verdict != v:
+            bad.append({"image": a, "family": group, "verdict": v})
+    if bad:
+        raise FalsificationError(
+            "even/odd dichotomy failed on image-sharing families", {"violations": bad}
+        )
+    if verdict is None:
+        raise ValueError("no image-sharing projections; parity undefined")
+    return verdict
+
+
+def _parity_outcome(classify, perm, P):
+    try:
+        return classify(perm, P)
+    except FalsificationError as exc:
+        return str(exc), exc.payload
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("ambient", ["P22", "P32", "P42"])
+def test_classify_parity_matches_reference(ambient, request):
+    """Every payload byte agrees with the reference: on even and odd maps,
+    on conflicting maps (even on some families, odd on others), on mixed
+    maps (one family split between the two) and on random permutations."""
+    P = request.getfixturevalue(ambient)
+    L = P.lattice
+    rng = random.Random(len(P.atoms))
+    f = next(iter_lattice_atom_perms(L, restrict_first={lattice_search_plan(L)[1][-1]}))[1]
+    even = even_from_lattice_automorphism(LatticeMap(f, AUTO), P).perm
+    g = perm_compose(f, standard_duality(L).perm)
+    odd = odd_from_anti_automorphism(LatticeMap(g, ANTI), P).perm
+    families = P.image_families
+    assert families == [(a, grp) for a, grp in P.by_image.items() if len(grp) > 1]
+    cases = [even, odd, tuple(range(P.size))]
+    for _ in range(3):
+        chosen = {a for a, _ in rng.sample(families, len(families) // 2)}
+        cases.append(tuple(e if P.image[i] in chosen else o
+                           for i, (e, o) in enumerate(zip(even, odd))))
+        _, group = rng.choice(families)
+        split = set(group[: len(group) // 2])
+        cases.append(tuple(o if i in split else e for i, (e, o) in enumerate(zip(even, odd))))
+        shuffled = list(range(P.size))
+        rng.shuffle(shuffled)
+        cases.append(tuple(shuffled))
+    outcomes = set()
+    for perm in cases:
+        want = _parity_outcome(_reference_classify_parity, perm, P)
+        assert _parity_outcome(classify_parity, perm, P) == want
+        outcomes.add(want if isinstance(want, str) else "violations")
+    assert {EVEN, ODD, "violations"} <= outcomes
+
+
 def _reference_verify_poset_map(perm, P):
     """Reference: the poset-map check with its own lift loop and ortho
     loop, as it was before it went through expand_poset_atom_perm."""
-    elem_atoms = autos._atom_lists(P)
     sigma = []
     for a in P.atoms:
         if perm[a] not in P.atom_ordinal:
             raise FalsificationError("atom image is not an atom")
         sigma.append(P.atom_ordinal[perm[a]])
-    lifted = autos._lift_atom_perm(P, elem_atoms, sigma)
+    lifted = _reference_lift(P, sigma)
     if any(lifted[e] != perm[e] for e in range(P.size)):
         raise FalsificationError("element image disagrees with its atom set")
     if any(perm[P.ortho[e]] != P.ortho[perm[e]] for e in range(P.size)):
@@ -650,7 +839,7 @@ def test_checks_match_references_on_an_ortho_breaking_swap(P22):
     perm[a], perm[b] = b, a
     perm = tuple(perm)
     sigma = tuple(P22.atom_ordinal[perm[x]] for x in P22.atoms)
-    assert autos._lift_bijective(P22, autos._atom_lists(P22), sigma) == perm
+    assert tuple(_reference_lift(P22, sigma)) == perm
     assert expand_poset_atom_perm(P22, sigma) is None
     got, want = _outcomes(perm, P22)
     assert got == want and not got[0]

@@ -250,9 +250,10 @@ def test_corrupted_checkpoint_entry_exits_2(run_cli, tmp_path, P42):
     from projlat import autos, sha256_of
 
     pivot, targets = autos.poset_search_plan(P42)
-    fingerprint = sha256_of(
-        {"n": 4, "field": "2", "poset_size": P42.size, "pivot": pivot, "targets": targets}
-    )
+    fingerprint = sha256_of({
+        "n": 4, "field": "2", "poset_size": P42.size, "pivot": pivot,
+        "targets": targets, "search_order": autos.SEARCH_ORDER_VERSION,
+    })
     done = {str(t): _branch_entry(t) for t in targets}
     del done[str(targets[0])]["digest"]
     ckpt = tmp_path / "bad.ckpt"
@@ -285,6 +286,29 @@ def test_corrupted_checkpoint_entry_exits_2(run_cli, tmp_path, P42):
     )
     assert code == 2
     assert "entry '9999'" in err
+
+
+def test_checkpoint_from_an_older_search_order_exits_2(run_cli, tmp_path, P42):
+    """A checkpoint whose fingerprint leaves out the search-order version,
+    as every checkpoint did before the version was added, is refused
+    before any search, however complete its entries look."""
+    from projlat import autos, sha256_of
+
+    pivot, targets = autos.poset_search_plan(P42)
+    previous = sha256_of(
+        {"n": 4, "field": "2", "poset_size": P42.size, "pivot": pivot, "targets": targets}
+    )
+    ckpt = tmp_path / "old.ckpt"
+    ckpt.write_text(canonical_json({
+        "schema": "projlat-checkpoint/1", "fingerprint": previous,
+        "done": {str(t): _branch_entry(t) for t in targets},
+    }))
+    code, _, err = run_cli(
+        "verify-main-theorem", "--n", "4", "--field", "2", "--checkpoint", str(ckpt),
+        "--budget-nodes", "10",
+    )
+    assert code == 2
+    assert "fingerprint mismatch" in err
 
 
 def test_help_exits_cleanly(run_cli):

@@ -283,6 +283,20 @@ def test_restriction_reads_only_apply(P32, f2):
     assert restrict_to_projections(phi, P32).perm == want
 
 
+def test_restriction_classifies_through_the_module_name(P32, f2, monkeypatch):
+    """restrict_to_projections looks classify_parity up on the autos module
+    when it runs, so a wrapper installed there sees every restriction."""
+    from projlat import autos
+
+    calls = []
+    classify = autos.classify_parity
+    monkeypatch.setattr(
+        autos, "classify_parity", lambda perm, P: calls.append(1) or classify(perm, P)
+    )
+    assert restrict_to_projections(transpose_anti_automorphism(f2, 3), P32).parity == ODD
+    assert calls == [1]
+
+
 def test_ring_restrict_report_at_3_5_is_frozen(run_cli, tmp_path):
     """The report of ring-restrict at (3,5), the ambient of the
     structure-3x5 benchmark, hashes to its value before the row tables."""

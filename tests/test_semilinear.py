@@ -107,3 +107,62 @@ def test_scalar_maps_induce_identity(L23, f3):
 
         s = SemilinearMap(f3, scalar_matrix(f3, c, 2), f3.frobenius(0))
         assert induced_lattice_map(s, L23).is_identity
+
+
+def _reference_verify_lattice_map(m, L):
+    """Reference: the order check walking each up-set bit by bit, with the
+    direction tested on every pair."""
+    up = L.up_masks
+    perm = m.perm
+    for i in range(L.size):
+        u = up[i]
+        pi = perm[i]
+        while u:
+            low = u & -u
+            j = low.bit_length() - 1
+            ok = (up[pi] >> perm[j] & 1) if m.direction == AUTO else (up[perm[j]] >> pi & 1)
+            if not ok:
+                raise ValueError(
+                    f"{m.direction} claim fails: {i} <= {j} but images violate it"
+                )
+            u ^= low
+
+
+def _verify_outcome(check, m, L):
+    try:
+        check(m, L)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n, spec", [(3, "2"), (4, "2"), (3, "2^2")])
+def test_verify_lattice_map_matches_reference(n, spec):
+    """Same verdict and same first failing pair as the reference, in both
+    directions, on an automorphism, the duality, near misses of both and
+    random permutations."""
+    L = enumerate_subspaces(n, parse_field(spec))
+    rng = random.Random(n * 10 + len(spec))
+    matrix = random_invertible(L.field, n, rng)
+    f = induced_lattice_map(SemilinearMap(L.field, matrix, L.field.frobenius(0)), L).perm
+    gamma = standard_duality(L).perm
+    perms = [f, gamma]
+    for base in (f, gamma):
+        for _ in range(3):
+            near = list(base)
+            i, j = rng.sample(range(L.size), 2)
+            near[i], near[j] = near[j], near[i]
+            perms.append(tuple(near))
+    for _ in range(5):
+        shuffled = list(range(L.size))
+        rng.shuffle(shuffled)
+        perms.append(tuple(shuffled))
+    outcomes = []
+    for perm in perms:
+        for direction in (AUTO, ANTI):
+            m = LatticeMap(perm, direction)
+            want = _verify_outcome(_reference_verify_lattice_map, m, L)
+            assert _verify_outcome(verify_lattice_map, m, L) == want
+            outcomes.append(want)
+    # f preserves order and gamma reverses it, so each passes one claim
+    assert outcomes[0] is None and outcomes[3] is None and None not in outcomes[1:3]
