@@ -168,71 +168,114 @@ def _search_plan(init_cand: list[int]) -> tuple[int, list[int]]:
     return pivot, _bits(init_cand[pivot])
 
 
+def _settle(new_cands, opened, forced, images):
+    """The open atoms opened after a narrowing gave them the candidate
+    masks new_cands (None when a forced atom conflicted): None when some
+    atom has no candidate left; otherwise the atoms left with one are
+    appended to forced, their images to images, and the others come back
+    as (opened, cands, counts), still in ascending order."""
+    if new_cands is None:
+        return None
+    still_open, open_cands, counts = [], [], []
+    for z, nc in zip(opened, new_cands):
+        k = nc.bit_count()
+        if k > 1:
+            still_open.append(z)
+            open_cands.append(nc)
+            counts.append(k)
+        elif k:
+            forced.append(z)
+            images.append(nc.bit_length() - 1)
+        else:
+            return None
+    return still_open, open_cands, counts
+
+
 def _atom_search(init_cand, narrow, lift, budget, restrict_first, stats):
     """Backtracking on atom images, yielding (atom_perm, lift(atom_perm))
     for every forced permutation whose lift is not None.
 
-    init_cand[z] masks the possible images of atom z. Each node tries every
-    candidate y of the most constrained unassigned atom x (fewest
-    candidates, lowest ordinal): narrow(x, y, assigned, cand) gets copies
-    with x assigned to y, shrinks the unassigned atoms' candidates in place
-    and returns False when one runs empty. lift verifies outright.
-    restrict_first limits the images of the pivot of _search_plan."""
+    init_cand[z] masks the possible images of atom z. An unassigned atom
+    is forced when one candidate is left and open when more are; the
+    search keeps the forced atoms with their images (forced, images)
+    apart from the open ones, which it holds in ascending order with
+    their candidate masks and counts (opened, cands, counts). Each node
+    sends the forced atom of lowest ordinal to its image; when none is
+    forced, the node branches on every candidate y of the open atom x with
+    the fewest candidates (lowest ordinal on ties), each child on its own
+    copy of the state. A run of forced steps has one child per node, so
+    it updates the state in place.
+
+    narrow(x, y, assigned, opened, cands, forced, images) sees the state
+    just after x was sent to y: assigned[x] == y, and x is in none of the
+    lists. It checks every forced atom exactly against the new assignment
+    and returns the new candidate masks of the open atoms, in their order,
+    or None when a forced atom conflicts. Once no atom is open, the forced
+    images complete the permutation and lift verifies it outright.
+    restrict_first limits the images of the first atom the search sends,
+    the pivot of _search_plan."""
     m = len(init_cand)
     nodes = 0
     found = 0
-    root_pivot, _ = _search_plan(init_cand)
-    root_mask = None
-    if restrict_first is not None:
-        root_mask = sum(1 << y for y in set(restrict_first))
 
-    def rec(assigned: list[int | None], cand: list[int], n_assigned: int):
-        nonlocal nodes, found
-        # choose the most constrained unassigned atom
-        best = -1
-        best_pc = m + 1
-        all_forced = True
-        for z in range(m):
-            if assigned[z] is None:
-                pc = cand[z].bit_count()
-                if pc == 0:
+    def node(x, y, assigned, opened, cands, forced, images):
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            if stats is not None:
+                stats["nodes"] = nodes
+            raise SearchBudgetExceeded(nodes, found)
+        assigned[x] = y
+        return _settle(
+            narrow(x, y, assigned, opened, cands, forced, images), opened, forced, images
+        )
+
+    def rec(assigned, opened, cands, counts, forced, images, root_mask):
+        nonlocal found
+        while opened:
+            if forced:
+                x = min(forced)
+                i = forced.index(x)
+                y = images.pop(i)
+                del forced[i]
+                if root_mask is not None and not root_mask >> y & 1:
                     return
-                if pc > 1:
-                    all_forced = False
-                if pc < best_pc:
-                    best, best_pc = z, pc
-        if best == -1 or all_forced:
-            # complete the permutation with the forced choices; the check
-            # below rejects target collisions, the lift everything else
-            perm = list(assigned)
-            for z in range(m):
-                if perm[z] is None:
-                    perm[z] = cand[z].bit_length() - 1
-            perm = tuple(perm)
-            if sorted(perm) != list(range(m)):
-                return
-            eperm = lift(perm)
-            if eperm is not None:
-                found += 1
-                yield perm, eperm
+                root_mask = None
+                state = node(x, y, assigned, opened, cands, forced, images)
+                if state is None:
+                    return
+                opened, cands, counts = state
+                continue
+            i = counts.index(min(counts))
+            x = opened[i]
+            opts = cands[i] if root_mask is None else cands[i] & root_mask
+            opened = opened[:i] + opened[i + 1 :]
+            cands = cands[:i] + cands[i + 1 :]
+            for y in _bits(opts):
+                child, forced, images = assigned.copy(), [], []
+                state = node(x, y, child, opened, cands, forced, images)
+                if state is not None:
+                    yield from rec(child, *state, forced, images, None)
             return
-        opts = cand[best]
-        if n_assigned == 0 and best == root_pivot and root_mask is not None:
-            opts &= root_mask
-        for y in _bits(opts):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                if stats is not None:
-                    stats["nodes"] = nodes
-                raise SearchBudgetExceeded(nodes, found)
-            new_assigned = assigned.copy()
-            new_assigned[best] = y
-            new_cand = cand.copy()
-            new_cand[best] = 1 << y
-            if narrow(best, y, new_assigned, new_cand):
-                yield from rec(new_assigned, new_cand, n_assigned + 1)
+        # no atom is open: the forced images complete the permutation; the
+        # check below rejects target collisions, the lift everything else
+        for z, y in zip(forced, images):
+            assigned[z] = y
+        perm = tuple(assigned)
+        if sorted(perm) != list(range(m)):
+            return
+        eperm = lift(perm)
+        if eperm is not None:
+            found += 1
+            yield perm, eperm
 
-    yield from rec([None] * m, list(init_cand), 0)
+    forced, images = [], []
+    state = _settle(init_cand, range(m), forced, images)
+    if state is not None:
+        root_mask = None
+        if restrict_first is not None:
+            root_mask = sum(1 << y for y in set(restrict_first))
+        yield from rec([None] * m, *state, forced, images, root_mask)
     if stats is not None:
         stats["nodes"] = nodes
         stats["found"] = found
@@ -287,30 +330,34 @@ def iter_lattice_atom_perms(
     init_cand, line_mask = _lattice_search_structure(L)
     m = len(init_cand)
 
-    def narrow(best, y, assigned, cand) -> bool:
-        not_y = ~(1 << y)
-        for z in range(m):
-            if assigned[z] is None:
-                nc = cand[z] & not_y
-                if nc == 0:
-                    return False
-                cand[z] = nc
-        lm_row = line_mask[best]
-        lmy_row = line_mask[y]
-        for x2 in range(m):
-            y2 = assigned[x2]
-            if y2 is None or x2 == best:
+    # on_line[i][j][z] = 1 when atom z lies on the line atom_i v atom_j
+    on_line = [[[lm >> z & 1 for z in range(m)] for lm in row] for row in line_mask]
+
+    def narrow(x, y, assigned, opened, cands, forced, images):
+        # each earlier assignment x2 -> y2 is a rule: an atom on the line
+        # x v x2 must map onto the line y v y2, any other atom off it
+        if y in images:
+            return None
+        on_x, on_y, lm_y = on_line[x], on_line[y], line_mask[y]
+        rules = []
+        for x2, y2 in enumerate(assigned):
+            if y2 is None or x2 == x:
                 continue
-            lm = lm_row[x2]
-            lmi = lmy_row[y2]
-            not_lmi = ~lmi
-            for z in range(m):
-                if assigned[z] is None:
-                    nc = cand[z] & (lmi if lm >> z & 1 else not_lmi)
-                    if nc == 0:
-                        return False
-                    cand[z] = nc
-        return True
+            on = on_x[x2]
+            if forced and list(map(on.__getitem__, forced)) != list(
+                map(on_y[y2].__getitem__, images)
+            ):
+                return None
+            lmi = lm_y[y2]
+            rules.append((on, lmi, ~lmi))
+        not_y = ~(1 << y)
+        new_cands = []
+        for z, nc in zip(opened, cands):
+            nc &= not_y
+            for on, lmi, not_lmi in rules:
+                nc &= lmi if on[z] else not_lmi
+            new_cands.append(nc)
+        return new_cands
 
     yield from _atom_search(
         init_cand, narrow, lambda perm: _lift_bijective(L, plan, perm),
@@ -579,18 +626,22 @@ def iter_poset_atom_perms(
     yielding (atom_perm, element_perm) pairs in deterministic order."""
     _lift_plan(P)  # the atomisticity guard, before any node
     init_cand, colors, allowed = _poset_search_structure(P)
-    m = len(init_cand)
+    # columns[x][z] = colors[z][x], the colors of every atom against x
+    columns = [list(col) for col in zip(*colors)]
 
-    def narrow(best, y, assigned, cand) -> bool:
+    def narrow(x, y, assigned, opened, cands, forced, images):
+        # z keeps the candidates w != y with colors[w][y] == colors[z][x];
+        # for a forced z that is one check on its image w
+        col_x = columns[x]
+        if forced and (
+            y in images
+            or list(map(col_x.__getitem__, forced))
+            != list(map(columns[y].__getitem__, images))
+        ):
+            return None
         not_y = ~(1 << y)
         allowed_y = allowed[y]
-        for z in range(m):
-            if assigned[z] is None:
-                nc = cand[z] & not_y & allowed_y[colors[z][best]]
-                if nc == 0:
-                    return False
-                cand[z] = nc
-        return True
+        return [nc & not_y & allowed_y[col_x[z]] for z, nc in zip(opened, cands)]
 
     # the leaf looks expand_poset_atom_perm up at call time, so a wrapper
     # installed on the module name sees every leaf
@@ -644,13 +695,13 @@ def _transport(P: ProjectionPoset, lattice_perm, odd: bool, what: str) -> tuple[
     """The poset permutation induced by a lattice map: (a, b) -> (f(a), f(b))
     for an automorphism, (g(b), g(a)) for an anti-automorphism. Raises with
     the first pair, in element order, whose image leaves the poset."""
-    table, w, lp = P.pair_table, P.lattice.size, lattice_perm
-    if len(lp) != w:
+    rows, lp = P.pair_rows, lattice_perm
+    if len(lp) != P.lattice.size:
         raise ValueError("lattice map size does not match the poset's lattice")
     if odd:
-        perm = [table[lp[b] * w + lp[a]] for a, b in P.pairs]
+        perm = [rows[lp[b]][lp[a]] for a, b in P.pairs]
     else:
-        perm = [table[lp[a] * w + lp[b]] for a, b in P.pairs]
+        perm = [rows[lp[a]][lp[b]] for a, b in P.pairs]
     if None in perm:
         a, b = P.pairs[perm.index(None)]
         raise FalsificationError(
@@ -710,26 +761,47 @@ def classify_parity(phi, P: ProjectionPoset) -> str:
     return verdict
 
 
+def _recovered_witness(P: ProjectionPoset, perm, odd: bool) -> tuple[int, ...]:
+    """The lattice map behind the poset permutation perm if it has the
+    given parity. Even: f(a) is the image of the image of one projection
+    with image a. Odd: g(b) is the image of the image of one projection
+    with kernel b."""
+    img = P.image
+    families = P.by_kernel if odd else P.by_image
+    return tuple(img[perm[families[a][0]]] for a in range(P.lattice.size))
+
+
 def decompose_poset_automorphism(phi: PosetMap, P: ProjectionPoset) -> LatticeMap:
     """Recover the lattice (anti-)automorphism behind an orthoposet map.
 
-    Even: f(a) is the image of the image of one projection with image a.
-    Odd: g(b) is the image of the image of one projection with kernel b.
     The witness is accepted only when it rebuilds phi exactly, which makes
     every member of each family agree with it, and is then verified as a
-    lattice map. Every step is checked, so this runs at any lattice
-    length: below length 4, where the theorem does not apply, a map
-    without a witness raises instead (the verbs that rest on the theorem
-    refuse n < 4 themselves).
+    lattice map. The parity is first guessed from the first image family
+    (even when its images agree): a rebuild that equals phi exactly makes
+    every family agree with that parity, so classify_parity would return
+    it too. Otherwise classify_parity decides, and its errors, or the
+    failed rebuild, are raised. Every step is checked, so this runs at
+    any lattice length: below length 4, where the theorem does not apply,
+    a map without a witness raises instead (the verbs that rest on the
+    theorem refuse n < 4 themselves).
     """
-    odd = classify_parity(phi, P) == ODD
-    perm, img = phi.perm, P.image
-    families = P.by_kernel if odd else P.by_image
-    f_perm = tuple(img[perm[families[a][0]]] for a in range(P.lattice.size))
-    if _transport(P, f_perm, odd, "witness") != perm:
-        raise FalsificationError(
-            "recovered witness does not reproduce the poset map", {}
-        )
+    perm = phi.perm
+    exact = False
+    if P.image_families:
+        img = P.image
+        odd = len({img[perm[i]] for i in P.image_families[0][1]}) > 1
+        f_perm = _recovered_witness(P, perm, odd)
+        try:
+            exact = _transport(P, f_perm, odd, "witness") == perm
+        except FalsificationError:
+            pass
+    if not exact:
+        odd = classify_parity(phi, P) == ODD
+        f_perm = _recovered_witness(P, perm, odd)
+        if _transport(P, f_perm, odd, "witness") != perm:
+            raise FalsificationError(
+                "recovered witness does not reproduce the poset map", {}
+            )
     fmap = LatticeMap(f_perm, ANTI if odd else AUTO)
     verify_lattice_map(fmap, P.lattice)
     return fmap
@@ -741,13 +813,13 @@ def poset_atom_perm_from_lattice(
     """Fast path: the action on P-atoms induced by a lattice map, without
     materializing the full poset permutation."""
     _lift_plan(P)  # the atomisticity guard
-    table, w, lp, ordinal = P.pair_table, P.lattice.size, lattice_perm, P.atom_ordinal
-    if len(lp) != w:
+    rows, lp, ordinal = P.pair_rows, lattice_perm, P.atom_ordinal
+    if len(lp) != P.lattice.size:
         raise ValueError("lattice map size does not match the poset's lattice")
     try:
         if odd:
-            return tuple([ordinal[table[lp[b] * w + lp[a]]] for a, b in P.atom_pairs])
-        return tuple([ordinal[table[lp[a] * w + lp[b]]] for a, b in P.atom_pairs])
+            return tuple([ordinal[rows[lp[b]][lp[a]]] for a, b in P.atom_pairs])
+        return tuple([ordinal[rows[lp[a]][lp[b]]] for a, b in P.atom_pairs])
     except KeyError:
         raise FalsificationError(
             "lattice map sends a projection atom to no atom of the poset", {}

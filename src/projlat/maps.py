@@ -25,7 +25,7 @@ def identity_perm(n: int) -> tuple[int, ...]:
 
 def perm_compose(f, g) -> tuple[int, ...]:
     """The permutation of 'f after g': (f*g)[i] = f[g[i]]."""
-    return tuple(f[x] for x in g)
+    return tuple([f[x] for x in g])
 
 
 def perm_inverse(f) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ cross-linked and cross-checked.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import accumulate
 from operator import or_
 
@@ -118,13 +119,9 @@ class ProjectionPoset:
         self.ortho = [self.index[(b, a)] for a, b in pairs]
         self.by_image: dict[int, list[int]] = {}
         self.by_kernel: dict[int, list[int]] = {}
-        # flat (image, kernel) -> element table: entry a * L.size + b is the
-        # element (a, b), None when a and b are not complements
-        self.pair_table: list[int | None] = [None] * (L.size * L.size)
         for i, (a, b) in enumerate(pairs):
             self.by_image.setdefault(a, []).append(i)
             self.by_kernel.setdefault(b, []).append(i)
-            self.pair_table[a * L.size + b] = i
         # the families classify_parity scans: images with two or more
         # complements, in by_image order
         self.image_families = [(a, g) for a, g in self.by_image.items() if len(g) > 1]
@@ -167,6 +164,18 @@ class ProjectionPoset:
         self.atoms = [i for i, g in enumerate(self.grade) if g == 1]
         self.elem_atom_masks = atom_masks(self.up_masks, self.atoms)
         self.atom_mask_index = {m: i for i, m in enumerate(self.elem_atom_masks)}
+
+    @cached_property
+    def pair_rows(self) -> list[list[int | None]]:
+        """The (image, kernel) -> element table, one row per image:
+        pair_rows[a][b] is the element (a, b), None when a and b are not
+        complements. Built on first use; the transports from lattice
+        maps read it."""
+        w = self.lattice.size
+        rows: list[list[int | None]] = [[None] * w for _ in range(w)]
+        for i, (a, b) in enumerate(self.pairs):
+            rows[a][b] = i
+        return rows
 
     # -- order -------------------------------------------------------------
 

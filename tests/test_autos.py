@@ -264,9 +264,9 @@ def test_branch_partition_is_exact(kind, ambient, request, monkeypatch):
     core = autos._atom_search
 
     def recording_core(init_cand, narrow, *rest):
-        def recording_narrow(x, y, assigned, cand):
+        def recording_narrow(x, y, *state):
             branched.append(x)
-            return narrow(x, y, assigned, cand)
+            return narrow(x, y, *state)
 
         return core(init_cand, recording_narrow, *rest)
 
@@ -900,3 +900,473 @@ def test_main_theorem_report_is_independent_of_jobs(L32, P32):
     ]
     assert docs[0] == docs[1]
     assert '"poset_automorphisms":336' in docs[0] and '"status":"pass"' in docs[0]
+
+
+# ---------------------------------------------------------------------------
+# the search core, the transports and decomposition against verbatim copies
+# of their previous versions
+# ---------------------------------------------------------------------------
+
+
+def _previous_atom_search(init_cand, narrow, lift, budget, restrict_first, stats):
+    """Reference: the search core as it was before it kept forced atoms
+    apart, rescanning every unassigned atom at every node."""
+    m = len(init_cand)
+    nodes = 0
+    found = 0
+    root_pivot, _ = autos._search_plan(init_cand)
+    root_mask = None
+    if restrict_first is not None:
+        root_mask = sum(1 << y for y in set(restrict_first))
+
+    def rec(assigned, cand, n_assigned):
+        nonlocal nodes, found
+        # choose the most constrained unassigned atom
+        best = -1
+        best_pc = m + 1
+        all_forced = True
+        for z in range(m):
+            if assigned[z] is None:
+                pc = cand[z].bit_count()
+                if pc == 0:
+                    return
+                if pc > 1:
+                    all_forced = False
+                if pc < best_pc:
+                    best, best_pc = z, pc
+        if best == -1 or all_forced:
+            # complete the permutation with the forced choices; the check
+            # below rejects target collisions, the lift everything else
+            perm = list(assigned)
+            for z in range(m):
+                if perm[z] is None:
+                    perm[z] = cand[z].bit_length() - 1
+            perm = tuple(perm)
+            if sorted(perm) != list(range(m)):
+                return
+            eperm = lift(perm)
+            if eperm is not None:
+                found += 1
+                yield perm, eperm
+            return
+        opts = cand[best]
+        if n_assigned == 0 and best == root_pivot and root_mask is not None:
+            opts &= root_mask
+        for y in lattice_bits(opts):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                if stats is not None:
+                    stats["nodes"] = nodes
+                raise SearchBudgetExceeded(nodes, found)
+            new_assigned = assigned.copy()
+            new_assigned[best] = y
+            new_cand = cand.copy()
+            new_cand[best] = 1 << y
+            if narrow(best, y, new_assigned, new_cand):
+                yield from rec(new_assigned, new_cand, n_assigned + 1)
+
+    yield from rec([None] * m, list(init_cand), 0)
+    if stats is not None:
+        stats["nodes"] = nodes
+        stats["found"] = found
+
+
+def _previous_lattice_search(L, budget=None, restrict_first=None, stats=None, failed=None):
+    """Reference: the lattice search on the previous core and narrowing;
+    failed, if given, counts the narrowings that fail."""
+    plan = autos._lift_plan(L)
+    init_cand, line_mask = autos._lattice_search_structure(L)
+    m = len(init_cand)
+
+    def narrow(best, y, assigned, cand) -> bool:
+        not_y = ~(1 << y)
+        for z in range(m):
+            if assigned[z] is None:
+                nc = cand[z] & not_y
+                if nc == 0:
+                    return False
+                cand[z] = nc
+        lm_row = line_mask[best]
+        lmy_row = line_mask[y]
+        for x2 in range(m):
+            y2 = assigned[x2]
+            if y2 is None or x2 == best:
+                continue
+            lm = lm_row[x2]
+            lmi = lmy_row[y2]
+            not_lmi = ~lmi
+            for z in range(m):
+                if assigned[z] is None:
+                    nc = cand[z] & (lmi if lm >> z & 1 else not_lmi)
+                    if nc == 0:
+                        return False
+                    cand[z] = nc
+        return True
+
+    yield from _previous_atom_search(
+        init_cand, _counting(narrow, failed),
+        lambda perm: autos._lift_bijective(L, plan, perm), budget, restrict_first, stats,
+    )
+
+
+def _previous_poset_search(P, budget=None, restrict_first=None, stats=None, failed=None):
+    """Reference: the poset search on the previous core and narrowing."""
+    autos._lift_plan(P)
+    init_cand, colors, allowed = autos._poset_search_structure(P)
+    m = len(init_cand)
+
+    def narrow(best, y, assigned, cand) -> bool:
+        not_y = ~(1 << y)
+        allowed_y = allowed[y]
+        for z in range(m):
+            if assigned[z] is None:
+                nc = cand[z] & not_y & allowed_y[colors[z][best]]
+                if nc == 0:
+                    return False
+                cand[z] = nc
+        return True
+
+    yield from _previous_atom_search(
+        init_cand, _counting(narrow, failed),
+        lambda perm: autos.expand_poset_atom_perm(P, perm), budget, restrict_first, stats,
+    )
+
+
+def _counting(narrow, failed):
+    if failed is None:
+        return narrow
+
+    def counted(*args):
+        ok = narrow(*args)
+        failed[0] += not ok
+        return ok
+
+    return counted
+
+
+def _search_outcome(search, S, budget, restrict_first):
+    """Everything a search shows: its yields, in order, the budget error
+    it ends with (nodes, found and message) and its stats."""
+    stats = {}
+    out = []
+    try:
+        for item in search(S, budget=budget, restrict_first=restrict_first, stats=stats):
+            out.append(item)
+    except SearchBudgetExceeded as exc:
+        return out, (exc.nodes, exc.found, str(exc)), stats
+    return out, None, stats
+
+
+CORE_SEARCHES = {
+    "lattice": (iter_lattice_atom_perms, _previous_lattice_search, lattice_search_plan),
+    "poset": (iter_poset_atom_perms, _previous_poset_search, poset_search_plan),
+}
+
+
+def _assert_core_matches_previous(kind, S, restricts, budgets=(None, 0, 1, 10, 500)):
+    """The search and the previous core agree under every restriction and
+    budget given; returns the previous core's count of failed narrowings
+    and its stats for the first restriction without a budget."""
+    search, previous, _ = CORE_SEARCHES[kind]
+    failed = [0]
+    first = None
+    for restrict in restricts:
+        for budget in budgets:
+            got = _search_outcome(search, S, budget, restrict)
+            want = _search_outcome(
+                lambda *a, **k: previous(*a, **k, failed=failed), S, budget, restrict
+            )
+            assert got == want, (kind, S, restrict, budget)
+            if first is None and budget is None:
+                first = want[2]
+    return failed[0], first
+
+
+@pytest.mark.parametrize("kind", ["lattice", "poset"])
+@pytest.mark.parametrize(
+    "n, spec", [(1, "2"), (1, "2^2"), (2, "2"), (2, "3"), (3, "2"), (3, "3")]
+)
+def test_search_core_matches_previous_core(kind, n, spec, monkeypatch):
+    """In full, restricted to the last root target, and restricted to no
+    target at all; each without a budget and at budgets 0, 1, 10 and 500.
+    The leaf is memoized so that both cores share one lift per leaf."""
+    L = enumerate_subspaces(n, parse_field(spec))
+    S = L if kind == "lattice" else build_projection_poset(L)
+    leaf = autos.expand_poset_atom_perm
+    memo = {}
+    monkeypatch.setattr(
+        autos, "expand_poset_atom_perm",
+        lambda P, perm: memo[perm] if perm in memo else memo.setdefault(perm, leaf(P, perm)),
+    )
+    _, targets = CORE_SEARCHES[kind][2](S)
+    _assert_core_matches_previous(kind, S, [None, {targets[-1]}, set()])
+
+
+def test_search_core_matches_previous_core_on_a_branch_42(P42):
+    _, targets = poset_search_plan(P42)
+    failed, stats = _assert_core_matches_previous("poset", P42, [{targets[7]}])
+    assert (failed, stats) == (0, {"nodes": 5475, "found": 336})
+
+
+@pytest.mark.parametrize("how", ["flip", "trade", "orient"])
+def test_search_core_matches_previous_core_on_corrupted_orders(L32, how):
+    P = build_projection_poset(L32)
+    _corrupt(P, how)
+    _, targets = poset_search_plan(P)
+    _assert_core_matches_previous("poset", P, [None, {targets[0]}])
+
+
+def _searched_from(kind, S, cut):
+    """S, searched from its own initial candidates after cut(init_cand)
+    has changed them in place."""
+    structure = (
+        autos._lattice_search_structure(S) if kind == "lattice"
+        else autos._poset_search_structure(S)
+    )
+    init_cand = list(structure[0])
+    cut(init_cand)
+    S._auto_search_cache = (init_cand, *structure[1:])
+    return S
+
+
+@pytest.mark.parametrize("kind, n, spec", [("lattice", 3, "2"), ("poset", 2, "3"), ("poset", 3, "2")])
+def test_search_core_matches_previous_core_where_narrowings_fail(kind, n, spec):
+    """No narrowing fails in the searches of the ambients above, nor on
+    the corrupted orders. Initial candidates cut down at random make some
+    fail."""
+    rng = random.Random(n * 10 + len(spec))
+
+    def cut(init_cand):
+        for z in rng.sample(range(len(init_cand)), len(init_cand) // 2):
+            kept = rng.sample(lattice_bits(init_cand[z]), rng.choice([1, 1, 2, 3]))
+            init_cand[z] = sum(1 << y for y in kept)
+
+    failed = 0
+    for _ in range(12):
+        L = enumerate_subspaces(n, parse_field(spec))
+        S = _searched_from(kind, L if kind == "lattice" else build_projection_poset(L), cut)
+        _, targets = CORE_SEARCHES[kind][2](S)
+        more, _ = _assert_core_matches_previous(
+            kind, S, [None, {targets[-1]}], budgets=(None, 10)
+        )
+        failed += more
+    assert failed > 0
+
+
+@pytest.mark.parametrize("kind", ["lattice", "poset"])
+def test_search_core_matches_previous_core_on_a_forced_root_pivot(kind):
+    """An atom left one candidate, its own image, at the root is the
+    pivot while other atoms are still open: the root restriction applies
+    to it, so restricting to another image, or to none, finds nothing."""
+    L = enumerate_subspaces(3, parse_field("2"))
+    S = L if kind == "lattice" else build_projection_poset(L)
+    S = _searched_from(kind, S, lambda init_cand: init_cand.__setitem__(3, 1 << 3))
+    search, _, plan = CORE_SEARCHES[kind]
+    assert plan(S) == (3, [3])
+    _assert_core_matches_previous(kind, S, [None, {3}, {4}, set()])
+    for restrict in ({4}, set()):
+        assert _search_outcome(search, S, None, restrict) == ([], None, {"nodes": 0, "found": 0})
+    fixed, _, _ = _search_outcome(search, S, None, {3})
+    assert fixed and all(ap[3] == 3 for ap, _ in fixed)
+
+
+def _flat_pair_table(P):
+    w = P.lattice.size
+    table = [None] * (w * w)
+    for i, (a, b) in enumerate(P.pairs):
+        table[a * w + b] = i
+    return table
+
+
+def _previous_transport(P, lattice_perm, odd, what):
+    """Reference: the transport through the flat pair table, as it was."""
+    table, w, lp = _flat_pair_table(P), P.lattice.size, lattice_perm
+    if len(lp) != w:
+        raise ValueError("lattice map size does not match the poset's lattice")
+    if odd:
+        perm = [table[lp[b] * w + lp[a]] for a, b in P.pairs]
+    else:
+        perm = [table[lp[a] * w + lp[b]] for a, b in P.pairs]
+    if None in perm:
+        a, b = P.pairs[perm.index(None)]
+        raise FalsificationError(
+            f"{what} image of a projection pair left the poset",
+            {"missing": (lp[b], lp[a]) if odd else (lp[a], lp[b])},
+        )
+    return tuple(perm)
+
+
+def _previous_poset_atom_perm_from_lattice(P, lattice_perm, odd):
+    """Reference: the atom action through the flat pair table, as it was."""
+    autos._lift_plan(P)  # the atomisticity guard
+    table, w, lp, ordinal = _flat_pair_table(P), P.lattice.size, lattice_perm, P.atom_ordinal
+    if len(lp) != w:
+        raise ValueError("lattice map size does not match the poset's lattice")
+    try:
+        if odd:
+            return tuple([ordinal[table[lp[b] * w + lp[a]]] for a, b in P.atom_pairs])
+        return tuple([ordinal[table[lp[a] * w + lp[b]]] for a, b in P.atom_pairs])
+    except KeyError:
+        raise FalsificationError(
+            "lattice map sends a projection atom to no atom of the poset", {}
+        ) from None
+
+
+def _previous_decompose(phi, P):
+    """Reference: decomposition as it was, classify_parity first, then the
+    exact rebuild."""
+    odd = classify_parity(phi, P) == ODD
+    perm, img = phi.perm, P.image
+    families = P.by_kernel if odd else P.by_image
+    f_perm = tuple(img[perm[families[a][0]]] for a in range(P.lattice.size))
+    if _previous_transport(P, f_perm, odd, "witness") != perm:
+        raise FalsificationError(
+            "recovered witness does not reproduce the poset map", {}
+        )
+    fmap = LatticeMap(f_perm, ANTI if odd else AUTO)
+    autos.verify_lattice_map(fmap, P.lattice)
+    return fmap
+
+
+def _call_outcome(fn, *args):
+    """fn's result, or the type, message and payload of what it raised."""
+    try:
+        out = fn(*args)
+    except (AssertionError, LookupError, ValueError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "payload", None)
+    return (out.perm, out.direction) if isinstance(out, LatticeMap) else out
+
+
+def _even_odd_pair(P):
+    """A lattice automorphism f, f composed with the duality, and the even
+    and odd poset permutations they induce."""
+    L = P.lattice
+    f = next(iter_lattice_atom_perms(L, restrict_first={lattice_search_plan(L)[1][-1]}))[1]
+    g = perm_compose(f, standard_duality(L).perm)
+    even = even_from_lattice_automorphism(LatticeMap(f, AUTO), P).perm
+    odd = odd_from_anti_automorphism(LatticeMap(g, ANTI), P).perm
+    return f, g, even, odd
+
+
+@pytest.mark.parametrize("n, spec", [(2, "2"), (3, "2"), (2, "3"), (4, "2")])
+def test_transports_match_previous(n, spec):
+    """On automorphisms and their anti-automorphisms, on a swap of a point
+    with a complementary hyperplane, which sends the atom pairing them to
+    an element that is no atom and other atoms out of the poset, and on a
+    map of the wrong size."""
+    L = enumerate_subspaces(n, parse_field(spec))
+    P = build_projection_poset(L)
+    f, g, _, _ = _even_odd_pair(P)
+    x = L.atoms[0]
+    h = next(b for a, b in P.pairs if a == x and b in L.coatoms)
+    swap = list(range(L.size))
+    swap[x], swap[h] = h, x
+    cases = [f, g, standard_duality(L).perm, tuple(swap), tuple(range(L.size - 1))]
+    for lp in cases:
+        for odd in (False, True):
+            for new, old in [
+                (autos._transport, _previous_transport),
+                (
+                    lambda P, lp, odd, what: poset_atom_perm_from_lattice(P, lp, odd),
+                    lambda P, lp, odd, what: _previous_poset_atom_perm_from_lattice(P, lp, odd),
+                ),
+            ]:
+                want = _call_outcome(old, P, lp, odd, "witness")
+                assert _call_outcome(new, P, lp, odd, "witness") == want
+    if n > 2:  # at n = 2 hyperplanes are points, and the swap an automorphism
+        assert P.pair_rows[x][h] in P.atom_ordinal
+        assert P.pair_rows[h][x] is not None and P.pair_rows[h][x] not in P.atom_ordinal
+        assert _call_outcome(poset_atom_perm_from_lattice, P, tuple(swap), True)[1] == (
+            "lattice map sends a projection atom to no atom of the poset"
+        )
+
+
+def _swapped(base, old, new):
+    """base followed by the involution that swaps old[i] with new[i]; old
+    and new are disjoint."""
+    tau = list(range(len(base)))
+    for s, t in zip(old, new):
+        tau[s], tau[t] = t, s
+    return tuple(tau[e] for e in base)
+
+
+@pytest.mark.parametrize("n, spec", [(1, "2"), (2, "2"), (3, "2"), (2, "3"), (4, "2")])
+def test_decompose_matches_previous(n, spec):
+    """Exceptions and payloads included, on: the identity; even and odd
+    maps; a map whose first image family is even and the others odd, and
+    one whose first family is odd and the others even; maps with one
+    family split between an image and a kernel; random permutations."""
+    L = enumerate_subspaces(n, parse_field(spec))
+    P = build_projection_poset(L)
+    rng = random.Random(n * 10 + len(spec))
+    identity = tuple(range(P.size))
+    cases = [identity]
+    families = P.image_families
+    if families:
+        _, _, even, odd = _even_odd_pair(P)
+        _, group = families[0]
+        size = len(group)
+        # the first family's images under odd share a kernel; swapped with
+        # an image family of the same size, they share an image instead
+        old = [odd[i] for i in group]
+        new = next(g for g in P.by_image.values() if len(g) == size and not set(g) & set(old))
+        first_even = _swapped(odd, old, new)
+        old = [even[i] for i in group]
+        new = next(g for g in P.by_kernel.values() if len(g) == size and not set(g) & set(old))
+        first_odd = _swapped(even, old, new)
+        assert len({P.image[first_even[i]] for i in group}) == 1
+        assert len({P.kernel[first_odd[i]] for i in group}) == 1 < len(
+            {P.image[first_odd[i]] for i in group}
+        )
+        cases += [even, odd, first_even, first_odd]
+        for _ in range(3):
+            _, group = rng.choice(families)
+            half = [even[i] for i in group[: len(group) // 2]]
+            kernel_family = next(
+                g for g in P.by_kernel.values() if len(g) >= len(half) and not set(g) & set(half)
+            )
+            cases.append(_swapped(even, half, kernel_family))
+    for _ in range(3):
+        shuffled = list(identity)
+        rng.shuffle(shuffled)
+        cases.append(tuple(shuffled))
+    outcomes = []
+    for perm in cases:
+        phi = PosetMap(perm, UNKNOWN)
+        want = _call_outcome(_previous_decompose, phi, P)
+        assert _call_outcome(decompose_poset_automorphism, phi, P) == want
+        outcomes.append(want)
+    if not families:
+        assert set(outcomes) == {
+            ("ValueError", "no image-sharing projections; parity undefined", None)
+        }
+        return
+    assert [w[1] for w in outcomes[1:3]] == [AUTO, ANTI]
+    if L.n < 3:
+        return  # at length 2 a swap can land on an automorphism
+    # the first two fail on a family whose verdict conflicts with the first
+    # family's, the next three on a family split between image and kernel
+    dichotomy = "even/odd dichotomy failed on image-sharing families"
+    for kind, (name, message, payload) in zip(["conflict"] * 2 + ["mixed"] * 3, outcomes[3:8]):
+        assert (name, message) == ("FalsificationError", dichotomy)
+        verdicts = ["verdict" in v for v in payload["violations"]]
+        assert any(verdicts) if kind == "conflict" else not all(verdicts)
+
+
+def test_decompose_classifies_only_when_the_rebuild_fails(P32, monkeypatch):
+    """The rebuild guessed from the first family settles every (3,2)
+    automorphism without classify_parity; a map it does not rebuild goes
+    through classify_parity, which raises."""
+    calls = []
+    classify = autos.classify_parity
+    monkeypatch.setattr(
+        autos, "classify_parity", lambda phi, P: calls.append(1) or classify(phi, P)
+    )
+    maps = enumerate_poset_automorphisms(P32)
+    directions = [decompose_poset_automorphism(m, P32).direction for m in maps]
+    assert directions.count(AUTO) == directions.count(ANTI) == 168 and calls == []
+    shuffled = list(range(P32.size))
+    random.Random(3).shuffle(shuffled)
+    with pytest.raises(FalsificationError, match="dichotomy"):
+        decompose_poset_automorphism(PosetMap(tuple(shuffled), UNKNOWN), P32)
+    assert calls == [1]
