@@ -776,32 +776,28 @@ def decompose_poset_automorphism(phi: PosetMap, P: ProjectionPoset) -> LatticeMa
 
     The witness is accepted only when it rebuilds phi exactly, which makes
     every member of each family agree with it, and is then verified as a
-    lattice map. The parity is first guessed from the first image family
-    (even when its images agree): a rebuild that equals phi exactly makes
-    every family agree with that parity, so classify_parity would return
-    it too. Otherwise classify_parity decides, and its errors, or the
-    failed rebuild, are raised. Every step is checked, so this runs at
-    any lattice length: below length 4, where the theorem does not apply,
-    a map without a witness raises instead (the verbs that rest on the
-    theorem refuse n < 4 themselves).
+    lattice map. The parity is read off the first image family (even when
+    its images agree): classify_parity returns that parity or raises, so
+    when the rebuild fails it runs first and a failed dichotomy is what
+    gets reported. Every step is checked, so
+    this runs at any lattice length: below length 4, where the theorem
+    does not apply, a map without a witness raises instead (the verbs
+    that rest on the theorem refuse n < 4 themselves).
     """
     perm = phi.perm
-    exact = False
-    if P.image_families:
-        img = P.image
-        odd = len({img[perm[i]] for i in P.image_families[0][1]}) > 1
-        f_perm = _recovered_witness(P, perm, odd)
-        try:
-            exact = _transport(P, f_perm, odd, "witness") == perm
-        except FalsificationError:
-            pass
+    if not P.image_families:
+        classify_parity(phi, P)  # raises: no family fixes a parity
+    img = P.image
+    odd = len({img[perm[i]] for i in P.image_families[0][1]}) > 1
+    f_perm = _recovered_witness(P, perm, odd)
+    try:
+        exact = _transport(P, f_perm, odd, "witness") == perm
+    except FalsificationError:
+        classify_parity(phi, P)
+        raise
     if not exact:
-        odd = classify_parity(phi, P) == ODD
-        f_perm = _recovered_witness(P, perm, odd)
-        if _transport(P, f_perm, odd, "witness") != perm:
-            raise FalsificationError(
-                "recovered witness does not reproduce the poset map", {}
-            )
+        classify_parity(phi, P)
+        raise FalsificationError("recovered witness does not reproduce the poset map", {})
     fmap = LatticeMap(f_perm, ANTI if odd else AUTO)
     verify_lattice_map(fmap, P.lattice)
     return fmap
