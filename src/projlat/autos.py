@@ -25,9 +25,11 @@ import functools
 import json
 import os
 import sys
+from array import array
+from itertools import accumulate
 
 from .gf import parse_field
-from .lattice import SubspaceLattice, _bits, enumerate_subspaces
+from .lattice import SubspaceLattice, _bits, atom_masks, enumerate_subspaces
 from .maps import (
     ANTI,
     AUTO,
@@ -514,70 +516,160 @@ class _Memo(dict):
         return value
 
 
+# bytes of a packed atom-pair key's slot, with the memoryview format that
+# reads such slots back as unsigned ints
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _slot_layout(widths: list[int]) -> tuple[list[int], int]:
+    """Fields of the given bit widths packed low field first: the bit
+    offset of each, and the bytes of the smallest slot (1, 2, 4 or 8) that
+    holds them all. A key wider than 64 bits is refused."""
+    offsets = list(accumulate(widths, initial=0))
+    bits = offsets.pop()
+    for nbytes in _SLOT_FORMATS:
+        if bits <= 8 * nbytes:
+            return offsets, nbytes
+    raise ValueError(f"an atom-pair key of {bits} bits does not fit a 64-bit slot")
+
+
+@functools.cache
+def _byte_equal_table(b: int) -> bytes:
+    """The bytes.translate table sending byte b to b"1" and every other
+    byte to b"0"."""
+    return bytes(49 if v == b else 48 for v in range(256))
+
+
 def _poset_search_structure(P: ProjectionPoset):
     """Atom pair invariants for pruning. Every ingredient is definable from
     the order and the orthocomplementation alone, so the constraints hold
-    for every orthoposet automorphism, even and odd alike."""
+    for every orthoposet automorphism, even and odd alike.
+
+    The color of the atom pair (x_i, x_j), o_i being the orthocomplement
+    of x_i, is its key: the unary classes of x_i and x_j; whether x_j is
+    o_i, x_i <= o_j and x_j <= o_i; and, grade by grade, how many elements
+    lie above both x_i and x_j, above x_i and o_j, and above o_i and x_j.
+    Keys are built packed, SIMD within a register: row i is one int with
+    a slot of 1, 2, 4 or 8 bytes per atom j, and slot j holds the key of
+    (i, j), each field as wide as its largest value. Every count is a sum
+    over the elements e, so one pass over the elements adds e's column,
+    one bit in e's grade field of the slot of every atom below e, to the
+    row of every atom below e; no Python code runs per atom pair."""
     cached = getattr(P, "_auto_search_cache", None)
     if cached is not None:
         return cached
     if not P.is_graded_by_image_dim():
         raise FalsificationError("poset not graded by image rank; invariants unsound")
-    atoms = P.atoms
+    atoms, up, grade = P.atoms, P.up_masks, P.grade
     m = len(atoms)
-    size = P.size
-    up = P.up_masks
-    ortho = P.ortho
+    ortho_a = [P.ortho[x] for x in atoms]
+    grade_masks = [0] * (max(grade) + 1)
+    for e, g in enumerate(grade):
+        grade_masks[g] |= 1 << e
 
-    # masks are read top-first here, bit size-1-e standing for element e:
-    # up-sets of high-grade elements then lie in the low bits, so their
-    # intersections are short ints and hash fast
-    def top_first(mask: int) -> int:
-        return int(format(mask, f"0{size}b")[::-1], 2)
+    def profile(mask: int) -> tuple[int, ...]:
+        return tuple([(mask & gm).bit_count() for gm in grade_masks])
 
-    grade_masks = [0] * (max(P.grade) + 1)
-    for e, g in enumerate(P.grade):
-        grade_masks[g] |= 1 << (size - 1 - e)
-    # few distinct masks recur across many pairs: each one's profile (its
-    # count per grade) is computed once, and stands as a dense id
-    profile_ids = _DenseIds()
-    profile = _Memo(
-        lambda mask: profile_ids[tuple((mask & gm).bit_count() for gm in grade_masks)]
-    )
-    up_a = [top_first(up[x]) for x in atoms]
-    up_oa = [top_first(up[ortho[x]]) for x in atoms]
-    ortho_a = [ortho[x] for x in atoms]
-    ortho_bit = [size - 1 - o for o in ortho_a]
+    up_x = [profile(up[x]) for x in atoms]
+    up_o = [profile(up[o]) for o in ortho_a]
     unary_ids = _DenseIds()
-    unary = [unary_ids[profile[u], profile[u & uo]] for u, uo in zip(up_a, up_oa)]
+    unary = [unary_ids[p, profile(up[x] & up[o])] for p, x, o in zip(up_x, atoms, ortho_a)]
 
-    # the color of (i, j) is the first key below; that of (j, i) swaps its
-    # mirrored fields, so both come from one visit of the unordered pair.
-    # allowed[y][c] = ordinals y2 with colors[y2][y] == c
+    # a count at grade g is at most the largest grade-g count of the
+    # up-sets it intersects: those of atoms, or of an atom and an o
+    most_x = [max(col) for col in zip(*up_x)]
+    most_xo = [min(a, max(col)) for a, col in zip(most_x, zip(*up_o))]
+    fields = [*most_x, *most_xo, *most_xo, 1, 1, 1, len(unary_ids) - 1, len(unary_ids) - 1]
+    offsets, nbytes = _slot_layout([v.bit_length() for v in fields])
+    n = len(grade_masks)
+    at_xx, at_xo, at_ox = offsets[:n], offsets[n : 2 * n], offsets[2 * n : 3 * n]
+    at_eq, at_i_below, at_j_below, at_ui, at_uj = offsets[3 * n :]
+    slot_bits = 8 * nbytes
+
+    def bit_bytes(mask: int, length: int) -> bytes:
+        """Byte t is bit t of mask, for t < length."""
+        return format(mask, f"0{length}b").encode().translate(_BIT_BYTES)[::-1]
+
+    def spread(column: bytes) -> int:
+        """The int whose slot t holds byte t of column."""
+        slots = bytearray(m * nbytes)
+        slots[::nbytes] = column
+        return int.from_bytes(slots, "little")
+
+    packed_unary = b"".join(u.to_bytes(nbytes, "little") for u in unary)
+    unary_j = int.from_bytes(packed_unary, "little") << at_uj
+    ones = spread(b"\x01" * m)
+    rows = [u * ones << at_ui | unary_j for u in unary]
+    for i, o in enumerate(ortho_a):
+        if o in P.atom_ordinal:
+            rows[i] |= 1 << (P.atom_ordinal[o] * slot_bits + at_eq)
+    # byte t of column e of the atoms' up-sets is 1 when x_t <= e; the o's
+    # have short up-sets, and below_o[e] masks the t with o_t <= e. Element
+    # e of grade g adds a 1 to slot j of the row of every t with x_t <= e:
+    # in its grade-g count above x_t and x_j when x_j <= e, above x_t and
+    # o_j when o_j <= e, and in its flag x_t <= o_j when e = o_j; to slot j
+    # of the row of every t with o_t <= e, in its grade-g count above o_t
+    # and x_j when x_j <= e; and when e = o_t, to slot j of the row of t,
+    # in its flag x_j <= o_t when x_j <= e
+    size = P.size
+    up_x_bytes = bytearray()
+    for x in atoms:
+        up_x_bytes += bit_bytes(up[x], size)
+    below_o = atom_masks(up, ortho_a)
+    ortho_ordinal = {o: t for t, o in enumerate(ortho_a)}
+    for e, g in enumerate(grade):
+        below_x = up_x_bytes[e::size]
+        t = below_x.find(1)
+        if t < 0:
+            continue
+        column_x = spread(below_x)
+        column = column_x << at_xx[g]
+        if below_o[e]:
+            column |= spread(bit_bytes(below_o[e], m)) << at_xo[g]
+            column_o = column_x << at_ox[g]
+            for i in _bits(below_o[e]):
+                rows[i] += column_o
+        if e in ortho_ordinal:
+            j = ortho_ordinal[e]
+            column |= 1 << (j * slot_bits + at_i_below)
+            rows[j] += column_x << at_j_below
+        while t >= 0:
+            rows[t] += column
+            t = below_x.find(1, t + 1)
+    del up_x_bytes, below_o  # freed before the colors are built
+
+    # the colors, dense in order of first sight over the pairs i != j, row
+    # by row; the diagonal holds 0 and is never read. Each row is dropped
+    # once read
     color_ids = _DenseIds()
-    colors = [[0] * m for _ in range(m)]
-    allowed: list[list[int]] = [[] for _ in range(m)]
+    colors = []
     for i in range(m):
-        xi, oi, up_i, up_oi = atoms[i], ortho_a[i], up_a[i], up_oa[i]
-        colors_i, allowed_i, bit_i, u_i = colors[i], allowed[i], 1 << i, unary[i]
-        for j in range(i + 1, m):
-            xj, up_j = atoms[j], up_a[j]
-            i_below_oj = bool(up_i >> ortho_bit[j] & 1)
-            j_below_oi = bool(up_j >> ortho_bit[i] & 1)
-            both = profile[up_i & up_j]
-            i_oj = profile[up_i & up_oa[j]]
-            oi_j = profile[up_oi & up_j]
-            c_ij = colors_i[j] = color_ids[
-                u_i, unary[j], xj == oi, i_below_oj, j_below_oi, both, i_oj, oi_j
-            ]
-            c_ji = colors[j][i] = color_ids[
-                unary[j], u_i, xi == ortho_a[j], j_below_oi, i_below_oj, both, oi_j, i_oj
-            ]
-            if len(color_ids) > len(allowed_i):
-                for row in allowed:
-                    row.extend([0] * (len(color_ids) - len(row)))
-            allowed[j][c_ij] |= bit_i
-            allowed_i[c_ji] |= 1 << j
+        row, rows[i] = rows[i], None
+        keys = memoryview(row.to_bytes(m * nbytes, sys.byteorder))
+        keys = keys.cast(_SLOT_FORMATS[nbytes]).tolist()
+        if sys.byteorder == "big":
+            keys.reverse()
+        row_colors = [0] * m
+        row_colors[:i] = map(color_ids.__getitem__, keys[:i])
+        row_colors[i + 1 :] = map(color_ids.__getitem__, keys[i + 1 :])
+        colors.append(row_colors)
+
+    # allowed[y][c] masks the y2 != y with colors[y2][y] == c: for each
+    # color of column y, the AND over the bytes of the color's id of the
+    # column's bytes equal to it, read as a binary numeral
+    n_colors = len(color_ids)
+    width = next(b for b in _SLOT_FORMATS if n_colors <= 1 << 8 * b)
+    allowed = []
+    for y, column in enumerate(zip(*colors)):
+        packed = array(_SLOT_FORMATS[width], column).tobytes()
+        masks = [0] * n_colors
+        for c in set(column[:y] + column[y + 1 :]):
+            mask = -1
+            for b, byte in enumerate(c.to_bytes(width, sys.byteorder)):
+                mask &= int(packed[b::width].translate(_byte_equal_table(byte))[::-1], 2)
+            masks[c] = mask & ~(1 << y)
+        allowed.append(masks)
     # each atom's initial candidates: the atoms of its unary color
     unary_masks: dict[int, int] = {}
     for t, u in enumerate(unary):

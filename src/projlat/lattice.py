@@ -308,8 +308,13 @@ def atom_masks(up: list[int], atoms: list[int]) -> list[int]:
     """Atom set of every element: bit t of entry i is set iff atoms[t] <= i."""
     masks = [0] * len(up)
     for t, a in enumerate(atoms):
-        for i in _bits(up[a]):
+        # the set bits are found in the mask's binary digits: one scan per
+        # up-set, where _bits would take one big-int step per set bit
+        digits = format(up[a], "b")[::-1]
+        i = digits.find("1")
+        while i >= 0:
             masks[i] |= 1 << t
+            i = digits.find("1", i + 1)
     return masks
 
 

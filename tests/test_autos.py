@@ -496,6 +496,174 @@ def test_poset_search_unchanged_on_reference_colors(ambient, branch, maps, nodes
     assert len(got) == maps and stats["nodes"] == ref_stats["nodes"] == nodes
 
 
+def _keys_by_rows(P, rows):
+    """A row-restricted copy of _colors_by_ordered_pairs: the key of every
+    ordered pair (i, j), i != j, with i or j in rows, keyed one pair at a
+    time, and the initial candidates."""
+    atoms = P.atoms
+    m = len(atoms)
+    grade_masks = [0] * (max(P.grade) + 1)
+    for e in range(P.size):
+        grade_masks[P.grade[e]] |= 1 << e
+    up, ortho = P.up_masks, P.ortho
+
+    def profile(mask):
+        return tuple((mask & gm).bit_count() for gm in grade_masks)
+
+    unary_ids = {}
+    unary = [
+        unary_ids.setdefault((profile(up[x]), profile(up[x] & up[ortho[x]])), len(unary_ids))
+        for x in atoms
+    ]
+    keys = {}
+    for r in rows:
+        for i, j in [(r, t) for t in range(m)] + [(t, r) for t in range(m)]:
+            if i != j:
+                xi, xj = atoms[i], atoms[j]
+                keys[i, j] = (
+                    unary[i],
+                    unary[j],
+                    xj == ortho[xi],
+                    bool(up[xi] >> ortho[xj] & 1),
+                    bool(up[xj] >> ortho[xi] & 1),
+                    profile(up[xi] & up[xj]),
+                    profile(up[xi] & up[ortho[xj]]),
+                    profile(up[ortho[xi]] & up[xj]),
+                )
+    unary_masks = {}
+    for t, u in enumerate(unary):
+        unary_masks[u] = unary_masks.get(u, 0) | (1 << t)
+    return [unary_masks[u] for u in unary], keys
+
+
+def test_poset_colors_match_row_restricted_reference_35():
+    """At (3,5), 775 atoms, the full reference costs seconds: 40 seeded
+    rows and the same atoms' columns are compared instead, colors and
+    allowed masks under renaming, initial candidates in full."""
+    P = build_projection_poset(enumerate_subspaces(3, parse_field("5")))
+    init_cand, colors, allowed = autos._poset_search_structure(P)
+    rows = random.Random(35).sample(range(len(P.atoms)), 40)
+    ref_cand, keys = _keys_by_rows(P, rows)
+    assert init_cand == ref_cand
+    to_key, from_key = {}, {}
+    for (i, j), key in keys.items():
+        c = colors[i][j]
+        assert to_key.setdefault(c, key) == key and from_key.setdefault(key, c) == c
+    assert sorted(to_key) == list(range(len(allowed[0])))
+    for y in rows:
+        want = {}
+        for y2 in range(len(P.atoms)):
+            if y2 != y:
+                c = from_key[keys[y2, y]]
+                want[c] = want.get(c, 0) | 1 << y2
+        assert allowed[y] == [want.get(c, 0) for c in range(len(allowed[y]))]
+
+
+class _BareOrder:
+    """What the pair colors read of a poset, and no more: m atoms at grade
+    1, their orthocomplements at grade 2, and the elements add() puts
+    above chosen atoms, each its own orthocomplement."""
+
+    def __init__(self, m):
+        self.atoms = list(range(m))
+        self.atom_ordinal = {t: t for t in range(m)}
+        self.grade = [1] * m + [2] * m
+        self.ortho = [m + t for t in range(m)] + list(range(m))
+        self.up_masks = [1 << e for e in range(2 * m)]
+        self.size = 2 * m
+
+    def add(self, grade, below):
+        """A new element at grade, above the elements in below."""
+        e = self.size
+        self.size += 1
+        self.grade.append(grade)
+        self.ortho.append(e)
+        self.up_masks.append(1 << e)
+        for b in below:
+            self.up_masks[b] |= 1 << e
+        return e
+
+    def is_graded_by_image_dim(self) -> bool:
+        return True
+
+
+def _filled_order(counts):
+    """Three atoms and, for each counts[k] = c, c + 1 elements at grade
+    3 + k: x0 and x1 lie below the first c of them, x2 below all but the
+    first, so c is the largest value of the field counting them above x_i
+    and x_j, reached off the diagonal, and the atom pairs get two
+    colors."""
+    P = _BareOrder(3)
+    for k, c in enumerate(counts):
+        for i in range(c + 1):
+            P.add(3 + k, ([0, 1] if i < c else []) + ([2] if i > 0 else []))
+    return P
+
+
+# the key of _filled_order(counts) has 1 + 3 bits besides a field of
+# bit_length(c) bits per count c: x_i's own grade-1 count and three flags
+@pytest.mark.parametrize(
+    "counts, slot_bytes",
+    [
+        ([2**4 - 1], 1),
+        ([2**4], 2),
+        ([2**12 - 1], 2),
+        ([2**12], 4),
+        ([2**7 - 1] * 4, 4),
+        ([2**7 - 1] * 3 + [2**7], 8),
+        ([2**10 - 1] * 6, 8),
+    ],
+)
+def test_pair_key_fields_fill_their_slot(counts, slot_bytes, monkeypatch):
+    """Counts at 2^k - 1 fill k bits and 2^k takes k + 1: the key fits
+    its slot exactly at every slot width, or takes the next one, and the
+    colors still match the reference."""
+    slots = []
+    slot_layout = autos._slot_layout
+
+    def recording(widths):
+        offsets, nbytes = slot_layout(widths)
+        slots.append(nbytes)
+        return offsets, nbytes
+
+    monkeypatch.setattr(autos, "_slot_layout", recording)
+    colors = _assert_matches_reference(_filled_order(counts))
+    assert slots == [slot_bytes]
+    assert colors[0][1] != colors[0][2]
+
+
+def test_pair_colors_count_over_orthocomplements():
+    """In P these counts repeat the flags x_i <= o_j and x_j <= o_i. Here
+    x0, x1, x2 each lie below an element of their own at grade 3, and o0
+    below x1's: (0, 1) and (0, 2) differ only in the count above o_i and
+    x_j, (1, 0) and (2, 0) only in the count above x_i and o_j."""
+    P = _BareOrder(3)
+    own = [P.add(3, [t]) for t in range(3)]
+    P.up_masks[P.ortho[0]] |= 1 << own[1]
+    colors = _assert_matches_reference(P)
+    assert len({colors[0][1], colors[0][2], colors[1][0]}) == 3
+    assert colors[0][2] == colors[2][0]
+
+
+def test_more_than_256_pair_colors():
+    """Atom t below t + 1 elements of its own puts the 33 atoms in 33
+    unary classes, so their 1 056 ordered pairs get 1 056 colors, given
+    row by row: colors[y2][y] and colors[y2 + 8][y] are 256 apart, and
+    allowed is read off color ids of two bytes that agree in one."""
+    P = _BareOrder(33)
+    for t in range(33):
+        for _ in range(t + 1):
+            P.add(3, [t])
+    colors = _assert_matches_reference(P)
+    assert colors[9][0] - colors[1][0] == 256
+    assert len({c for i, row in enumerate(colors) for j, c in enumerate(row) if i != j}) == 1056
+
+
+def test_pair_key_above_64_bits_is_refused():
+    with pytest.raises(ValueError, match="65 bits"):
+        autos._poset_search_structure(_filled_order([2**10 - 1] * 5 + [2**10]))
+
+
 def test_search_budget_raises(L32):
     with pytest.raises(SearchBudgetExceeded):
         list(enumerate_lattice_automorphisms(L32, budget=10))
