@@ -113,7 +113,7 @@ class GF:
         self.k = k
         self.q = q
         self.modulus = mod
-        self._automorphisms_verified = False
+        self._automorphisms: list[FieldAutomorphism] | None = None
         self._build_tables()
 
     def _build_tables(self) -> None:
@@ -194,14 +194,14 @@ class GF:
         return FieldAutomorphism(self, power % self.k)
 
     def automorphisms(self) -> list["FieldAutomorphism"]:
-        """All field automorphisms: the k Frobenius powers, each verified on
-        the first call for this field; a fresh list every call."""
-        autos = [FieldAutomorphism(self, i) for i in range(self.k)]
-        if not self._automorphisms_verified:
+        """All field automorphisms, the k Frobenius powers: built and verified
+        on the first call for this field, a fresh list of them every call."""
+        if self._automorphisms is None:
+            autos = [FieldAutomorphism(self, i) for i in range(self.k)]
             for s in autos:
                 s.verify()
-            self._automorphisms_verified = True
-        return autos
+            self._automorphisms = autos
+        return list(self._automorphisms)
 
     # -- identity ----------------------------------------------------------
 

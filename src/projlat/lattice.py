@@ -183,14 +183,12 @@ class SubspaceLattice:
         self.down_masks = down_masks(up)
         # atom sets, for export and for the automorphism search
         self.elem_atom_masks = atom_masks(up, self.atoms)
-        self.atom_mask_index = {m: i for i, m in enumerate(self.elem_atom_masks)}
-        if len(self.atom_mask_index) != size:
-            raise AssertionError("distinct subspaces share an atom set")
+        self.atom_mask_index = _mask_index(self.elem_atom_masks, "atom set")
 
     def _build_tables(self) -> None:
         size = self.size
-        down_of = {self.down_masks[i]: i for i in range(size)}
-        up_of = {self.up_masks[i]: i for i in range(size)}
+        down_of = _mask_index(self.down_masks, "down-set")
+        up_of = _mask_index(self.up_masks, "up-set")
         meet_t = [[0] * size for _ in range(size)]
         join_t = [[0] * size for _ in range(size)]
         dm, um = self.down_masks, self.up_masks
@@ -304,17 +302,33 @@ def down_masks(up: list[int]) -> list[int]:
     return down
 
 
+def _mask_index(masks: list[int], what: str) -> dict[int, int]:
+    """{mask: element}. Two elements with one mask would break the order's
+    antisymmetry, and with it the uniqueness of least bounds."""
+    index = {m: i for i, m in enumerate(masks)}
+    if len(index) != len(masks):
+        raise AssertionError(f"two elements have the same {what}")
+    return index
+
+
+def _digit_bits(mask: int) -> list[int]:
+    """_bits read off the mask's binary digits: one scan per mask, not one
+    big-int step per set bit; the cheaper on long sparse masks (P's)."""
+    digits = format(mask, "b")[::-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
 def atom_masks(up: list[int], atoms: list[int]) -> list[int]:
     """Atom set of every element: bit t of entry i is set iff atoms[t] <= i."""
     masks = [0] * len(up)
     for t, a in enumerate(atoms):
-        # the set bits are found in the mask's binary digits: one scan per
-        # up-set, where _bits would take one big-int step per set bit
-        digits = format(up[a], "b")[::-1]
-        i = digits.find("1")
-        while i >= 0:
+        for i in _digit_bits(up[a]):
             masks[i] |= 1 << t
-            i = digits.find("1", i + 1)
     return masks
 
 

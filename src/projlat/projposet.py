@@ -21,6 +21,8 @@ from .lattice import (
     Subspace,
     SubspaceLattice,
     _bits,
+    _digit_bits,
+    _mask_index,
     atom_masks,
     cover_pairs,
     enumerate_subspaces,
@@ -45,19 +47,6 @@ from .reports import CampaignReport
 
 class NotIdempotent(ValueError):
     """Raised when a projection matrix is expected but M @ M != M."""
-
-
-def _least_bound(masks: list[int], i: int, j: int, what: str) -> int | None:
-    """The least common bound of i and j in the order of masks (up masks
-    for upper bounds, down masks for lower), or None if none is least."""
-    common = masks[i] & masks[j]
-    found = None
-    for m in _bits(common):
-        if common & ~masks[m] == 0:
-            if found is not None:
-                raise AssertionError(f"two distinct {what}")
-            found = m
-    return found
 
 
 def projector_matrix(F: GF, image: Subspace, kernel: Subspace) -> Matrix:
@@ -128,10 +117,7 @@ class ProjectionPoset:
         self._build_order()
         self.atom_pairs = [pairs[a] for a in self.atoms]
         self.atom_ordinal = {a: t for t, a in enumerate(self.atoms)}
-        self._covers: list[tuple[int, int]] | None = None
         self._graded: bool | None = None
-        self._idempotents: list[Matrix] | None = None
-        self._matrix_index: dict[Matrix, int] | None = None
 
     def _build_order(self) -> None:
         """The order is L's order on images times its dual on kernels:
@@ -182,17 +168,28 @@ class ProjectionPoset:
     def leq_idx(self, i: int, j: int) -> bool:
         return bool(self.up_masks[i] >> j & 1)
 
+    @cached_property
+    def up_mask_index(self) -> dict[int, int]:
+        """The up-set -> element table; built on first use, from up_masks."""
+        return _mask_index(self.up_masks, "up-set")
+
+    @cached_property
+    def down_mask_index(self) -> dict[int, int]:
+        """The down-set -> element table; built on first use, from down_masks."""
+        return _mask_index(self.down_masks, "down-set")
+
     def lub_idx(self, i: int, j: int) -> int | None:
-        """Least upper bound in the poset, or None if there is no least one."""
-        return _least_bound(self.up_masks, i, j, "least upper bounds")
+        """Least upper bound in the poset, or None if there is no least one.
+        The common upper bounds form an up-set, and m is their least
+        exactly when that up-set is m's own (Davey & Priestley 2002, ch. 2),
+        so one lookup answers."""
+        return self.up_mask_index.get(self.up_masks[i] & self.up_masks[j])
 
     def glb_idx(self, i: int, j: int) -> int | None:
-        return _least_bound(self.down_masks, i, j, "greatest lower bounds")
+        return self.down_mask_index.get(self.down_masks[i] & self.down_masks[j])
 
     def cover_pairs(self) -> list[tuple[int, int]]:
-        if self._covers is None:
-            self._covers = cover_pairs(self.up_masks, self.down_masks)
-        return self._covers
+        return cover_pairs(self.up_masks, self.down_masks)
 
     def is_graded_by_image_dim(self) -> bool:
         """Every cover step raises the image dimension by exactly 1; this is
@@ -232,19 +229,19 @@ class ProjectionPoset:
 
     # -- matrix view -------------------------------------------------------
 
+    @cached_property
+    def _idempotents(self) -> list[Matrix]:
+        F, els = self.lattice.field, self.lattice.elements
+        return [projector_matrix(F, els[a], els[b]) for a, b in self.pairs]
+
     def idempotent(self, i: int) -> Matrix:
-        if self._idempotents is None:
-            L = self.lattice
-            F = L.field
-            self._idempotents = [
-                projector_matrix(F, L.elements[a], L.elements[b])
-                for a, b in self.pairs
-            ]
         return self._idempotents[i]
 
+    @cached_property
+    def _matrix_index(self) -> dict[Matrix, int]:
+        return {m: i for i, m in enumerate(self._idempotents)}
+
     def matrix_index(self) -> dict[Matrix, int]:
-        if self._matrix_index is None:
-            self._matrix_index = {self.idempotent(i): i for i in range(self.size)}
         return self._matrix_index
 
     def __repr__(self) -> str:
@@ -286,58 +283,47 @@ def verify_omp_axioms(P: ProjectionPoset) -> CampaignReport:
     invol_bad = [i for i in range(size) if ortho[ortho[i]] != i]
     rep.add("ortho_is_involution", not invol_bad, f"violations={invol_bad[:3]}")
 
-    rev_bad = []
-    for i in range(size):
-        u = up[i]
-        oi = ortho[i]
-        while u:
-            low = u & -u
-            j = low.bit_length() - 1
-            if not (up[ortho[j]] >> oi & 1):
-                rev_bad.append((i, j))
-            u ^= low
-    rep.add("ortho_reverses_order", not rev_bad, f"violations={rev_bad[:3]}")
-
+    lub = P.lub_idx
     bad_meet = [
         i
         for i in range(size)
-        if P.glb_idx(i, ortho[i]) != P.bottom or P.lub_idx(i, ortho[i]) != P.top
+        if P.glb_idx(i, ortho[i]) != P.bottom or lub(i, ortho[i]) != P.top
     ]
+
+    # one walk over the comparable pairs i <= k, lowest k first, serves three
+    # checks: ortho reverses order (k' <= i'); orthogonal joins, p <= q'
+    # implies p v q exists, for p = i and q = k' (ortho is its own inverse,
+    # checked above), each unordered pair once at q >= p, the violations
+    # sorted into (p, q) order; and the orthomodular law, k = i v (k ^ i'):
+    # m = k ^ i' is one lookup, and i v m is k exactly when the common upper
+    # bounds of i and m are k's up-set (no two elements share one: building
+    # the table behind lub, first used for complementation, checks that)
+    down_index = P.down_mask_index
+    rev_bad, no_join, om_bad = [], [], []
+    for i in range(size):
+        oi = ortho[i]
+        up_i, down_oi = up[i], down[oi]
+        for k in _digit_bits(up_i):
+            ok = ortho[k]
+            if not (up[ok] >> oi & 1):
+                rev_bad.append((i, k))
+            if ok >= i and lub(i, ok) is None:
+                no_join.append((i, ok))
+            m = down_index.get(down[k] & down_oi)
+            if m is None or up_i & up[m] != up[k]:
+                om_bad.append((i, k))
+    no_join.sort()
+    rep.add("ortho_reverses_order", not rev_bad, f"violations={rev_bad[:3]}")
     rep.add(
         "complementation",
         not bad_meet,
         f"violations={bad_meet[:3]}" if bad_meet else "p ^ p' = 0, p v p' = 1 for all p",
     )
-
-    # orthogonal joins: p <= q' implies p v q exists. The q with p <= q'
-    # are the orthocomplements of p's up-set (ortho is its own inverse,
-    # checked above), each unordered pair taken once at q >= p; the
-    # violations are sorted into (p, q) order for the report
-    no_join = []
-    for i in range(size):
-        for k in _bits(up[i]):
-            j = ortho[k]
-            if j >= i and P.lub_idx(i, j) is None:
-                no_join.append((i, j))
-    no_join.sort()
     rep.add(
         "orthogonal_joins_exist",
         not no_join,
         f"violations={no_join[:3]}" if no_join else "all orthogonal pairs",
     )
-
-    # orthomodular law: p <= q implies q = p v (q ^ p')
-    om_bad = []
-    for i in range(size):
-        u = up[i]
-        oi = ortho[i]
-        while u:
-            low = u & -u
-            j = low.bit_length() - 1
-            m = P.glb_idx(j, oi)
-            if m is None or P.lub_idx(i, m) != j:
-                om_bad.append((i, j))
-            u ^= low
     rep.add(
         "orthomodular_law",
         not om_bad,

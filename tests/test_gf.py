@@ -53,8 +53,9 @@ def test_frobenius_generates_all_automorphisms(spec):
 
 @pytest.mark.parametrize("p, k", [(2, 1), (2, 3), (3, 2), (2, 4)])
 def test_automorphisms_verified_once_per_field(monkeypatch, p, k):
-    """Many automorphisms() calls verify each Frobenius power once, each
-    call returns a fresh list, and every cached table is a -> a^(p^i)."""
+    """Many automorphisms() calls build and verify each Frobenius power
+    once, each call returns a fresh list of the same objects, and every
+    cached table is a -> a^(p^i)."""
     from projlat.gf import FieldAutomorphism
 
     verified = []
@@ -69,6 +70,7 @@ def test_automorphisms_verified_once_per_field(monkeypatch, p, k):
     lists = [F.automorphisms() for _ in range(20)]
     assert sorted(verified) == list(range(k))
     assert lists[0] == lists[-1] and lists[0] is not lists[-1]
+    assert all(s is t for s, t in zip(lists[0], lists[-1]))
     for s in lists[0]:
         for a in range(F.q):
             x = 1
