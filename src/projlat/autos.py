@@ -26,10 +26,9 @@ import json
 import os
 import sys
 from array import array
-from itertools import accumulate
 
 from .gf import parse_field
-from .lattice import SubspaceLattice, _bits, atom_masks, enumerate_subspaces
+from .lattice import AmbientTooLarge, SubspaceLattice, _bits, enumerate_subspaces
 from .maps import (
     ANTI,
     AUTO,
@@ -372,15 +371,18 @@ MAX_SEARCH_ATOMS = 40
 MAX_POSET_SEARCH_ATOMS = 150
 
 
+def _check_search_bound(atoms: list[int], bound: int) -> None:
+    """Refuse a full search over more atoms than bound."""
+    if len(atoms) > bound:
+        raise AmbientTooLarge(f"{len(atoms)} atoms exceeds the search bound {bound}")
+
+
 def enumerate_lattice_automorphisms(
     L: SubspaceLattice, budget: int | None = None
 ) -> list[LatticeMap]:
     """All order-automorphisms of L, sorted by their permutation; every
     one was lifted and verified at its search leaf."""
-    if len(L.atoms) > MAX_SEARCH_ATOMS:
-        raise ValueError(
-            f"{len(L.atoms)} atoms exceeds the search bound {MAX_SEARCH_ATOMS}"
-        )
+    _check_search_bound(L.atoms, MAX_SEARCH_ATOMS)
     maps = [
         LatticeMap(eperm, AUTO) for _, eperm in iter_lattice_atom_perms(L, budget=budget)
     ]
@@ -522,16 +524,9 @@ _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _slot_layout(widths: list[int]) -> tuple[list[int], int]:
-    """Fields of the given bit widths packed low field first: the bit
-    offset of each, and the bytes of the smallest slot (1, 2, 4 or 8) that
-    holds them all. A key wider than 64 bits is refused."""
-    offsets = list(accumulate(widths, initial=0))
-    bits = offsets.pop()
-    for nbytes in _SLOT_FORMATS:
-        if bits <= 8 * nbytes:
-            return offsets, nbytes
-    raise ValueError(f"an atom-pair key of {bits} bits does not fit a 64-bit slot")
+def _slot_bytes(bits: int) -> int:
+    """The bytes of the smallest slot (1, 2, 4 or 8) that holds bits bits."""
+    return next(b for b in _SLOT_FORMATS if bits <= 8 * b)
 
 
 @functools.cache
@@ -542,102 +537,47 @@ def _byte_equal_table(b: int) -> bytes:
 
 
 def _poset_search_structure(P: ProjectionPoset):
-    """Atom pair invariants for pruning. Every ingredient is definable from
-    the order and the orthocomplementation alone, so the constraints hold
-    for every orthoposet automorphism, even and odd alike.
+    """Atom pair invariants for pruning. Both are definable from the order
+    and the orthocomplementation alone, so the constraints hold for every
+    orthoposet automorphism, even and odd alike. The search permutes P's
+    grade-1 elements, and those are exactly the elements covering bottom
+    only in a graded P, so the grading is checked first.
 
-    The color of the atom pair (x_i, x_j), o_i being the orthocomplement
-    of x_i, is its key: the unary classes of x_i and x_j; whether x_j is
-    o_i, x_i <= o_j and x_j <= o_i; and, grade by grade, how many elements
-    lie above both x_i and x_j, above x_i and o_j, and above o_i and x_j.
-    Keys are built packed, SIMD within a register: row i is one int with
-    a slot of 1, 2, 4 or 8 bytes per atom j, and slot j holds the key of
-    (i, j), each field as wide as its largest value. Every count is a sum
-    over the elements e, so one pass over the elements adds e's column,
-    one bit in e's grade field of the slot of every atom below e, to the
-    row of every atom below e; no Python code runs per atom pair."""
+    The color of the ordered atom pair (x_i, x_j), o_j being the
+    orthocomplement of x_j, is its key: how many elements lie above both
+    x_i and x_j, and whether x_i <= o_j. Keys are built packed, SIMD
+    within a register: row i is one int with a slot of 1, 2, 4 or 8 bytes
+    per atom j, and slot j holds the key of (i, j), the count in the low
+    bits, as many as the largest atom up-set needs, and the flag above
+    them. The count is a sum over the elements e, so one pass over the
+    elements adds e's column, a 1 in the slot of every atom below e and,
+    when e = o_j, the flag of slot j, to the row of every atom below e; no
+    Python code runs per atom pair."""
     cached = getattr(P, "_auto_search_cache", None)
     if cached is not None:
         return cached
     if not P.is_graded_by_image_dim():
         raise FalsificationError("poset not graded by image rank; invariants unsound")
-    atoms, up, grade = P.atoms, P.up_masks, P.grade
+    atoms, up = P.atoms, P.up_masks
     m = len(atoms)
     ortho_a = [P.ortho[x] for x in atoms]
-    grade_masks = [0] * (max(grade) + 1)
-    for e, g in enumerate(grade):
-        grade_masks[g] |= 1 << e
-
-    def profile(mask: int) -> tuple[int, ...]:
-        return tuple([(mask & gm).bit_count() for gm in grade_masks])
-
-    up_x = [profile(up[x]) for x in atoms]
-    up_o = [profile(up[o]) for o in ortho_a]
-    unary_ids = _DenseIds()
-    unary = [unary_ids[p, profile(up[x] & up[o])] for p, x, o in zip(up_x, atoms, ortho_a)]
-
-    # a count at grade g is at most the largest grade-g count of the
-    # up-sets it intersects: those of atoms, or of an atom and an o
-    most_x = [max(col) for col in zip(*up_x)]
-    most_xo = [min(a, max(col)) for a, col in zip(most_x, zip(*up_o))]
-    fields = [*most_x, *most_xo, *most_xo, 1, 1, 1, len(unary_ids) - 1, len(unary_ids) - 1]
-    offsets, nbytes = _slot_layout([v.bit_length() for v in fields])
-    n = len(grade_masks)
-    at_xx, at_xo, at_ox = offsets[:n], offsets[n : 2 * n], offsets[2 * n : 3 * n]
-    at_eq, at_i_below, at_j_below, at_ui, at_uj = offsets[3 * n :]
-    slot_bits = 8 * nbytes
-
-    def bit_bytes(mask: int, length: int) -> bytes:
-        """Byte t is bit t of mask, for t < length."""
-        return format(mask, f"0{length}b").encode().translate(_BIT_BYTES)[::-1]
-
-    def spread(column: bytes) -> int:
-        """The int whose slot t holds byte t of column."""
-        slots = bytearray(m * nbytes)
-        slots[::nbytes] = column
-        return int.from_bytes(slots, "little")
-
-    packed_unary = b"".join(u.to_bytes(nbytes, "little") for u in unary)
-    unary_j = int.from_bytes(packed_unary, "little") << at_uj
-    ones = spread(b"\x01" * m)
-    rows = [u * ones << at_ui | unary_j for u in unary]
-    for i, o in enumerate(ortho_a):
-        if o in P.atom_ordinal:
-            rows[i] |= 1 << (P.atom_ordinal[o] * slot_bits + at_eq)
-    # byte t of column e of the atoms' up-sets is 1 when x_t <= e; the o's
-    # have short up-sets, and below_o[e] masks the t with o_t <= e. Element
-    # e of grade g adds a 1 to slot j of the row of every t with x_t <= e:
-    # in its grade-g count above x_t and x_j when x_j <= e, above x_t and
-    # o_j when o_j <= e, and in its flag x_t <= o_j when e = o_j; to slot j
-    # of the row of every t with o_t <= e, in its grade-g count above o_t
-    # and x_j when x_j <= e; and when e = o_t, to slot j of the row of t,
-    # in its flag x_j <= o_t when x_j <= e
-    size = P.size
-    up_x_bytes = bytearray()
-    for x in atoms:
-        up_x_bytes += bit_bytes(up[x], size)
-    below_o = atom_masks(up, ortho_a)
-    ortho_ordinal = {o: t for t, o in enumerate(ortho_a)}
-    for e, g in enumerate(grade):
-        below_x = up_x_bytes[e::size]
-        t = below_x.find(1)
-        if t < 0:
+    # a count is largest on the diagonal, |up(x_i)|
+    flag_at = max(up[x].bit_count() for x in atoms).bit_length()
+    nbytes = _slot_bytes(flag_at + 1)
+    flags = {o: 1 << (8 * nbytes * j + flag_at) for j, o in enumerate(ortho_a)}
+    rows = [0] * m
+    for e, mask in enumerate(P.elem_atom_masks):
+        if not mask:
             continue
-        column_x = spread(below_x)
-        column = column_x << at_xx[g]
-        if below_o[e]:
-            column |= spread(bit_bytes(below_o[e], m)) << at_xo[g]
-            column_o = column_x << at_ox[g]
-            for i in _bits(below_o[e]):
-                rows[i] += column_o
-        if e in ortho_ordinal:
-            j = ortho_ordinal[e]
-            column |= 1 << (j * slot_bits + at_i_below)
-            rows[j] += column_x << at_j_below
+        # byte t of below is 1 when x_t <= e
+        below = format(mask, f"0{m}b").encode().translate(_BIT_BYTES)[::-1]
+        slots = bytearray(m * nbytes)
+        slots[::nbytes] = below
+        column = int.from_bytes(slots, "little") | flags.get(e, 0)
+        t = below.find(1)
         while t >= 0:
             rows[t] += column
-            t = below_x.find(1, t + 1)
-    del up_x_bytes, below_o  # freed before the colors are built
+            t = below.find(1, t + 1)
 
     # the colors, dense in order of first sight over the pairs i != j, row
     # by row; the diagonal holds 0 and is never read. Each row is dropped
@@ -659,7 +599,7 @@ def _poset_search_structure(P: ProjectionPoset):
     # color of column y, the AND over the bytes of the color's id of the
     # column's bytes equal to it, read as a binary numeral
     n_colors = len(color_ids)
-    width = next(b for b in _SLOT_FORMATS if n_colors <= 1 << 8 * b)
+    width = _slot_bytes((n_colors - 1).bit_length())
     allowed = []
     for y, column in enumerate(zip(*colors)):
         packed = array(_SLOT_FORMATS[width], column).tobytes()
@@ -670,8 +610,10 @@ def _poset_search_structure(P: ProjectionPoset):
                 mask &= int(packed[b::width].translate(_byte_equal_table(byte))[::-1], 2)
             masks[c] = mask & ~(1 << y)
         allowed.append(masks)
-    # each atom's initial candidates: the atoms of its unary color
-    unary_masks: dict[int, int] = {}
+    # each atom's initial candidates: the atoms with as many elements above
+    # them, and above them and their orthocomplements, as it has
+    unary = [(up[x].bit_count(), (up[x] & up[o]).bit_count()) for x, o in zip(atoms, ortho_a)]
+    unary_masks: dict[tuple[int, int], int] = {}
     for t, u in enumerate(unary):
         unary_masks[u] = unary_masks.get(u, 0) | (1 << t)
     init_cand = [unary_masks[u] for u in unary]
@@ -749,10 +691,7 @@ def enumerate_poset_automorphisms(
     """All order-automorphisms of P commuting with the orthocomplementation,
     sorted by permutation. Parity tags are left unknown; classify_parity is
     a separate, falsifiable step."""
-    if len(P.atoms) > MAX_POSET_SEARCH_ATOMS:
-        raise ValueError(
-            f"{len(P.atoms)} atoms exceeds the search bound {MAX_POSET_SEARCH_ATOMS}"
-        )
+    _check_search_bound(P.atoms, MAX_POSET_SEARCH_ATOMS)
     out = [
         PosetMap(eperm, UNKNOWN)
         for _, eperm in iter_poset_atom_perms(P, budget=budget)
@@ -1079,8 +1018,10 @@ def verify_main_theorem(
     rerun on resume; jobs > 1 runs branches in a pool of spawned workers.
     The report does not depend on either. The node budget applies to the
     lattice search and to each branch; when it runs out, the report so far
-    comes back with outcome "partial".
+    comes back with outcome "partial". A P with more atoms than
+    MAX_POSET_SEARCH_ATOMS is refused before either search.
     """
+    _check_search_bound(P.atoms, MAX_POSET_SEARCH_ATOMS)
     rep = CampaignReport("verify-main-theorem", (L.n, L.field.spec()))
     # a bad checkpoint is refused before any search runs
     pivot, targets = poset_search_plan(P)

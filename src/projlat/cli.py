@@ -140,10 +140,7 @@ def _ambient(args, min_n: int = 1, why: str = "for this verb"):
 
 def _lattice(args, min_n: int = 1, why: str = "for this verb"):
     F = _ambient(args, min_n, why)
-    try:
-        return F, enumerate_subspaces(args.n, F)
-    except AmbientTooLarge as exc:
-        raise UsageError(str(exc)) from None
+    return F, enumerate_subspaces(args.n, F)
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +198,7 @@ def cmd_verify_glattice(args) -> int:
 
 def cmd_verify_correspondence(args) -> int:
     F = _ambient(args)
-    try:
-        rep = verify_projection_correspondence(args.n, F)
-    except (AmbientTooLarge, ValueError) as exc:
-        raise UsageError(str(exc)) from None
+    rep = verify_projection_correspondence(args.n, F)
     return _emit(rep, args, "verify-correspondence", name="verify-correspondence")
 
 
@@ -219,10 +213,7 @@ def expected_lattice_automorphism_count(n: int, q: int, k: int) -> int:
 
 def cmd_enumerate_lattice_autos(args) -> int:
     F, L = _lattice(args)
-    try:
-        maps = enumerate_lattice_automorphisms(L, budget=args.budget_nodes)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    maps = enumerate_lattice_automorphisms(L, budget=args.budget_nodes)
     rep = CampaignReport("enumerate-lattice-autos", (L.n, F.spec()))
     want = expected_lattice_automorphism_count(L.n, F.q, F.k)
     rep.add("count_matches_group_order", len(maps) == want, f"{len(maps)} vs {want}")
@@ -267,10 +258,7 @@ def cmd_verify_main_theorem(args) -> int:
 def cmd_ring_lemma(args) -> int:
     F, L = _lattice(args)
     P = build_projection_poset(L)
-    try:
-        rep = check_im_ker_lemma(P)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    rep = check_im_ker_lemma(P)
     return _emit(rep, args, "ring-lemma", name="ring-lemma")
 
 
@@ -335,10 +323,10 @@ def _sampled_extensions(args, L, odd: bool) -> tuple[int, int]:
     sample of --cases lattice automorphisms (all of them when there are at
     most that many), to ring maps; returns (extensions that passed, maps
     sampled). A falsified extension counts as a failure and the loop goes
-    on."""
+    on. The lattice search's bound is checked before P is built."""
+    auts = enumerate_lattice_automorphisms(L, budget=args.budget_nodes)
     P = build_projection_poset(L)
     gamma = standard_duality(L)
-    auts = enumerate_lattice_automorphisms(L, budget=args.budget_nodes)
     rng = random.Random(args.seed)
     sample = auts if len(auts) <= args.cases else rng.sample(auts, args.cases)
     ok = 0
@@ -668,7 +656,7 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         code = args.func(args)
-    except UsageError as exc:
+    except (UsageError, AmbientTooLarge) as exc:
         sys.stderr.write(f"projlat {args.verb}: {exc}\n")
         return EXIT_USAGE
     except SearchBudgetExceeded as exc:

@@ -30,6 +30,7 @@ from .autos import (
     verify_poset_map,
 )
 from .gf import GF, FieldAutomorphism
+from .lattice import AmbientTooLarge
 from .maps import ANTI, AUTO, EVEN, ODD, LatticeMap, PosetMap, perm_compose
 from .matrices import (
     Matrix,
@@ -245,7 +246,7 @@ def check_im_ker_lemma(P: ProjectionPoset) -> CampaignReport:
     F = L.field
     rep = CampaignReport("im-ker-lemma", (L.n, F.spec()))
     if P.size * P.size > 2 * 10**6:
-        raise ValueError("too many idempotent pairs for the exhaustive check")
+        raise AmbientTooLarge("too many idempotent pairs for the exhaustive check")
     mats = [P.idempotent(i) for i in range(P.size)]
     img, ker = P.image, P.kernel
     up = L.up_masks

@@ -40,7 +40,7 @@ from projlat.autos import (
     verify_semidirect_structure,
 )
 from projlat.gf import iter_vectors
-from projlat.lattice import _bits as lattice_bits
+from projlat.lattice import AmbientTooLarge, _bits as lattice_bits, atom_masks
 from projlat.matrices import all_matrices, rank, vec_mat
 from projlat.semilinear import SemilinearMap
 
@@ -348,55 +348,82 @@ def test_constructors_reject_a_pair_leaving_the_poset(L42, P42):
             poset_atom_perm_from_lattice(P42, other, odd=odd)
 
 
-def _colors_by_ordered_pairs(P):
-    """Reference: the poset search's atom-pair colors keyed one ordered pair
-    at a time, every profile computed afresh. Returns (initial candidates,
-    colors, allowed) with allowed[y] a dict from color to the mask of the
-    y2 with colors[y2][y] equal to it."""
-    atoms = P.atoms
-    m = len(atoms)
+def _pair_keys(P):
+    """The poset search's invariants, computed afresh: each atom's unary
+    class, its counts of elements above it and above both it and its
+    orthocomplement, and key(i, j) of the ordered atom pair (i, j), how
+    many elements lie above both x_i and x_j and whether x_i <= o_j."""
+    up, atoms, ortho = P.up_masks, P.atoms, P.ortho
+    unary = [(up[x].bit_count(), (up[x] & up[ortho[x]]).bit_count()) for x in atoms]
+
+    def key(i, j):
+        xi, xj = atoms[i], atoms[j]
+        return (up[xi] & up[xj]).bit_count(), bool(up[xi] >> ortho[xj] & 1)
+
+    return unary, key
+
+
+def _legacy_pair_keys(P):
+    """The eight-field keys the pair colors were once built from, as
+    _pair_keys gives them: grade profiles of the same two up-sets as unary
+    classes, and key(i, j) of the unary classes of x_i and x_j, whether
+    x_j = o_i, x_i <= o_j and x_j <= o_i, and grade by grade how many
+    elements lie above x_i and x_j, above x_i and o_j, and above o_i and
+    x_j."""
     grade_masks = [0] * (max(P.grade) + 1)
     for e in range(P.size):
         grade_masks[P.grade[e]] |= 1 << e
-    up, ortho = P.up_masks, P.ortho
+    up, atoms, ortho = P.up_masks, P.atoms, P.ortho
 
     def profile(mask):
         return tuple((mask & gm).bit_count() for gm in grade_masks)
 
-    unary_ids = {}
-    unary = [
-        unary_ids.setdefault((profile(up[x]), profile(up[x] & up[ortho[x]])), len(unary_ids))
-        for x in atoms
-    ]
+    unary = [(profile(up[x]), profile(up[x] & up[ortho[x]])) for x in atoms]
+
+    def key(i, j):
+        xi, xj = atoms[i], atoms[j]
+        return (
+            unary[i],
+            unary[j],
+            xj == ortho[xi],
+            bool(up[xi] >> ortho[xj] & 1),
+            bool(up[xj] >> ortho[xi] & 1),
+            profile(up[xi] & up[xj]),
+            profile(up[xi] & up[ortho[xj]]),
+            profile(up[ortho[xi]] & up[xj]),
+        )
+
+    return unary, key
+
+
+def _initial_candidates(unary):
+    """Each atom's initial candidates: the atoms of its unary class."""
+    masks = {}
+    for t, u in enumerate(unary):
+        masks[u] = masks.get(u, 0) | (1 << t)
+    return [masks[u] for u in unary]
+
+
+def _colors_by_ordered_pairs(P, keys=_pair_keys):
+    """Reference: the poset search's atom-pair colors keyed one ordered pair
+    at a time by keys(P). Returns (initial candidates, colors, allowed) with
+    allowed[y] a dict from color to the mask of the y2 with colors[y2][y]
+    equal to it."""
+    unary, key = keys(P)
+    m = len(unary)
     color_ids = {}
     colors = [[0] * m for _ in range(m)]
     for i in range(m):
-        xi = atoms[i]
         for j in range(m):
-            if i == j:
-                continue
-            xj = atoms[j]
-            key = (
-                unary[i],
-                unary[j],
-                xj == ortho[xi],
-                bool(up[xi] >> ortho[xj] & 1),
-                bool(up[xj] >> ortho[xi] & 1),
-                profile(up[xi] & up[xj]),
-                profile(up[xi] & up[ortho[xj]]),
-                profile(up[ortho[xi]] & up[xj]),
-            )
-            colors[i][j] = color_ids.setdefault(key, len(color_ids))
+            if i != j:
+                colors[i][j] = color_ids.setdefault(key(i, j), len(color_ids))
     allowed = [dict() for _ in range(m)]
     for y in range(m):
         for y2 in range(m):
             if y2 != y:
                 c = colors[y2][y]
                 allowed[y][c] = allowed[y].get(c, 0) | (1 << y2)
-    unary_masks = {}
-    for t, u in enumerate(unary):
-        unary_masks[u] = unary_masks.get(u, 0) | (1 << t)
-    return [unary_masks[u] for u in unary], colors, allowed
+    return _initial_candidates(unary), colors, allowed
 
 
 def _color_renaming(colors, reference):
@@ -425,11 +452,25 @@ def _assert_matches_reference(P):
     return colors
 
 
-@pytest.mark.parametrize(
-    "n, spec", [(2, "2"), (2, "3"), (3, "2"), (3, "3"), (4, "2"), (3, "2^2")]
-)
+REFERENCE_AMBIENTS = [(2, "2"), (2, "3"), (3, "2"), (3, "3"), (4, "2"), (3, "2^2")]
+
+
+@pytest.mark.parametrize("n, spec", REFERENCE_AMBIENTS)
 def test_poset_colors_match_ordered_pair_reference(n, spec):
     _assert_matches_reference(build_projection_poset(enumerate_subspaces(n, parse_field(spec))))
+
+
+@pytest.mark.parametrize("n, spec", REFERENCE_AMBIENTS)
+def test_pair_key_splits_pairs_as_the_legacy_key(n, spec):
+    """The two-field key and the eight-field key it replaced split the
+    ordered atom pairs into the same classes, and the unary counts and
+    grade profiles the atoms alike: dense in order of first sight, the
+    colors and the initial candidates are equal."""
+    P = build_projection_poset(enumerate_subspaces(n, parse_field(spec)))
+    init_cand, colors, _ = _colors_by_ordered_pairs(P)
+    legacy_cand, legacy_colors, _ = _colors_by_ordered_pairs(P, _legacy_pair_keys)
+    assert init_cand == legacy_cand
+    assert colors == legacy_colors
 
 
 def _corrupt(P, how):
@@ -437,10 +478,13 @@ def _corrupt(P, how):
     the up-set of an atom x mid-way in the atom order, so that x's pairs
     are met both first and mirrored. trade: one element above x traded for
     x's own orthocomplement, of the same grade, so that only the second of
-    x's unary profiles changes. orient: for each pair of atoms below each
+    x's unary counts changes. orient: for each pair of atoms below each
     other's orthocomplements, a seeded choice of one of the two relations
     is dropped, so that the colors of (i, j) and (j, i) differ both for
-    i < j and for i > j."""
+    i < j and for i > j. The atom sets the colors read are rebuilt from
+    the corrupted up-sets; the leaf lift keeps its plan of the clean
+    order."""
+    autos._lift_plan(P)
     up, ortho, atoms = P.up_masks, P.ortho, P.atoms
     x = atoms[len(atoms) // 2]
     above = [ortho[y] for y in atoms if up[x] >> ortho[y] & 1]
@@ -455,9 +499,9 @@ def _corrupt(P, how):
                 if up[xi] >> ortho[xj] & 1:
                     a, b = rng.choice(((xi, xj), (xj, xi)))
                     up[a] ^= 1 << ortho[b]
-    # the corrupted order fails the checks that guard the search; the
-    # colors are built regardless, to compare the two builds
-    P.verify_atomistic = lambda: True
+    P.elem_atom_masks = atom_masks(up, atoms)
+    # the corrupted order fails the grading check that guards the colors;
+    # they are built regardless, to compare the two builds
     P._graded = True
 
 
@@ -496,60 +540,46 @@ def test_poset_search_unchanged_on_reference_colors(ambient, branch, maps, nodes
     assert len(got) == maps and stats["nodes"] == ref_stats["nodes"] == nodes
 
 
-def _keys_by_rows(P, rows):
+def _keys_by_rows(P, rows, keys=_pair_keys):
     """A row-restricted copy of _colors_by_ordered_pairs: the key of every
     ordered pair (i, j), i != j, with i or j in rows, keyed one pair at a
-    time, and the initial candidates."""
-    atoms = P.atoms
-    m = len(atoms)
-    grade_masks = [0] * (max(P.grade) + 1)
-    for e in range(P.size):
-        grade_masks[P.grade[e]] |= 1 << e
-    up, ortho = P.up_masks, P.ortho
-
-    def profile(mask):
-        return tuple((mask & gm).bit_count() for gm in grade_masks)
-
-    unary_ids = {}
-    unary = [
-        unary_ids.setdefault((profile(up[x]), profile(up[x] & up[ortho[x]])), len(unary_ids))
-        for x in atoms
-    ]
-    keys = {}
-    for r in rows:
-        for i, j in [(r, t) for t in range(m)] + [(t, r) for t in range(m)]:
-            if i != j:
-                xi, xj = atoms[i], atoms[j]
-                keys[i, j] = (
-                    unary[i],
-                    unary[j],
-                    xj == ortho[xi],
-                    bool(up[xi] >> ortho[xj] & 1),
-                    bool(up[xj] >> ortho[xi] & 1),
-                    profile(up[xi] & up[xj]),
-                    profile(up[xi] & up[ortho[xj]]),
-                    profile(up[ortho[xi]] & up[xj]),
-                )
-    unary_masks = {}
-    for t, u in enumerate(unary):
-        unary_masks[u] = unary_masks.get(u, 0) | (1 << t)
-    return [unary_masks[u] for u in unary], keys
+    time by keys(P), and the initial candidates."""
+    unary, key = keys(P)
+    m = len(unary)
+    pairs = {(r, t) for r in rows for t in range(m)} | {(t, r) for r in rows for t in range(m)}
+    return _initial_candidates(unary), {(i, j): key(i, j) for i, j in pairs if i != j}
 
 
-def test_poset_colors_match_row_restricted_reference_35():
-    """At (3,5), 775 atoms, the full reference costs seconds: 40 seeded
-    rows and the same atoms' columns are compared instead, colors and
-    allowed masks under renaming, initial candidates in full."""
+@pytest.fixture(scope="module")
+def P35_rows():
+    """P at (3,5), 775 atoms, where the full reference costs seconds, and
+    40 seeded atoms whose rows and columns are compared instead."""
     P = build_projection_poset(enumerate_subspaces(3, parse_field("5")))
+    return P, random.Random(35).sample(range(len(P.atoms)), 40)
+
+
+def _same_classes(keys, other):
+    """The map from the values of keys to those of other when the two
+    dicts, over the same pairs, split them into the same classes; else
+    None."""
+    to_other, from_other = {}, {}
+    for pair, key in keys.items():
+        o = other[pair]
+        if to_other.setdefault(key, o) != o or from_other.setdefault(o, key) != key:
+            return None
+    return to_other
+
+
+def test_poset_colors_match_row_restricted_reference_35(P35_rows):
+    """Colors and allowed masks under renaming on the seeded rows and
+    columns, initial candidates in full."""
+    P, rows = P35_rows
     init_cand, colors, allowed = autos._poset_search_structure(P)
-    rows = random.Random(35).sample(range(len(P.atoms)), 40)
     ref_cand, keys = _keys_by_rows(P, rows)
     assert init_cand == ref_cand
-    to_key, from_key = {}, {}
-    for (i, j), key in keys.items():
-        c = colors[i][j]
-        assert to_key.setdefault(c, key) == key and from_key.setdefault(key, c) == c
-    assert sorted(to_key) == list(range(len(allowed[0])))
+    from_key = _same_classes(keys, {(i, j): colors[i][j] for i, j in keys})
+    assert from_key is not None
+    assert sorted(from_key.values()) == list(range(len(allowed[0])))
     for y in rows:
         want = {}
         for y2 in range(len(P.atoms)):
@@ -559,6 +589,14 @@ def test_poset_colors_match_row_restricted_reference_35():
         assert allowed[y] == [want.get(c, 0) for c in range(len(allowed[y]))]
 
 
+def test_pair_key_splits_rows_as_the_legacy_key_35(P35_rows):
+    P, rows = P35_rows
+    init_cand, keys = _keys_by_rows(P, rows)
+    legacy_cand, legacy = _keys_by_rows(P, rows, _legacy_pair_keys)
+    assert init_cand == legacy_cand
+    assert _same_classes(keys, legacy) is not None
+
+
 class _BareOrder:
     """What the pair colors read of a poset, and no more: m atoms at grade
     1, their orthocomplements at grade 2, and the elements add() puts
@@ -566,7 +604,6 @@ class _BareOrder:
 
     def __init__(self, m):
         self.atoms = list(range(m))
-        self.atom_ordinal = {t: t for t in range(m)}
         self.grade = [1] * m + [2] * m
         self.ortho = [m + t for t in range(m)] + list(range(m))
         self.up_masks = [1 << e for e in range(2 * m)]
@@ -583,85 +620,84 @@ class _BareOrder:
             self.up_masks[b] |= 1 << e
         return e
 
+    @property
+    def elem_atom_masks(self):
+        return atom_masks(self.up_masks, self.atoms)
+
     def is_graded_by_image_dim(self) -> bool:
         return True
 
 
 def _filled_order(counts):
-    """Three atoms and, for each counts[k] = c, c + 1 elements at grade
-    3 + k: x0 and x1 lie below the first c of them, x2 below all but the
-    first, so c is the largest value of the field counting them above x_i
-    and x_j, reached off the diagonal, and the atom pairs get two
-    colors."""
+    """Three atoms, x0 below o1 and, for each counts[k] = c, c elements at
+    grade 3 + k above x0 and x1. The largest atom up-set is x0's: x0, o1
+    and sum(counts) more. (0, 1) sets its flag above a count of
+    sum(counts), and (1, 0) differs from it in the flag only."""
     P = _BareOrder(3)
+    P.up_masks[0] |= 1 << P.ortho[1]
     for k, c in enumerate(counts):
-        for i in range(c + 1):
-            P.add(3 + k, ([0, 1] if i < c else []) + ([2] if i > 0 else []))
+        for _ in range(c):
+            P.add(3 + k, [0, 1])
     return P
 
 
-# the key of _filled_order(counts) has 1 + 3 bits besides a field of
-# bit_length(c) bits per count c: x_i's own grade-1 count and three flags
+# the count bits of a slot hold the largest atom up-set, 2 + sum(counts)
+# elements in _filled_order(counts), summed over the grades; the flag
+# takes one more bit
 @pytest.mark.parametrize(
     "counts, slot_bytes",
     [
-        ([2**4 - 1], 1),
-        ([2**4], 2),
-        ([2**12 - 1], 2),
-        ([2**12], 4),
-        ([2**7 - 1] * 4, 4),
-        ([2**7 - 1] * 3 + [2**7], 8),
-        ([2**10 - 1] * 6, 8),
+        ([2**6, 2**6 - 3], 1),
+        ([2**6, 2**6 - 2], 2),
+        ([2**14, 2**14 - 3], 2),
+        ([2**14, 2**14 - 2], 4),
     ],
 )
 def test_pair_key_fields_fill_their_slot(counts, slot_bytes, monkeypatch):
-    """Counts at 2^k - 1 fill k bits and 2^k takes k + 1: the key fits
-    its slot exactly at every slot width, or takes the next one, and the
-    colors still match the reference."""
+    """Up-sets of 2^k - 1 elements fill k count bits and 2^k takes k + 1:
+    the key fits a 1- or 2-byte slot exactly, or takes the next one, and
+    the colors still match the reference."""
     slots = []
-    slot_layout = autos._slot_layout
+    slot_bytes_of = autos._slot_bytes
 
-    def recording(widths):
-        offsets, nbytes = slot_layout(widths)
-        slots.append(nbytes)
-        return offsets, nbytes
+    def recording(bits):
+        slots.append(slot_bytes_of(bits))
+        return slots[-1]
 
-    monkeypatch.setattr(autos, "_slot_layout", recording)
+    monkeypatch.setattr(autos, "_slot_bytes", recording)
     colors = _assert_matches_reference(_filled_order(counts))
-    assert slots == [slot_bytes]
-    assert colors[0][1] != colors[0][2]
+    assert slots == [slot_bytes, 1]  # the key slot, then the color ids
+    assert len({colors[0][1], colors[1][0], colors[0][2]}) == 3
 
 
-def test_pair_colors_count_over_orthocomplements():
-    """In P these counts repeat the flags x_i <= o_j and x_j <= o_i. Here
-    x0, x1, x2 each lie below an element of their own at grade 3, and o0
-    below x1's: (0, 1) and (0, 2) differ only in the count above o_i and
-    x_j, (1, 0) and (2, 0) only in the count above x_i and o_j."""
+def test_pair_flag_splits_and_orients_pairs():
+    """x0 below o1 and nothing else above an atom: every pair counts no
+    element above both atoms, and the flag alone sets (0, 1) apart from
+    the other pairs, (1, 0) among them."""
     P = _BareOrder(3)
-    own = [P.add(3, [t]) for t in range(3)]
-    P.up_masks[P.ortho[0]] |= 1 << own[1]
+    P.up_masks[0] |= 1 << P.ortho[1]
+    _, key = _pair_keys(P)
+    assert {key(i, j)[0] for i in range(3) for j in range(3) if i != j} == {0}
     colors = _assert_matches_reference(P)
-    assert len({colors[0][1], colors[0][2], colors[1][0]}) == 3
-    assert colors[0][2] == colors[2][0]
+    others = {
+        c for i, row in enumerate(colors) for j, c in enumerate(row) if i != j and {i, j} != {0, 1}
+    }
+    assert others == {colors[1][0]} and colors[0][1] not in others
 
 
 def test_more_than_256_pair_colors():
-    """Atom t below t + 1 elements of its own puts the 33 atoms in 33
-    unary classes, so their 1 056 ordered pairs get 1 056 colors, given
-    row by row: colors[y2][y] and colors[y2 + 8][y] are 256 apart, and
-    allowed is read off color ids of two bytes that agree in one."""
-    P = _BareOrder(33)
-    for t in range(33):
-        for _ in range(t + 1):
-            P.add(3, [t])
+    """x_i below o_j for all i < j among 130 atoms: (i, j) has the flag
+    when i < j, and counts the o_k above both atoms, one for each k above
+    max(i, j). Its 129 counts and two flags give 258 colors, row by row:
+    colors[y2][2] are 1 for y2 < 2 and 128 + y2 above, so allowed is read
+    off color ids of two bytes, some of which agree in one."""
+    P = _BareOrder(130)
+    for i in range(130):
+        for j in range(i + 1, 130):
+            P.up_masks[i] |= 1 << P.ortho[j]
     colors = _assert_matches_reference(P)
-    assert colors[9][0] - colors[1][0] == 256
-    assert len({c for i, row in enumerate(colors) for j, c in enumerate(row) if i != j}) == 1056
-
-
-def test_pair_key_above_64_bits_is_refused():
-    with pytest.raises(ValueError, match="65 bits"):
-        autos._poset_search_structure(_filled_order([2**10 - 1] * 5 + [2**10]))
+    assert colors[129][2] - colors[0][2] == 256
+    assert len({c for i, row in enumerate(colors) for j, c in enumerate(row) if i != j}) == 258
 
 
 def test_search_budget_raises(L32):
@@ -1043,6 +1079,19 @@ def test_main_theorem_budget_applies_to_each_search(L32, P32):
     assert rep.counts["poset_automorphisms"] == 336
     rep = verify_main_theorem(L32, P32, budget=258)
     assert rep.outcome == "partial" and not rep.passed
+
+
+def test_main_theorem_refuses_a_poset_above_the_search_bound(L32, monkeypatch):
+    """With the bound one below P's 28 atoms, the campaign is refused
+    before either search and before the poset's search structure is
+    built."""
+    from projlat.autos import verify_main_theorem
+
+    P = build_projection_poset(L32)
+    monkeypatch.setattr(autos, "MAX_POSET_SEARCH_ATOMS", 27)
+    with pytest.raises(AmbientTooLarge, match="^28 atoms exceeds the search bound 27$"):
+        verify_main_theorem(L32, P)
+    assert not hasattr(P, "_auto_search_cache")
 
 
 def test_parity_composition_algebra():

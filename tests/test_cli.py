@@ -89,6 +89,27 @@ def test_main_theorem_refusal_names_the_hypothesis(run_cli):
     assert "length >= 4" in err
 
 
+@pytest.mark.parametrize(
+    "argv, atoms, bound",
+    [
+        (("export-json", "--n", "3", "--field", "7", "--target", "autos"), 57, 40),
+        (("ring-odd-experiment", "--n", "3", "--field", "7"), 57, 40),
+        (("ring-extend", "--n", "4", "--field", "4"), 85, 40),
+        (("verify-main-theorem", "--n", "4", "--field", "3"), 1080, 150),
+    ],
+)
+def test_ambient_beyond_a_search_bound_exits_2(run_cli, argv, atoms, bound):
+    """A search bound refuses the ambient with one line, then the wall
+    time; the first three are refused by the lattice search's bound
+    before P is built, the last by the poset search's."""
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    message, wall = err.splitlines()
+    assert message == f"projlat {argv[0]}: {atoms} atoms exceeds the search bound {bound}"
+    assert wall.startswith("# wall ")
+
+
 def test_budget_exhaustion_exits_3_with_partial_report(run_cli, tmp_path):
     out_dir = tmp_path / "partial"
     code, out, _ = run_cli(
