@@ -65,93 +65,22 @@ class FalsificationError(AssertionError):
         self.payload = payload or {}
 
 
-def _lift_plan(S):
-    """How the lift builds each element's image atom set, for S a lattice
-    or a projection poset; checked and built once per structure, after S
-    is verified atomistic (every lift through atom masks rests on that).
-
-    A plan is (stages, unions, pairs). Starting from one bit per atom
-    image, each stage is a list of index lists, and entry k of the next
-    masks ORs the current masks at the indices in entry k. Element e's
-    image atom set is then the OR of the final masks at unions[e], or
-    with pairs the AND of the final masks at pairs[e]. L's plan is its
-    atom lists as unions, no stage. P's plan follows its product order
-    (see _product_plan) and is accepted only when it rebuilds every
-    entry of P.elem_atom_masks from the identity: a bijection of the
-    atoms commutes with unions and intersections, so the plan's lift of
-    every atom permutation is then the per-element one."""
-    cached = getattr(S, "_lift_plan_cache", None)
-    if cached is not None:
-        return cached
+def _require_atomistic(S) -> None:
+    """Refuse S, a lattice or a projection poset, unless its order is
+    inclusion of its stored atom sets: every lift through atom sets rests
+    on that. Checked once per structure."""
+    if getattr(S, "_atomistic", False):
+        return
     if not S.verify_atomistic():
         raise FalsificationError(f"{S!r} is not atomistic; atom lifts unsound")
-    if isinstance(S, ProjectionPoset):
-        cached = _product_plan(S)
-        if _lift_atom_perm(cached, range(len(S.atoms)), int) != S.elem_atom_masks:
-            raise FalsificationError(
-                f"{S!r}: atom sets are not image x kernel products; product lift unsound"
-            )
-    else:
-        cached = ((), [_bits(m) for m in S.elem_atom_masks], None)
-    S._lift_plan_cache = cached
-    return cached
+    S._atomistic = True
 
 
-def _product_plan(P: ProjectionPoset):
-    """P's lift plan. The atoms under (a, b) are I(a) & K(b): I(a) the
-    P-atoms whose image point lies in a, K(b) those whose kernel
-    hyperplane contains b. Stage one ORs the atoms of each image point's
-    block (by L's atom ordinal), then of each kernel hyperplane's block
-    (by coatom ordinal). Stage two ORs those blocks into I(a) for every
-    lattice element a, then K(b) for every b. Pairs AND I(a) with K(b)."""
-    L = P.lattice
-    n_points = len(L.atoms)
-    hyperplane = {h: n_points + t for t, h in enumerate(L.coatoms)}
-    blocks: list[list[int]] = [[] for _ in range(n_points + len(L.coatoms))]
-    for t, (p, h) in enumerate(P.atom_pairs):
-        blocks[L.atom_ordinal[p]].append(t)
-        blocks[hyperplane[h]].append(t)
-    coatoms = sum(1 << h for h in L.coatoms)
-    stage_two = _lift_plan(L)[1] + [
-        [hyperplane[h] for h in _bits(u & coatoms)] for u in L.up_masks
-    ]
-    return (blocks, stage_two), None, [(a, L.size + b) for a, b in P.pairs]
-
-
-def _lift_atom_perm(plan, sigma, get) -> list:
-    """get applied to every element's image atom set under sigma, a
-    permutation of the atom ordinals, each set built as plan says (see
-    _lift_plan). With an atom-mask index's get the result is the image
-    elements, None where a set belongs to no element; with int it is the
-    sets themselves."""
-    stages, unions, pairs = plan
-    masks = [1 << y for y in sigma]
-    for groups in stages:
-        nxt = []
-        for group in groups:
-            nm = 0
-            for t in group:
-                nm |= masks[t]
-            nxt.append(nm)
-        masks = nxt
-    if pairs is not None:
-        return [get(masks[i] & masks[j]) for i, j in pairs]
-    # the stage loop once more, looking each set up as it is built: a
-    # separate pass of lookups would slow the lattice search's leaf
-    out = []
-    for group in unions:
-        nm = 0
-        for t in group:
-            nm |= masks[t]
-        out.append(get(nm))
-    return out
-
-
-def _lift_bijective(S, plan, sigma) -> tuple[int, ...] | None:
-    """The lift of the atom permutation sigma to all elements of S through
-    S's plan; None when some image atom set belongs to no element or the
-    lift is not a permutation of the elements."""
-    eperm = _lift_atom_perm(plan, sigma, S.atom_mask_index.get)
+def _lift_bijective(S, sigma) -> tuple[int, ...] | None:
+    """The lift of the atom permutation sigma to all elements of S; None
+    when some image atom set belongs to no element or the lift is not a
+    permutation of the elements."""
+    eperm = list(map(S.atom_mask_index.get, S.lift_atom_masks(sigma)))
     if None in eperm or len(set(eperm)) != S.size:
         return None
     return tuple(eperm)
@@ -327,7 +256,7 @@ def iter_lattice_atom_perms(
     under a common rank-2 element (and non-incident triples must stay
     non-incident), propagated pairwise as assignments accumulate.
     """
-    plan = _lift_plan(L)  # and the atomisticity guard, before any node
+    _require_atomistic(L)  # before any node
     init_cand, line_mask = _lattice_search_structure(L)
     m = len(init_cand)
 
@@ -361,7 +290,7 @@ def iter_lattice_atom_perms(
         return new_cands
 
     yield from _atom_search(
-        init_cand, narrow, lambda perm: _lift_bijective(L, plan, perm),
+        init_cand, narrow, lambda perm: _lift_bijective(L, perm),
         budget, restrict_first, stats,
     )
 
@@ -552,7 +481,11 @@ def _poset_search_structure(P: ProjectionPoset):
     them. The count is a sum over the elements e, so one pass over the
     elements adds e's column, a 1 in the slot of every atom below e and,
     when e = o_j, the flag of slot j, to the row of every atom below e; no
-    Python code runs per atom pair."""
+    Python code runs per atom pair.
+
+    The search reads colors by rows only. Each orientation of a pair is an
+    invariant by itself, and on an orthoposet the key is symmetric anyway
+    (x_i <= o_j exactly when x_j <= o_i)."""
     cached = getattr(P, "_auto_search_cache", None)
     if cached is not None:
         return cached
@@ -595,16 +528,16 @@ def _poset_search_structure(P: ProjectionPoset):
         row_colors[i + 1 :] = map(color_ids.__getitem__, keys[i + 1 :])
         colors.append(row_colors)
 
-    # allowed[y][c] masks the y2 != y with colors[y2][y] == c: for each
-    # color of column y, the AND over the bytes of the color's id of the
-    # column's bytes equal to it, read as a binary numeral
+    # allowed[y][c] masks the y2 != y with colors[y][y2] == c: for each
+    # color of row y, the AND over the bytes of the color's id of the row's
+    # bytes equal to it, read as a binary numeral
     n_colors = len(color_ids)
     width = _slot_bytes((n_colors - 1).bit_length())
     allowed = []
-    for y, column in enumerate(zip(*colors)):
-        packed = array(_SLOT_FORMATS[width], column).tobytes()
+    for y, row in enumerate(colors):
+        packed = array(_SLOT_FORMATS[width], row).tobytes()
         masks = [0] * n_colors
-        for c in set(column[:y] + column[y + 1 :]):
+        for c in set(row[:y] + row[y + 1 :]):
             mask = -1
             for b, byte in enumerate(c.to_bytes(width, sys.byteorder)):
                 mask &= int(packed[b::width].translate(_byte_equal_table(byte))[::-1], 2)
@@ -626,7 +559,7 @@ def poset_search_plan(P: ProjectionPoset) -> tuple[int, list[int]]:
     """Deterministic root branching for checkpoint/worker partitioning:
     the pivot the search itself will pick first, and its candidate list.
     A poset that is not atomistic is refused here, before any search."""
-    _lift_plan(P)
+    _require_atomistic(P)
     return _search_plan(_poset_search_structure(P)[0])
 
 
@@ -634,7 +567,8 @@ def _lift_poset_atom_perm(P: ProjectionPoset, sigma) -> tuple[int, ...] | None:
     """The lift of an atom permutation of P to all elements; None if it
     fails to lift bijectively or does not commute with the
     orthocomplementation (eperm . ortho != ortho . eperm)."""
-    eperm = _lift_bijective(P, _lift_plan(P), sigma)
+    _require_atomistic(P)
+    eperm = _lift_bijective(P, sigma)
     if eperm is None:
         return None
     ortho = P.ortho
@@ -658,24 +592,22 @@ def iter_poset_atom_perms(
 ):
     """All atom permutations extending to orthoposet automorphisms of P,
     yielding (atom_perm, element_perm) pairs in deterministic order."""
-    _lift_plan(P)  # the atomisticity guard, before any node
+    _require_atomistic(P)  # before any node
     init_cand, colors, allowed = _poset_search_structure(P)
-    # columns[x][z] = colors[z][x], the colors of every atom against x
-    columns = [list(col) for col in zip(*colors)]
 
     def narrow(x, y, assigned, opened, cands, forced, images):
-        # z keeps the candidates w != y with colors[w][y] == colors[z][x];
+        # z keeps the candidates w != y with colors[y][w] == colors[x][z];
         # for a forced z that is one check on its image w
-        col_x = columns[x]
+        row_x = colors[x]
         if forced and (
             y in images
-            or list(map(col_x.__getitem__, forced))
-            != list(map(columns[y].__getitem__, images))
+            or list(map(row_x.__getitem__, forced))
+            != list(map(colors[y].__getitem__, images))
         ):
             return None
         not_y = ~(1 << y)
         allowed_y = allowed[y]
-        return [nc & not_y & allowed_y[col_x[z]] for z, nc in zip(opened, cands)]
+        return [nc & not_y & allowed_y[row_x[z]] for z, nc in zip(opened, cands)]
 
     # the leaf looks expand_poset_atom_perm up at call time, so a wrapper
     # installed on the module name sees every leaf
@@ -839,7 +771,7 @@ def poset_atom_perm_from_lattice(
 ) -> tuple[int, ...]:
     """Fast path: the action on P-atoms induced by a lattice map, without
     materializing the full poset permutation."""
-    _lift_plan(P)  # the atomisticity guard
+    _require_atomistic(P)
     rows, lp, ordinal = P.pair_rows, lattice_perm, P.atom_ordinal
     if len(lp) != P.lattice.size:
         raise ValueError("lattice map size does not match the poset's lattice")
@@ -985,7 +917,9 @@ def _constructed_side(L: SubspaceLattice, P: ProjectionPoset, budget: int | None
     """The maps the classification constructs: the standard duality gamma,
     the atom keys of every lattice automorphism f, and, in search order,
     the P-atom permutations of the even maps (a, b) -> (f(a), f(b)) and of
-    the odd maps built from the anti-automorphisms f . gamma."""
+    the odd maps built from the anti-automorphisms f . gamma. L's search
+    is refused above MAX_SEARCH_ATOMS atoms."""
+    _check_search_bound(L.atoms, MAX_SEARCH_ATOMS)
     gamma = standard_duality(L)
     keys: set[bytes] = set()
     evens: list[tuple[int, ...]] = []
@@ -1208,6 +1142,7 @@ def verify_fundamental_correspondence(
     rep = CampaignReport("semilinear-witnesses", (L.n, L.field.spec()))
     if L.n < 3:
         raise ValueError("witness matching requires ambient dimension >= 3")
+    _check_search_bound(L.atoms, MAX_SEARCH_ATOMS)
     total = 0
     matched = 0
     twist_hist: dict[int, int] = {}

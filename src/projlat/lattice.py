@@ -241,6 +241,16 @@ class SubspaceLattice:
         comparable pairs a lattice-map check walks."""
         return [_bits(u) for u in self.up_masks]
 
+    @cached_property
+    def atom_lists(self) -> list[list[int]]:
+        """Every element's atom set as a list of atom ordinals."""
+        return [_bits(m) for m in self.elem_atom_masks]
+
+    def lift_atom_masks(self, sigma) -> list[int]:
+        """The atom set of every element's image under sigma, a permutation
+        of the atom ordinals: the atoms sigma sends its atoms to."""
+        return or_lists([1 << y for y in sigma], self.atom_lists)
+
     def is_modular_pair_idx(self, a: int, b: int) -> bool:
         """(a,b)M: (x v a) ^ b == x v (a ^ b) for every x <= b."""
         jt, mt = self.join_table, self.meet_table
@@ -272,8 +282,9 @@ class SubspaceLattice:
         return self.elements[i].basis[0]
 
     def verify_atomistic(self) -> bool:
-        """Order coincides with atom-set inclusion, exhaustively."""
-        return order_is_atom_inclusion(self.up_masks, self.atoms)
+        """Order coincides with inclusion of the stored atom sets,
+        exhaustively."""
+        return order_is_atom_inclusion(self.up_masks, self.atoms, self.elem_atom_masks)
 
     def __repr__(self) -> str:
         return f"SubspaceLattice({self.field.spec()}^{self.n}, {self.size} elements)"
@@ -286,6 +297,17 @@ def _bits(mask: int) -> list[int]:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
+    return out
+
+
+def or_lists(values: list[int], lists) -> list[int]:
+    """Entry k is the OR of values at the indices in lists[k]."""
+    out = []
+    for group in lists:
+        m = 0
+        for t in group:
+            m |= values[t]
+        out.append(m)
     return out
 
 
@@ -342,14 +364,16 @@ def cover_pairs(up: list[int], down: list[int]) -> list[tuple[int, int]]:
     return out
 
 
-def order_is_atom_inclusion(up: list[int], atoms: list[int]) -> bool:
+def order_is_atom_inclusion(up: list[int], atoms: list[int], stored: list[int]) -> bool:
     """Whether i <= j exactly when the atoms below i are all below j, with
-    no two elements below the same atoms. The atoms of i are among those of
-    j exactly when j is above every atom below i, so each up[i] must be the
-    AND of the up-sets of the atoms below i (every element when there are
-    none): one AND per atom-element incidence instead of size^2 pairs."""
+    no two elements below the same atoms, and the stored atom sets (bit t
+    of stored[i] for atoms[t] <= i) are those atoms. The atoms of i are
+    among those of j exactly when j is above every atom below i, so each
+    up[i] must be the AND of the up-sets of the atoms below i (every
+    element when there are none): one AND per atom-element incidence
+    instead of size^2 pairs."""
     masks = atom_masks(up, atoms)
-    if len(set(masks)) != len(up):
+    if masks != stored or len(set(masks)) != len(up):
         return False
     everything = (1 << len(up)) - 1
     for i, mask in enumerate(masks):

@@ -23,9 +23,9 @@ from .lattice import (
     _bits,
     _digit_bits,
     _mask_index,
-    atom_masks,
     cover_pairs,
     enumerate_subspaces,
+    or_lists,
     order_is_atom_inclusion,
     projection_pair_count,
 )
@@ -115,7 +115,6 @@ class ProjectionPoset:
         # complements, in by_image order
         self.image_families = [(a, g) for a, g in self.by_image.items() if len(g) > 1]
         self._build_order()
-        self.atom_pairs = [pairs[a] for a in self.atoms]
         self.atom_ordinal = {a: t for t, a in enumerate(self.atoms)}
         self._graded: bool | None = None
 
@@ -123,33 +122,51 @@ class ProjectionPoset:
         """The order is L's order on images times its dual on kernels:
         (a, b) <= (c, d) iff c is above a and d below b. So the up-set of
         (a, b) is the elements whose image lies in a's up-set, intersected
-        with those whose kernel lies in b's down-set, and each of the two
-        is an OR of element groups over one lattice up- or down-set."""
+        with those whose kernel lies in b's down-set, and the down-set is
+        the same product read the other way. The atoms below (a, b) are
+        the down-set's atoms: those whose image point lies under a, and
+        whose kernel hyperplane lies over b."""
         L = self.lattice
-        img_group = [0] * L.size
-        ker_group = [0] * L.size
-        for i, (a, b) in enumerate(self.pairs):
-            img_group[a] |= 1 << i
-            ker_group[b] |= 1 << i
-
-        def union_over(groups: list[int], lattice_masks: list[int]) -> list[int]:
-            out = []
-            for mask in lattice_masks:
-                u = 0
-                for c in _bits(mask):
-                    u |= groups[c]
-                out.append(u)
-            return out
-
-        img_up = union_over(img_group, L.up_masks)
-        img_down = union_over(img_group, L.down_masks)
-        ker_up = union_over(ker_group, L.up_masks)
-        ker_down = union_over(ker_group, L.down_masks)
-        self.up_masks = [img_up[a] & ker_down[b] for a, b in self.pairs]
-        self.down_masks = [img_down[a] & ker_up[b] for a, b in self.pairs]
+        bits = [1 << i for i in range(self.size)]
+        img = or_lists(bits, [self.by_image.get(c, []) for c in range(L.size)])
+        ker = or_lists(bits, [self.by_kernel.get(c, []) for c in range(L.size)])
+        del bits  # P-sized; freed before the order tables are built
+        down_lists = [_bits(d) for d in L.down_masks]
+        self.up_masks = self._product(img, ker, L.up_lists, down_lists)
+        self.down_masks = self._product(img, ker, down_lists, L.up_lists)
         self.atoms = [i for i, g in enumerate(self.grade) if g == 1]
-        self.elem_atom_masks = atom_masks(self.up_masks, self.atoms)
+        self.atom_pairs = [self.pairs[x] for x in self.atoms]
+        # the down-set product over the atoms alone, by L's atom ordinals on
+        # the image side and its coatom ordinals on the kernel side
+        hyperplane = {h: t for t, h in enumerate(L.coatoms)}
+        self._on_point: list[list[int]] = [[] for _ in L.atoms]
+        self._on_hyperplane: list[list[int]] = [[] for _ in L.coatoms]
+        for t, (p, h) in enumerate(self.atom_pairs):
+            self._on_point[L.atom_ordinal[p]].append(t)
+            self._on_hyperplane[hyperplane[h]].append(t)
+        coatoms = sum(1 << h for h in L.coatoms)
+        self._hyperplanes_over = [[hyperplane[h] for h in _bits(u & coatoms)] for u in L.up_masks]
+        self.elem_atom_masks = self.lift_atom_masks(range(len(self.atoms)))
         self.atom_mask_index = {m: i for i, m in enumerate(self.elem_atom_masks)}
+
+    def _product(self, img_values, ker_values, img_lists, ker_lists) -> list[int]:
+        """The image x kernel product: entry (a, b) is the OR of img_values
+        at the indices in img_lists[a], ANDed with the OR of ker_values at
+        those in ker_lists[b]."""
+        img = or_lists(img_values, img_lists)
+        ker = or_lists(ker_values, ker_lists)
+        return [img[a] & ker[b] for a, b in self.pairs]
+
+    def lift_atom_masks(self, sigma) -> list[int]:
+        """The atom set of every element's image under sigma, a permutation
+        of the atom ordinals. A bijection of the atoms commutes with unions
+        and intersections, so this is the atoms sigma sends each element's
+        atoms to, and elem_atom_masks is the lift of the identity."""
+        bits = [1 << y for y in sigma]
+        return self._product(
+            or_lists(bits, self._on_point), or_lists(bits, self._on_hyperplane),
+            self.lattice.atom_lists, self._hyperplanes_over,
+        )
 
     @cached_property
     def pair_rows(self) -> list[list[int | None]]:
@@ -224,8 +241,9 @@ class ProjectionPoset:
         return True
 
     def verify_atomistic(self) -> bool:
-        """Order relation coincides with atom-set inclusion, exhaustively."""
-        return order_is_atom_inclusion(self.up_masks, self.atoms)
+        """Order relation coincides with inclusion of the stored atom sets,
+        exhaustively."""
+        return order_is_atom_inclusion(self.up_masks, self.atoms, self.elem_atom_masks)
 
     # -- matrix view -------------------------------------------------------
 

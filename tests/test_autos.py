@@ -407,7 +407,7 @@ def _initial_candidates(unary):
 def _colors_by_ordered_pairs(P, keys=_pair_keys):
     """Reference: the poset search's atom-pair colors keyed one ordered pair
     at a time by keys(P). Returns (initial candidates, colors, allowed) with
-    allowed[y] a dict from color to the mask of the y2 with colors[y2][y]
+    allowed[y] a dict from color to the mask of the y2 with colors[y][y2]
     equal to it."""
     unary, key = keys(P)
     m = len(unary)
@@ -421,7 +421,7 @@ def _colors_by_ordered_pairs(P, keys=_pair_keys):
     for y in range(m):
         for y2 in range(m):
             if y2 != y:
-                c = colors[y2][y]
+                c = colors[y][y2]
                 allowed[y][c] = allowed[y].get(c, 0) | (1 << y2)
     return _initial_candidates(unary), colors, allowed
 
@@ -457,7 +457,12 @@ REFERENCE_AMBIENTS = [(2, "2"), (2, "3"), (3, "2"), (3, "3"), (4, "2"), (3, "2^2
 
 @pytest.mark.parametrize("n, spec", REFERENCE_AMBIENTS)
 def test_poset_colors_match_ordered_pair_reference(n, spec):
-    _assert_matches_reference(build_projection_poset(enumerate_subspaces(n, parse_field(spec))))
+    """The colors match the reference, and on P they are symmetric: x_i <=
+    o_j exactly when x_j <= o_i."""
+    colors = _assert_matches_reference(
+        build_projection_poset(enumerate_subspaces(n, parse_field(spec)))
+    )
+    assert all(row[j] == colors[j][i] for i, row in enumerate(colors) for j in range(len(row)))
 
 
 @pytest.mark.parametrize("n, spec", REFERENCE_AMBIENTS)
@@ -482,9 +487,9 @@ def _corrupt(P, how):
     other's orthocomplements, a seeded choice of one of the two relations
     is dropped, so that the colors of (i, j) and (j, i) differ both for
     i < j and for i > j. The atom sets the colors read are rebuilt from
-    the corrupted up-sets; the leaf lift keeps its plan of the clean
-    order."""
-    autos._lift_plan(P)
+    the corrupted up-sets, after the atomisticity guard has passed the
+    clean order; the leaf lift keeps the clean order's product factors."""
+    autos._require_atomistic(P)
     up, ortho, atoms = P.up_masks, P.ortho, P.atoms
     x = atoms[len(atoms) // 2]
     above = [ortho[y] for y in atoms if up[x] >> ortho[y] & 1]
@@ -584,7 +589,7 @@ def test_poset_colors_match_row_restricted_reference_35(P35_rows):
         want = {}
         for y2 in range(len(P.atoms)):
             if y2 != y:
-                c = from_key[keys[y2, y]]
+                c = from_key[keys[y, y2]]
                 want[c] = want.get(c, 0) | 1 << y2
         assert allowed[y] == [want.get(c, 0) for c in range(len(allowed[y]))]
 
@@ -717,9 +722,9 @@ def test_verify_rejects_corrupted_map(P32):
 
 
 def test_verify_poset_map_builds_no_pair_colours(L32):
-    """Verifying one map checks atomisticity and builds the lift plan, once
-    per poset, without the search's pair colours; a poset whose order is
-    not atom-set inclusion is refused."""
+    """Verifying one map checks atomisticity once per poset, without the
+    search's pair colours; a poset whose order is not atom-set inclusion
+    is refused."""
     P = build_projection_poset(L32)
     calls = []
     check = P.verify_atomistic
@@ -767,9 +772,9 @@ def _reference_expand(P, sigma):
 
 
 def _assert_lift_matches_reference(S, sigma):
-    plan = autos._lift_plan(S)
-    assert autos._lift_atom_perm(plan, sigma, int) == _reference_image_masks(S, sigma)
-    assert autos._lift_atom_perm(plan, sigma, S.atom_mask_index.get) == _reference_lift(S, sigma)
+    masks = S.lift_atom_masks(sigma)
+    assert masks == _reference_image_masks(S, sigma)
+    assert [S.atom_mask_index.get(m) for m in masks] == _reference_lift(S, sigma)
     if hasattr(S, "ortho"):
         assert expand_poset_atom_perm(S, sigma) == _reference_expand(S, sigma)
 
@@ -830,14 +835,16 @@ def test_product_lift_matches_reference_on_seeded_perms(n, spec):
 
 
 def test_product_lift_refuses_masks_that_are_not_products(L32):
-    """A poset whose atom sets are not image x kernel products is refused
-    before any lift, although its order is still atom-set inclusion."""
+    """A poset whose stored atom sets are not the image x kernel products
+    its lift builds, here top's set with one atom dropped, is refused
+    before any lift: they are no longer the atom sets of its order."""
     P = build_projection_poset(L32)
     P.elem_atom_masks[P.top] &= ~1
-    assert P.verify_atomistic()
-    with pytest.raises(FalsificationError, match="not image x kernel products"):
+    assert P.lift_atom_masks(range(len(P.atoms)))[P.top] != P.elem_atom_masks[P.top]
+    assert not P.verify_atomistic()
+    with pytest.raises(FalsificationError, match="not atomistic"):
         poset_search_plan(P)
-    with pytest.raises(FalsificationError, match="not image x kernel products"):
+    with pytest.raises(FalsificationError, match="not atomistic"):
         verify_poset_map(tuple(range(P.size)), P)
 
 
@@ -1094,6 +1101,17 @@ def test_main_theorem_refuses_a_poset_above_the_search_bound(L32, monkeypatch):
     assert not hasattr(P, "_auto_search_cache")
 
 
+def test_lattice_campaigns_refuse_a_lattice_above_the_search_bound(L32, P32, monkeypatch):
+    """With the bound one below L's 7 atoms, the semidirect check and
+    witness matching are refused before the lattice search runs."""
+    monkeypatch.setattr(autos, "MAX_SEARCH_ATOMS", 6)
+    monkeypatch.setattr(autos, "iter_lattice_atom_perms", None)
+    with pytest.raises(AmbientTooLarge, match="^7 atoms exceeds the search bound 6$"):
+        verify_semidirect_structure(L32, P32)
+    with pytest.raises(AmbientTooLarge, match="^7 atoms exceeds the search bound 6$"):
+        autos.verify_fundamental_correspondence(L32)
+
+
 def test_parity_composition_algebra():
     from projlat.maps import compose_parities
 
@@ -1191,7 +1209,7 @@ def _previous_atom_search(init_cand, narrow, lift, budget, restrict_first, stats
 def _previous_lattice_search(L, budget=None, restrict_first=None, stats=None, failed=None):
     """Reference: the lattice search on the previous core and narrowing;
     failed, if given, counts the narrowings that fail."""
-    plan = autos._lift_plan(L)
+    autos._require_atomistic(L)
     init_cand, line_mask = autos._lattice_search_structure(L)
     m = len(init_cand)
 
@@ -1222,13 +1240,14 @@ def _previous_lattice_search(L, budget=None, restrict_first=None, stats=None, fa
 
     yield from _previous_atom_search(
         init_cand, _counting(narrow, failed),
-        lambda perm: autos._lift_bijective(L, plan, perm), budget, restrict_first, stats,
+        lambda perm: autos._lift_bijective(L, perm), budget, restrict_first, stats,
     )
 
 
 def _previous_poset_search(P, budget=None, restrict_first=None, stats=None, failed=None):
-    """Reference: the poset search on the previous core and narrowing."""
-    autos._lift_plan(P)
+    """Reference: the poset search on the previous core and narrowing, the
+    colors read by rows as the search reads them."""
+    autos._require_atomistic(P)
     init_cand, colors, allowed = autos._poset_search_structure(P)
     m = len(init_cand)
 
@@ -1237,7 +1256,7 @@ def _previous_poset_search(P, budget=None, restrict_first=None, stats=None, fail
         allowed_y = allowed[y]
         for z in range(m):
             if assigned[z] is None:
-                nc = cand[z] & not_y & allowed_y[colors[z][best]]
+                nc = cand[z] & not_y & allowed_y[colors[best][z]]
                 if nc == 0:
                     return False
                 cand[z] = nc
@@ -1428,7 +1447,7 @@ def _previous_transport(P, lattice_perm, odd, what):
 
 def _previous_poset_atom_perm_from_lattice(P, lattice_perm, odd):
     """Reference: the atom action through the flat pair table, as it was."""
-    autos._lift_plan(P)  # the atomisticity guard
+    autos._require_atomistic(P)
     table, w, lp, ordinal = _flat_pair_table(P), P.lattice.size, lattice_perm, P.atom_ordinal
     if len(lp) != w:
         raise ValueError("lattice map size does not match the poset's lattice")

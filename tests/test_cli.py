@@ -96,12 +96,16 @@ def test_main_theorem_refusal_names_the_hypothesis(run_cli):
         (("ring-odd-experiment", "--n", "3", "--field", "7"), 57, 40),
         (("ring-extend", "--n", "4", "--field", "4"), 85, 40),
         (("verify-main-theorem", "--n", "4", "--field", "3"), 1080, 150),
+        (("verify-ftpg", "--n", "3", "--field", "7"), 57, 40),
+        (("verify-semidirect", "--n", "3", "--field", "7"), 57, 40),
     ],
 )
 def test_ambient_beyond_a_search_bound_exits_2(run_cli, argv, atoms, bound):
     """A search bound refuses the ambient with one line, then the wall
     time; the first three are refused by the lattice search's bound
-    before P is built, the last by the poset search's."""
+    before P is built, the fourth by the poset search's, and the last two
+    by the lattice search's before it runs (verify-semidirect has built
+    P by then)."""
     code, out, err = run_cli(*argv)
     assert code == 2
     assert out == ""

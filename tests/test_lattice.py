@@ -11,7 +11,7 @@ from projlat import (
     parse_field,
     subspace_count_total,
 )
-from projlat.lattice import Subspace, order_is_atom_inclusion
+from projlat.lattice import Subspace, atom_masks, order_is_atom_inclusion
 from projlat.matrices import (
     as_matrix,
     in_row_space,
@@ -109,12 +109,13 @@ def test_atomistic_and_length(L22, L32, L23, L33, L42):
         assert L.length == want
 
 
-def _atomistic_by_pairs(up, atoms):
+def _atomistic_by_pairs(up, atoms, stored):
     """Reference: the pairwise check the shared one replaced. Distinct atom
-    sets, and i <= j iff the atoms below i are all below j, on every pair."""
+    sets, equal to the stored ones, and i <= j iff the atoms below i are
+    all below j, on every pair."""
     size = len(up)
     am = [sum(1 << t for t, a in enumerate(atoms) if up[a] >> i & 1) for i in range(size)]
-    if len(set(am)) != size:
+    if am != stored or len(set(am)) != size:
         return False
     return all(
         bool(up[i] >> j & 1) == (am[i] & ~am[j] == 0)
@@ -124,14 +125,16 @@ def _atomistic_by_pairs(up, atoms):
 
 
 @pytest.mark.parametrize("ambient", ["23", "32", "42"])
-def test_atomistic_check_matches_pairwise_reference(ambient, request):
+def test_atomistic_check_matches_pairwise_reference(ambient, request, monkeypatch):
     """order_is_atom_inclusion, behind both verify_atomistic methods, agrees
-    with the pairwise reference on L and P, and on corrupted up-mask tables
-    of each."""
+    with the pairwise reference on L and P, on corrupted up-mask tables of
+    each (with the atom sets they give), and on a stored atom-set table off
+    by one bit, which both verify_atomistic methods then refuse."""
     for S in (request.getfixturevalue("L" + ambient), request.getfixturevalue("P" + ambient)):
-        up, atoms = S.up_masks, S.atoms
+        up, atoms, stored = S.up_masks, S.atoms, S.elem_atom_masks
         assert S.verify_atomistic() is True
-        assert order_is_atom_inclusion(up, atoms) is _atomistic_by_pairs(up, atoms) is True
+        assert order_is_atom_inclusion(up, atoms, stored) is True
+        assert _atomistic_by_pairs(up, atoms, stored) is True
         x = atoms[0]
         corrupted = []
         for i in (x, S.size // 2, S.top):
@@ -142,7 +145,15 @@ def test_atomistic_check_matches_pairwise_reference(ambient, request):
         bad[S.top] |= 1 << x  # a spurious comparability: top <= x
         corrupted.append(bad)
         for bad in corrupted:
-            assert order_is_atom_inclusion(bad, atoms) is _atomistic_by_pairs(bad, atoms) is False
+            derived = atom_masks(bad, atoms)
+            assert order_is_atom_inclusion(bad, atoms, derived) is False
+            assert _atomistic_by_pairs(bad, atoms, derived) is False
+        off = list(stored)
+        off[S.top] ^= 1
+        assert order_is_atom_inclusion(up, atoms, off) is _atomistic_by_pairs(up, atoms, off) is False
+        monkeypatch.setattr(S, "elem_atom_masks", off)
+        assert S.verify_atomistic() is False
+        monkeypatch.undo()
 
 
 def test_atomistic_check_refuses_a_chain():
@@ -150,7 +161,9 @@ def test_atomistic_check_refuses_a_chain():
     same atoms, so the order is not atom-set inclusion; nor is it when 2 is
     also made <= 1, where only the distinct-atom-sets condition fails."""
     for up in ([0b111, 0b110, 0b100], [0b111, 0b110, 0b110]):
-        assert order_is_atom_inclusion(up, [1]) is _atomistic_by_pairs(up, [1]) is False
+        derived = atom_masks(up, [1])
+        assert order_is_atom_inclusion(up, [1], derived) is False
+        assert _atomistic_by_pairs(up, [1], derived) is False
 
 
 def test_hyperplane_criterion(L32):
