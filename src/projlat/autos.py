@@ -3,14 +3,15 @@ posets.
 
 Both searches run one backtracking core on atom images, _atom_search; each
 supplies only its initial candidates, its narrowing step and its leaf lift.
-Atoms determine everything here: order is atom-set inclusion in both
-structures (verified per instance, not assumed), so a candidate atom
-permutation lifts through an atom-mask dictionary and the lift is verified
-outright at every leaf. Constraint propagation uses only order-definable
-(and, for posets, ortho-definable) invariants, so no genuine automorphism
-can ever be pruned; spurious leaves die at verification. That split keeps
-the search honest: pruning is a performance device, never a correctness
-assumption.
+Atoms determine everything here: in both structures the order is
+atom-set inclusion and the atoms cover bottom (proved per instance before
+a search structure is built, not assumed), so a candidate atom
+permutation lifts through an atom-mask dictionary and the lift is
+verified outright at every leaf. Constraint propagation uses only
+order-definable (and, for posets, ortho-definable) invariants, so no
+genuine automorphism can ever be pruned; spurious leaves die at
+verification. That split keeps the search honest: pruning is a
+performance device, never a correctness assumption.
 
 Parity machinery: an automorphism of the projection poset is even when
 projections sharing an image keep sharing an image, odd when they end up
@@ -218,10 +219,11 @@ def _atom_search(init_cand, narrow, lift, budget, restrict_first, stats):
 
 def _lattice_search_structure(L: SubspaceLattice):
     """Per-lattice pruning data for the collinearity-constrained atom
-    search."""
+    search, built once L has passed the atomisticity guard."""
     cached = getattr(L, "_auto_search_cache", None)
     if cached is not None:
         return cached
+    _require_atomistic(L)
     atoms = L.atoms
     m = len(atoms)
     # join lines at the atom level: line_mask[i][j] = atoms under atom_i v atom_j
@@ -239,7 +241,8 @@ def _lattice_search_structure(L: SubspaceLattice):
 def lattice_search_plan(L: SubspaceLattice) -> tuple[int, list[int]]:
     """Deterministic root branching: (pivot atom ordinal, target ordinals),
     the search's own first branching. Used to partition long searches for
-    checkpointing and worker pools."""
+    checkpointing and worker pools. A lattice that is not atomistic is
+    refused here, before any search."""
     return _search_plan(_lattice_search_structure(L)[0])
 
 
@@ -256,7 +259,6 @@ def iter_lattice_atom_perms(
     under a common rank-2 element (and non-incident triples must stay
     non-incident), propagated pairwise as assignments accumulate.
     """
-    _require_atomistic(L)  # before any node
     init_cand, line_mask = _lattice_search_structure(L)
     m = len(init_cand)
 
@@ -340,7 +342,7 @@ def semilinear_atom_perms(L: SubspaceLattice) -> set[bytes]:
     n, q = L.n, F.q
     order = projective_group_order(n, q, F.k)
     if order > SEMILINEAR_LIMIT:
-        raise ValueError(
+        raise AmbientTooLarge(
             f"|PGammaL({n}, {q})| = {order} exceeds the semilinear generation "
             f"limit {SEMILINEAR_LIMIT}"
         )
@@ -402,7 +404,7 @@ def check_semilinear_generation(rep, L: SubspaceLattice, keys, name, detail) -> 
     set's size. Above SEMILINEAR_LIMIT the check passes, marked skipped."""
     try:
         semi = semilinear_atom_perms(L)
-    except ValueError:
+    except AmbientTooLarge:
         rep.add(name, True, "skipped: ambient too large")
         return
     rep.add(name, semi == keys, detail.format(len(semi)))
@@ -469,8 +471,8 @@ def _poset_search_structure(P: ProjectionPoset):
     """Atom pair invariants for pruning. Both are definable from the order
     and the orthocomplementation alone, so the constraints hold for every
     orthoposet automorphism, even and odd alike. The search permutes P's
-    grade-1 elements, and those are exactly the elements covering bottom
-    only in a graded P, so the grading is checked first.
+    atoms, so P must first pass the atomisticity guard, which also proves
+    them to be the elements covering bottom.
 
     The color of the ordered atom pair (x_i, x_j), o_j being the
     orthocomplement of x_j, is its key: how many elements lie above both
@@ -489,8 +491,7 @@ def _poset_search_structure(P: ProjectionPoset):
     cached = getattr(P, "_auto_search_cache", None)
     if cached is not None:
         return cached
-    if not P.is_graded_by_image_dim():
-        raise FalsificationError("poset not graded by image rank; invariants unsound")
+    _require_atomistic(P)
     atoms, up = P.atoms, P.up_masks
     m = len(atoms)
     ortho_a = [P.ortho[x] for x in atoms]
@@ -559,7 +560,6 @@ def poset_search_plan(P: ProjectionPoset) -> tuple[int, list[int]]:
     """Deterministic root branching for checkpoint/worker partitioning:
     the pivot the search itself will pick first, and its candidate list.
     A poset that is not atomistic is refused here, before any search."""
-    _require_atomistic(P)
     return _search_plan(_poset_search_structure(P)[0])
 
 
@@ -592,7 +592,6 @@ def iter_poset_atom_perms(
 ):
     """All atom permutations extending to orthoposet automorphisms of P,
     yielding (atom_perm, element_perm) pairs in deterministic order."""
-    _require_atomistic(P)  # before any node
     init_cand, colors, allowed = _poset_search_structure(P)
 
     def narrow(x, y, assigned, opened, cands, forced, images):

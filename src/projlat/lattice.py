@@ -131,7 +131,39 @@ def enumerate_subspaces(n: int, F: GF) -> "SubspaceLattice":
     return SubspaceLattice(F, n, elements)
 
 
-class SubspaceLattice:
+class FiniteOrder:
+    """What L and P share: an order on elements 0..size-1 given by its
+    up-sets and down-sets (bit j of up_masks[i] is set iff i <= j), its
+    atoms, and each element's atom set (bit t of elem_atom_masks[i] is set
+    iff atoms[t] <= i)."""
+
+    def leq_idx(self, i: int, j: int) -> bool:
+        return bool(self.up_masks[i] >> j & 1)
+
+    def cover_pairs(self) -> list[tuple[int, int]]:
+        return cover_pairs(self.up_masks, self.down_masks)
+
+    @cached_property
+    def atom_ordinal(self) -> dict[int, int]:
+        return {a: t for t, a in enumerate(self.atoms)}
+
+    @cached_property
+    def up_mask_index(self) -> dict[int, int]:
+        """The up-set -> element table; built on first use, from up_masks."""
+        return _mask_index(self.up_masks, "up-set")
+
+    @cached_property
+    def down_mask_index(self) -> dict[int, int]:
+        """The down-set -> element table; built on first use, from down_masks."""
+        return _mask_index(self.down_masks, "down-set")
+
+    def verify_atomistic(self) -> bool:
+        """The order is inclusion of the stored atom sets, and the atoms are
+        the elements covering the least element, exhaustively."""
+        return order_is_atom_inclusion(self.up_masks, self.atoms, self.elem_atom_masks)
+
+
+class SubspaceLattice(FiniteOrder):
     """All subspaces of GF(q)^n with order, meet/join tables, and predicates.
 
     Elements are indexed 0..size-1 in (dimension, basis) order; index 0 is
@@ -149,7 +181,6 @@ class SubspaceLattice:
         self.bottom = self.index[Subspace.zero(F, n)]
         self.top = self.index[Subspace.full(F, n)]
         self.atoms = [i for i, d in enumerate(self.dims) if d == 1]
-        self.atom_ordinal = {a: t for t, a in enumerate(self.atoms)}
         self.coatoms = [i for i, d in enumerate(self.dims) if d == n - 1]
         self.dim_index: dict[int, list[int]] = {}
         for i, d in enumerate(self.dims):
@@ -187,8 +218,7 @@ class SubspaceLattice:
 
     def _build_tables(self) -> None:
         size = self.size
-        down_of = _mask_index(self.down_masks, "down-set")
-        up_of = _mask_index(self.up_masks, "up-set")
+        down_of, up_of = self.down_mask_index, self.up_mask_index
         meet_t = [[0] * size for _ in range(size)]
         join_t = [[0] * size for _ in range(size)]
         dm, um = self.down_masks, self.up_masks
@@ -202,9 +232,6 @@ class SubspaceLattice:
         self.join_table = join_t
 
     # -- order and operations ----------------------------------------------
-
-    def leq_idx(self, i: int, j: int) -> bool:
-        return bool(self.up_masks[i] >> j & 1)
 
     def meet_idx(self, i: int, j: int) -> int:
         return self.meet_table[i][j]
@@ -220,9 +247,6 @@ class SubspaceLattice:
             self.up_masks[i] & self.down_masks[j] & ~(1 << i) & ~(1 << j)
         )
         return strictly_between == 0
-
-    def cover_pairs(self) -> list[tuple[int, int]]:
-        return cover_pairs(self.up_masks, self.down_masks)
 
     def complements_idx(self, i: int) -> list[int]:
         bot, top = self.bottom, self.top
@@ -280,11 +304,6 @@ class SubspaceLattice:
     def atom_vector(self, i: int) -> tuple[int, ...]:
         """Canonical spanning vector of an atom (its single RREF basis row)."""
         return self.elements[i].basis[0]
-
-    def verify_atomistic(self) -> bool:
-        """Order coincides with inclusion of the stored atom sets,
-        exhaustively."""
-        return order_is_atom_inclusion(self.up_masks, self.atoms, self.elem_atom_masks)
 
     def __repr__(self) -> str:
         return f"SubspaceLattice({self.field.spec()}^{self.n}, {self.size} elements)"
@@ -365,22 +384,25 @@ def cover_pairs(up: list[int], down: list[int]) -> list[tuple[int, int]]:
 
 
 def order_is_atom_inclusion(up: list[int], atoms: list[int], stored: list[int]) -> bool:
-    """Whether i <= j exactly when the atoms below i are all below j, with
-    no two elements below the same atoms, and the stored atom sets (bit t
-    of stored[i] for atoms[t] <= i) are those atoms. The atoms of i are
-    among those of j exactly when j is above every atom below i, so each
-    up[i] must be the AND of the up-sets of the atoms below i (every
-    element when there are none): one AND per atom-element incidence
-    instead of size^2 pairs."""
-    masks = atom_masks(up, atoms)
-    if masks != stored or len(set(masks)) != len(up):
+    """Whether i <= j exactly when the atoms below i are all below j, the
+    stored sets (bit t of stored[i] for atoms[t] <= i) are those atoms and
+    distinct, and the atoms cover the least element. Proved from stored
+    alone: the sets are distinct; atoms[t]'s is bit t alone; each up[i]
+    holds i and is the AND of the up-sets of the atoms in stored[i] (every
+    element when there are none); and the sets hold as many incidences as
+    the atoms' up-sets. So i is above its stored atoms, and equal totals
+    make them all its atoms. An element with one atom is that atom, and
+    one with none is below everything."""
+    if len(set(stored)) != len(up) or any(stored[a] != 1 << t for t, a in enumerate(atoms)):
+        return False
+    if sum(m.bit_count() for m in stored) != sum(up[a].bit_count() for a in atoms):
         return False
     everything = (1 << len(up)) - 1
-    for i, mask in enumerate(masks):
+    for i, mask in enumerate(stored):
         above = everything
         for t in _bits(mask):
             above &= up[atoms[t]]
-        if up[i] != above:
+        if up[i] != above or not above >> i & 1:
             return False
     return True
 

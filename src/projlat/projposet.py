@@ -18,15 +18,14 @@ from operator import or_
 from .gf import GF
 from .lattice import (
     AmbientTooLarge,
+    FiniteOrder,
     Subspace,
     SubspaceLattice,
     _bits,
     _digit_bits,
     _mask_index,
-    cover_pairs,
     enumerate_subspaces,
     or_lists,
-    order_is_atom_inclusion,
     projection_pair_count,
 )
 from .matrices import (
@@ -92,7 +91,7 @@ def enumerate_idempotents(F: GF, n: int) -> list[Matrix]:
     return [m for m in all_matrices(F, n, n) if is_idempotent(F, m)]
 
 
-class ProjectionPoset:
+class ProjectionPoset(FiniteOrder):
     """Indexed (image, kernel) pairs with order masks, ortho, and atom data."""
 
     def __init__(self, L: SubspaceLattice, pairs: list[tuple[int, int]]):
@@ -115,8 +114,6 @@ class ProjectionPoset:
         # complements, in by_image order
         self.image_families = [(a, g) for a, g in self.by_image.items() if len(g) > 1]
         self._build_order()
-        self.atom_ordinal = {a: t for t, a in enumerate(self.atoms)}
-        self._graded: bool | None = None
 
     def _build_order(self) -> None:
         """The order is L's order on images times its dual on kernels:
@@ -147,7 +144,7 @@ class ProjectionPoset:
         coatoms = sum(1 << h for h in L.coatoms)
         self._hyperplanes_over = [[hyperplane[h] for h in _bits(u & coatoms)] for u in L.up_masks]
         self.elem_atom_masks = self.lift_atom_masks(range(len(self.atoms)))
-        self.atom_mask_index = {m: i for i, m in enumerate(self.elem_atom_masks)}
+        self.atom_mask_index = _mask_index(self.elem_atom_masks, "atom set")
 
     def _product(self, img_values, ker_values, img_lists, ker_lists) -> list[int]:
         """The image x kernel product: entry (a, b) is the OR of img_values
@@ -182,19 +179,6 @@ class ProjectionPoset:
 
     # -- order -------------------------------------------------------------
 
-    def leq_idx(self, i: int, j: int) -> bool:
-        return bool(self.up_masks[i] >> j & 1)
-
-    @cached_property
-    def up_mask_index(self) -> dict[int, int]:
-        """The up-set -> element table; built on first use, from up_masks."""
-        return _mask_index(self.up_masks, "up-set")
-
-    @cached_property
-    def down_mask_index(self) -> dict[int, int]:
-        """The down-set -> element table; built on first use, from down_masks."""
-        return _mask_index(self.down_masks, "down-set")
-
     def lub_idx(self, i: int, j: int) -> int | None:
         """Least upper bound in the poset, or None if there is no least one.
         The common upper bounds form an up-set, and m is their least
@@ -205,9 +189,6 @@ class ProjectionPoset:
     def glb_idx(self, i: int, j: int) -> int | None:
         return self.down_mask_index.get(self.down_masks[i] & self.down_masks[j])
 
-    def cover_pairs(self) -> list[tuple[int, int]]:
-        return cover_pairs(self.up_masks, self.down_masks)
-
     def is_graded_by_image_dim(self) -> bool:
         """Every cover step raises the image dimension by exactly 1; this is
         what lets the image dimension serve as an order-invariant height.
@@ -216,11 +197,6 @@ class ProjectionPoset:
         are equivalent: nothing above i other than i has grade <= grade[i],
         and everything above i at grade >= grade[i] + 2 lies above some
         element above i at grade[i] + 1."""
-        if self._graded is None:
-            self._graded = self._check_grading()
-        return self._graded
-
-    def _check_grading(self) -> bool:
         up, grade = self.up_masks, self.grade
         top_grade = max(grade)
         at_grade = [0] * (top_grade + 2)
@@ -239,11 +215,6 @@ class ProjectionPoset:
                 if far & ~reach:
                     return False
         return True
-
-    def verify_atomistic(self) -> bool:
-        """Order relation coincides with inclusion of the stored atom sets,
-        exhaustively."""
-        return order_is_atom_inclusion(self.up_masks, self.atoms, self.elem_atom_masks)
 
     # -- matrix view -------------------------------------------------------
 

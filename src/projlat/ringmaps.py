@@ -130,10 +130,12 @@ def transpose_anti_automorphism(F: GF, n: int) -> RingMap:
 
 
 # the seeded random probes of this module's checks, and the largest matrix
-# or vector space they walk exhaustively instead
+# or vector space they walk exhaustively instead; the most ordered
+# idempotent pairs check_im_ker_lemma multiplies out
 SAMPLE_SEED = 0
 SAMPLES = 100
 EXHAUSTIVE_LIMIT = 4096
+MAX_IM_KER_PAIRS = 2 * 10**6
 
 
 def verify_ring_map(phi: RingMap) -> None:
@@ -245,8 +247,9 @@ def check_im_ker_lemma(P: ProjectionPoset) -> CampaignReport:
     L = P.lattice
     F = L.field
     rep = CampaignReport("im-ker-lemma", (L.n, F.spec()))
-    if P.size * P.size > 2 * 10**6:
-        raise AmbientTooLarge("too many idempotent pairs for the exhaustive check")
+    if P.size * P.size > MAX_IM_KER_PAIRS:
+        pairs = f"{P.size * P.size} idempotent pairs"
+        raise AmbientTooLarge(f"{pairs} exceeds the exhaustive bound {MAX_IM_KER_PAIRS}")
     mats = [P.idempotent(i) for i in range(P.size)]
     img, ker = P.image, P.kernel
     up = L.up_masks

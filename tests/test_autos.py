@@ -94,7 +94,7 @@ def test_semilinear_oracle_matches_brute_force(n, spec):
 
 
 def test_semilinear_oracle_limit_guard(L33, L34, monkeypatch):
-    with pytest.raises(ValueError):
+    with pytest.raises(AmbientTooLarge):
         semilinear_atom_perms(enumerate_subspaces(4, parse_field("3")))
     assert len(semilinear_atom_perms(L34)) == projective_group_order(3, 4, 2)
     # the bound is on |PGammaL(n, q)|, inclusive
@@ -103,6 +103,30 @@ def test_semilinear_oracle_limit_guard(L33, L34, monkeypatch):
         semilinear_atom_perms(L33)
     monkeypatch.setattr(autos, "SEMILINEAR_LIMIT", 5616)
     assert len(semilinear_atom_perms(L33)) == 5616
+
+
+def test_semilinear_check_skips_only_a_refused_ambient(L32, monkeypatch):
+    """check_semilinear_generation passes, marked skipped, when the oracle
+    refuses the ambient; any other ValueError raised inside the oracle
+    propagates rather than passing the check."""
+    keys = semilinear_atom_perms(L32)
+    rep = autos.CampaignReport("semilinear", (3, "2"))
+    autos.check_semilinear_generation(rep, L32, keys, "kept", "semilinear set {}")
+    monkeypatch.setattr(autos, "SEMILINEAR_LIMIT", 167)
+    autos.check_semilinear_generation(rep, L32, keys, "refused", "semilinear set {}")
+    assert rep.checks == [
+        ("kept", True, "semilinear set 168"),
+        ("refused", True, "skipped: ambient too large"),
+    ]
+    monkeypatch.undo()
+
+    def broken(*args):
+        raise ValueError("not an ambient refusal")
+
+    monkeypatch.setattr(autos, "vec_mat", broken)
+    with pytest.raises(ValueError, match="not an ambient refusal"):
+        autos.check_semilinear_generation(rep, L32, keys, "broken", "semilinear set {}")
+    assert len(rep.checks) == 2
 
 
 def test_semilinear_oracle_runs_no_rref(monkeypatch, L42):
@@ -487,8 +511,9 @@ def _corrupt(P, how):
     other's orthocomplements, a seeded choice of one of the two relations
     is dropped, so that the colors of (i, j) and (j, i) differ both for
     i < j and for i > j. The atom sets the colors read are rebuilt from
-    the corrupted up-sets, after the atomisticity guard has passed the
-    clean order; the leaf lift keeps the clean order's product factors."""
+    the corrupted up-sets after the atomisticity guard has passed the
+    clean order, whose kept verdict lets the colors be built from the
+    corrupted one; the leaf lift keeps the clean order's product factors."""
     autos._require_atomistic(P)
     up, ortho, atoms = P.up_masks, P.ortho, P.atoms
     x = atoms[len(atoms) // 2]
@@ -505,9 +530,6 @@ def _corrupt(P, how):
                     a, b = rng.choice(((xi, xj), (xj, xi)))
                     up[a] ^= 1 << ortho[b]
     P.elem_atom_masks = atom_masks(up, atoms)
-    # the corrupted order fails the grading check that guards the colors;
-    # they are built regardless, to compare the two builds
-    P._graded = True
 
 
 @pytest.mark.parametrize("how", ["flip", "trade", "orient"])
@@ -625,12 +647,12 @@ class _BareOrder:
             self.up_masks[b] |= 1 << e
         return e
 
+    # a fake: the atomisticity guard of the pair colors counts it passed
+    _atomistic = True
+
     @property
     def elem_atom_masks(self):
         return atom_masks(self.up_masks, self.atoms)
-
-    def is_graded_by_image_dim(self) -> bool:
-        return True
 
 
 def _filled_order(counts):

@@ -114,6 +114,19 @@ def test_ambient_beyond_a_search_bound_exits_2(run_cli, argv, atoms, bound):
     assert wall.startswith("# wall ")
 
 
+def test_im_ker_lemma_beyond_its_pair_bound_exits_2(run_cli):
+    """ring-lemma at (3,5) refuses the 1 552^2 ordered idempotent pairs with
+    one line naming the count and the bound, then the wall time."""
+    code, out, err = run_cli("ring-lemma", "--n", "3", "--field", "5")
+    assert code == 2
+    assert out == ""
+    message, wall = err.splitlines()
+    assert message == (
+        "projlat ring-lemma: 2408704 idempotent pairs exceeds the exhaustive bound 2000000"
+    )
+    assert wall.startswith("# wall ")
+
+
 def test_budget_exhaustion_exits_3_with_partial_report(run_cli, tmp_path):
     out_dir = tmp_path / "partial"
     code, out, _ = run_cli(

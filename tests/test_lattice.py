@@ -1,6 +1,10 @@
 """Subspace lattices: counts, order structure, and the geometric-lattice
 battery (complements, modularity, covering, dimension law)."""
 
+import copy
+import random
+from itertools import product
+
 import pytest
 
 from projlat import (
@@ -11,6 +15,7 @@ from projlat import (
     parse_field,
     subspace_count_total,
 )
+from projlat.autos import FalsificationError, lattice_search_plan, poset_search_plan
 from projlat.lattice import Subspace, atom_masks, order_is_atom_inclusion
 from projlat.matrices import (
     as_matrix,
@@ -112,16 +117,56 @@ def test_atomistic_and_length(L22, L32, L23, L33, L42):
 def _atomistic_by_pairs(up, atoms, stored):
     """Reference: the pairwise check the shared one replaced. Distinct atom
     sets, equal to the stored ones, and i <= j iff the atoms below i are
-    all below j, on every pair."""
+    all below j, on every pair; and the atoms minimal: distinct elements,
+    with nothing strictly below one but an element below everything that
+    is not an atom."""
     size = len(up)
     am = [sum(1 << t for t, a in enumerate(atoms) if up[a] >> i & 1) for i in range(size)]
-    if am != stored or len(set(am)) != size:
+    if am != stored or len(set(am)) != size or len(set(atoms)) != len(atoms):
+        return False
+    everything = (1 << size) - 1
+    if any(
+        i != a and up[i] >> a & 1 and (i in atoms or up[i] != everything)
+        for a in atoms
+        for i in range(size)
+    ):
         return False
     return all(
         bool(up[i] >> j & 1) == (am[i] & ~am[j] == 0)
         for i in range(size)
         for j in range(size)
     )
+
+
+def _small_cases(rng):
+    """(up, atoms, stored) on small element sets: on two elements every
+    relation, list of up to two atoms and stored table; on three every
+    relation and list of up to three atoms, and on four 3 000 seeded
+    relations with one seeded list each, each with the atom sets the
+    relation gives and with one seeded table."""
+    for size in (2, 3, 4):
+        lists = [list(p) for k in range(min(size, 3) + 1) for p in product(range(size), repeat=k)]
+        ups = range(1 << size * size) if size < 4 else [rng.getrandbits(16) for _ in range(3000)]
+        for bits in ups:
+            up = [bits >> (size * i) & ((1 << size) - 1) for i in range(size)]
+            for atoms in lists if size < 4 else [rng.choice(lists)]:
+                yield up, atoms, atom_masks(up, atoms)
+                sets = 1 << len(atoms)
+                tables = sets**size
+                for t in range(tables) if size == 2 else [rng.randrange(tables)]:
+                    yield up, atoms, [t // sets**i % sets for i in range(size)]
+
+
+def test_atomistic_check_matches_pairwise_reference_on_every_small_table():
+    """The check and the reference agree on every case of _small_cases,
+    and both accept and refuse."""
+    cases = list(_small_cases(random.Random(18)))
+    verdicts = set()
+    for up, atoms, stored in cases:
+        got = order_is_atom_inclusion(up, atoms, stored)
+        assert got is _atomistic_by_pairs(up, atoms, stored), (up, atoms, stored)
+        verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("ambient", ["23", "32", "42"])
@@ -159,11 +204,33 @@ def test_atomistic_check_matches_pairwise_reference(ambient, request, monkeypatc
 def test_atomistic_check_refuses_a_chain():
     """In the 3-chain 0 < 1 < 2 with atom 1, elements 1 and 2 lie above the
     same atoms, so the order is not atom-set inclusion; nor is it when 2 is
-    also made <= 1, where only the distinct-atom-sets condition fails."""
-    for up in ([0b111, 0b110, 0b100], [0b111, 0b110, 0b110]):
-        derived = atom_masks(up, [1])
-        assert order_is_atom_inclusion(up, [1], derived) is False
-        assert _atomistic_by_pairs(up, [1], derived) is False
+    also made <= 1, where only the distinct-atom-sets condition fails.
+    With atoms 1 and 2 the order is inclusion of distinct atom sets, but 2
+    lies above 1 and covers no least element: refused as well."""
+    for up, atoms in (([0b111, 0b110, 0b100], [1]), ([0b111, 0b110, 0b110], [1]),
+                      ([0b111, 0b110, 0b100], [1, 2])):
+        derived = atom_masks(up, atoms)
+        assert order_is_atom_inclusion(up, atoms, derived) is False
+        assert _atomistic_by_pairs(up, atoms, derived) is False
+
+
+def test_atom_list_naming_a_non_minimal_element_is_refused(L32, P32):
+    """L32 and P32 with one grade-2 element added to their atoms, and the
+    atom sets that list gives: the order is still inclusion of distinct
+    atom sets, but that element is not minimal, so verify_atomistic and
+    both search plans refuse it."""
+    for S, plan in ((L32, lattice_search_plan), (P32, poset_search_plan)):
+        grade = S.dims if S is L32 else S.grade
+        bad = copy.copy(S)
+        for kept in ("_atomistic", "_auto_search_cache", "atom_ordinal"):
+            bad.__dict__.pop(kept, None)
+        bad.atoms = S.atoms + [grade.index(2)]
+        bad.elem_atom_masks = atom_masks(S.up_masks, bad.atoms)
+        assert len(set(bad.elem_atom_masks)) == S.size
+        assert bad.verify_atomistic() is False
+        with pytest.raises(FalsificationError, match="not atomistic"):
+            plan(bad)
+        assert not hasattr(bad, "_auto_search_cache")
 
 
 def test_hyperplane_criterion(L32):

@@ -72,15 +72,14 @@ def _graded_by_covers(P):
 
 
 def _corrupted(P, grade=None, up=None):
-    """A copy of P with its grades or order masks replaced and no cached
-    grading verdict or bound tables."""
+    """A copy of P with its grades or order masks replaced and no kept
+    atomisticity verdict or bound tables."""
     Q = copy.copy(P)
     Q.grade = grade if grade is not None else P.grade
     if up is not None:
         Q.up_masks, Q.down_masks = up, down_masks(up)
-    Q._graded = None
-    for table in ("up_mask_index", "down_mask_index"):
-        Q.__dict__.pop(table, None)
+    for kept in ("_atomistic", "up_mask_index", "down_mask_index"):
+        Q.__dict__.pop(kept, None)
     return Q
 
 
