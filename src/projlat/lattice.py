@@ -10,9 +10,11 @@ the tens to hundreds) all of this is eager and exact.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import lshift
 
 from .gf import GF, iter_vectors
 from .matrices import (
@@ -26,6 +28,11 @@ from .reports import CampaignReport
 
 class AmbientTooLarge(ValueError):
     """Raised when exhaustive enumeration of an ambient is refused."""
+
+
+class NotAnAtomPermutation(ValueError):
+    """Raised when L's packed lift is handed atom images that are not a
+    permutation of the atoms: such a sum would carry between slots."""
 
 
 @dataclass(frozen=True)
@@ -270,10 +277,30 @@ class SubspaceLattice(FiniteOrder):
         """Every element's atom set as a list of atom ordinals."""
         return [_bits(m) for m in self.elem_atom_masks]
 
+    @cached_property
+    def _atom_columns(self) -> tuple[list[int], int, set[int]]:
+        """The packed form of elem_atom_masks, built once: one int per
+        atom t with a slot of nbytes bytes per element, slot e holding 1
+        when atoms[t] <= e; nbytes, enough for one bit per atom; and the
+        set of atom ordinals."""
+        m = len(self.atoms)
+        nbytes = _slot_bytes(m)
+        columns = [0] * m
+        for e, mask in enumerate(self.elem_atom_masks):
+            for t in _bits(mask):
+                columns[t] |= 1 << (8 * nbytes * e)
+        return columns, nbytes, set(range(m))
+
     def lift_atom_masks(self, sigma) -> list[int]:
         """The atom set of every element's image under sigma, a permutation
-        of the atom ordinals: the atoms sigma sends its atoms to."""
-        return or_lists([1 << y for y in sigma], self.atom_lists)
+        of the atom ordinals: the atoms sigma sends its atoms to. One
+        packed sum, column t shifted by sigma[t]: slot e adds the distinct
+        bits of e's image atoms, so no carry leaves a slot. A sigma that
+        is not a permutation would carry, and is refused."""
+        columns, nbytes, ordinals = self._atom_columns
+        if len(sigma) != len(columns) or set(sigma) != ordinals:
+            raise NotAnAtomPermutation("the atom images are not a permutation of the atoms")
+        return _unpack_slots(sum(map(lshift, columns, sigma)), self.size, nbytes)
 
     def is_modular_pair_idx(self, a: int, b: int) -> bool:
         """(a,b)M: (x v a) ^ b == x v (a ^ b) for every x <= b."""
@@ -317,6 +344,31 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+# bytes of a packed slot, with the memoryview format that reads such slots
+# back as unsigned ints
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _slot_bytes(bits: int) -> int:
+    """The bytes of the smallest slot that holds bits bits: 1, 2, 4 or 8,
+    or else a multiple of 8."""
+    return next((b for b in _SLOT_FORMATS if bits <= 8 * b), -(-bits // 64) * 8)
+
+
+def _unpack_slots(packed: int, count: int, nbytes: int) -> list[int]:
+    """The count slots of nbytes bytes each in packed, slot 0 lowest, as
+    ints: one to_bytes and one memoryview cast, or slices of the bytes
+    for slots wider than 8."""
+    fmt = _SLOT_FORMATS.get(nbytes)
+    if fmt is None:
+        raw = packed.to_bytes(count * nbytes, "little")
+        return [int.from_bytes(raw[k : k + nbytes], "little") for k in range(0, len(raw), nbytes)]
+    slots = memoryview(packed.to_bytes(count * nbytes, sys.byteorder)).cast(fmt).tolist()
+    if sys.byteorder == "big":
+        slots.reverse()
+    return slots
 
 
 def or_lists(values: list[int], lists) -> list[int]:

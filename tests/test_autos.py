@@ -1,6 +1,7 @@
 """The automorphism engine: backtracking enumeration on both levels,
 even/odd construction, parity classification, and decomposition."""
 
+import itertools
 import random
 
 import pytest
@@ -40,7 +41,7 @@ from projlat.autos import (
     verify_semidirect_structure,
 )
 from projlat.gf import iter_vectors
-from projlat.lattice import AmbientTooLarge, _bits as lattice_bits, atom_masks
+from projlat.lattice import AmbientTooLarge, NotAnAtomPermutation, _bits as lattice_bits, atom_masks
 from projlat.matrices import all_matrices, rank, vec_mat
 from projlat.semilinear import SemilinearMap
 
@@ -856,6 +857,95 @@ def test_product_lift_matches_reference_on_seeded_perms(n, spec):
     assert _reference_expand(P, clash) is None
 
 
+@pytest.mark.parametrize(
+    "n, spec, atoms, slot_bytes",
+    [
+        (2, "7", 8, 1),
+        (2, "8", 9, 2),
+        (4, "2", 15, 2),
+        (3, "4", 21, 4),
+        (2, "2^5", 33, 8),
+        (4, "3", 40, 8),
+        (3, "8", 73, 16),
+    ],
+)
+def test_lattice_packed_lift_matches_reference(n, spec, atoms, slot_bytes):
+    """L's lift is one packed sum with one slot per element, as wide as
+    the atoms need: 8 atoms fill a byte, 9 take two, 33 take eight and 73
+    take two 8-byte words. On the identity, on seeded permutations, on a
+    genuine automorphism and on that map with two atom images swapped it
+    equals one OR per atom-element incidence; an atom clash is refused."""
+    L = enumerate_subspaces(n, parse_field(spec))
+    assert len(L.atoms) == atoms and L._atom_columns[1] == slot_bytes
+    assert L.lift_atom_masks(range(atoms)) == L.elem_atom_masks
+
+    def assert_matches(sigma):
+        assert L.lift_atom_masks(sigma) == _reference_image_masks(L, sigma)
+        want = _reference_lift(L, sigma)
+        bijective = None not in want and len(set(want)) == L.size
+        assert autos._lift_bijective(L, sigma) == (tuple(want) if bijective else None)
+
+    rng = random.Random(n * 1000 + atoms)
+    for _ in range(6):
+        sigma = list(range(atoms))
+        rng.shuffle(sigma)
+        assert_matches(sigma)
+    auto = next(iter_lattice_atom_perms(L, restrict_first={lattice_search_plan(L)[1][-1]}))[0]
+    assert_matches(auto)
+    assert autos._lift_bijective(L, auto) is not None
+    near = list(auto)
+    i, j = rng.sample(range(atoms), 2)
+    near[i], near[j] = near[j], near[i]
+    assert_matches(near)
+    clash = list(auto)
+    clash[0] = clash[1]
+    assert autos._lift_bijective(L, clash) is None
+    for bad in (clash, auto[:-1], auto + (0,)):
+        with pytest.raises(NotAnAtomPermutation, match="not a permutation"):
+            L.lift_atom_masks(bad)
+
+
+def test_every_atom_perm_at_22_checks_the_orthocomplement_as_reference(P22):
+    """P(2,2)'s six atoms form an antichain, so each of the 720 atom
+    permutations lifts bijectively, and the orthocomplement check alone
+    keeps the 48 automorphisms. The check compares one member of each
+    pair {i, ortho(i)}, so a poset whose ortho is no fixed-point-free
+    involution is refused."""
+    perms = list(itertools.permutations(range(len(P22.atoms))))
+    assert len(perms) == 720
+    assert all(autos._lift_bijective(P22, sigma) is not None for sigma in perms)
+    kept = [expand_poset_atom_perm(P22, sigma) for sigma in perms]
+    assert kept == [_reference_expand(P22, sigma) for sigma in perms]
+    assert sum(e is not None for e in kept) == 48
+    firsts, seconds = autos._require_ortho_halves(P22)
+    assert 2 * len(firsts) == P22.size and sorted(firsts + seconds) == list(range(P22.size))
+
+    P = build_projection_poset(P22.lattice)
+    a, b = P.atoms[0], P.ortho[P.atoms[1]]
+    P.ortho[a], P.ortho[b] = P.ortho[b], P.ortho[a]
+    with pytest.raises(FalsificationError, match="not a fixed-point-free involution"):
+        expand_poset_atom_perm(P, perms[0])
+    P = build_projection_poset(P22.lattice)
+    P.ortho[P.top] = P.top
+    with pytest.raises(FalsificationError, match="not a fixed-point-free involution"):
+        expand_poset_atom_perm(P, perms[0])
+
+
+def test_lift_errors_other_than_the_lattice_refusal_propagate(L32, P22):
+    """_lift_bijective reads only L's refusal of a non-permutation as no
+    lift. A ValueError raised inside P's lift, here a negative atom
+    ordinal, propagates out of the leaf lift."""
+    m = len(L32.atoms)
+    with pytest.raises(NotAnAtomPermutation):
+        L32.lift_atom_masks([0] * m)
+    assert autos._lift_bijective(L32, [0] * m) is None
+    bad = [-1, *range(1, len(P22.atoms))]
+    with pytest.raises(ValueError, match="negative shift count"):
+        autos._lift_bijective(P22, bad)
+    with pytest.raises(ValueError, match="negative shift count"):
+        expand_poset_atom_perm(P22, bad)
+
+
 def test_product_lift_refuses_masks_that_are_not_products(L32):
     """A poset whose stored atom sets are not the image x kernel products
     its lift builds, here top's set with one atom dropped, is refused
@@ -1371,6 +1461,27 @@ def test_search_core_matches_previous_core_on_a_branch_33():
     P = build_projection_poset(enumerate_subspaces(3, parse_field("3")))
     _, targets = poset_search_plan(P)
     _assert_core_matches_previous("poset", P, [{targets[-1]}])
+
+
+def test_settle_returns_the_state_as_it_is_when_nothing_is_forced():
+    opened, cands, forced, images = [2, 5], [0b11, 0b110], [], []
+    state = autos._settle(cands, opened, forced, images)
+    assert state == ([2, 5], [0b11, 0b110], [2, 2]) and forced == images == []
+    assert state[0] is opened and state[1] is cands
+    assert autos._settle([0b11, 0b100], opened, forced, images) == ([2], [0b11], [2])
+    assert (forced, images) == ([5], [2])
+    assert autos._settle([0b100, 0], [2, 5], [], []) is None
+
+
+def test_lattice_search_matches_previous_core_at_42(L42):
+    """The full (4,2) lattice search: the same yields in the same order as
+    the previous core, each lift equal to the reference lift."""
+    got = _search_outcome(iter_lattice_atom_perms, L42, None, None)
+    want = _search_outcome(_previous_lattice_search, L42, None, None)
+    assert got == want
+    found, error, stats = got
+    assert error is None and stats == {"nodes": 30675, "found": 20160}
+    assert all(eperm == tuple(_reference_lift(L42, perm)) for perm, eperm in found)
 
 
 def test_search_core_matches_previous_core_on_a_branch_42(P42):
