@@ -134,18 +134,16 @@ def _search_plan(init_cand: list[int]) -> tuple[int, list[int]]:
 
 def _settle(new_cands, opened, forced, images):
     """The open atoms opened after a narrowing gave them the candidate
-    masks new_cands (None when a forced atom conflicted): None when some
-    atom has no candidate left; otherwise the atoms left with one are
-    appended to forced, their images to images, and the others come back
-    as (opened, cands, counts), still in ascending order.
+    masks new_cands: None when some atom has no candidate left; otherwise
+    the atoms left with one are appended to forced, their images to
+    images, and the others come back as (opened, cands, counts), still in
+    ascending order.
 
     Most narrowings leave every open atom with two candidates or more: a
     (4,2) poset branch forces a new atom in 966 of its 5 475. Then the
     counts, taken in one map, show it, and the state comes back as it
     is: opened itself, new_cands and the counts. Nothing mutates opened
     or a candidate list in place, so siblings may share them."""
-    if new_cands is None:
-        return None
     counts = list(map(int.bit_count, new_cands))
     if min(counts, default=2) > 1:
         return opened, new_cands, counts
@@ -178,14 +176,16 @@ def _atom_search(init_cand, narrow, lift, budget, restrict_first, stats):
     copy of the state. A run of forced steps has one child per node, so
     it updates the state in place.
 
-    narrow(x, y, assigned, opened, cands, forced, images) sees the state
-    just after x was sent to y: assigned[x] == y, and x is in none of the
-    lists. It checks every forced atom exactly against the new assignment
-    and returns the new candidate masks of the open atoms, in their order,
-    or None when a forced atom conflicts. Once no atom is open, the forced
-    images complete the permutation and lift verifies it outright.
-    restrict_first limits the images of the first atom the search sends,
-    the pivot of _search_plan."""
+    A node refuses y when a forced atom already has it as its image, and
+    otherwise calls narrow(x, y, assigned, forced, images) with
+    assigned[x] == y and x in neither list. The narrowing checks every
+    forced atom exactly against the new assignment and returns (ids,
+    masks), or None when a forced atom conflicts; every open atom z then
+    keeps the candidates in masks[ids[z]]. Once no atom is open, the
+    forced images complete the permutation and lift verifies it outright.
+    restrict_first limits the initial candidates of the pivot of
+    _search_plan, so it limits the images of the first atom the search
+    sends."""
     m = len(init_cand)
     nodes = 0
     found = 0
@@ -197,12 +197,18 @@ def _atom_search(init_cand, narrow, lift, budget, restrict_first, stats):
             if stats is not None:
                 stats["nodes"] = nodes
             raise SearchBudgetExceeded(nodes, found)
+        if y in images:
+            return None
         assigned[x] = y
+        narrowed = narrow(x, y, assigned, forced, images)
+        if narrowed is None:
+            return None
+        ids, masks = narrowed
         return _settle(
-            narrow(x, y, assigned, opened, cands, forced, images), opened, forced, images
+            [nc & masks[ids[z]] for z, nc in zip(opened, cands)], opened, forced, images
         )
 
-    def rec(assigned, opened, cands, counts, forced, images, root_mask):
+    def rec(assigned, opened, cands, counts, forced, images):
         nonlocal found
         while opened:
             if forced:
@@ -210,9 +216,6 @@ def _atom_search(init_cand, narrow, lift, budget, restrict_first, stats):
                 i = forced.index(x)
                 y = images.pop(i)
                 del forced[i]
-                if root_mask is not None and not root_mask >> y & 1:
-                    return
-                root_mask = None
                 state = node(x, y, assigned, opened, cands, forced, images)
                 if state is None:
                     return
@@ -220,14 +223,14 @@ def _atom_search(init_cand, narrow, lift, budget, restrict_first, stats):
                 continue
             i = counts.index(min(counts))
             x = opened[i]
-            opts = cands[i] if root_mask is None else cands[i] & root_mask
+            opts = cands[i]
             opened = opened[:i] + opened[i + 1 :]
             cands = cands[:i] + cands[i + 1 :]
             for y in _bits(opts):
                 child, forced, images = assigned.copy(), [], []
                 state = node(x, y, child, opened, cands, forced, images)
                 if state is not None:
-                    yield from rec(child, *state, forced, images, None)
+                    yield from rec(child, *state, forced, images)
             return
         # no atom is open: the forced images complete the permutation; the
         # check below rejects target collisions, the lift everything else
@@ -241,13 +244,13 @@ def _atom_search(init_cand, narrow, lift, budget, restrict_first, stats):
             found += 1
             yield perm, eperm
 
+    cands = list(init_cand)
+    if restrict_first is not None:
+        cands[_search_plan(init_cand)[0]] &= sum(1 << y for y in set(restrict_first))
     forced, images = [], []
-    state = _settle(list(init_cand), list(range(m)), forced, images)
+    state = _settle(cands, list(range(m)), forced, images)
     if state is not None:
-        root_mask = None
-        if restrict_first is not None:
-            root_mask = sum(1 << y for y in set(restrict_first))
-        yield from rec([None] * m, *state, forced, images, root_mask)
+        yield from rec([None] * m, *state, forced, images)
     if stats is not None:
         stats["nodes"] = nodes
         stats["found"] = found
@@ -298,39 +301,39 @@ def iter_lattice_atom_perms(
 
     Constraint: three atoms under a common rank-2 element must map to atoms
     under a common rank-2 element (and non-incident triples must stay
-    non-incident), propagated pairwise as assignments accumulate.
+    non-incident), propagated along the lines through each atom sent.
     """
     init_cand, line_mask = _lattice_search_structure(L)
-    m = len(init_cand)
 
-    # on_line[i][j][z] = 1 when atom z lies on the line atom_i v atom_j
-    on_line = [[[lm >> z & 1 for z in range(m)] for lm in row] for row in line_mask]
+    # line_id[x][z] numbers the line x v z among the lines through x;
+    # line_mask[x][x] is 0, and its id is never read
+    line_id = []
+    for row in line_mask:
+        ids = {}
+        line_id.append([ids.setdefault(lm, len(ids)) for lm in row])
+    n_lines = max(map(max, line_id)) + 1
 
-    def narrow(x, y, assigned, opened, cands, forced, images):
-        # each earlier assignment x2 -> y2 is a rule: an atom on the line
-        # x v x2 must map onto the line y v y2, any other atom off it
-        if y in images:
-            return None
-        on_x, on_y, lm_y = on_line[x], on_line[y], line_mask[y]
-        rules = []
+    def narrow(x, y, assigned, forced, images):
+        # one mask per line through x: a line through an assigned x2 maps
+        # into the line y v y2, any other line off y and every such image
+        # line. Earlier narrowings made every assigned triple collinear
+        # exactly when its images are, so all assigned atoms on one line
+        # through x name one image line, and two image lines meet only in
+        # y: these masks are exactly the AND of one on-or-off rule per
+        # earlier assignment
+        ids, lm_y = line_id[x], line_mask[y]
+        lines = [0] * n_lines
+        used = 1 << y
         for x2, y2 in enumerate(assigned):
-            if y2 is None or x2 == x:
-                continue
-            on = on_x[x2]
-            if forced and list(map(on.__getitem__, forced)) != list(
-                map(on_y[y2].__getitem__, images)
-            ):
+            if y2 is not None and x2 != x:
+                lines[ids[x2]] = lm = lm_y[y2]
+                used |= lm
+        not_y, off = ~(1 << y), ~used
+        masks = [lm & not_y if lm else off for lm in lines]
+        for z, w in zip(forced, images):
+            if not masks[ids[z]] >> w & 1:
                 return None
-            lmi = lm_y[y2]
-            rules.append((on, lmi, ~lmi))
-        not_y = ~(1 << y)
-        new_cands = []
-        for z, nc in zip(opened, cands):
-            nc &= not_y
-            for on, lmi, not_lmi in rules:
-                nc &= lmi if on[z] else not_lmi
-            new_cands.append(nc)
-        return new_cands
+        return ids, masks
 
     yield from _atom_search(
         init_cand, narrow, lambda perm: _lift_bijective(L, perm),
@@ -626,19 +629,16 @@ def iter_poset_atom_perms(
     yielding (atom_perm, element_perm) pairs in deterministic order."""
     init_cand, colors, allowed = _poset_search_structure(P)
 
-    def narrow(x, y, assigned, opened, cands, forced, images):
-        # z keeps the candidates w != y with colors[y][w] == colors[x][z];
-        # for a forced z that is one check on its image w
+    def narrow(x, y, assigned, forced, images):
+        # z keeps the candidates w with colors[y][w] == colors[x][z], and
+        # allowed[y] holds no mask with y in it; for a forced z that is
+        # one check on its image w
         row_x = colors[x]
-        if forced and (
-            y in images
-            or list(map(row_x.__getitem__, forced))
-            != list(map(colors[y].__getitem__, images))
+        if forced and list(map(row_x.__getitem__, forced)) != list(
+            map(colors[y].__getitem__, images)
         ):
             return None
-        # allowed[y] holds no mask with y in it
-        allowed_y = allowed[y]
-        return [nc & allowed_y[row_x[z]] for z, nc in zip(opened, cands)]
+        return row_x, allowed[y]
 
     # the leaf looks expand_poset_atom_perm up at call time, so a wrapper
     # installed on the module name sees every leaf
@@ -907,11 +907,13 @@ def _load_checkpoint(path: str | None, fingerprint: str, targets: list[int]) -> 
     trusted."""
     if not (path and os.path.exists(path)):
         return {"schema": SCHEMA_CHECKPOINT, "fingerprint": fingerprint, "done": {}}
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             state = json.load(fh)
-        except ValueError as exc:
-            raise CheckpointError(f"{path} is not a checkpoint file: {exc}") from None
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise CheckpointError(f"{path} is not a checkpoint file: {exc}") from None
     if not isinstance(state, dict) or state.get("schema") != SCHEMA_CHECKPOINT:
         raise CheckpointError(f"{path} is not a checkpoint file")
     if state.get("fingerprint") != fingerprint:

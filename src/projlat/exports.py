@@ -78,14 +78,24 @@ def _witness_from_jsonable(doc: dict | None) -> SemilinearMap | None:
     return SemilinearMap(F, matrix, F.frobenius(doc["twist"]))
 
 
-def map_from_jsonable(doc: dict) -> LatticeMap | PosetMap:
+def map_from_jsonable(doc) -> LatticeMap | PosetMap:
+    """The map a map document holds; ValueError for a document that is not
+    an object of the map schema, a permutation that is not a list of ints
+    or a kind other than lattice or poset."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"not a map document: a JSON {type(doc).__name__}")
     if doc.get("schema") != SCHEMA_MAP:
         raise ValueError(f"not a map document: schema {doc.get('schema')!r}")
-    perm = tuple(doc["permutation"])
+    perm = doc["permutation"]
+    if not (isinstance(perm, list) and all(type(i) is int for i in perm)):
+        raise ValueError("permutation is not a list of ints")
+    kind = doc["kind"]
+    if kind not in ("lattice", "poset"):
+        raise ValueError(f"unknown map kind {kind!r}")
     witness = _witness_from_jsonable(doc.get("witness"))
-    if doc["kind"] == "lattice":
-        return LatticeMap(perm, doc["direction"], witness=witness)
-    return PosetMap(perm, doc.get("parity", UNKNOWN), witness=witness)
+    if kind == "lattice":
+        return LatticeMap(tuple(perm), doc["direction"], witness=witness)
+    return PosetMap(tuple(perm), doc.get("parity", UNKNOWN), witness=witness)
 
 
 def dot_hasse_lattice(L: SubspaceLattice) -> str:

@@ -21,17 +21,6 @@ class FieldError(ValueError):
     """Raised for invalid field parameters or non-elements."""
 
 
-# Fixed irreducible moduli, coefficient tuples from constant term up,
-# monic: x^2+x+1 over GF(2), x^3+x+1 over GF(2), x^4+x+1 over GF(2),
-# x^2+1 over GF(3). Pinned so element encodings never drift between runs.
-FIXED_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
-    (2, 2): (1, 1, 1),
-    (2, 3): (1, 1, 0, 1),
-    (2, 4): (1, 1, 0, 0, 1),
-    (3, 2): (1, 0, 1),
-}
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -105,10 +94,8 @@ class GF:
         q = p**k
         if q > 512:
             raise FieldError(f"field size {q} too large for table arithmetic")
-        # the pinned modulus, else the smallest irreducible one
-        mod = None if k == 1 else FIXED_MODULI.get((p, k)) or _find_modulus(p, k)
-        if mod is not None and not is_irreducible(mod, p):
-            raise FieldError(f"modulus {mod} is reducible over GF({p})")
+        # the smallest irreducible modulus: element encodings never drift
+        mod = None if k == 1 else _find_modulus(p, k)
         self.p = p
         self.k = k
         self.q = q

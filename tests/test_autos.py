@@ -1257,16 +1257,17 @@ def test_main_theorem_report_is_independent_of_jobs(L32, P32):
 
 def _previous_atom_search(init_cand, narrow, lift, budget, restrict_first, stats):
     """Reference: the search core as it was before it kept forced atoms
-    apart, rescanning every unassigned atom at every node."""
+    apart, rescanning every unassigned atom at every node. restrict_first
+    limits the pivot's initial candidates, as in the core, so it applies
+    even when every atom is forced at the root."""
     m = len(init_cand)
     nodes = 0
     found = 0
-    root_pivot, _ = autos._search_plan(init_cand)
-    root_mask = None
+    cand = list(init_cand)
     if restrict_first is not None:
-        root_mask = sum(1 << y for y in set(restrict_first))
+        cand[autos._search_plan(init_cand)[0]] &= sum(1 << y for y in set(restrict_first))
 
-    def rec(assigned, cand, n_assigned):
+    def rec(assigned, cand):
         nonlocal nodes, found
         # choose the most constrained unassigned atom
         best = -1
@@ -1296,10 +1297,7 @@ def _previous_atom_search(init_cand, narrow, lift, budget, restrict_first, stats
                 found += 1
                 yield perm, eperm
             return
-        opts = cand[best]
-        if n_assigned == 0 and best == root_pivot and root_mask is not None:
-            opts &= root_mask
-        for y in lattice_bits(opts):
+        for y in lattice_bits(cand[best]):
             nodes += 1
             if budget is not None and nodes > budget:
                 if stats is not None:
@@ -1310,9 +1308,9 @@ def _previous_atom_search(init_cand, narrow, lift, budget, restrict_first, stats
             new_cand = cand.copy()
             new_cand[best] = 1 << y
             if narrow(best, y, new_assigned, new_cand):
-                yield from rec(new_assigned, new_cand, n_assigned + 1)
+                yield from rec(new_assigned, new_cand)
 
-    yield from rec([None] * m, list(init_cand), 0)
+    yield from rec([None] * m, cand)
     if stats is not None:
         stats["nodes"] = nodes
         stats["found"] = found
@@ -1482,6 +1480,35 @@ def test_lattice_search_matches_previous_core_at_42(L42):
     found, error, stats = got
     assert error is None and stats == {"nodes": 30675, "found": 20160}
     assert all(eperm == tuple(_reference_lift(L42, perm)) for perm, eperm in found)
+
+
+def test_lattice_search_matches_previous_core_on_a_branch_34():
+    """One (3,4) root branch: the lattice narrowing by the lines through
+    the atom sent, against the previous core's one rule per earlier
+    assignment."""
+    L = enumerate_subspaces(3, parse_field("4"))
+    _, targets = lattice_search_plan(L)
+    got = _search_outcome(iter_lattice_atom_perms, L, None, {targets[0]})
+    assert got == _search_outcome(_previous_lattice_search, L, None, {targets[0]})
+    assert got[1:] == (None, {"nodes": 13761, "found": 5760})
+
+
+@pytest.mark.parametrize("kind", ["lattice", "poset"])
+def test_restricted_search_at_n_1_yields_only_its_branch(kind):
+    """At n = 1 the one atom is forced at the root and never sent, and the
+    restriction still applies to it: a restriction without the pivot's
+    image yields nothing, and the branches still partition the search."""
+    L = enumerate_subspaces(1, parse_field("2"))
+    S = L if kind == "lattice" else build_projection_poset(L)
+    search, plan = SEARCHES[kind]
+    assert plan(S) == (0, [0])
+    full = list(search(S))
+    assert [ap for ap, _ in full] == [(0,)]
+    assert list(search(S, restrict_first={0})) == full
+    for restrict in (set(), {5}):
+        stats = {}
+        assert list(search(S, restrict_first=restrict, stats=stats)) == []
+        assert stats == {"nodes": 0, "found": 0}
 
 
 def test_search_core_matches_previous_core_on_a_branch_42(P42):

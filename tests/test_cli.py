@@ -240,6 +240,26 @@ def test_verify_map_round_trip_and_falsification(run_cli, tmp_path, L32, aut_l32
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "doc, why",
+    [
+        ([], "a JSON list"),
+        ({"schema": "projlat-map/1", "kind": "lattice", "direction": "auto", "permutation": 5},
+         "permutation is not a list of ints"),
+        ({"schema": "projlat-map/1", "kind": "ring", "permutation": [0, 1, 2, 3, 4]},
+         "unknown map kind 'ring'"),
+    ],
+)
+def test_malformed_map_file_exits_2(run_cli, tmp_path, doc, why):
+    """A map file that is no map document is a usage error, not a
+    falsified map and not a traceback."""
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli("verify-map", "--n", "2", "--field", "2", "--in", str(path))
+    assert code == 2
+    assert "bad map file" in err and why in err
+
+
 def test_worker_branch_budget_and_digest(P22):
     from projlat import autos
     from projlat.autos import iter_poset_atom_perms, poset_search_plan
@@ -324,6 +344,17 @@ def test_corrupted_checkpoint_entry_exits_2(run_cli, tmp_path, P42):
     )
     assert code == 2
     assert "entry '9999'" in err
+
+
+def test_unreadable_checkpoint_path_exits_2(run_cli, tmp_path):
+    """A checkpoint path that cannot be read, here a directory, is a usage
+    error naming the path."""
+    code, _, err = run_cli(
+        "verify-main-theorem", "--n", "4", "--field", "2", "--checkpoint", str(tmp_path),
+        "--budget-nodes", "10",
+    )
+    assert code == 2
+    assert f"cannot read checkpoint {tmp_path}" in err and "Traceback" not in err
 
 
 def test_checkpoint_from_an_older_search_order_exits_2(run_cli, tmp_path, P42):

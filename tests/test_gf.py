@@ -102,6 +102,14 @@ def test_parse_field_prime_power_forms():
     assert parse_field("3^2").q == 9
 
 
+def test_extension_moduli_are_pinned():
+    """Each extension field's modulus, and so the encoding of its elements
+    as ints, is the smallest monic irreducible by coefficient code."""
+    moduli = {(2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (2, 4): (1, 1, 0, 0, 1), (3, 2): (1, 0, 1)}
+    assert {pk: GF(*pk).modulus for pk in moduli} == moduli
+    assert GF(5).modulus is None
+
+
 def test_field_spec_round_trip():
     for spec in AMBIENT_SPECS:
         F = parse_field(spec)
