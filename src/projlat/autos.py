@@ -275,7 +275,7 @@ def _lattice_search_structure(L: SubspaceLattice):
     for i in range(m):
         for j in range(m):
             if i != j:
-                line_elem = L.join_table[atoms[i]][atoms[j]]
+                line_elem = L.lub_idx(atoms[i], atoms[j])
                 line_mask[i][j] = L.elem_atom_masks[line_elem]
     cached = ([(1 << m) - 1] * m, line_mask)
     L._auto_search_cache = cached

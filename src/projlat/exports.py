@@ -71,10 +71,22 @@ def map_to_jsonable(m: LatticeMap | PosetMap) -> dict:
 
 
 def _witness_from_jsonable(doc: dict | None) -> SemilinearMap | None:
+    """The witness a map document holds; ValueError unless it is an object
+    with a string field, int lists of field elements as matrix and an int twist."""
     if doc is None:
         return None
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("field"), str)
+        and isinstance(doc.get("matrix"), list)
+        and all(isinstance(r, list) and all(type(x) is int for x in r) for r in doc["matrix"])
+        and type(doc.get("twist")) is int
+    ):
+        raise ValueError("witness is not an object with a field, a matrix of ints and a twist")
     F = parse_field(doc["field"])
     matrix = tuple(tuple(row) for row in doc["matrix"])
+    if any(not 0 <= x < F.q for row in matrix for x in row):
+        raise ValueError(f"witness matrix has an entry outside GF({F.spec()})")
     return SemilinearMap(F, matrix, F.frobenius(doc["twist"]))
 
 

@@ -2,10 +2,11 @@
 
 Subspaces are identified with their reduced-row-echelon bases, which makes
 equality representational and hashing free. The lattice object indexes
-every subspace, precomputes full meet/join tables from order bitmasks, and
-exposes the modular-pair and dual-modular-pair predicates by brute force
-over the relevant interval. At desk scale (q^n <= 10^6, element counts in
-the tens to hundreds) all of this is eager and exact.
+every subspace and stores its order as bitmasks; a meet or a join is one
+lookup of a down-set or up-set intersection, and the modular-pair and
+dual-modular-pair predicates take one lookup per element of one interval.
+At desk scale (q^n <= 10^6, element counts in the tens to hundreds) all of
+this is exact.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def enumerate_subspaces(n: int, F: GF) -> "SubspaceLattice":
 
     Refuses ambients whose vector count exceeds VECTOR_LIMIT or whose
     subspace count exceeds ELEMENT_LIMIT: the lattice stores order masks
-    and meet/join tables quadratic in the element count.
+    quadratic in the element count.
     """
     if n < 1:
         raise ValueError(f"ambient dimension must be >= 1, got {n}")
@@ -142,10 +143,20 @@ class FiniteOrder:
     """What L and P share: an order on elements 0..size-1 given by its
     up-sets and down-sets (bit j of up_masks[i] is set iff i <= j), its
     atoms, and each element's atom set (bit t of elem_atom_masks[i] is set
-    iff atoms[t] <= i)."""
+    iff atoms[t] <= i), and its least bounds, one lookup each."""
 
     def leq_idx(self, i: int, j: int) -> bool:
         return bool(self.up_masks[i] >> j & 1)
+
+    def lub_idx(self, i: int, j: int) -> int | None:
+        """Least upper bound, or None if there is no least one. The common
+        upper bounds form an up-set, and m is their least exactly when that
+        up-set is m's own (Davey & Priestley 2002, ch. 2), so one lookup
+        answers."""
+        return self.up_mask_index.get(self.up_masks[i] & self.up_masks[j])
+
+    def glb_idx(self, i: int, j: int) -> int | None:
+        return self.down_mask_index.get(self.down_masks[i] & self.down_masks[j])
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         return cover_pairs(self.up_masks, self.down_masks)
@@ -169,9 +180,33 @@ class FiniteOrder:
         the elements covering the least element, exhaustively."""
         return order_is_atom_inclusion(self.up_masks, self.atoms, self.elem_atom_masks)
 
+    def is_modular_pair_idx(self, a: int, b: int) -> bool:
+        """(a,b)M in a lattice: (x v a) ^ b == x v (a ^ b) for every x <= b.
+        With y = x v (a ^ b), x v a = y v a, and y runs over all of
+        [a ^ b, b] (x = y reaches each y); so (a,b)M holds exactly when
+        (y v a) ^ b == y on that interval, compared by down-sets: one
+        lookup per y. For complements the interval is all of down(b)."""
+        um, dm, join = self.up_masks, self.down_masks, self.up_mask_index
+        ua, db = um[a], dm[b]
+        return all(
+            dm[join[um[y] & ua]] & db == dm[y] for y in _bits(um[self.glb_idx(a, b)] & db)
+        )
+
+    def is_dual_modular_pair_idx(self, a: int, b: int) -> bool:
+        """(a,b)M* in a lattice: (x ^ a) v b == x ^ (a v b) for every x >= b.
+        With y = x ^ (a v b), x ^ a = y ^ a, and y runs over all of
+        [b, a v b]; so (a,b)M* holds exactly when (y ^ a) v b == y on that
+        interval, compared by up-sets: one lookup per y. For complements
+        the interval is all of up(b)."""
+        um, dm, meet = self.up_masks, self.down_masks, self.down_mask_index
+        da, ub = dm[a], um[b]
+        return all(
+            um[meet[dm[y] & da]] & ub == um[y] for y in _bits(dm[self.lub_idx(a, b)] & ub)
+        )
+
 
 class SubspaceLattice(FiniteOrder):
-    """All subspaces of GF(q)^n with order, meet/join tables, and predicates.
+    """All subspaces of GF(q)^n with their order, atoms and atom sets.
 
     Elements are indexed 0..size-1 in (dimension, basis) order; index 0 is
     the zero subspace and the last index is the whole space. Order masks are
@@ -193,78 +228,40 @@ class SubspaceLattice(FiniteOrder):
         for i, d in enumerate(self.dims):
             self.dim_index.setdefault(d, []).append(i)
         self._build_order()
-        self._build_tables()
 
     # -- construction ------------------------------------------------------
 
     def _build_order(self) -> None:
-        F = self.field
-        els = self.elements
-        size = self.size
-        # ground-truth containment, element by element
-        up = [0] * size
-        by_dim = sorted(range(size), key=lambda i: self.dims[i])
-        for i in range(size):
-            bi = els[i].basis
-            ui = 0
-            for j in by_dim:
-                if self.dims[j] < self.dims[i]:
-                    continue
-                if self.dims[j] == self.dims[i]:
-                    if i == j:
-                        ui |= 1 << j
-                    continue
-                if all(in_row_space(F, row, els[j].basis) for row in bi):
-                    ui |= 1 << j
-            up[i] = ui
+        F, els, dims = self.field, self.elements, self.dims
+        # ground-truth containment, element by element: s lies in a t of
+        # larger dimension when every basis row of s does
+        up = [
+            sum(
+                1 << j
+                for j, t in enumerate(els)
+                if j == i or dims[j] > dims[i] and all(in_row_space(F, r, t.basis) for r in s.basis)
+            )
+            for i, s in enumerate(els)
+        ]
         self.up_masks = up
         self.down_masks = down_masks(up)
         # atom sets, for export and for the automorphism search
         self.elem_atom_masks = atom_masks(up, self.atoms)
         self.atom_mask_index = _mask_index(self.elem_atom_masks, "atom set")
 
-    def _build_tables(self) -> None:
-        size = self.size
-        down_of, up_of = self.down_mask_index, self.up_mask_index
-        meet_t = [[0] * size for _ in range(size)]
-        join_t = [[0] * size for _ in range(size)]
-        dm, um = self.down_masks, self.up_masks
-        for i in range(size):
-            for j in range(i, size):
-                m = down_of[dm[i] & dm[j]]
-                jn = up_of[um[i] & um[j]]
-                meet_t[i][j] = meet_t[j][i] = m
-                join_t[i][j] = join_t[j][i] = jn
-        self.meet_table = meet_t
-        self.join_table = join_t
-
     # -- order and operations ----------------------------------------------
 
-    def meet_idx(self, i: int, j: int) -> int:
-        return self.meet_table[i][j]
-
-    def join_idx(self, i: int, j: int) -> int:
-        return self.join_table[i][j]
-
     def covers_idx(self, i: int, j: int) -> bool:
-        """j covers i: i < j with nothing strictly between."""
-        if i == j or not self.leq_idx(i, j):
-            return False
-        strictly_between = (
-            self.up_masks[i] & self.down_masks[j] & ~(1 << i) & ~(1 << j)
-        )
-        return strictly_between == 0
+        """j covers i: i < j with nothing strictly between, so the
+        interval [i, j] is {i, j}; it is empty when i is not below j."""
+        return i != j and self.up_masks[i] & self.down_masks[j] == (1 << i) | (1 << j)
 
     def complements_idx(self, i: int) -> list[int]:
-        bot, top = self.bottom, self.top
-        mt, jt = self.meet_table, self.join_table
-        return [j for j in range(self.size) if mt[i][j] == bot and jt[i][j] == top]
-
-    def down_set(self, i: int) -> list[int]:
-        return _bits(self.down_masks[i])
-
-    def up_set(self, i: int) -> list[int]:
-        return _bits(self.up_masks[i])
+        """The j with i v j the top and i ^ j the bottom: the only common
+        upper bound is the top, and the only common lower bound the bottom."""
+        um, dm = self.up_masks, self.down_masks
+        ui, di, top, bottom = um[i], dm[i], 1 << self.top, 1 << self.bottom
+        return [j for j in range(self.size) if ui & um[j] == top and di & dm[j] == bottom]
 
     @cached_property
     def up_lists(self) -> list[list[int]]:
@@ -301,32 +298,6 @@ class SubspaceLattice(FiniteOrder):
         if len(sigma) != len(columns) or set(sigma) != ordinals:
             raise NotAnAtomPermutation("the atom images are not a permutation of the atoms")
         return _unpack_slots(sum(map(lshift, columns, sigma)), self.size, nbytes)
-
-    def is_modular_pair_idx(self, a: int, b: int) -> bool:
-        """(a,b)M: (x v a) ^ b == x v (a ^ b) for every x <= b."""
-        jt, mt = self.join_table, self.meet_table
-        ab = mt[a][b]
-        return all(mt[jt[x][a]][b] == jt[x][ab] for x in self.down_set(b))
-
-    def is_dual_modular_pair_idx(self, a: int, b: int) -> bool:
-        """(a,b)M*: (x ^ a) v b == x ^ (a v b) for every x >= b."""
-        jt, mt = self.join_table, self.meet_table
-        ab = jt[a][b]
-        return all(jt[mt[x][a]][b] == mt[x][ab] for x in self.up_set(b))
-
-    @cached_property
-    def length(self) -> int:
-        """The number of cover steps in a longest chain from bottom to top,
-        derived from the cover relation. An element strictly above another
-        has strictly more elements below it, so visiting elements by that
-        count settles every chain below an element before the element."""
-        below: list[list[int]] = [[] for _ in range(self.size)]
-        for i, j in self.cover_pairs():
-            below[j].append(i)
-        height = [0] * self.size
-        for j in sorted(range(self.size), key=lambda e: self.down_masks[e].bit_count()):
-            height[j] = max((height[i] + 1 for i in below[j]), default=0)
-        return height[self.top]
 
     def atom_vector(self, i: int) -> tuple[int, ...]:
         """Canonical spanning vector of an atom (its single RREF basis row)."""
@@ -505,7 +476,7 @@ def check_g_lattice_properties(L: SubspaceLattice) -> CampaignReport:
     cov_bad = []
     for p in L.atoms:
         for a in range(L.size):
-            if L.meet_idx(a, p) == L.bottom and not L.covers_idx(a, L.join_idx(a, p)):
+            if L.glb_idx(a, p) == L.bottom and not L.covers_idx(a, L.lub_idx(a, p)):
                 cov_bad.append((p, a))
     rep.add(
         "covering_property",
@@ -516,7 +487,7 @@ def check_g_lattice_properties(L: SubspaceLattice) -> CampaignReport:
     dual_cov_bad = []
     for h in L.coatoms:
         for a in range(L.size):
-            if L.join_idx(a, h) == L.top and not L.covers_idx(L.meet_idx(a, h), a):
+            if L.lub_idx(a, h) == L.top and not L.covers_idx(L.glb_idx(a, h), a):
                 dual_cov_bad.append((h, a))
     rep.add(
         "dual_covering_property",
@@ -529,7 +500,7 @@ def check_g_lattice_properties(L: SubspaceLattice) -> CampaignReport:
         for i in range(L.size)
         for j in range(L.size)
         if L.dims[i] + L.dims[j]
-        != L.dims[L.join_idx(i, j)] + L.dims[L.meet_idx(i, j)]
+        != L.dims[L.lub_idx(i, j)] + L.dims[L.glb_idx(i, j)]
     ]
     rep.add(
         "dimension_law",

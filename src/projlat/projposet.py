@@ -179,16 +179,6 @@ class ProjectionPoset(FiniteOrder):
 
     # -- order -------------------------------------------------------------
 
-    def lub_idx(self, i: int, j: int) -> int | None:
-        """Least upper bound in the poset, or None if there is no least one.
-        The common upper bounds form an up-set, and m is their least
-        exactly when that up-set is m's own (Davey & Priestley 2002, ch. 2),
-        so one lookup answers."""
-        return self.up_mask_index.get(self.up_masks[i] & self.up_masks[j])
-
-    def glb_idx(self, i: int, j: int) -> int | None:
-        return self.down_mask_index.get(self.down_masks[i] & self.down_masks[j])
-
     def is_graded_by_image_dim(self) -> bool:
         """Every cover step raises the image dimension by exactly 1; this is
         what lets the image dimension serve as an order-invariant height.
@@ -239,8 +229,10 @@ class ProjectionPoset(FiniteOrder):
 
 
 def build_projection_poset(L: SubspaceLattice) -> ProjectionPoset:
-    """All complementary pairs, each re-checked against the modular-pair and
-    dual-modular-pair conditions rather than trusting modularity."""
+    """All complementary pairs (a, b) of L that are also a modular pair and
+    a dual-modular pair, (a,b)M and (a,b)M*: each pair is re-checked by L's
+    two predicates rather than trusting modularity. For complements each
+    predicate walks all of down(b) or up(b), one lookup per element."""
     pairs = [
         (a, b)
         for a in range(L.size)

@@ -248,6 +248,15 @@ def test_verify_map_round_trip_and_falsification(run_cli, tmp_path, L32, aut_l32
          "permutation is not a list of ints"),
         ({"schema": "projlat-map/1", "kind": "ring", "permutation": [0, 1, 2, 3, 4]},
          "unknown map kind 'ring'"),
+        ({"schema": "projlat-map/1", "kind": "poset", "permutation": [0, 1, 2, 3, 4, 5],
+          "witness": 5},
+         "witness is not an object"),
+        ({"schema": "projlat-map/1", "kind": "poset", "permutation": [0, 1, 2, 3, 4, 5],
+          "witness": {"field": "2", "matrix": 7, "twist": 0}},
+         "witness is not an object"),
+        ({"schema": "projlat-map/1", "kind": "poset", "permutation": [0, 1, 2, 3, 4, 5],
+          "witness": {"field": "2", "matrix": [[7, 0], [0, 1]], "twist": 0}},
+         "witness matrix has an entry outside GF(2)"),
     ],
 )
 def test_malformed_map_file_exits_2(run_cli, tmp_path, doc, why):

@@ -16,7 +16,13 @@ from projlat import (
     subspace_count_total,
 )
 from projlat.autos import FalsificationError, lattice_search_plan, poset_search_plan
-from projlat.lattice import Subspace, atom_masks, order_is_atom_inclusion
+from projlat.lattice import (
+    FiniteOrder,
+    Subspace,
+    atom_masks,
+    down_masks,
+    order_is_atom_inclusion,
+)
 from projlat.matrices import (
     as_matrix,
     in_row_space,
@@ -81,9 +87,9 @@ def test_meet_join_against_definitions(L32):
     L = L32
     for i in range(L.size):
         for j in range(L.size):
-            m = L.meet_idx(i, j)
+            m = L.glb_idx(i, j)
             assert L.leq_idx(m, i) and L.leq_idx(m, j)
-            jn = L.join_idx(i, j)
+            jn = L.lub_idx(i, j)
             assert L.leq_idx(i, jn) and L.leq_idx(j, jn)
             # meet is the greatest lower bound
             for k in range(L.size):
@@ -95,23 +101,89 @@ def test_meet_join_against_definitions(L32):
 
 @pytest.mark.parametrize("ambient", ["L32", "L23", "L34"])
 def test_tables_against_rref_oracle(ambient, request):
-    """Order, meet and join tables against subspace_leq, subspace_meet and
+    """Order, meet and join against subspace_leq, subspace_meet and
     subspace_join, which compute from the RREF bases alone, on every pair."""
     L = request.getfixturevalue(ambient)
     els = L.elements
     for i in range(L.size):
         for j in range(L.size):
             assert L.leq_idx(i, j) == subspace_leq(els[i], els[j])
-            assert els[L.meet_idx(i, j)] == subspace_meet(els[i], els[j])
-            assert els[L.join_idx(i, j)] == subspace_join(els[i], els[j])
+            assert els[L.glb_idx(i, j)] == subspace_meet(els[i], els[j])
+            assert els[L.lub_idx(i, j)] == subspace_join(els[i], els[j])
 
 
-def test_atomistic_and_length(L22, L32, L23, L33, L42):
+def test_atomistic(L32, L23):
     assert L32.verify_atomistic()
     assert L23.verify_atomistic()
-    # the longest bottom-to-top chain, derived from the cover relation
-    for L, want in ((L22, 2), (L32, 3), (L23, 2), (L33, 3), (L42, 4)):
-        assert L.length == want
+
+
+def _order(up):
+    """A bare FiniteOrder from its up-sets."""
+    order = FiniteOrder()
+    order.up_masks, order.down_masks = up, down_masks(up)
+    return order
+
+
+# the pentagon N5, elements 0, p, c, q, 1 with 0 < p < c < 1 and 0 < q < 1,
+# and the diamond M3, elements 0, r, s, t, 1 with 0 < r, s, t < 1
+N5 = _order([0b11111, 0b10110, 0b10100, 0b11000, 0b10000])
+M3 = _order([0b11111, 0b10010, 0b10100, 0b11000, 0b10000])
+
+
+def _modular_pair_failures(order):
+    """Reference: the ordered pairs (a, b) failing (a,b)M, (x v a) ^ b ==
+    x v (a ^ b) for every x <= b, and those failing (a,b)M*, (x ^ a) v b
+    == x ^ (a v b) for every x >= b, with every meet and join found by
+    walking the common bounds."""
+    up, down = order.up_masks, order.down_masks
+    size = len(up)
+
+    def least(masks, i, j):
+        common = masks[i] & masks[j]
+        (m,) = [k for k in range(size) if common >> k & 1 and common & ~masks[k] == 0]
+        return m
+
+    def join(i, j):
+        return least(up, i, j)
+
+    def meet(i, j):
+        return least(down, i, j)
+
+    pairs = [(a, b) for a in range(size) for b in range(size)]
+    below = [[x for x in range(size) if down[b] >> x & 1] for b in range(size)]
+    above = [[x for x in range(size) if up[b] >> x & 1] for b in range(size)]
+    not_m = [
+        (a, b) for a, b in pairs
+        if any(meet(join(x, a), b) != join(x, meet(a, b)) for x in below[b])
+    ]
+    not_m_star = [
+        (a, b) for a, b in pairs
+        if any(join(meet(x, a), b) != meet(x, join(a, b)) for x in above[b])
+    ]
+    return not_m, not_m_star
+
+
+@pytest.mark.parametrize("name", ["N5", "M3", "L32", "L23"])
+def test_modular_pair_predicates_match_their_definitions(name, request):
+    """Both predicates, which walk one interval, agree with their
+    definitions on every ordered pair."""
+    order = {"N5": N5, "M3": M3}.get(name) or request.getfixturevalue(name)
+    pairs = [(a, b) for a in range(len(order.up_masks)) for b in range(len(order.up_masks))]
+    not_m, not_m_star = _modular_pair_failures(order)
+    assert [p for p in pairs if not order.is_modular_pair_idx(*p)] == not_m
+    assert [p for p in pairs if not order.is_dual_modular_pair_idx(*p)] == not_m_star
+
+
+def test_pentagon_has_one_pair_failing_each_predicate():
+    """In N5 only (q, c) fails M: p v q = 1, so (p v q) ^ c = c, while
+    p v (q ^ c) = p. Only (q, p) fails M*: (c ^ q) v p = p, while
+    c ^ (q v p) = c. The diamond M3 is modular, so every pair passes."""
+    p, c, q = 1, 2, 3
+    pairs = [(a, b) for a in range(5) for b in range(5)]
+    assert [x for x in pairs if not N5.is_modular_pair_idx(*x)] == [(q, c)]
+    assert [x for x in pairs if not N5.is_dual_modular_pair_idx(*x)] == [(q, p)]
+    assert _modular_pair_failures(N5) == ([(q, c)], [(q, p)])
+    assert _modular_pair_failures(M3) == ([], [])
 
 
 def _atomistic_by_pairs(up, atoms, stored):
@@ -243,7 +315,7 @@ def test_hyperplane_criterion(L32):
         above = [c for c in L.coatoms if L.leq_idx(i, c)]
         acc = L.top
         for c in above:
-            acc = L.meet_idx(acc, c)
+            acc = L.glb_idx(acc, c)
         assert acc == i
 
 
@@ -259,9 +331,10 @@ def test_complements_exist_and_are_plentiful(L32):
         comps = [
             j
             for j in range(L.size)
-            if L.meet_idx(i, j) == L.bottom and L.join_idx(i, j) == L.top
+            if L.glb_idx(i, j) == L.bottom and L.lub_idx(i, j) == L.top
         ]
         assert comps, f"element {i} has no complement"
+        assert L.complements_idx(i) == comps
         if i not in (L.bottom, L.top):
             assert len(comps) > 1  # non-uniqueness marks non-distributivity
 
