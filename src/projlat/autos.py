@@ -78,46 +78,72 @@ class FalsificationError(AssertionError):
 def _require_atomistic(S) -> None:
     """Refuse S, a lattice or a projection poset, unless its order is
     inclusion of its stored atom sets: every lift through atom sets rests
-    on that. Checked once per structure."""
+    on that. Refuse a poset also unless its ortho is a fixed-point-free
+    involution reversing its order, and keep its atoms' orthocomplements,
+    which the leaf reads: the leaf compares ortho on the atoms only, and
+    that rests on this. Checked once per structure."""
     if getattr(S, "_atomistic", False):
         return
     if not S.verify_atomistic():
         raise FalsificationError(f"{S!r} is not atomistic; atom lifts unsound")
+    if isinstance(S, ProjectionPoset):
+        if not _ortho_reverses_order(S):
+            raise FalsificationError(
+                f"{S!r}'s orthocomplement is not a fixed-point-free involution "
+                "reversing its order"
+            )
+        S._atom_orthos = [S.ortho[x] for x in S.atoms]
     S._atomistic = True
 
 
-def _require_ortho_halves(P) -> tuple[list[int], list[int]]:
-    """The lower member i of each pair {i, ortho(i)} of P, and ortho(i) for
-    each: a permutation commuting with ortho at i commutes at ortho(i) too,
-    so these are all the leaf check compares. Refuse P unless its ortho is
-    a fixed-point-free involution, as its construction makes it; proved
-    once per poset."""
-    halves = getattr(P, "_ortho_halves", None)
-    if halves is None:
-        ortho = P.ortho
-        firsts = [i for i, o in enumerate(ortho) if i < o]
-        seconds = list(map(ortho.__getitem__, firsts))
-        if 2 * len(firsts) != P.size or list(map(ortho.__getitem__, seconds)) != firsts:
-            raise FalsificationError(
-                f"{P!r}'s orthocomplement is not a fixed-point-free involution"
-            )
-        halves = P._ortho_halves = firsts, seconds
-    return halves
+def _ortho_reverses_order(P: ProjectionPoset) -> bool:
+    """Whether P's ortho is a fixed-point-free involution that reverses
+    P's order, given that the order is inclusion of the stored atom sets
+    A(e). With B(t) = A(ortho(x_t)) for the atom x_t, it checks that
+    A(ortho(e)) is the AND of B(t) over the t in A(e), for every e: the
+    atoms below ortho(e) are those below ortho(x_t) for every atom x_t
+    below e. That AND can only shrink as A(e) grows, so i <= j gives
+    ortho(j) <= ortho(i), and, ortho being an involution, ortho(j) <=
+    ortho(i) gives i <= j. Conversely, an ortho that reverses the order
+    sends e, the join of its atoms, to the meet of their
+    orthocomplements, whose atoms are that AND (Davey & Priestley,
+    Introduction to Lattices and Order, 2002, ch. 2): every genuine P
+    passes. One AND of atom-set ints per atom-element incidence."""
+    ortho, stored = P.ortho, P.elem_atom_masks
+    if any(i == o for i, o in enumerate(ortho)):
+        return False
+    if list(map(ortho.__getitem__, ortho)) != list(range(P.size)):
+        return False
+    meets = [stored[ortho[x]] for x in P.atoms]
+    everything = (1 << len(meets)) - 1
+    for mask, o in zip(stored, ortho):
+        meet = everything
+        while mask:
+            low = mask & -mask
+            meet &= meets[low.bit_length() - 1]
+            mask ^= low
+        if meet != stored[o]:
+            return False
+    return True
 
 
 def _lift_bijective(S, sigma) -> tuple[int, ...] | None:
-    """The lift of the atom permutation sigma to all elements of S; None
-    when L's packed lift refuses sigma as no permutation, some image atom
-    set belongs to no element or the lift is not a permutation of the
-    elements. Any other error of a lift propagates."""
+    """The lift of sigma, a permutation of S's atom ordinals, to all
+    elements of S; None when L's packed lift refuses sigma as no
+    permutation, or when some image atom set belongs to no element. A lift
+    found is a permutation of the elements, with no count: the stored atom
+    sets are pairwise distinct (_mask_index proved it when S was built), a
+    permutation of the atoms keeps them distinct, and distinct atom sets
+    are distinct elements. That sigma is a permutation is guaranteed by
+    the search core's sorted(perm) test at every leaf, by L's lift, which
+    raises NotAnAtomPermutation otherwise, and by verify_poset_map's
+    is_permutation test. Any other error of a lift propagates."""
     try:
         masks = S.lift_atom_masks(sigma)
     except NotAnAtomPermutation:
         return None
-    eperm = list(map(S.atom_mask_index.get, masks))
-    if None in eperm or len(set(eperm)) != S.size:
-        return None
-    return tuple(eperm)
+    eperm = tuple(map(S.atom_mask_index.get, masks))
+    return None if None in eperm else eperm
 
 
 # ---------------------------------------------------------------------------
@@ -597,17 +623,23 @@ def poset_search_plan(P: ProjectionPoset) -> tuple[int, list[int]]:
 
 
 def _lift_poset_atom_perm(P: ProjectionPoset, sigma) -> tuple[int, ...] | None:
-    """The lift of an atom permutation of P to all elements; None if it
-    fails to lift bijectively or does not commute with the
-    orthocomplementation (eperm . ortho != ortho . eperm), compared on
-    one member of each pair {i, ortho(i)}."""
+    """The lift of sigma, a permutation of P's atom ordinals, to all
+    elements; None if some image atom set belongs to no element or the
+    lift does not commute with the orthocomplementation. That is compared
+    on the atoms only, eperm[ortho[x]] against ortho[eperm[x]]: the lift
+    is an order automorphism and the guard proved ortho an order
+    anti-automorphism, so eperm . ortho and ortho . eperm are
+    anti-automorphisms. Each element is the join of its atoms, and an
+    anti-automorphism sends that join to the meet of the atoms' images, so
+    two that agree on the atoms agree everywhere. The atom x_t lifts to
+    the atom x_sigma(t), so ortho[eperm[x_t]] is the kept orthocomplement
+    of atom sigma(t)."""
     _require_atomistic(P)
-    firsts, seconds = _require_ortho_halves(P)
     eperm = _lift_bijective(P, sigma)
     if eperm is None:
         return None
-    image = eperm.__getitem__
-    if list(map(image, seconds)) != list(map(P.ortho.__getitem__, map(image, firsts))):
+    orthos = P._atom_orthos
+    if list(map(eperm.__getitem__, orthos)) != list(map(orthos.__getitem__, sigma)):
         return None
     return eperm
 
@@ -615,7 +647,9 @@ def _lift_poset_atom_perm(P: ProjectionPoset, sigma) -> tuple[int, ...] | None:
 def expand_poset_atom_perm(P: ProjectionPoset, perm: tuple[int, ...]):
     """The poset search leaf: _lift_poset_atom_perm, under the module name
     the leaf looks up at call time, so a wrapper installed on that name
-    sees every leaf and nothing else."""
+    sees every leaf and nothing else. perm must be a permutation of the
+    atom ordinals; at a leaf, the search core's sorted(perm) test has
+    made sure of it."""
     return _lift_poset_atom_perm(P, perm)
 
 
@@ -670,15 +704,16 @@ def enumerate_poset_automorphisms(
 
 def verify_poset_map(phi, P: ProjectionPoset) -> None:
     """Full orthoposet-automorphism verification, of a PosetMap or of a
-    bare permutation: the map must be exactly the lift of its own atom
-    permutation, which _lift_poset_atom_perm checks for bijectivity and
-    the orthocomplementation. On failure the payload is that atom
-    permutation, None marking an atom sent to a non-atom."""
+    bare permutation: its atom images, as atom ordinals sigma, must be a
+    permutation of the atoms, and the map must be exactly the lift of
+    sigma, which _lift_poset_atom_perm checks for the orthocomplementation.
+    On failure the payload is sigma, None marking an atom sent to a
+    non-atom."""
     perm = tuple(phi.perm if isinstance(phi, PosetMap) else phi)
     if len(perm) != P.size:
         raise ValueError("permutation size does not match the poset")
     sigma = tuple(P.atom_ordinal.get(perm[a]) for a in P.atoms)
-    if None in sigma or _lift_poset_atom_perm(P, sigma) != perm:
+    if not is_permutation(sigma) or _lift_poset_atom_perm(P, sigma) != perm:
         raise FalsificationError(
             "map is not the orthoposet automorphism its atom images induce",
             {"atom_perm": sigma},

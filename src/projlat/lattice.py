@@ -142,8 +142,9 @@ def enumerate_subspaces(n: int, F: GF) -> "SubspaceLattice":
 class FiniteOrder:
     """What L and P share: an order on elements 0..size-1 given by its
     up-sets and down-sets (bit j of up_masks[i] is set iff i <= j), its
-    atoms, and each element's atom set (bit t of elem_atom_masks[i] is set
-    iff atoms[t] <= i), and its least bounds, one lookup each."""
+    atoms, each element's atom set (bit t of elem_atom_masks[i] is set
+    iff atoms[t] <= i) with the table from atom sets back to elements,
+    and its least bounds, one lookup each."""
 
     def leq_idx(self, i: int, j: int) -> bool:
         return bool(self.up_masks[i] >> j & 1)
@@ -164,6 +165,12 @@ class FiniteOrder:
     @cached_property
     def atom_ordinal(self) -> dict[int, int]:
         return {a: t for t, a in enumerate(self.atoms)}
+
+    @cached_property
+    def atom_mask_index(self) -> dict[int, int]:
+        """The atom set -> element table; built on first use, from
+        elem_atom_masks, where a constructor has not built it."""
+        return _mask_index(self.elem_atom_masks, "atom set")
 
     @cached_property
     def up_mask_index(self) -> dict[int, int]:
@@ -298,6 +305,17 @@ class SubspaceLattice(FiniteOrder):
         if len(sigma) != len(columns) or set(sigma) != ordinals:
             raise NotAnAtomPermutation("the atom images are not a permutation of the atoms")
         return _unpack_slots(sum(map(lshift, columns, sigma)), self.size, nbytes)
+
+    @cached_property
+    def dual(self) -> FiniteOrder:
+        """The same elements under the reverse order, the one down_masks
+        gives: its atoms are L's coatoms, and an element's atom set is the
+        set of coatoms above it. Built on first use."""
+        D = FiniteOrder()
+        D.size, D.atoms = self.size, self.coatoms
+        D.up_masks, D.down_masks = self.down_masks, self.up_masks
+        D.elem_atom_masks = atom_masks(D.up_masks, D.atoms)
+        return D
 
     def atom_vector(self, i: int) -> tuple[int, ...]:
         """Canonical spanning vector of an atom (its single RREF basis row)."""

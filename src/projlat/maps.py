@@ -11,6 +11,7 @@ and never participate in equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 AUTO = "automorphism"
 ANTI = "anti-automorphism"
@@ -35,11 +36,17 @@ def perm_inverse(f) -> tuple[int, ...]:
     return tuple(inv)
 
 
+@lru_cache(maxsize=16)
+def _ordinals(n: int) -> frozenset[int]:
+    return frozenset(range(n))
+
+
 def is_permutation(f) -> bool:
-    """Whether f holds each of 0..len(f)-1 exactly once. Tested by set
-    membership, not by sorting, so entries that do not compare with ints
-    give False rather than TypeError."""
-    return set(f) == set(range(len(f)))
+    """Whether f holds each of 0..len(f)-1 exactly once: one set of f,
+    compared with a kept set of the ordinals. Tested by set membership,
+    not by sorting, so entries that do not compare with ints give False
+    rather than TypeError."""
+    return set(f) == _ordinals(len(f))
 
 
 def compose_directions(d1: str, d2: str) -> str:

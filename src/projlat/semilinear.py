@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf import GF, FieldAutomorphism
-from .lattice import Subspace, SubspaceLattice
+from .lattice import NotAnAtomPermutation, Subspace, SubspaceLattice
 from .maps import ANTI, AUTO, LatticeMap
 from .matrices import (
     Matrix,
@@ -97,11 +97,49 @@ def induced_lattice_map(s: SemilinearMap, L: SubspaceLattice) -> LatticeMap:
     return LatticeMap(perm, AUTO, witness=s)
 
 
+def _kept_atomistic(S) -> bool:
+    """S.verify_atomistic(), run once and kept on S under the name the
+    atom searches' guard keeps its verdict by."""
+    verdict = getattr(S, "_atomistic", None)
+    if verdict is None:
+        verdict = S._atomistic = S.verify_atomistic()
+    return verdict
+
+
+def _lift_proves(m: LatticeMap, L: SubspaceLattice) -> bool:
+    """Whether one packed lift proves m an automorphism of L (AUTO) or an
+    anti-automorphism (ANTI), that is an isomorphism from L onto L or
+    onto L.dual. Both orders are proved, once per lattice, to be inclusion
+    of their atom sets; L.dual's atoms are L's coatoms. The atoms must go
+    to the target's atoms, by ordinals sigma, and each element i to the
+    element whose target atom set is sigma A(i). Then i <= j iff A(i) is
+    in A(j) iff sigma A(i) is in sigma A(j) iff m(i) <= m(j) in the
+    target, which for L.dual reads m(j) <= m(i) in the order down_masks
+    gives: what the pair walk checks, so an accepted map passes it. The
+    target's atom sets are distinct, so an accepted perm is injective;
+    nothing else is assumed of it."""
+    perm = m.perm
+    target = L if m.direction == AUTO else L.dual
+    if not (_kept_atomistic(L) and _kept_atomistic(target)):
+        return False
+    ordinal = target.atom_ordinal
+    try:
+        lifted = L.lift_atom_masks([ordinal.get(perm[a]) for a in L.atoms])
+    except NotAnAtomPermutation:
+        return False
+    return list(map(target.atom_mask_index.get, lifted)) == list(perm)
+
+
 def verify_lattice_map(m: LatticeMap, L: SubspaceLattice) -> None:
-    """Exhaustive order check: preserving for AUTO, reversing for ANTI.
-    Every comparable pair i <= j is checked, i ascending and j ascending
-    within i; f(j) must lie in the up-set of f(i) for AUTO and in its
-    down-set for ANTI."""
+    """Order check: preserving for AUTO, reversing for ANTI. A map the
+    packed lift proves is accepted at once. Any other is walked: every
+    comparable pair i <= j is checked, i ascending and j ascending within
+    i; f(j) must lie in the up-set of f(i) for AUTO and in its down-set
+    for ANTI, and the first pair that fails is named. A permutation the
+    walk passes is an (anti-)automorphism, which the lift accepts, so the
+    walk runs to name that pair, or on a lattice whose proofs failed."""
+    if _lift_proves(m, L):
+        return
     perm = m.perm
     target = L.up_masks if m.direction == AUTO else L.down_masks
     for i, above in enumerate(L.up_lists):

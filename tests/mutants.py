@@ -1,0 +1,216 @@
+"""Mutation checks: each entry breaks src/ in one place on purpose and
+names the tests that must then fail.
+
+Run from anywhere, with pytest installed:
+
+    python tests/mutants.py
+
+The runner copies src/ to a temporary directory and runs the named tests
+against that copy (PYTHONPATH points at it, and no bytecode is written, so
+an edited module is always recompiled). It requires the unmutated copy to
+pass every named test, the old text of each entry to occur exactly once
+in its file, and each mutant to make its own tests fail (pytest exit
+status 1; an error at collection does not count as a kill). It prints one
+line per mutant and exits 1 when any requirement fails. A mutant that
+survives is reported, never dropped from the table.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+# file (under src/), old text, new text, tests that must fail, reason
+MUTANTS = [
+    (
+        "projlat/autos.py",
+        "        if meet != stored[o]:\n            return False\n",
+        "",
+        ["tests/test_autos.py::test_ortho_that_does_not_reverse_the_order_is_refused"],
+        "the proof that ortho reverses the order is dropped; the involution check stays",
+    ),
+    (
+        "projlat/autos.py",
+        "    if list(map(eperm.__getitem__, orthos)) != list(map(orthos.__getitem__, sigma)):\n",
+        "    half = len(sigma) // 2\n"
+        "    if list(map(eperm.__getitem__, orthos[:half])) != list(\n"
+        "        map(orthos.__getitem__, sigma[:half])\n"
+        "    ):\n",
+        [
+            "tests/test_autos.py::"
+            "test_every_atom_perm_of_mo4_checks_the_orthocomplement_on_every_atom",
+        ],
+        "the leaf compares ortho on the first half of the atoms only",
+    ),
+    (
+        "projlat/semilinear.py",
+        "    return list(map(target.atom_mask_index.get, lifted)) == list(perm)\n",
+        "    return list(map(target.atom_mask_index.get, lifted))[:-1] == list(perm)[:-1]\n",
+        ["tests/test_semilinear.py::test_verify_lattice_map_refuses_a_perm_repeating_an_image"],
+        "the witness lift is compared on every element but the last",
+    ),
+    (
+        "projlat/semilinear.py",
+        "    if not (_kept_atomistic(L) and _kept_atomistic(target)):\n",
+        "    if not (target is L or _kept_atomistic(target)):\n",
+        ["tests/test_semilinear.py::test_verify_lattice_map_proves_nothing_on_a_corrupted_order"],
+        "the witness lift skips the proof that L is atomistic",
+    ),
+    (
+        "projlat/semilinear.py",
+        "    if not (_kept_atomistic(L) and _kept_atomistic(target)):\n",
+        "    if not _kept_atomistic(L):\n",
+        ["tests/test_semilinear.py::test_verify_lattice_map_proves_nothing_on_a_corrupted_order"],
+        "the witness lift skips the proof that L is coatomistic",
+    ),
+    (
+        "projlat/maps.py",
+        "    return set(f) == _ordinals(len(f))\n",
+        "    return set(f) <= _ordinals(len(f))\n",
+        ["tests/test_maps.py::test_is_permutation_agrees_with_sorting_on_numbers"],
+        "is_permutation accepts entries that repeat",
+    ),
+    (
+        "projlat/autos.py",
+        "    except NotAnAtomPermutation:\n        return None\n",
+        "    except ValueError:\n        return None\n",
+        ["tests/test_autos.py::test_lift_errors_other_than_the_lattice_refusal_propagate"],
+        "_lift_bijective reads any ValueError of a lift as no lift",
+    ),
+    (
+        "projlat/autos.py",
+        "        if y in images:\n            return None\n",
+        "",
+        [
+            "tests/test_autos.py::"
+            "test_search_core_matches_previous_core_where_narrowings_fail[poset-2-3]",
+        ],
+        "the search core sends an atom to an image a forced atom already has",
+    ),
+    (
+        "projlat/lattice.py",
+        "        if len(sigma) != len(columns) or set(sigma) != ordinals:\n",
+        "        if len(sigma) != len(columns):\n",
+        ["tests/test_autos.py::test_lattice_packed_lift_matches_reference[4-2-15-2]"],
+        "L's packed lift sums atom images that are no permutation",
+    ),
+    (
+        "projlat/lattice.py",
+        "    if len(set(stored)) != len(up) or any(stored[a] != 1 << t for t, a in enumerate(atoms)):\n",
+        "    if any(stored[a] != 1 << t for t, a in enumerate(atoms)):\n",
+        [
+            "tests/test_lattice.py::"
+            "test_atomistic_check_matches_pairwise_reference_on_every_small_table",
+        ],
+        "the atomisticity proof drops the distinctness of the stored atom sets",
+    ),
+    (
+        "projlat/lattice.py",
+        "    if len(set(stored)) != len(up) or any(stored[a] != 1 << t for t, a in enumerate(atoms)):\n",
+        "    if len(set(stored)) != len(up):\n",
+        [
+            "tests/test_lattice.py::"
+            "test_atomistic_check_matches_pairwise_reference_on_every_small_table",
+            "tests/test_lattice.py::test_atom_list_naming_a_non_minimal_element_is_refused",
+        ],
+        "the atomisticity proof drops each atom's set being that atom alone",
+    ),
+    (
+        "projlat/lattice.py",
+        "    if sum(m.bit_count() for m in stored) != sum(up[a].bit_count() for a in atoms):\n"
+        "        return False\n",
+        "",
+        [
+            "tests/test_lattice.py::"
+            "test_atomistic_check_matches_pairwise_reference_on_every_small_table",
+            "tests/test_lattice.py::test_atomistic_check_matches_pairwise_reference[32]",
+        ],
+        "the atomisticity proof drops the equal incidence totals",
+    ),
+    (
+        "projlat/lattice.py",
+        "        if up[i] != above or not above >> i & 1:\n",
+        "        if up[i] != above:\n",
+        [
+            "tests/test_lattice.py::"
+            "test_atomistic_check_matches_pairwise_reference_on_every_small_table",
+        ],
+        "the atomisticity proof drops each element being above its own atoms",
+    ),
+    (
+        "projlat/lattice.py",
+        "        um, dm, join = self.up_masks, self.down_masks, self.up_mask_index\n"
+        "        ua, db = um[a], dm[b]\n"
+        "        return all(\n"
+        "            dm[join[um[y] & ua]] & db == dm[y] for y in _bits(um[self.glb_idx(a, b)] & db)\n"
+        "        )\n",
+        "        return True\n",
+        [
+            "tests/test_lattice.py::test_modular_pair_predicates_match_their_definitions[N5]",
+            "tests/test_lattice.py::test_pentagon_has_one_pair_failing_each_predicate",
+        ],
+        "every pair counts as a modular pair",
+    ),
+    (
+        "projlat/lattice.py",
+        "        um, dm, meet = self.up_masks, self.down_masks, self.down_mask_index\n"
+        "        da, ub = dm[a], um[b]\n"
+        "        return all(\n"
+        "            um[meet[dm[y] & da]] & ub == um[y] for y in _bits(dm[self.lub_idx(a, b)] & ub)\n"
+        "        )\n",
+        "        return True\n",
+        [
+            "tests/test_lattice.py::test_modular_pair_predicates_match_their_definitions[N5]",
+            "tests/test_lattice.py::test_pentagon_has_one_pair_failing_each_predicate",
+        ],
+        "every pair counts as a dual-modular pair",
+    ),
+]
+
+
+def _pytest(root: Path, src: Path, tests: list[str]) -> int:
+    """The exit status of pytest on tests, importing projlat from src."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=root, env=env, capture_output=True).returncode
+
+
+def main() -> int:
+    root = Path(__file__).resolve().parent.parent
+    start = time.perf_counter()
+    failed = False
+    for file, old, _, _, reason in MUTANTS:
+        count = (root / "src" / file).read_text().count(old)
+        if count != 1:
+            print(f"STALE {file}: old text found {count} times ({reason})")
+            failed = True
+    if failed:
+        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(root / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        every_test = sorted({t for *_, tests, _ in MUTANTS for t in tests})
+        status = _pytest(root, src, every_test)
+        print(f"unmutated: pytest exit {status} on {len(every_test)} tests")
+        if status != 0:
+            return 1
+        for file, old, new, tests, reason in MUTANTS:
+            path = src / file
+            original = path.read_text()
+            path.write_text(original.replace(old, new))
+            status = _pytest(root, src, tests)
+            path.write_text(original)
+            killed = status == 1
+            failed |= not killed
+            print(f"{'killed' if killed else 'SURVIVED'} (pytest exit {status}) {file}: {reason}")
+    print(f"{len(MUTANTS)} mutants in {time.perf_counter() - start:.1f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

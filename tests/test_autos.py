@@ -43,6 +43,7 @@ from projlat.autos import (
 from projlat.gf import iter_vectors
 from projlat.lattice import AmbientTooLarge, NotAnAtomPermutation, _bits as lattice_bits, atom_masks
 from projlat.matrices import all_matrices, rank, vec_mat
+from projlat.projposet import ProjectionPoset, verify_omp_axioms
 from projlat.semilinear import SemilinearMap
 
 
@@ -831,8 +832,9 @@ def test_product_lift_matches_reference_on_every_automorphism(ambient, maps, req
 )
 def test_product_lift_matches_reference_on_seeded_perms(n, spec):
     """Random atom permutations; near misses, a genuine automorphism (the
-    duality's odd map) with two atom images swapped; and a map that is
-    not a permutation of the atoms, which no lift accepts."""
+    duality's odd map) or the identity, an even one, with two atom images
+    swapped; and a map that is not a permutation of the atoms, which no
+    lift accepts."""
     L = enumerate_subspaces(n, parse_field(spec))
     P = build_projection_poset(L)
     m = len(P.atoms)
@@ -851,6 +853,12 @@ def test_product_lift_matches_reference_on_seeded_perms(n, spec):
         lattice_sigma = list(range(len(L.atoms)))
         rng.shuffle(lattice_sigma)
         _assert_lift_matches_reference(L, lattice_sigma)
+    near_rng = random.Random(m)
+    for _ in range(4):
+        i, j = near_rng.sample(range(m), 2)
+        near = list(range(m))
+        near[i], near[j] = j, i
+        _assert_lift_matches_reference(P, near)
     clash = list(gamma)
     clash[0] = clash[1]
     assert expand_poset_atom_perm(P, clash) is None
@@ -908,17 +916,16 @@ def test_lattice_packed_lift_matches_reference(n, spec, atoms, slot_bytes):
 def test_every_atom_perm_at_22_checks_the_orthocomplement_as_reference(P22):
     """P(2,2)'s six atoms form an antichain, so each of the 720 atom
     permutations lifts bijectively, and the orthocomplement check alone
-    keeps the 48 automorphisms. The check compares one member of each
-    pair {i, ortho(i)}, so a poset whose ortho is no fixed-point-free
-    involution is refused."""
+    keeps the 48 automorphisms. The check compares the atoms only, which
+    rests on the guard's proof that ortho is a fixed-point-free involution
+    reversing the order, so a poset whose ortho is no such involution is
+    refused."""
     perms = list(itertools.permutations(range(len(P22.atoms))))
     assert len(perms) == 720
     assert all(autos._lift_bijective(P22, sigma) is not None for sigma in perms)
     kept = [expand_poset_atom_perm(P22, sigma) for sigma in perms]
     assert kept == [_reference_expand(P22, sigma) for sigma in perms]
     assert sum(e is not None for e in kept) == 48
-    firsts, seconds = autos._require_ortho_halves(P22)
-    assert 2 * len(firsts) == P22.size and sorted(firsts + seconds) == list(range(P22.size))
 
     P = build_projection_poset(P22.lattice)
     a, b = P.atoms[0], P.ortho[P.atoms[1]]
@@ -929,6 +936,90 @@ def test_every_atom_perm_at_22_checks_the_orthocomplement_as_reference(P22):
     P.ortho[P.top] = P.top
     with pytest.raises(FalsificationError, match="not a fixed-point-free involution"):
         expand_poset_atom_perm(P, perms[0])
+
+
+class _HorizontalSum(ProjectionPoset):
+    """MO_k, the horizontal sum of k four-element Boolean algebras: the
+    bottom 0, the top 2k + 1 and 2k atoms between them, 2i + 1 and 2i + 2
+    each other's orthocomplements, each atom also a coatom. Its atoms form
+    an antichain, so every atom permutation lifts to an order
+    automorphism, and the orthocomplement check alone decides the leaf.
+    The lift is the reference's, one OR per atom-element incidence."""
+
+    def __init__(self, k):
+        self.size = 2 * k + 2
+        top = self.size - 1
+        self.atoms = list(range(1, top))
+        self.up_masks = [(1 << self.size) - 1, *(1 << a | 1 << top for a in self.atoms), 1 << top]
+        self.ortho = [top, *(a + 1 if a % 2 else a - 1 for a in self.atoms), 0]
+        self.elem_atom_masks = atom_masks(self.up_masks, self.atoms)
+        self.atom_mask_index = {mask: e for e, mask in enumerate(self.elem_atom_masks)}
+
+    def lift_atom_masks(self, sigma):
+        return _reference_image_masks(self, sigma)
+
+    def __repr__(self):
+        return f"MO_{len(self.atoms) // 2}"
+
+
+def test_every_atom_perm_of_mo4_checks_the_orthocomplement_on_every_atom():
+    """On MO_4 the leaf keeps exactly the 4! * 2^4 = 384 atom permutations
+    that permute the four blocks, flipping any of them, and agrees with
+    the reference on all 8! of them. The last two blocks lie in the
+    second half of the atom order, so a check on the first half alone
+    would keep the swap of elements 5 and 7 (atom ordinals 4 and 6),
+    which breaks both blocks."""
+    P = _HorizontalSum(4)
+    perms = list(itertools.permutations(range(8)))
+    kept = [expand_poset_atom_perm(P, sigma) for sigma in perms]
+    assert kept == [_reference_expand(P, sigma) for sigma in perms]
+    assert sum(e is not None for e in kept) == 384
+    assert expand_poset_atom_perm(P, (0, 1, 2, 3, 6, 5, 4, 7)) is None
+
+
+def test_ortho_that_does_not_reverse_the_order_is_refused(L32):
+    """P(3,2) with the partners of two atoms i and j exchanged: ortho'(i)
+    = ortho(j), ortho'(ortho(j)) = i, and the same for j. ortho' is still
+    a fixed-point-free involution, but it does not reverse the order, as
+    the OMP battery's own walk over the comparable pairs confirms; so
+    the search plan, verify_poset_map and the leaf each refuse P, and the
+    leaf, which compares ortho on the atoms only, never runs on it."""
+    P = build_projection_poset(L32)
+    ortho = P.ortho
+    i, j = P.atoms[:2]
+    oi, oj = ortho[i], ortho[j]
+    ortho[i], ortho[oj], ortho[j], ortho[oi] = oj, i, oi, j
+    assert all(ortho[ortho[e]] == e != ortho[e] for e in range(P.size))
+    verdicts = {name: ok for name, ok, _ in verify_omp_axioms(P).checks}
+    assert not verdicts["ortho_reverses_order"]
+    ident = tuple(range(P.size))
+    for refused in (
+        lambda: poset_search_plan(P),
+        lambda: verify_poset_map(ident, P),
+        lambda: expand_poset_atom_perm(P, tuple(range(len(P.atoms)))),
+    ):
+        with pytest.raises(FalsificationError, match="not a fixed-point-free involution reversing"):
+            refused()
+    assert not hasattr(P, "_atomistic")
+
+
+def test_verify_poset_map_refuses_atom_images_that_repeat(P32):
+    """A map sending two atoms to one atom: the atom images are no
+    permutation of the atoms, so verify_poset_map refuses the map before
+    any lift, and the payload names the images, the repeat included. The
+    reference refuses it too."""
+    _, eperm = next(iter_poset_atom_perms(P32, restrict_first={poset_search_plan(P32)[1][0]}))
+    a, b = P32.atoms[:2]
+    perm = list(eperm)
+    perm[b] = perm[a]
+    perm = tuple(perm)
+    sigma = tuple(P32.atom_ordinal[perm[x]] for x in P32.atoms)
+    assert sigma[0] == sigma[1]
+    with pytest.raises(FalsificationError) as exc:
+        verify_poset_map(perm, P32)
+    assert exc.value.payload == {"atom_perm": sigma}
+    with pytest.raises(FalsificationError):
+        _reference_verify_poset_map(perm, P32)
 
 
 def test_lift_errors_other_than_the_lattice_refusal_propagate(L32, P22):

@@ -2,6 +2,7 @@
 and the witness-matching round trip."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +18,7 @@ from projlat import (
     standard_duality,
     verify_lattice_map,
 )
+from projlat import semilinear
 from projlat.maps import ANTI, AUTO
 from projlat.matrices import identity, random_invertible
 from projlat.semilinear import BilinearForm
@@ -136,11 +138,12 @@ def _verify_outcome(check, m, L):
     return None
 
 
-@pytest.mark.parametrize("n, spec", [(3, "2"), (4, "2"), (3, "2^2")])
+@pytest.mark.parametrize("n, spec", [(1, "2"), (2, "3"), (3, "2"), (4, "2"), (3, "2^2")])
 def test_verify_lattice_map_matches_reference(n, spec):
     """Same verdict and same first failing pair as the reference, in both
     directions, on an automorphism, the duality, near misses of both and
-    random permutations."""
+    random permutations. At (1,2) the one atom is the top and the one
+    coatom the bottom; at (2,3) the atoms are the coatoms."""
     L = enumerate_subspaces(n, parse_field(spec))
     rng = random.Random(n * 10 + len(spec))
     matrix = random_invertible(L.field, n, rng)
@@ -166,3 +169,79 @@ def test_verify_lattice_map_matches_reference(n, spec):
             outcomes.append(want)
     # f preserves order and gamma reverses it, so each passes one claim
     assert outcomes[0] is None and outcomes[3] is None and None not in outcomes[1:3]
+
+
+def _perms_and_duality(L, seed):
+    """An automorphism of L induced by a seeded matrix, and the duality."""
+    matrix = random_invertible(L.field, L.n, random.Random(seed))
+    f = induced_lattice_map(SemilinearMap(L.field, matrix, L.field.frobenius(0)), L).perm
+    return f, standard_duality(L).perm
+
+
+@pytest.mark.parametrize("n, spec", [(2, "3"), (3, "2"), (4, "2")])
+def test_verify_lattice_map_refuses_a_perm_repeating_an_image(n, spec):
+    """verify_lattice_map reads only perm and direction, so it must refuse
+    a perm that LatticeMap itself refuses: an automorphism, or the
+    duality, with the last element, the top, sent where the first goes.
+    Every element but the last has its lifted image, so only the last
+    one's comparison keeps the lift from accepting it."""
+    L = enumerate_subspaces(n, parse_field(spec))
+    f, gamma = _perms_and_duality(L, n)
+    for base, direction in ((f, AUTO), (gamma, ANTI)):
+        perm = base[:-1] + base[:1]
+        with pytest.raises(ValueError, match="not a permutation"):
+            LatticeMap(perm, direction)
+        m = SimpleNamespace(perm=perm, direction=direction)
+        assert not semilinear._lift_proves(m, L)
+        want = _verify_outcome(_reference_verify_lattice_map, m, L)
+        assert want is not None
+        assert _verify_outcome(verify_lattice_map, m, L) == want
+
+
+def test_verify_lattice_map_proves_nothing_on_a_corrupted_order():
+    """Two corruptions of L(4,2), each on a lattice no proof has seen yet
+    (the maps come from a third). "both": a line x that the automorphism
+    moves is put below a plane y not above it, in the up-sets and the
+    down-sets alike, so L's order is no longer inclusion of its atom sets:
+    the lift proves no map, and every outcome, near misses included, is
+    the reference's, which fails the automorphism and the duality. "down": one point is dropped from the
+    down-set of a line above it, the up-sets left alone: L is still
+    atomistic, and an automorphism is still proved by the lift, but the
+    dual order, which the down-sets give, is no longer inclusion of its
+    coatom sets, so the duality is walked, and its ANTI check, which
+    reads down-sets, fails."""
+    F = parse_field("2")
+    f, gamma = _perms_and_duality(enumerate_subspaces(4, F), 4)
+    L = enumerate_subspaces(4, F)
+    x = next(e for e in L.dim_index[2] if f[e] != e)
+    y = next(h for h in L.dim_index[3] if not L.leq_idx(x, h))
+    L.up_masks[x] |= 1 << y
+    L.down_masks[y] |= 1 << x
+    assert not L.verify_atomistic()
+    maps = [LatticeMap(f, AUTO), LatticeMap(gamma, ANTI)]
+    rng = random.Random(4)
+    for perm in (f, gamma):
+        for _ in range(2):
+            near = list(perm)
+            i, j = rng.sample(range(L.size), 2)
+            near[i], near[j] = near[j], near[i]
+            maps += [LatticeMap(tuple(near), AUTO), LatticeMap(tuple(near), ANTI)]
+    outcomes = []
+    for m in maps:
+        assert not semilinear._lift_proves(m, L)
+        want = _verify_outcome(_reference_verify_lattice_map, m, L)
+        assert _verify_outcome(verify_lattice_map, m, L) == want
+        outcomes.append(want)
+    assert outcomes[0] is not None and outcomes[1] is not None
+
+    L = enumerate_subspaces(4, F)
+    k = L.dim_index[2][0]
+    point = next(p for p in L.atoms if L.leq_idx(p, k))
+    L.down_masks[k] &= ~(1 << point)
+    assert L.verify_atomistic() and not L.dual.verify_atomistic()
+    assert semilinear._lift_proves(LatticeMap(f, AUTO), L)
+    verify_lattice_map(LatticeMap(f, AUTO), L)
+    duality = LatticeMap(gamma, ANTI)
+    assert not semilinear._lift_proves(duality, L)
+    with pytest.raises(ValueError, match="anti-automorphism claim fails"):
+        verify_lattice_map(duality, L)
