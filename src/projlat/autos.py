@@ -27,6 +27,7 @@ import json
 import os
 import sys
 from array import array
+from operator import itemgetter
 
 from .gf import parse_field
 from .lattice import (
@@ -79,9 +80,10 @@ def _require_atomistic(S) -> None:
     """Refuse S, a lattice or a projection poset, unless its order is
     inclusion of its stored atom sets: every lift through atom sets rests
     on that. Refuse a poset also unless its ortho is a fixed-point-free
-    involution reversing its order, and keep its atoms' orthocomplements,
-    which the leaf reads: the leaf compares ortho on the atoms only, and
-    that rests on this. Checked once per structure."""
+    involution reversing its order, and keep its elements split by ortho
+    (_split_by_ortho), which the leaf reads: the leaf looks up one member
+    of each ortho pair only, and that rests on this. Checked once per
+    structure."""
     if getattr(S, "_atomistic", False):
         return
     if not S.verify_atomistic():
@@ -92,7 +94,7 @@ def _require_atomistic(S) -> None:
                 f"{S!r}'s orthocomplement is not a fixed-point-free involution "
                 "reversing its order"
             )
-        S._atom_orthos = [S.ortho[x] for x in S.atoms]
+        S._ortho_split = _split_by_ortho(S)
     S._atomistic = True
 
 
@@ -127,17 +129,43 @@ def _ortho_reverses_order(P: ProjectionPoset) -> bool:
     return True
 
 
+def _split_by_ortho(P: ProjectionPoset) -> tuple:
+    """P's elements split for the leaf, given that ortho is a
+    fixed-point-free involution: bottom and top, the atoms, their
+    orthocomplements (the coatoms), and the other elements as ortho pairs
+    (e, ortho[e]) with e < ortho[e], e the pair's representative. Returns
+    the coatoms, lift_part over the coatoms then the representatives, the
+    coatoms' atom sets B(t) = A(ortho x_t), the representatives, and the
+    gather that reads the element permutation, in element order, off the
+    images of bottom, top, the atoms, the coatoms, the representatives
+    and their partners listed in that order. At n <= 2 the categories
+    overlap (at n = 1 the one atom is top, at n = 2 the coatoms are
+    atoms); the gather reads each element's first place."""
+    ortho = P.ortho
+    coatoms = [ortho[x] for x in P.atoms]
+    placed = {P.bottom, P.top, *P.atoms, *coatoms}
+    reps = [e for e in range(P.size) if e not in placed and e < ortho[e]]
+    order = [P.bottom, P.top, *P.atoms, *coatoms, *reps, *map(ortho.__getitem__, reps)]
+    first: dict[int, int] = {}
+    for k, e in enumerate(order):
+        first.setdefault(e, k)
+    gather = itemgetter(*map(first.__getitem__, range(P.size)))
+    coatom_sets = list(map(P.elem_atom_masks.__getitem__, coatoms))
+    return coatoms, P.lift_part(coatoms + reps), coatom_sets, reps, gather
+
+
 def _lift_bijective(S, sigma) -> tuple[int, ...] | None:
     """The lift of sigma, a permutation of S's atom ordinals, to all
     elements of S; None when L's packed lift refuses sigma as no
-    permutation, or when some image atom set belongs to no element. A lift
+    permutation, or when some image atom set belongs to no element. The
+    lattice search's leaf; P's leaf is _lift_poset_atom_perm. A lift
     found is a permutation of the elements, with no count: the stored atom
     sets are pairwise distinct (_mask_index proved it when S was built), a
     permutation of the atoms keeps them distinct, and distinct atom sets
     are distinct elements. That sigma is a permutation is guaranteed by
-    the search core's sorted(perm) test at every leaf, by L's lift, which
-    raises NotAnAtomPermutation otherwise, and by verify_poset_map's
-    is_permutation test. Any other error of a lift propagates."""
+    the search core's sorted(perm) test at every leaf and by L's lift,
+    which raises NotAnAtomPermutation otherwise. Any other error of a lift
+    propagates."""
     try:
         masks = S.lift_atom_masks(sigma)
     except NotAnAtomPermutation:
@@ -625,23 +653,38 @@ def poset_search_plan(P: ProjectionPoset) -> tuple[int, list[int]]:
 def _lift_poset_atom_perm(P: ProjectionPoset, sigma) -> tuple[int, ...] | None:
     """The lift of sigma, a permutation of P's atom ordinals, to all
     elements; None if some image atom set belongs to no element or the
-    lift does not commute with the orthocomplementation. That is compared
-    on the atoms only, eperm[ortho[x]] against ortho[eperm[x]]: the lift
-    is an order automorphism and the guard proved ortho an order
-    anti-automorphism, so eperm . ortho and ortho . eperm are
-    anti-automorphisms. Each element is the join of its atoms, and an
-    anti-automorphism sends that join to the meet of the atoms' images, so
-    two that agree on the atoms agree everywhere. The atom x_t lifts to
-    the atom x_sigma(t), so ortho[eperm[x_t]] is the kept orthocomplement
-    of atom sigma(t)."""
+    lift does not commute with the orthocomplementation. Only the coatoms'
+    and the representatives' image atom sets are built (_split_by_ortho),
+    and only the representatives' are looked up.
+
+    Atoms, bottom and top need no lift: sigma sends {t} to {sigma(t)},
+    the empty set and the full set to themselves. The coatom ortho(x_t)
+    must go to ortho(x_sigma(t)) for the lift to commute with ortho on
+    the atoms, which holds exactly when sigma B(t) = B(sigma(t)); one int
+    compare per coatom, which is also the coatom's lookup. A
+    representative e goes to the element f whose atom set is sigma A(e),
+    and its partner ortho(e) to ortho(f), with no lookup, by the identity
+    the guard proved: A(ortho e) is the AND of B(t) over t in A(e). A
+    permutation of the atoms preserves ANDs, so once sigma B(t) =
+    B(sigma t) for every t, sigma A(ortho e) = AND over t in A(e) of
+    B(sigma t) = AND over s in A(f) of B(s) = A(ortho f). So every
+    element's image atom set is found, the lift commutes with ortho
+    everywhere, and it equals the lift that looks up every element. A partner's own image set is never read:
+    a P whose index missed a partner's set would still be lifted, which
+    is intended, since the guard proved that set to be A(ortho f)."""
     _require_atomistic(P)
-    eperm = _lift_bijective(P, sigma)
-    if eperm is None:
+    coatoms, part, coatom_sets, _, gather = P._ortho_split
+    m = len(coatoms)
+    masks = P.lift_atom_masks(sigma, part)
+    if masks[:m] != list(map(coatom_sets.__getitem__, sigma)):
         return None
-    orthos = P._atom_orthos
-    if list(map(eperm.__getitem__, orthos)) != list(map(orthos.__getitem__, sigma)):
+    found = list(map(P.atom_mask_index.get, masks[m:]))
+    if None in found:
         return None
-    return eperm
+    return gather([
+        P.bottom, P.top, *map(P.atoms.__getitem__, sigma), *map(coatoms.__getitem__, sigma),
+        *found, *map(P.ortho.__getitem__, found),
+    ])
 
 
 def expand_poset_atom_perm(P: ProjectionPoset, perm: tuple[int, ...]):
@@ -808,10 +851,12 @@ def decompose_poset_automorphism(phi: PosetMap, P: ProjectionPoset) -> LatticeMa
     lattice map. The parity is read off the first image family (even when
     its images agree): classify_parity returns that parity or raises, so
     when the rebuild fails it runs first and a failed dichotomy is what
-    gets reported. Every step is checked, so
-    this runs at any lattice length: below length 4, where the theorem
-    does not apply, a map without a witness raises instead (the verbs
-    that rest on the theorem refuse n < 4 themselves).
+    gets reported; when the dichotomy holds, the payload names the first
+    element, in element order, whose rebuilt image differs from phi's,
+    with both images. Every step is checked, so this runs at any lattice
+    length: below length 4, where the theorem does not apply, a map
+    without a witness raises instead (the verbs that rest on the theorem
+    refuse n < 4 themselves).
     """
     perm = phi.perm
     if not P.image_families:
@@ -820,13 +865,17 @@ def decompose_poset_automorphism(phi: PosetMap, P: ProjectionPoset) -> LatticeMa
     odd = len({img[perm[i]] for i in P.image_families[0][1]}) > 1
     f_perm = _recovered_witness(P, perm, odd)
     try:
-        exact = _transport(P, f_perm, odd, "witness") == perm
+        rebuilt = _transport(P, f_perm, odd, "witness")
     except FalsificationError:
         classify_parity(phi, P)
         raise
-    if not exact:
+    if rebuilt != perm:
         classify_parity(phi, P)
-        raise FalsificationError("recovered witness does not reproduce the poset map", {})
+        e = next(e for e, (got, want) in enumerate(zip(rebuilt, perm)) if got != want)
+        raise FalsificationError(
+            "recovered witness does not reproduce the poset map",
+            {"element": e, "image": perm[e], "rebuilt": rebuilt[e]},
+        )
     fmap = LatticeMap(f_perm, ANTI if odd else AUTO)
     verify_lattice_map(fmap, P.lattice)
     return fmap
@@ -836,7 +885,9 @@ def poset_atom_perm_from_lattice(
     P: ProjectionPoset, lattice_perm: tuple[int, ...], odd: bool
 ) -> tuple[int, ...]:
     """Fast path: the action on P-atoms induced by a lattice map, without
-    materializing the full poset permutation."""
+    materializing the full poset permutation. When the map sends a P-atom
+    to no P-atom, the payload names the first such atom's ordinal and its
+    image pair (image, kernel)."""
     _require_atomistic(P)
     rows, lp, ordinal = P.pair_rows, lattice_perm, P.atom_ordinal
     if len(lp) != P.lattice.size:
@@ -846,8 +897,11 @@ def poset_atom_perm_from_lattice(
             return tuple([ordinal[rows[lp[b]][lp[a]]] for a, b in P.atom_pairs])
         return tuple([ordinal[rows[lp[a]][lp[b]]] for a, b in P.atom_pairs])
     except KeyError:
+        images = [(lp[b], lp[a]) if odd else (lp[a], lp[b]) for a, b in P.atom_pairs]
+        t = next(t for t, (a, b) in enumerate(images) if rows[a][b] not in ordinal)
         raise FalsificationError(
-            "lattice map sends a projection atom to no atom of the poset", {}
+            "lattice map sends a projection atom to no atom of the poset",
+            {"atom": t, "image": images[t]},
         ) from None
 
 

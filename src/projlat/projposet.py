@@ -146,24 +146,44 @@ class ProjectionPoset(FiniteOrder):
         self.elem_atom_masks = self.lift_atom_masks(range(len(self.atoms)))
         self.atom_mask_index = _mask_index(self.elem_atom_masks, "atom set")
 
-    def _product(self, img_values, ker_values, img_lists, ker_lists) -> list[int]:
+    def _product(self, img_values, ker_values, img_lists, ker_lists, pairs=None) -> list[int]:
         """The image x kernel product: entry (a, b) is the OR of img_values
         at the indices in img_lists[a], ANDed with the OR of ker_values at
-        those in ker_lists[b]."""
+        those in ker_lists[b], for each pair (a, b) of pairs, by default
+        P's elements."""
         img = or_lists(img_values, img_lists)
         ker = or_lists(ker_values, ker_lists)
-        return [img[a] & ker[b] for a, b in self.pairs]
+        return [img[a] & ker[b] for a, b in (self.pairs if pairs is None else pairs)]
 
-    def lift_atom_masks(self, sigma) -> list[int]:
+    def lift_atom_masks(self, sigma, part=None) -> list[int]:
         """The atom set of every element's image under sigma, a permutation
-        of the atom ordinals. A bijection of the atoms commutes with unions
-        and intersections, so this is the atoms sigma sends each element's
-        atoms to, and elem_atom_masks is the lift of the identity."""
+        of the atom ordinals; with part, from lift_part(elements), of those
+        elements' images only, in that order. A bijection of the atoms
+        commutes with unions and intersections, so this is the atoms sigma
+        sends each element's atoms to, and elem_atom_masks is the lift of
+        the identity."""
         bits = [1 << y for y in sigma]
+        if part is None:
+            part = self.lattice.atom_lists, self._hyperplanes_over, None
+        img_lists, ker_lists, pairs = part
         return self._product(
             or_lists(bits, self._on_point), or_lists(bits, self._on_hyperplane),
-            self.lattice.atom_lists, self._hyperplanes_over,
+            img_lists, ker_lists, pairs,
         )
+
+    def lift_part(self, elements) -> tuple:
+        """What lift_atom_masks reads to lift the given elements only: the
+        lists of the L-elements they name, images and kernels apart, each
+        once, and each element as its pair of positions in those lists."""
+        images: dict[int, int] = {}
+        kernels: dict[int, int] = {}
+        pairs = [
+            (images.setdefault(self.image[e], len(images)),
+             kernels.setdefault(self.kernel[e], len(kernels)))
+            for e in elements
+        ]
+        atom_lists, over = self.lattice.atom_lists, self._hyperplanes_over
+        return [atom_lists[a] for a in images], [over[b] for b in kernels], pairs
 
     @cached_property
     def pair_rows(self) -> list[list[int | None]]:

@@ -36,16 +36,71 @@ MUTANTS = [
     ),
     (
         "projlat/autos.py",
-        "    if list(map(eperm.__getitem__, orthos)) != list(map(orthos.__getitem__, sigma)):\n",
-        "    half = len(sigma) // 2\n"
-        "    if list(map(eperm.__getitem__, orthos[:half])) != list(\n"
-        "        map(orthos.__getitem__, sigma[:half])\n"
-        "    ):\n",
+        "    if masks[:m] != list(map(coatom_sets.__getitem__, sigma)):\n",
+        "    if masks[: m // 2] != list(map(coatom_sets.__getitem__, sigma[: m // 2])):\n",
         [
             "tests/test_autos.py::"
             "test_every_atom_perm_of_mo4_checks_the_orthocomplement_on_every_atom",
         ],
-        "the leaf compares ortho on the first half of the atoms only",
+        "the leaf compares the coatoms' image sets for the first half of the atoms only",
+    ),
+    (
+        "projlat/autos.py",
+        "    if masks[:m] != list(map(coatom_sets.__getitem__, sigma)):\n        return None\n",
+        "",
+        [
+            "tests/test_autos.py::"
+            "test_every_atom_perm_of_mo4_checks_the_orthocomplement_on_every_atom",
+            "tests/test_autos.py::test_leaf_matches_reference_on_seeded_near_misses[3-2]",
+        ],
+        "the leaf drops the coatom compare, its ortho check on the atoms",
+    ),
+    (
+        "projlat/autos.py",
+        "    coatoms, part, coatom_sets, _, gather = P._ortho_split\n"
+        "    m = len(coatoms)\n"
+        "    masks = P.lift_atom_masks(sigma, part)\n"
+        "    if masks[:m] != list(map(coatom_sets.__getitem__, sigma)):\n"
+        "        return None\n"
+        "    found = list(map(P.atom_mask_index.get, masks[m:]))\n",
+        "    coatoms, part, coatom_sets, reps, gather = P._ortho_split\n"
+        "    m = len(coatoms)\n"
+        "    masks = P.lift_atom_masks(sigma, part)\n"
+        "    if masks[:m] != list(map(coatom_sets.__getitem__, sigma)):\n"
+        "        return None\n"
+        "    found = [*reps[:1], *map(P.atom_mask_index.get, masks[m + 1 :])]\n",
+        [
+            "tests/test_autos.py::test_leaf_looks_up_every_representative_and_no_partner",
+            "tests/test_autos.py::test_leaf_matches_reference_on_seeded_near_misses[4-2]",
+        ],
+        "the leaf takes the first representative to be fixed, without its lookup",
+    ),
+    (
+        "projlat/autos.py",
+        "    if None in found:\n        return None\n",
+        "",
+        ["tests/test_autos.py::test_leaf_looks_up_every_representative_and_no_partner"],
+        "the leaf drops the None test on the representatives' lookups",
+    ),
+    (
+        "projlat/autos.py",
+        "        if not _ortho_reverses_order(S):\n"
+        "            raise FalsificationError(\n"
+        "                f\"{S!r}'s orthocomplement is not a fixed-point-free involution \"\n"
+        "                \"reversing its order\"\n"
+        "            )\n"
+        "        S._ortho_split = _split_by_ortho(S)\n",
+        "        S._ortho_split = _split_by_ortho(S)\n"
+        "        if not _ortho_reverses_order(S):\n"
+        "            raise FalsificationError(\n"
+        "                f\"{S!r}'s orthocomplement is not a fixed-point-free involution \"\n"
+        "                \"reversing its order\"\n"
+        "            )\n",
+        [
+            "tests/test_autos.py::"
+            "test_ortho_with_a_fixed_point_is_refused_before_the_leaf_split",
+        ],
+        "the leaf's split by ortho pairs is made before ortho is proved an involution",
     ),
     (
         "projlat/semilinear.py",
@@ -91,6 +146,60 @@ MUTANTS = [
             "test_search_core_matches_previous_core_where_narrowings_fail[poset-2-3]",
         ],
         "the search core sends an atom to an image a forced atom already has",
+    ),
+    (
+        "projlat/autos.py",
+        "    if not P.image_families:\n"
+        "        classify_parity(phi, P)  # raises: no family fixes a parity\n",
+        "",
+        ["tests/test_autos.py::test_decompose_matches_previous[1-2]"],
+        "the decomposition reads the first image family of a P that has none",
+    ),
+    (
+        "projlat/autos.py",
+        "    except FalsificationError:\n        classify_parity(phi, P)\n        raise\n",
+        "    except FalsificationError:\n        raise\n",
+        [
+            "tests/test_autos.py::test_decompose_matches_previous[3-2]",
+            "tests/test_autos.py::test_decompose_classifies_only_when_the_rebuild_fails",
+        ],
+        "a rebuild leaving the poset is reported without classify_parity's verdict",
+    ),
+    (
+        "projlat/autos.py",
+        "    if rebuilt != perm:\n        classify_parity(phi, P)\n",
+        "    if rebuilt != perm:\n",
+        ["tests/test_autos.py::test_decompose_matches_previous[3-2]"],
+        "a rebuild differing from the map is reported without classify_parity's verdict",
+    ),
+    (
+        "projlat/autos.py",
+        "        not_y, off = ~(1 << y), ~used\n",
+        "        not_y, off = ~(1 << y), ~(1 << y)\n",
+        [
+            "tests/test_autos.py::"
+            "test_search_core_matches_previous_core_where_narrowings_fail[lattice-3-2]",
+        ],
+        "L's narrowing lets an atom on no assigned line go onto an image line",
+    ),
+    (
+        "projlat/autos.py",
+        "        masks = [lm & not_y if lm else off for lm in lines]\n",
+        "        masks = [lm if lm else off for lm in lines]\n",
+        ["tests/test_autos.py::test_search_core_matches_previous_core[lattice-3-2]"],
+        "L's narrowing keeps y itself in the image lines",
+    ),
+    (
+        "projlat/autos.py",
+        "        for z, w in zip(forced, images):\n"
+        "            if not masks[ids[z]] >> w & 1:\n"
+        "                return None\n",
+        "",
+        [
+            "tests/test_autos.py::"
+            "test_search_core_matches_previous_core_where_narrowings_fail[lattice-3-2]",
+        ],
+        "L's narrowing drops its check of the forced atoms",
     ),
     (
         "projlat/lattice.py",

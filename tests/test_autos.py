@@ -944,19 +944,26 @@ class _HorizontalSum(ProjectionPoset):
     each other's orthocomplements, each atom also a coatom. Its atoms form
     an antichain, so every atom permutation lifts to an order
     automorphism, and the orthocomplement check alone decides the leaf.
-    The lift is the reference's, one OR per atom-element incidence."""
+    The lift is the reference's, one OR per atom-element incidence, and a
+    part of it is a list of elements."""
 
     def __init__(self, k):
         self.size = 2 * k + 2
-        top = self.size - 1
-        self.atoms = list(range(1, top))
-        self.up_masks = [(1 << self.size) - 1, *(1 << a | 1 << top for a in self.atoms), 1 << top]
-        self.ortho = [top, *(a + 1 if a % 2 else a - 1 for a in self.atoms), 0]
+        self.bottom, self.top = 0, self.size - 1
+        self.atoms = list(range(1, self.top))
+        self.up_masks = [
+            (1 << self.size) - 1, *(1 << a | 1 << self.top for a in self.atoms), 1 << self.top
+        ]
+        self.ortho = [self.top, *(a + 1 if a % 2 else a - 1 for a in self.atoms), 0]
         self.elem_atom_masks = atom_masks(self.up_masks, self.atoms)
         self.atom_mask_index = {mask: e for e, mask in enumerate(self.elem_atom_masks)}
 
-    def lift_atom_masks(self, sigma):
-        return _reference_image_masks(self, sigma)
+    def lift_part(self, elements):
+        return list(elements)
+
+    def lift_atom_masks(self, sigma, part=None):
+        masks = _reference_image_masks(self, sigma)
+        return masks if part is None else [masks[e] for e in part]
 
     def __repr__(self):
         return f"MO_{len(self.atoms) // 2}"
@@ -965,16 +972,97 @@ class _HorizontalSum(ProjectionPoset):
 def test_every_atom_perm_of_mo4_checks_the_orthocomplement_on_every_atom():
     """On MO_4 the leaf keeps exactly the 4! * 2^4 = 384 atom permutations
     that permute the four blocks, flipping any of them, and agrees with
-    the reference on all 8! of them. The last two blocks lie in the
-    second half of the atom order, so a check on the first half alone
-    would keep the swap of elements 5 and 7 (atom ordinals 4 and 6),
-    which breaks both blocks."""
+    the reference on all 8! of them. Each atom's orthocomplement is an
+    atom, so the leaf's coatom compare alone decides. The last two blocks
+    lie in the second half of the atom order, so a compare on the first
+    half alone would keep the swap of elements 5 and 7 (atom ordinals 4
+    and 6), which breaks both blocks."""
     P = _HorizontalSum(4)
     perms = list(itertools.permutations(range(8)))
     kept = [expand_poset_atom_perm(P, sigma) for sigma in perms]
     assert kept == [_reference_expand(P, sigma) for sigma in perms]
     assert sum(e is not None for e in kept) == 384
     assert expand_poset_atom_perm(P, (0, 1, 2, 3, 6, 5, 4, 7)) is None
+
+
+def _representatives(P):
+    """One element of each ortho pair whose image is neither a point nor
+    a hyperplane, nor 0 nor the whole space: the lower-numbered."""
+    n = P.lattice.n
+    return [e for e in range(P.size) if 1 < P.grade[e] < n - 1 and e < P.ortho[e]]
+
+
+def test_leaf_looks_up_every_representative_and_no_partner(P42, monkeypatch):
+    """The leaf looks up the image atom set of one element of each ortho
+    pair of the middle grade, the representative, and derives its partner
+    by ortho. With one representative's set missing from a copy of the
+    atom-set index, the identity's lift refuses, for every one of the 280
+    representatives at (4,2). With one partner's set missing, it still
+    lifts: the guard proved that set to be the AND the leaf never builds,
+    so this is intended."""
+    poset_search_plan(P42)
+    reps = _representatives(P42)
+    assert P42._ortho_split[3] == reps and len(reps) == 280
+    ident, index = tuple(range(len(P42.atoms))), P42.atom_mask_index
+    identity = tuple(range(P42.size))
+    assert expand_poset_atom_perm(P42, ident) == identity
+    for rep in reps:
+        for e, lifts in ((rep, False), (P42.ortho[rep], True)):
+            monkeypatch.setattr(P42, "atom_mask_index", {m: i for m, i in index.items() if i != e})
+            assert expand_poset_atom_perm(P42, ident) == (identity if lifts else None)
+
+
+@pytest.mark.parametrize(
+    "n, spec",
+    [(1, "2"), (1, "3"), (2, "2"), (2, "3"), (3, "2"), (3, "3"), (3, "2^2"), (4, "2"), (3, "5")],
+)
+def test_leaf_matches_reference_on_seeded_near_misses(n, spec):
+    """The leaf equals the reference, which looks up every element's
+    image and compares ortho on every element, on the identity, a genuine
+    even map, the duality's odd map, and 60 seeded near misses of those:
+    one transposition or one 3-cycle of atom images. At n = 1 the one
+    atom is top and its orthocomplement bottom; at n = 2 the atoms'
+    orthocomplements are atoms; n = 3 has no representatives."""
+    L = enumerate_subspaces(n, parse_field(spec))
+    P = build_projection_poset(L)
+    m = len(P.atoms)
+    maps = [tuple(range(m)), poset_atom_perm_from_lattice(P, standard_duality(L).perm, odd=True)]
+    if n > 1:
+        f = next(iter_lattice_atom_perms(L, restrict_first={lattice_search_plan(L)[1][-1]}))[1]
+        maps.append(poset_atom_perm_from_lattice(P, f, odd=False))
+    for sigma in maps:
+        assert expand_poset_atom_perm(P, sigma) == _reference_expand(P, sigma) is not None
+    if m < 3:
+        assert m == 1 and P.atoms == [P.top]
+        return
+    rng = random.Random(n * 100 + len(spec) + 7)
+    kept = 0
+    for k in range(60):
+        near = list(rng.choice(maps))
+        picked = rng.sample(range(m), 2 + k % 2)
+        moved = [near[i] for i in picked]
+        for i, y in zip(picked, moved[1:] + moved[:1]):
+            near[i] = y
+        lifted = expand_poset_atom_perm(P, near)
+        assert lifted == _reference_expand(P, near)
+        kept += lifted is not None
+    assert kept < 60
+
+
+def test_ortho_with_a_fixed_point_is_refused_before_the_leaf_split(L32):
+    """P(3,2) with one atom made its own orthocomplement: the guard
+    refuses P as it would any ortho that is no fixed-point-free
+    involution, before the leaf's split by ortho pairs is made, which
+    would find that atom's old partner in no pair."""
+    P = build_projection_poset(L32)
+    P.ortho[P.atoms[0]] = P.atoms[0]
+    for refused in (
+        lambda: poset_search_plan(P),
+        lambda: expand_poset_atom_perm(P, tuple(range(len(P.atoms)))),
+    ):
+        with pytest.raises(FalsificationError, match="not a fixed-point-free involution"):
+            refused()
+    assert not hasattr(P, "_ortho_split")
 
 
 def test_ortho_that_does_not_reverse_the_order_is_refused(L32):
@@ -1697,19 +1785,24 @@ def _previous_transport(P, lattice_perm, odd, what):
 
 
 def _previous_poset_atom_perm_from_lattice(P, lattice_perm, odd):
-    """Reference: the atom action through the flat pair table, as it was."""
+    """Reference: the atom action through the flat pair table, as it was,
+    with the payload naming the first atom sent to no atom, found by a
+    walk over the atoms in order."""
     autos._require_atomistic(P)
     table, w, lp, ordinal = _flat_pair_table(P), P.lattice.size, lattice_perm, P.atom_ordinal
     if len(lp) != w:
         raise ValueError("lattice map size does not match the poset's lattice")
-    try:
-        if odd:
-            return tuple([ordinal[table[lp[b] * w + lp[a]]] for a, b in P.atom_pairs])
-        return tuple([ordinal[table[lp[a] * w + lp[b]]] for a, b in P.atom_pairs])
-    except KeyError:
-        raise FalsificationError(
-            "lattice map sends a projection atom to no atom of the poset", {}
-        ) from None
+    out = []
+    for t, (a, b) in enumerate(P.atom_pairs):
+        image = (lp[b], lp[a]) if odd else (lp[a], lp[b])
+        y = ordinal.get(table[image[0] * w + image[1]])
+        if y is None:
+            raise FalsificationError(
+                "lattice map sends a projection atom to no atom of the poset",
+                {"atom": t, "image": image},
+            )
+        out.append(y)
+    return tuple(out)
 
 
 def _previous_decompose(phi, P):
@@ -1779,6 +1872,44 @@ def test_transports_match_previous(n, spec):
         assert _call_outcome(poset_atom_perm_from_lattice, P, tuple(swap), True)[1] == (
             "lattice map sends a projection atom to no atom of the poset"
         )
+
+
+def test_atom_action_names_the_first_atom_sent_to_no_atom(L32, P32):
+    """A swap of a point with a complementary hyperplane sends some
+    P-atoms to no P-atom. The payload names the first of them, by atom
+    ordinal, and the (image, kernel) pair it goes to, which is no atom,
+    under the map and under the map read as an anti-automorphism."""
+    x = L32.atoms[0]
+    h = next(b for a, b in P32.pairs if a == x and b in L32.coatoms)
+    swap = list(range(L32.size))
+    swap[x], swap[h] = h, x
+    for odd in (False, True):
+        with pytest.raises(FalsificationError, match="sends a projection atom to no atom") as exc:
+            poset_atom_perm_from_lattice(P32, tuple(swap), odd=odd)
+        t, image = exc.value.payload["atom"], exc.value.payload["image"]
+        a, b = P32.atom_pairs[t]
+        assert image == ((swap[b], swap[a]) if odd else (swap[a], swap[b]))
+        assert P32.index.get(image) not in P32.atom_ordinal
+        for a, b in P32.atom_pairs[:t]:
+            pair = (swap[b], swap[a]) if odd else (swap[a], swap[b])
+            assert P32.index.get(pair) in P32.atom_ordinal
+
+
+def test_decompose_names_the_first_element_the_rebuild_misses(P32):
+    """The identity with two projections of one image family exchanged:
+    every family still shares its image, so the dichotomy holds (even),
+    and the recovered witness is the identity, whose rebuild differs from
+    the map at the lower of the two. The payload names that element, the
+    map's image of it and the rebuild's."""
+    _, group = P32.image_families[0]
+    e, f = group[0], group[1]
+    perm = list(range(P32.size))
+    perm[e], perm[f] = f, e
+    phi = PosetMap(tuple(perm), UNKNOWN)
+    assert classify_parity(phi, P32) == EVEN
+    with pytest.raises(FalsificationError, match="does not reproduce the poset map") as exc:
+        decompose_poset_automorphism(phi, P32)
+    assert exc.value.payload == {"element": min(e, f), "image": max(e, f), "rebuilt": min(e, f)}
 
 
 def _swapped(base, old, new):
