@@ -53,7 +53,7 @@ from .maps import (
     perm_compose,
     perm_inverse,
 )
-from .matrices import identity, scale_vec, vec_mat
+from .matrices import identity, vec_mat
 from .projposet import ProjectionPoset, build_projection_poset
 from .reports import CampaignReport, canonical_json, sha256_of
 from .semilinear import standard_duality, verify_lattice_map
@@ -432,8 +432,8 @@ def semilinear_atom_perms(L: SubspaceLattice) -> set[bytes]:
     with omega primitive (q > 2) and the Frobenius (k > 1). Conjugates of
     the transvection I + e_01 give every elementary transvection, hence
     SL(n, q), and the diagonal adds every determinant. A matrix acts on row
-    vectors; each image, scaled to lead with 1, is its atom's canonical
-    vector, so nothing is row-reduced. The result has |PGammaL(n, q)|
+    vectors; each image is looked up in L's point table, scaled to lead
+    with 1, so nothing is row-reduced. The result has |PGammaL(n, q)|
     maps, so ambients where that order exceeds SEMILINEAR_LIMIT are refused.
     """
     F = L.field
@@ -445,13 +445,10 @@ def semilinear_atom_perms(L: SubspaceLattice) -> set[bytes]:
             f"limit {SEMILINEAR_LIMIT}"
         )
     atom_vecs = [L.atom_vector(a) for a in L.atoms]
-    ordinal = {v: t for t, v in enumerate(atom_vecs)}
+    ordinal, point_of = L.atom_ordinal, L.point_of
 
     def atom_action(image) -> bytes:
-        perm = []
-        for v in atom_vecs:
-            w = image(v)
-            perm.append(ordinal[scale_vec(F, F.inv_table[next(x for x in w if x)], w)])
+        perm = [ordinal[point_of(image(v))] for v in atom_vecs]
         if not is_permutation(perm):
             raise FalsificationError("a semilinear generator does not permute the atoms")
         return bytes(perm)
@@ -528,22 +525,6 @@ class _DenseIds(dict):
 
     def __missing__(self, key) -> int:
         value = self[key] = len(self)
-        return value
-
-
-class _Memo(dict):
-    """fn(key), evaluated once per distinct key. With `canon`, each key is
-    stored as canon[key], so memos sharing one canon share their keys."""
-
-    def __init__(self, fn, canon=None):
-        super().__init__()
-        self.fn = fn
-        self.canon = canon
-
-    def __missing__(self, key):
-        if self.canon is not None:
-            key = self.canon[key]
-        value = self[key] = self.fn(key)
         return value
 
 

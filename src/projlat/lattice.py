@@ -23,6 +23,7 @@ from .matrices import (
     as_matrix,
     in_row_space,
     row_space,
+    scale_vec,
 )
 from .reports import CampaignReport
 
@@ -320,6 +321,21 @@ class SubspaceLattice(FiniteOrder):
     def atom_vector(self, i: int) -> tuple[int, ...]:
         """Canonical spanning vector of an atom (its single RREF basis row)."""
         return self.elements[i].basis[0]
+
+    @cached_property
+    def point_index(self) -> dict[tuple[int, ...], int]:
+        """The canonical vector -> point table: each point's single RREF
+        row, which leads with 1. Built on first use."""
+        return {self.elements[a].basis[0]: a for a in self.atoms}
+
+    def point_of(self, v) -> int:
+        """The point spanned by the nonzero vector v, with no row
+        reduction: v scaled by the inverse of its first nonzero entry
+        leads with 1, and is that point's key in point_index."""
+        lead = next((x for x in v if x), 0)
+        if not lead:
+            raise ValueError("the zero vector spans no point")
+        return self.point_index[scale_vec(self.field, self.field.inv_table[lead], v)]
 
     def __repr__(self) -> str:
         return f"SubspaceLattice({self.field.spec()}^{self.n}, {self.size} elements)"

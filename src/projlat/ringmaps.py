@@ -25,7 +25,6 @@ from . import autos
 from .autos import (
     CampaignReport,
     FalsificationError,
-    _Memo,
     decompose_poset_automorphism,
     verify_poset_map,
 )
@@ -49,7 +48,13 @@ from .matrices import (
     zeros,
 )
 from .projposet import ProjectionPoset, idempotent_to_subspaces
-from .semilinear import SemilinearMap, match_semilinear, standard_duality
+from .semilinear import (
+    RowEvaluator,
+    SemilinearMap,
+    _Memo,
+    match_semilinear,
+    standard_duality,
+)
 
 
 def matrix_units(F: GF, n: int) -> list[list[Matrix]]:
@@ -93,19 +98,33 @@ def _shared_rows(F: GF, n: int) -> _Memo:
     return _Memo(lambda row: row)
 
 
+def _ring_tables(s: SemilinearMap) -> tuple[_Memo, _Memo]:
+    """The row tables right[r] = twist(r) M and left[c] = c (M^-1)^t of
+    s, filled lazily, each row by row multiples. Built on first use and
+    kept on s, so the automorphism and the anti-automorphism of s share
+    them."""
+    tables = getattr(s, "_ring_tables", None)
+    if tables is None:
+        F = s.field
+        rows = _shared_rows(F, s.n)
+        left = RowEvaluator(F, transpose(mat_inv(F, s.matrix)), F.frobenius(0))
+        tables = (
+            _Memo(lambda r: rows[s.apply_vector(r)], rows),
+            _Memo(lambda c: rows[left(c)], rows),
+        )
+        object.__setattr__(s, "_ring_tables", tables)
+    return tables
+
+
 def _row_table_apply(s: SemilinearMap, by_columns: bool):
     """T -> M^-1 twist(T) M, or with twist(T) transposed when by_columns,
-    through two lazily filled row tables instead of matrix products.
+    through s's two row tables instead of matrix products.
 
     The rows of twist(T) M are right[r] = twist(r) M over the rows r of T
     (its columns when by_columns), and M^-1 X is the transpose of the
     matrix whose rows are left[c] = c (M^-1)^t over the columns c of X.
     """
-    F = s.field
-    rows = _shared_rows(F, s.n)
-    m_inv_t = transpose(mat_inv(F, s.matrix))
-    right = _Memo(lambda r: rows[s.apply_vector(r)], rows).__getitem__
-    left = _Memo(lambda c: rows[vec_mat(F, c, m_inv_t)], rows).__getitem__
+    right, left = (table.__getitem__ for table in _ring_tables(s))
 
     def apply(t: Matrix) -> Matrix:
         x = map(right, zip(*t) if by_columns else t)

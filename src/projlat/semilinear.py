@@ -22,7 +22,9 @@ from .lattice import NotAnAtomPermutation, Subspace, SubspaceLattice
 from .maps import ANTI, AUTO, LatticeMap
 from .matrices import (
     Matrix,
+    SingularMatrixError,
     as_matrix,
+    dims,
     identity,
     is_invertible,
     mat_inv,
@@ -38,6 +40,45 @@ class MatchFailure(ValueError):
     """No semilinear witness reproduces the map."""
 
 
+class _Memo(dict):
+    """fn(key), evaluated once per distinct key. With `canon`, each key is
+    stored as canon[key], so memos sharing one canon share their keys."""
+
+    def __init__(self, fn, canon=None):
+        super().__init__()
+        self.fn = fn
+        self.canon = canon
+
+    def __missing__(self, key):
+        if self.canon is not None:
+            key = self.canon[key]
+        value = self[key] = self.fn(key)
+        return value
+
+
+class RowEvaluator:
+    """v -> sum_i twist(v_i) * rows[i], which is twist(v) @ rows, read
+    from the row multiples twist(x) * rows[i]: each is filled on first
+    use, so there are at most len(rows) * q of them, and zero
+    coordinates are skipped."""
+
+    def __init__(self, F: GF, rows: Matrix, twist: FieldAutomorphism):
+        self.add = F.add_table
+        self.shape = dims(rows)
+        sigma = twist.table
+        self.multiples = [_Memo(lambda x, r=r: scale_vec(F, sigma[x], r)) for r in rows]
+
+    def __call__(self, v) -> tuple[int, ...]:
+        if len(v) != self.shape[0]:
+            raise ValueError(f"shape mismatch: len {len(v)} vs {self.shape}")
+        add, out = self.add, None
+        for x, multiples in zip(v, self.multiples):
+            if x:
+                w = multiples[x]
+                out = w if out is None else tuple([add[a][b] for a, b in zip(out, w)])
+        return (0,) * self.shape[1] if out is None else out
+
+
 @dataclass(frozen=True)
 class SemilinearMap:
     field: GF
@@ -49,6 +90,14 @@ class SemilinearMap:
             raise ValueError("twist belongs to a different field")
         if not is_invertible(self.field, self.matrix):
             raise ValueError("semilinear map requires an invertible matrix")
+        # the evaluator and its row multiples are not dataclass fields, so
+        # equality and hashing stay on (field, matrix, twist)
+        object.__setattr__(self, "_rows", RowEvaluator(self.field, self.matrix, self.twist))
+
+    def __reduce__(self):
+        # pickled by its fields; the evaluator, and the ring tables that
+        # ringmaps keeps here, hold closures and are rebuilt on first use
+        return (type(self), (self.field, self.matrix, self.twist))
 
     @classmethod
     def identity_map(cls, F: GF, n: int) -> "SemilinearMap":
@@ -59,7 +108,8 @@ class SemilinearMap:
         return len(self.matrix)
 
     def apply_vector(self, v) -> tuple[int, ...]:
-        return vec_mat(self.field, self.twist.on_vector(v), self.matrix)
+        """twist(v) @ matrix, from this map's row multiples."""
+        return self._rows(v)
 
     def apply_subspace(self, s: Subspace) -> Subspace:
         rows = [self.apply_vector(r) for r in s.basis]
@@ -217,8 +267,11 @@ def match_semilinear(f: LatticeMap, L: SubspaceLattice) -> SemilinearMap:
     Requires ambient dimension >= 3. The matrix comes from the images of
     the n coordinate points scaled to agree on the all-ones point; the
     twist is read off the pencil of points on the line through the first
-    two coordinate points and must be a Frobenius power. The witness is
-    verified against f on every lattice element before being returned.
+    two coordinate points and must be a Frobenius power. Every point read
+    leads with 1, so it is looked up in L.point_index, and each image must
+    be a point, whose RREF row is its vector: recovery row-reduces only to
+    invert the frame. The witness is verified against f on every lattice
+    element before being returned.
     """
     F = L.field
     n = L.n
@@ -226,32 +279,36 @@ def match_semilinear(f: LatticeMap, L: SubspaceLattice) -> SemilinearMap:
         raise ValueError(f"witness recovery requires ambient dimension >= 3, got {n}")
     if f.direction != AUTO:
         raise ValueError("only automorphisms have semilinear witnesses")
+    points, ordinal, elements, perm = L.point_index, L.atom_ordinal, L.elements, f.perm
 
-    def atom_rep(subspace_index: int) -> tuple[int, ...]:
-        return L.elements[subspace_index].basis[0]
+    def image_vector(v) -> tuple[int, ...]:
+        image = perm[points[v]]
+        if image not in ordinal:
+            raise MatchFailure(f"the point {v} is sent to element {image}, which is not a point")
+        return elements[image].basis[0]
 
-    def point_index(v) -> int:
-        return L.index[Subspace.span(F, n, (v,))]
-
-    e = identity(n)
-    y = [atom_rep(f.perm[point_index(e[i])]) for i in range(n)]
-    y_mat = as_matrix(y)
-    if not is_invertible(F, y_mat):
-        raise MatchFailure("images of coordinate points are dependent")
-    ones = (1,) * n
-    r = atom_rep(f.perm[point_index(ones)])
-    c = vec_mat(F, r, mat_inv(F, y_mat))
-    if any(x == 0 for x in c):
+    y = [image_vector(e) for e in identity(n)]
+    try:
+        y_inv = mat_inv(F, y)
+    except SingularMatrixError:
+        raise MatchFailure("images of coordinate points are dependent") from None
+    c = vec_mat(F, image_vector((1,) * n), y_inv)
+    if not all(c):
         raise MatchFailure("image of the unit point misses a coordinate image")
-    m = as_matrix(scale_vec(F, ci, yi) for ci, yi in zip(c, y))
-    m_inv = mat_inv(F, m)
+    # the witness has rows k c_i y_i, with k = 1 / c_0 so that its first
+    # row leads with 1, as y_0 does; its inverse is y^-1 with column j
+    # divided by k c_j
+    mul, inv = F.mul_table, F.inv_table
+    scales = [mul[inv[c[0]]][x] for x in c]
+    m = as_matrix(scale_vec(F, x, yi) for x, yi in zip(scales, y))
+    unscales = [inv[x] for x in scales]
+    m_inv = as_matrix([mul[x][u] for x, u in zip(row, unscales)] for row in y_inv)
 
     # twist from the line through the first two coordinate points
     sigma_table = [0] * F.q
     for lam in F.elements():
         v = (1, lam) + (0,) * (n - 2)
-        d = atom_rep(f.perm[point_index(v)])
-        t = vec_mat(F, d, m_inv)
+        t = vec_mat(F, image_vector(v), m_inv)
         if t[0] == 0 or any(t[j] for j in range(2, n)):
             raise MatchFailure(f"image of pencil point {v} leaves the pencil")
         sigma_table[lam] = F.div(t[1], t[0])
@@ -259,7 +316,7 @@ def match_semilinear(f: LatticeMap, L: SubspaceLattice) -> SemilinearMap:
     if sigma is None:
         raise MatchFailure(f"pencil action {sigma_table} is not a field automorphism")
 
-    s = SemilinearMap(F, m, sigma).normalized()
+    s = SemilinearMap(F, m, sigma)
     induced = induced_lattice_map(s, L)
     if induced.perm != f.perm:
         raise MatchFailure("candidate witness does not reproduce the map")

@@ -279,6 +279,43 @@ MUTANTS = [
         ],
         "every pair counts as a dual-modular pair",
     ),
+    (
+        "projlat/lattice.py",
+        "        return self.point_index[scale_vec(self.field, self.field.inv_table[lead], v)]\n",
+        "        return self.point_index[tuple(v)]\n",
+        [
+            "tests/test_semilinear.py::test_point_table_agrees_with_span[3-3]",
+            "tests/test_autos.py::test_semilinear_oracle_matches_brute_force[3-3]",
+        ],
+        "the point lookup reads the vector without scaling it to lead with 1",
+    ),
+    (
+        "projlat/semilinear.py",
+        "        self.multiples = [_Memo(lambda x, r=r: scale_vec(F, sigma[x], r)) for r in rows]\n",
+        "        self.multiples = [_Memo(lambda x, r=r: scale_vec(F, x, r)) for r in rows]\n",
+        [
+            "tests/test_semilinear.py::test_apply_vector_equals_vec_mat_on_every_vector[3-2^2]",
+            "tests/test_semilinear.py::test_match_semilinear_recovers_frobenius",
+        ],
+        "the row multiples are built with x in place of twist(x)",
+    ),
+    (
+        "projlat/semilinear.py",
+        "    unscales = [inv[x] for x in scales]\n",
+        "    unscales = scales\n",
+        ["tests/test_semilinear.py::test_match_semilinear_recovers_frobenius"],
+        "the pencil inverse multiplies column j by k c_j instead of dividing by it",
+    ),
+    (
+        "projlat/ringmaps.py",
+        "        object.__setattr__(s, \"_ring_tables\", tables)\n",
+        "        setattr(type(s), \"_ring_tables\", tables)\n",
+        [
+            "tests/test_ringmaps.py::test_ring_maps_of_one_witness_share_its_row_tables",
+            "tests/test_ringmaps.py::test_row_tables_match_products_on_every_matrix[2-3]",
+        ],
+        "the ring tables of one witness are read by the ring maps of every other",
+    ),
 ]
 
 

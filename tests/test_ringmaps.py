@@ -3,6 +3,7 @@ witness extraction from black-box ring isomorphisms, restriction to the
 projection poset, and the even-extension construction."""
 
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -243,6 +244,30 @@ def test_row_tables_match_products_on_drawn_inputs():
             assert _ring_map(s, direction).apply(t) == _reference_apply(s, direction)(t)
 
     prop()
+
+
+def test_ring_maps_of_one_witness_share_its_row_tables(f4):
+    """The automorphism and the anti-automorphism of one witness read one
+    pair of row tables, kept on it, each table filled by the other's
+    applications too; a second witness keeps its own pair."""
+    from projlat import ringmaps
+
+    rng = random.Random(61)
+    s = SemilinearMap(f4, random_invertible(f4, 3, rng), f4.frobenius(1))
+    other = SemilinearMap(f4, random_invertible(f4, 3, rng), f4.frobenius(1))
+    mats = [random_matrix(f4, 3, 3, rng) for _ in range(30)]
+    for first, second in ((s, other), (other, s)):
+        for direction in (AUTO, ANTI, AUTO):
+            phi, ref = _ring_map(first, direction), _reference_apply(first, direction)
+            assert all(phi.apply(t) == ref(t) for t in mats)
+            phi = _ring_map(second, direction)
+            assert phi.apply(mats[0]) == _reference_apply(second, direction)(mats[0])
+    tables = ringmaps._ring_tables(s)
+    assert ringmaps._ring_tables(s) is tables
+    assert all(a is not b for a, b in zip(tables, ringmaps._ring_tables(other)))
+    assert all(len(table) > 0 for table in tables)
+    copied = pickle.loads(pickle.dumps(s))
+    assert copied == s and _ring_map(copied, ANTI).apply(mats[0]) == _ring_map(s, ANTI).apply(mats[0])
 
 
 def _reference_perm(ref, P):

@@ -1,6 +1,7 @@
 """Semilinear maps, induced lattice maps, dualities from bilinear forms,
 and the witness-matching round trip."""
 
+import pickle
 import random
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ from projlat import (
     LatticeMap,
     MatchFailure,
     SemilinearMap,
+    enumerate_lattice_automorphisms,
     enumerate_subspaces,
     induced_lattice_map,
     make_duality,
@@ -19,8 +21,18 @@ from projlat import (
     verify_lattice_map,
 )
 from projlat import semilinear
+from projlat.gf import iter_vectors
+from projlat.lattice import Subspace
 from projlat.maps import ANTI, AUTO
-from projlat.matrices import identity, random_invertible
+from projlat.matrices import (
+    as_matrix,
+    identity,
+    is_invertible,
+    mat_inv,
+    random_invertible,
+    scale_vec,
+    vec_mat,
+)
 from projlat.semilinear import BilinearForm
 
 
@@ -245,3 +257,143 @@ def test_verify_lattice_map_proves_nothing_on_a_corrupted_order():
     assert not semilinear._lift_proves(duality, L)
     with pytest.raises(ValueError, match="anti-automorphism claim fails"):
         verify_lattice_map(duality, L)
+
+
+@pytest.mark.parametrize("n, spec", [(2, "2^3"), (2, "3^2"), (3, "2^2"), (3, "5"), (4, "2")])
+def test_apply_vector_equals_vec_mat_on_every_vector(n, spec):
+    """The row-multiple evaluator gives twist(v) @ M on all of GF(q)^n,
+    the zero vector included, for every twist power, and vec_mat's
+    ValueError on a length mismatch; the filled multiples leave equality
+    and hashing on (field, matrix, twist)."""
+    F = parse_field(spec)
+    rng = random.Random(n * 100 + F.q)
+    vectors = list(iter_vectors(F, n))
+    for twist in F.automorphisms():
+        m = random_invertible(F, n, rng)
+        s = SemilinearMap(F, m, twist)
+        for v in vectors:
+            assert s.apply_vector(v) == vec_mat(F, twist.on_vector(v), m), (twist, v)
+        assert s.apply_vector((0,) * n) == (0,) * n
+        for v in ((0,) * (n + 1), (1,) * (n - 1)):
+            with pytest.raises(ValueError) as want:
+                vec_mat(F, twist.on_vector(v), m)
+            with pytest.raises(ValueError) as got:
+                s.apply_vector(v)
+            assert str(got.value) == str(want.value)
+        fresh = SemilinearMap(F, m, twist)
+        assert s == fresh and hash(s) == hash(fresh)
+        copied = pickle.loads(pickle.dumps(s))
+        assert copied == s and all(copied.apply_vector(v) == s.apply_vector(v) for v in vectors)
+
+
+@pytest.mark.parametrize("n, spec", [(3, "2"), (3, "3"), (3, "2^2"), (4, "2")])
+def test_point_table_agrees_with_span(n, spec):
+    """L.point_of(v) is the point Subspace.span gives for every nonzero
+    vector v, and the table holds each point once."""
+    F = parse_field(spec)
+    L = enumerate_subspaces(n, F)
+    assert sorted(L.point_index.values()) == L.atoms
+    for v in iter_vectors(F, n):
+        if any(v):
+            assert L.point_of(v) == L.index[Subspace.span(F, n, (v,))], v
+    with pytest.raises(ValueError, match="zero vector"):
+        L.point_of((0,) * n)
+
+
+def _previous_match_semilinear(f, L):
+    """Reference: the matcher that found each frame point by Subspace.span,
+    checked the frame with is_invertible and inverted the witness anew for
+    the pencil, then normalized it."""
+    F = L.field
+    n = L.n
+
+    def atom_rep(subspace_index):
+        return L.elements[subspace_index].basis[0]
+
+    def point_index(v):
+        return L.index[Subspace.span(F, n, (v,))]
+
+    e = identity(n)
+    y = [atom_rep(f.perm[point_index(e[i])]) for i in range(n)]
+    y_mat = as_matrix(y)
+    if not is_invertible(F, y_mat):
+        raise MatchFailure("images of coordinate points are dependent")
+    r = atom_rep(f.perm[point_index((1,) * n)])
+    c = vec_mat(F, r, mat_inv(F, y_mat))
+    if any(x == 0 for x in c):
+        raise MatchFailure("image of the unit point misses a coordinate image")
+    m = as_matrix(scale_vec(F, ci, yi) for ci, yi in zip(c, y))
+    m_inv = mat_inv(F, m)
+    sigma_table = [0] * F.q
+    for lam in F.elements():
+        v = (1, lam) + (0,) * (n - 2)
+        t = vec_mat(F, atom_rep(f.perm[point_index(v)]), m_inv)
+        if t[0] == 0 or any(t[j] for j in range(2, n)):
+            raise MatchFailure(f"image of pencil point {v} leaves the pencil")
+        sigma_table[lam] = F.div(t[1], t[0])
+    sigma = next((tw for tw in F.automorphisms() if list(tw.table) == sigma_table), None)
+    if sigma is None:
+        raise MatchFailure(f"pencil action {sigma_table} is not a field automorphism")
+    s = SemilinearMap(F, m, sigma).normalized()
+    if induced_lattice_map(s, L).perm != f.perm:
+        raise MatchFailure("candidate witness does not reproduce the map")
+    return s
+
+
+def _match_outcome(match, f, L):
+    try:
+        return match(f, L)
+    except (ValueError, IndexError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("n, spec", [(3, "2"), (3, "3")])
+def test_matcher_equals_previous_matcher(n, spec):
+    """On every lattice automorphism the matcher returns the previous
+    matcher's witness. On seeded non-automorphisms (an automorphism with
+    two elements swapped, or a shuffle) both raise the same class, except
+    where the previous one indexed the empty basis of a non-point image:
+    there the matcher raises MatchFailure."""
+    L = enumerate_subspaces(n, parse_field(spec))
+    autos_of_L = enumerate_lattice_automorphisms(L)
+    for f in autos_of_L:
+        assert match_semilinear(f, L) == _previous_match_semilinear(f, L)
+    rng = random.Random(n * 10 + L.field.q)
+    misses = []
+    for f in rng.sample(autos_of_L, 20):
+        for _ in range(5):
+            perm = list(f.perm)
+            i, j = rng.sample(range(L.size), 2)
+            perm[i], perm[j] = perm[j], perm[i]
+            misses.append(perm)
+    for _ in range(20):
+        perm = list(range(L.size))
+        rng.shuffle(perm)
+        misses.append(perm)
+    fixed = 0
+    for perm in misses:
+        g = LatticeMap(tuple(perm), AUTO)
+        want = _match_outcome(_previous_match_semilinear, g, L)
+        got = _match_outcome(match_semilinear, g, L)
+        if want is IndexError:
+            fixed += 1
+            want = MatchFailure
+        assert got is want, perm
+    assert fixed > 0
+
+
+def test_matcher_refuses_a_frame_point_sent_to_a_non_point(L32):
+    """A frame, unit or pencil point sent to an element that is not a
+    point is a MatchFailure naming it: sent to the zero subspace (once an
+    IndexError) or to a line (once reported as dependent coordinate
+    images)."""
+    def point(v):
+        return L32.index[Subspace.span(L32.field, 3, (v,))]
+
+    line = L32.dim_index[2][0]
+    for point in map(point, ((1, 0, 0), (1, 1, 1), (1, 1, 0))):
+        for other in (L32.bottom, line, L32.top):
+            perm = list(range(L32.size))
+            perm[point], perm[other] = perm[other], perm[point]
+            with pytest.raises(MatchFailure, match="which is not a point"):
+                match_semilinear(LatticeMap(tuple(perm), AUTO), L32)
