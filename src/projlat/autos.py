@@ -83,7 +83,7 @@ def _require_atomistic(S) -> None:
     involution reversing its order, and keep its elements split by ortho
     (_split_by_ortho), which the leaf reads: the leaf looks up one member
     of each ortho pair only, and that rests on this. Checked once per
-    structure."""
+    structure: S._atomistic is set only once the whole guard has passed."""
     if getattr(S, "_atomistic", False):
         return
     if not S.verify_atomistic():

@@ -229,19 +229,24 @@ class ProjectionPoset(FiniteOrder):
     # -- matrix view -------------------------------------------------------
 
     @cached_property
-    def _idempotents(self) -> list[Matrix]:
-        F, els = self.lattice.field, self.lattice.elements
-        return [projector_matrix(F, els[a], els[b]) for a, b in self.pairs]
-
-    def idempotent(self, i: int) -> Matrix:
-        return self._idempotents[i]
+    def idempotents(self) -> list[Matrix]:
+        """The idempotent of every element, in element order. Built on
+        first use, one projector_matrix per orthocomplement pair: the
+        partner (b, a) of (a, b) is I - E(a, b), the projector onto b
+        along a."""
+        L = self.lattice
+        F, els, one = L.field, L.elements, identity(L.n)
+        table: list[Matrix | None] = [None] * self.size
+        for i, (a, b) in enumerate(self.pairs):
+            if table[i] is None:
+                e = table[i] = projector_matrix(F, els[a], els[b])
+                table[self.ortho[i]] = mat_sub(F, one, e)
+        return table
 
     @cached_property
-    def _matrix_index(self) -> dict[Matrix, int]:
-        return {m: i for i, m in enumerate(self._idempotents)}
-
     def matrix_index(self) -> dict[Matrix, int]:
-        return self._matrix_index
+        """The element of each idempotent."""
+        return {m: i for i, m in enumerate(self.idempotents)}
 
     def __repr__(self) -> str:
         L = self.lattice
@@ -353,7 +358,10 @@ def verify_projection_correspondence(n: int, F: GF) -> CampaignReport:
         f"brute={len(brute)}, pairs={P.size}",
     )
 
-    constructed = [P.idempotent(i) for i in range(P.size)]
+    # each projector computed anew, not read from P.idempotents, so the
+    # ortho check below compares two computations of every partner
+    els = L.elements
+    constructed = [projector_matrix(F, els[a], els[b]) for a, b in P.pairs]
     rep.add(
         "bijection_onto_idempotents",
         set(constructed) == set(brute) and len(set(constructed)) == P.size,

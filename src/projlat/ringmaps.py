@@ -269,7 +269,7 @@ def check_im_ker_lemma(P: ProjectionPoset) -> CampaignReport:
     if P.size * P.size > MAX_IM_KER_PAIRS:
         pairs = f"{P.size * P.size} idempotent pairs"
         raise AmbientTooLarge(f"{pairs} exceeds the exhaustive bound {MAX_IM_KER_PAIRS}")
-    mats = [P.idempotent(i) for i in range(P.size)]
+    mats = P.idempotents
     img, ker = P.image, P.kernel
     up = L.up_masks
     im_inc_ok = ker_inc_ok = im_eq_ok = ker_eq_ok = True
@@ -420,10 +420,10 @@ def restrict_to_projections(phi: RingMap, P: ProjectionPoset) -> PosetMap:
     Both kinds preserve the projection order because p <= q there is the
     symmetric condition pq = qp = p; additivity plus phi(1) = 1 makes them
     commute with p -> 1 - p. Automorphisms must restrict even,
-    anti-automorphisms odd; the parity is classified and checked.
+    anti-automorphisms odd; the parity is classified and checked. Only the
+    ring map's function is read, never its witness.
     """
-    images = map(phi.apply, map(P.idempotent, range(P.size)))
-    perm = tuple(map(P.matrix_index().get, images))
+    perm = tuple(map(P.matrix_index.get, map(phi._apply, P.idempotents)))
     if None in perm:
         raise FalsificationError(
             "image of a projection is not a projection", {"index": perm.index(None)}

@@ -148,11 +148,11 @@ def induced_lattice_map(s: SemilinearMap, L: SubspaceLattice) -> LatticeMap:
 
 
 def _kept_atomistic(S) -> bool:
-    """S.verify_atomistic(), run once and kept on S under the name the
-    atom searches' guard keeps its verdict by."""
-    verdict = getattr(S, "_atomistic", None)
+    """S.verify_atomistic(), run once and kept on S. Kept apart from
+    _atomistic, the atom searches' guard, which proves more of a poset."""
+    verdict = getattr(S, "_atomistic_verdict", None)
     if verdict is None:
-        verdict = S._atomistic = S.verify_atomistic()
+        verdict = S._atomistic_verdict = S.verify_atomistic()
     return verdict
 
 

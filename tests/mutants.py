@@ -316,6 +316,40 @@ MUTANTS = [
         ],
         "the ring tables of one witness are read by the ring maps of every other",
     ),
+    (
+        "projlat/projposet.py",
+        "                table[self.ortho[i]] = mat_sub(F, one, e)\n",
+        "                table[self.ortho[i]] = e\n",
+        [
+            "tests/test_ringmaps.py::test_idempotent_table_is_one_projector_per_element[P32]",
+            "tests/test_ringmaps.py::test_restriction_equals_previous_restriction[P32]",
+        ],
+        "the partner of each computed idempotent E is stored as E, not I - E",
+    ),
+    (
+        "projlat/projposet.py",
+        "                table[self.ortho[i]] = mat_sub(F, one, e)\n",
+        "                table[self.ortho[i]] = mat_sub(F, e, one)\n",
+        [
+            "tests/test_ringmaps.py::test_idempotent_table_is_one_projector_per_element[P23]",
+            "tests/test_ringmaps.py::test_im_ker_lemma_exhaustive",
+        ],
+        "the partner of each computed idempotent E is E - I, which equals I - E only in "
+        "characteristic 2",
+    ),
+    (
+        "projlat/ringmaps.py",
+        "    if None in perm:\n"
+        "        raise FalsificationError(\n"
+        "            \"image of a projection is not a projection\", {\"index\": perm.index(None)}\n"
+        "        )\n",
+        "",
+        ["tests/test_ringmaps.py::test_restriction_refuses_a_projection_sent_outside_P[P32]"],
+        "the restriction drops its refusal of an image that is no projection",
+    ),
+    # Not listed: the partner write skipped altogether. Every entry then
+    # comes from projector_matrix of its own pair, the same matrices, so
+    # the mutant is equivalent and no test can kill it.
 ]
 
 

@@ -44,7 +44,7 @@ from projlat.gf import iter_vectors
 from projlat.lattice import AmbientTooLarge, NotAnAtomPermutation, _bits as lattice_bits, atom_masks
 from projlat.matrices import all_matrices, rank, vec_mat
 from projlat.projposet import ProjectionPoset, verify_omp_axioms
-from projlat.semilinear import SemilinearMap
+from projlat.semilinear import SemilinearMap, _kept_atomistic
 
 
 def test_lattice_automorphism_counts(L22, L32, L23, L33, aut_l32):
@@ -1063,6 +1063,22 @@ def test_ortho_with_a_fixed_point_is_refused_before_the_leaf_split(L32):
         with pytest.raises(FalsificationError, match="not a fixed-point-free involution"):
             refused()
     assert not hasattr(P, "_ortho_split")
+
+
+def test_kept_atomistic_verdict_does_not_pass_the_poset_guard(L32):
+    """The witness matcher's kept verify_atomistic verdict is not the
+    atom searches' guard, which proves more of a poset: on a fresh P(3,2)
+    whose verdict was kept first the guard still runs, so the search
+    finds its 336 maps, and on a P whose ortho has a fixed point it
+    still refuses."""
+    P = build_projection_poset(L32)
+    assert _kept_atomistic(P)
+    assert sum(1 for _ in iter_poset_atom_perms(P)) == 336
+    bad = build_projection_poset(L32)
+    bad.ortho[bad.atoms[0]] = bad.atoms[0]
+    assert _kept_atomistic(bad)
+    with pytest.raises(FalsificationError, match="not a fixed-point-free involution"):
+        poset_search_plan(bad)
 
 
 def test_ortho_that_does_not_reverse_the_order_is_refused(L32):

@@ -37,12 +37,15 @@ from projlat.matrices import (
     identity,
     mat_inv,
     mat_mul,
+    mat_sub,
     random_invertible,
     random_matrix,
     rank,
     transpose,
     zeros,
 )
+from projlat.maps import PosetMap
+from projlat.projposet import projector_matrix
 from projlat.ringmaps import RingMap, matrix_units, verify_ring_map
 
 
@@ -170,10 +173,9 @@ def test_ring_map_preserves_idempotents(f3, P23):
     rng = random.Random(31)
     s = SemilinearMap(f3, random_invertible(f3, 2, rng), f3.frobenius(0))
     phi = conjugation_automorphism(s)
-    midx = P23.matrix_index()
-    for i in range(P23.size):
-        img = phi.apply(P23.idempotent(i))
-        assert img in midx  # idempotents map to idempotents
+    midx = P23.matrix_index
+    for e in P23.idempotents:
+        assert phi.apply(e) in midx  # idempotents map to idempotents
     assert phi.apply(identity(2)) == identity(2)
     assert phi.apply(zeros(2, 2)) == zeros(2, 2)
 
@@ -271,8 +273,8 @@ def test_ring_maps_of_one_witness_share_its_row_tables(f4):
 
 
 def _reference_perm(ref, P):
-    midx = P.matrix_index()
-    return tuple(midx[ref(P.idempotent(i))] for i in range(P.size))
+    midx = P.matrix_index
+    return tuple(midx[ref(e)] for e in P.idempotents)
 
 
 def test_restriction_matches_reference_perms(P32, P33, f2, f3):
@@ -286,14 +288,97 @@ def test_restriction_matches_reference_perms(P32, P33, f2, f3):
                 assert got.parity == (EVEN if direction == AUTO else ODD)
 
 
-def test_restriction_matches_reference_perms_at_3_5(f5):
-    P = build_projection_poset(enumerate_subspaces(3, f5))
+@pytest.fixture(scope="module")
+def P35(f5):
+    return build_projection_poset(enumerate_subspaces(3, f5))
+
+
+def test_restriction_matches_reference_perms_at_3_5(P35, f5):
+    P = P35
     rng = random.Random(53)
     for _ in range(3):
         s = SemilinearMap(f5, random_invertible(f5, 3, rng), f5.frobenius(0))
         for direction in (AUTO, ANTI):
             got = restrict_to_projections(_ring_map(s, direction), P)
             assert got.perm == _reference_perm(_reference_apply(s, direction), P)
+
+
+@pytest.mark.parametrize("ambient", ["P23", "P32", "P33", "P42", "P35"])
+def test_idempotent_table_is_one_projector_per_element(ambient, request):
+    """Every entry of P.idempotents is projector_matrix of its own pair,
+    computed here anew, and every partner entry is I - E of its element's
+    entry; matrix_index reads the table back."""
+    P = request.getfixturevalue(ambient)
+    L = P.lattice
+    F, els, one = L.field, L.elements, identity(L.n)
+    table = P.idempotents
+    assert len(table) == P.size
+    assert all(table[i] == projector_matrix(F, els[a], els[b]) for i, (a, b) in enumerate(P.pairs))
+    assert all(table[P.ortho[i]] == mat_sub(F, one, e) for i, e in enumerate(table))
+    assert P.matrix_index == {e: i for i, e in enumerate(table)}
+
+
+def _previous_restriction(phi, P):
+    """restrict_to_projections as it was before P kept one table: each
+    element's idempotent built by projector_matrix of its pair, each image
+    taken by RingMap.apply."""
+    from projlat import autos
+
+    F, els = P.lattice.field, P.lattice.elements
+    mats = [projector_matrix(F, els[a], els[b]) for a, b in P.pairs]
+    index = {m: i for i, m in enumerate(mats)}
+    perm = tuple(index.get(phi.apply(m)) for m in mats)
+    if None in perm:
+        raise FalsificationError(
+            "image of a projection is not a projection", {"index": perm.index(None)}
+        )
+    autos.verify_poset_map(perm, P)
+    parity = autos.classify_parity(perm, P)
+    expected = EVEN if phi.direction == AUTO else ODD
+    if parity != expected:
+        raise FalsificationError(
+            "restriction parity disagrees with the ring map direction",
+            {"direction": phi.direction, "parity": parity},
+        )
+    return PosetMap(perm, parity, witness=phi)
+
+
+@pytest.mark.parametrize("ambient", ["P23", "P32", "P33", "P42"])
+def test_restriction_equals_previous_restriction(ambient, request):
+    """The transpose and four seeded witnesses, each as an automorphism and
+    as an anti-automorphism, restrict to the same perm and parity as
+    through the previous restriction."""
+    P = request.getfixturevalue(ambient)
+    F, n = P.lattice.field, P.lattice.n
+    rng = random.Random(67)
+    ring_maps = [transpose_anti_automorphism(F, n)]
+    for _ in range(4):
+        s = SemilinearMap(F, random_invertible(F, n, rng), F.frobenius(0))
+        ring_maps += [conjugation_automorphism(s), anti_automorphism_from_semilinear(s)]
+    for phi in ring_maps:
+        got, want = restrict_to_projections(phi, P), _previous_restriction(phi, P)
+        assert (got.perm, got.parity) == (want.perm, want.parity)
+
+
+@pytest.mark.parametrize("ambient", ["P23", "P32"])
+def test_restriction_refuses_a_projection_sent_outside_P(ambient, request):
+    """A ring map that is the transpose except on one idempotent, which it
+    sends to a nonzero nilpotent: the restriction refuses it as the
+    previous restriction did, with the same message and the element in
+    the payload."""
+    P = request.getfixturevalue(ambient)
+    F, n = P.lattice.field, P.lattice.n
+    k = P.size // 2
+    moved = P.idempotents[k]
+    nilpotent = matrix_units(F, n)[0][1]
+    apply = transpose_anti_automorphism(F, n).apply
+    phi = RingMap(F, n, ANTI, lambda t: nilpotent if t == moved else apply(t))
+    refusals = []
+    for restrict in (restrict_to_projections, _previous_restriction):
+        with pytest.raises(FalsificationError) as caught:
+            restrict(phi, P)
+        refusals.append((str(caught.value), caught.value.payload))
+    assert refusals[0] == refusals[1] == ("image of a projection is not a projection", {"index": k})
 
 
 def test_restriction_reads_only_apply(P32, f2):
