@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 from array import array
@@ -33,7 +34,6 @@ from .gf import parse_field
 from .lattice import (
     _SLOT_FORMATS,
     AmbientTooLarge,
-    NotAnAtomPermutation,
     SubspaceLattice,
     _bits,
     _slot_bytes,
@@ -56,7 +56,7 @@ from .maps import (
 from .matrices import identity, vec_mat
 from .projposet import ProjectionPoset, build_projection_poset
 from .reports import CampaignReport, canonical_json, sha256_of
-from .semilinear import standard_duality, verify_lattice_map
+from .semilinear import MatchFailure, match_semilinear, standard_duality, verify_lattice_map
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -78,24 +78,23 @@ class FalsificationError(AssertionError):
 
 def _require_atomistic(S) -> None:
     """Refuse S, a lattice or a projection poset, unless its order is
-    inclusion of its stored atom sets: every lift through atom sets rests
-    on that. Refuse a poset also unless its ortho is a fixed-point-free
-    involution reversing its order, and keep its elements split by ortho
-    (_split_by_ortho), which the leaf reads: the leaf looks up one member
-    of each ortho pair only, and that rests on this. Checked once per
-    structure: S._atomistic is set only once the whole guard has passed."""
-    if getattr(S, "_atomistic", False):
-        return
-    if not S.verify_atomistic():
+    inclusion of its stored atom sets (S.atomistic, kept once per
+    structure): every lift through atom sets rests on that. Refuse a poset
+    also unless its ortho is a fixed-point-free involution reversing its
+    order, and keep its elements split by ortho (_split_by_ortho), which
+    the leaf reads: the leaf looks up one member of each ortho pair only,
+    and that rests on this. The split is made only once that proof has
+    passed, so it is the proof's one record, and a poset that has it is
+    not proved again."""
+    if not S.atomistic:
         raise FalsificationError(f"{S!r} is not atomistic; atom lifts unsound")
-    if isinstance(S, ProjectionPoset):
+    if isinstance(S, ProjectionPoset) and not hasattr(S, "_ortho_split"):
         if not _ortho_reverses_order(S):
             raise FalsificationError(
                 f"{S!r}'s orthocomplement is not a fixed-point-free involution "
                 "reversing its order"
             )
         S._ortho_split = _split_by_ortho(S)
-    S._atomistic = True
 
 
 def _ortho_reverses_order(P: ProjectionPoset) -> bool:
@@ -152,26 +151,6 @@ def _split_by_ortho(P: ProjectionPoset) -> tuple:
     gather = itemgetter(*map(first.__getitem__, range(P.size)))
     coatom_sets = list(map(P.elem_atom_masks.__getitem__, coatoms))
     return coatoms, P.lift_part(coatoms + reps), coatom_sets, reps, gather
-
-
-def _lift_bijective(S, sigma) -> tuple[int, ...] | None:
-    """The lift of sigma, a permutation of S's atom ordinals, to all
-    elements of S; None when L's packed lift refuses sigma as no
-    permutation, or when some image atom set belongs to no element. The
-    lattice search's leaf; P's leaf is _lift_poset_atom_perm. A lift
-    found is a permutation of the elements, with no count: the stored atom
-    sets are pairwise distinct (_mask_index proved it when S was built), a
-    permutation of the atoms keeps them distinct, and distinct atom sets
-    are distinct elements. That sigma is a permutation is guaranteed by
-    the search core's sorted(perm) test at every leaf and by L's lift,
-    which raises NotAnAtomPermutation otherwise. Any other error of a lift
-    propagates."""
-    try:
-        masks = S.lift_atom_masks(sigma)
-    except NotAnAtomPermutation:
-        return None
-    eperm = tuple(map(S.atom_mask_index.get, masks))
-    return None if None in eperm else eperm
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +270,7 @@ def _atom_search(init_cand, narrow, lift, budget, restrict_first, stats):
         for z, y in zip(forced, images):
             assigned[z] = y
         perm = tuple(assigned)
-        if sorted(perm) != list(range(m)):
+        if not is_permutation(perm):
             return
         eperm = lift(perm)
         if eperm is not None:
@@ -389,21 +368,28 @@ def iter_lattice_atom_perms(
                 return None
         return ids, masks
 
-    yield from _atom_search(
-        init_cand, narrow, lambda perm: _lift_bijective(L, perm),
-        budget, restrict_first, stats,
-    )
+    yield from _atom_search(init_cand, narrow, L.lift_atom_perm, budget, restrict_first, stats)
 
 
-# the largest atom counts the full enumerations of L and of P accept
-MAX_SEARCH_ATOMS = 40
+# the most maps a full lattice search or the semilinear oracle may hold,
+# and the most atoms a full poset search accepts
+SEMILINEAR_LIMIT = 2**20
 MAX_POSET_SEARCH_ATOMS = 150
 
 
-def _check_search_bound(atoms: list[int], bound: int) -> None:
-    """Refuse a full search over more atoms than bound."""
-    if len(atoms) > bound:
-        raise AmbientTooLarge(f"{len(atoms)} atoms exceeds the search bound {bound}")
+def _check_search_bound(count: int, what: str, bound: int) -> None:
+    """Refuse a full search when count, of what, is above bound."""
+    if count > bound:
+        raise AmbientTooLarge(f"{count} {what} exceeds the search bound {bound}")
+
+
+def _check_lattice_search_bound(L: SubspaceLattice) -> None:
+    """Refuse a full search of L that would find more than SEMILINEAR_LIMIT
+    maps, counted in closed form before any search. The oracle holds
+    |PGammaL(n, q)| <= |Aut L| maps, so it never refuses an ambient
+    admitted here."""
+    count = expected_lattice_automorphism_count(L.n, L.field.q, L.field.k)
+    _check_search_bound(count, "lattice automorphisms", SEMILINEAR_LIMIT)
 
 
 def enumerate_lattice_automorphisms(
@@ -411,15 +397,12 @@ def enumerate_lattice_automorphisms(
 ) -> list[LatticeMap]:
     """All order-automorphisms of L, sorted by their permutation; every
     one was lifted and verified at its search leaf."""
-    _check_search_bound(L.atoms, MAX_SEARCH_ATOMS)
+    _check_lattice_search_bound(L)
     maps = [
         LatticeMap(eperm, AUTO) for _, eperm in iter_lattice_atom_perms(L, budget=budget)
     ]
     maps.sort(key=lambda f: f.perm)
     return maps
-
-
-SEMILINEAR_LIMIT = 2**20
 
 
 def semilinear_atom_perms(L: SubspaceLattice) -> set[bytes]:
@@ -494,15 +477,12 @@ def generated_group(gens, ident, within: dict | None) -> set | None:
 
 
 def check_semilinear_generation(rep, L: SubspaceLattice, keys, name, detail) -> None:
-    """Add the check `name` to rep: the searched atom permutations keys, as
-    bytes, equal semilinear_atom_perms(L); detail is formatted with that
-    set's size. Above SEMILINEAR_LIMIT the check passes, marked skipped."""
-    try:
-        semi = semilinear_atom_perms(L)
-    except AmbientTooLarge:
-        rep.add(name, True, "skipped: ambient too large")
-        return
-    rep.add(name, semi == keys, detail.format(len(semi)))
+    """Add the check `name` to rep: semilinear_atom_perms(L) equals the
+    searched atom permutations keys, as bytes, for n >= 3, and lies among
+    them for n <= 2, where every atom permutation extends; detail is
+    formatted with that set's size."""
+    semi = semilinear_atom_perms(L)
+    rep.add(name, semi == keys if L.n >= 3 else semi <= keys, detail.format(len(semi)))
 
 
 def projective_group_order(n: int, q: int, k: int) -> int:
@@ -512,6 +492,15 @@ def projective_group_order(n: int, q: int, k: int) -> int:
     for i in range(n):
         gl *= q**n - q**i
     return gl // (q - 1) * k
+
+
+def expected_lattice_automorphism_count(n: int, q: int, k: int) -> int:
+    """n >= 3: the projective semilinear group order. n <= 2: every atom
+    permutation extends (the atoms are the one element below the top, or
+    an antichain under it), so (number of atoms)! maps."""
+    if n <= 2:
+        return math.factorial((q**n - 1) // (q - 1))
+    return projective_group_order(n, q, k)
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +661,7 @@ def expand_poset_atom_perm(P: ProjectionPoset, perm: tuple[int, ...]):
     """The poset search leaf: _lift_poset_atom_perm, under the module name
     the leaf looks up at call time, so a wrapper installed on that name
     sees every leaf and nothing else. perm must be a permutation of the
-    atom ordinals; at a leaf, the search core's sorted(perm) test has
+    atom ordinals; at a leaf, the search core's is_permutation test has
     made sure of it."""
     return _lift_poset_atom_perm(P, perm)
 
@@ -712,7 +701,7 @@ def enumerate_poset_automorphisms(
     """All order-automorphisms of P commuting with the orthocomplementation,
     sorted by permutation. Parity tags are left unknown; classify_parity is
     a separate, falsifiable step."""
-    _check_search_bound(P.atoms, MAX_POSET_SEARCH_ATOMS)
+    _check_search_bound(len(P.atoms), "atoms", MAX_POSET_SEARCH_ATOMS)
     out = [
         PosetMap(eperm, UNKNOWN)
         for _, eperm in iter_poset_atom_perms(P, budget=budget)
@@ -1021,8 +1010,8 @@ def _constructed_side(L: SubspaceLattice, P: ProjectionPoset, budget: int | None
     the atom keys of every lattice automorphism f, and, in search order,
     the P-atom permutations of the even maps (a, b) -> (f(a), f(b)) and of
     the odd maps built from the anti-automorphisms f . gamma. L's search
-    is refused above MAX_SEARCH_ATOMS atoms."""
-    _check_search_bound(L.atoms, MAX_SEARCH_ATOMS)
+    is refused above SEMILINEAR_LIMIT maps."""
+    _check_lattice_search_bound(L)
     gamma = standard_duality(L)
     keys: set[bytes] = set()
     evens: list[tuple[int, ...]] = []
@@ -1058,7 +1047,7 @@ def verify_main_theorem(
     comes back with outcome "partial". A P with more atoms than
     MAX_POSET_SEARCH_ATOMS is refused before either search.
     """
-    _check_search_bound(P.atoms, MAX_POSET_SEARCH_ATOMS)
+    _check_search_bound(len(P.atoms), "atoms", MAX_POSET_SEARCH_ATOMS)
     rep = CampaignReport("verify-main-theorem", (L.n, L.field.spec()))
     # a bad checkpoint is refused before any search runs
     pivot, targets = poset_search_plan(P)
@@ -1240,12 +1229,10 @@ def verify_fundamental_correspondence(
 ) -> CampaignReport:
     """Every lattice automorphism has a semilinear witness (ambient >= 3);
     reports how many needed a nontrivial twist."""
-    from .semilinear import MatchFailure, match_semilinear
-
     rep = CampaignReport("semilinear-witnesses", (L.n, L.field.spec()))
     if L.n < 3:
         raise ValueError("witness matching requires ambient dimension >= 3")
-    _check_search_bound(L.atoms, MAX_SEARCH_ATOMS)
+    _check_lattice_search_bound(L)
     total = 0
     matched = 0
     twist_hist: dict[int, int] = {}

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import random
 import sys
@@ -33,8 +32,8 @@ from .autos import (
     check_semilinear_generation,
     enumerate_lattice_automorphisms,
     even_from_lattice_automorphism,
+    expected_lattice_automorphism_count,
     odd_from_anti_automorphism,
-    projective_group_order,
     verify_fundamental_correspondence,
     verify_main_theorem,
     verify_poset_map,
@@ -173,7 +172,7 @@ def cmd_build_poset(args) -> int:
     want = projection_pair_count(L.n, F.q)
     rep.add("pair_count_matches_formula", P.size == want, f"{P.size} vs {want}")
     rep.add("graded_by_image_dimension", P.is_graded_by_image_dim(), "")
-    rep.add("atomistic", P.verify_atomistic(), "")
+    rep.add("atomistic", P.atomistic, "")
     by_grade = {}
     for g in P.grade:
         by_grade[str(g)] = by_grade.get(str(g), 0) + 1
@@ -200,15 +199,6 @@ def cmd_verify_correspondence(args) -> int:
     F = _ambient(args)
     rep = verify_projection_correspondence(args.n, F)
     return _emit(rep, args, "verify-correspondence", name="verify-correspondence")
-
-
-def expected_lattice_automorphism_count(n: int, q: int, k: int) -> int:
-    """n >= 3: the projective semilinear group order. n <= 2: every atom
-    permutation extends (the atoms are the one element below the top, or
-    an antichain under it), so (number of atoms)! maps."""
-    if n <= 2:
-        return math.factorial((q**n - 1) // (q - 1))
-    return projective_group_order(n, q, k)
 
 
 def cmd_enumerate_lattice_autos(args) -> int:
@@ -423,6 +413,12 @@ def cmd_verify_map(args) -> int:
     except (OSError, KeyError, ValueError) as exc:
         raise UsageError(f"bad map file: {exc}") from None
     F, L = _lattice(args)
+    w = m.witness
+    if w is not None and (w.field.spec(), w.n) != (F.spec(), L.n):
+        raise UsageError(
+            f"bad map file: the witness is {w.n} x {w.n} over GF({w.field.spec()}), "
+            f"the ambient GF({F.spec()})^{L.n}"
+        )
     rep = CampaignReport("verify-map", (L.n, F.spec()))
     if isinstance(m, LatticeMap):
         if len(m.perm) != L.size:
@@ -517,9 +513,9 @@ VERBS = {
     "enumerate-lattice-autos": (
         cmd_enumerate_lattice_autos, ("--format", "--budget-nodes"),
         "Backtracking enumeration of all lattice automorphisms, checked "
-        "against the group order ((number of atoms)! for n <= 2) and, where "
-        "|PGammaL(n,q)| <= 2^20, against the group that four semilinear "
-        "generators generate.",
+        "against the group order ((number of atoms)! for n <= 2) and against "
+        "the group that four semilinear generators generate (equal for "
+        "n >= 3, contained for n <= 2). Refused above 2^20 maps.",
     ),
     "verify-ftpg": (
         cmd_verify_ftpg, ("--format", "--budget-nodes"),

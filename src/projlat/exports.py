@@ -72,7 +72,8 @@ def map_to_jsonable(m: LatticeMap | PosetMap) -> dict:
 
 def _witness_from_jsonable(doc: dict | None) -> SemilinearMap | None:
     """The witness a map document holds; ValueError unless it is an object
-    with a string field, int lists of field elements as matrix and an int twist."""
+    with a string field, a square matrix of int lists of field elements
+    and an int twist."""
     if doc is None:
         return None
     if not (
@@ -85,6 +86,8 @@ def _witness_from_jsonable(doc: dict | None) -> SemilinearMap | None:
         raise ValueError("witness is not an object with a field, a matrix of ints and a twist")
     F = parse_field(doc["field"])
     matrix = tuple(tuple(row) for row in doc["matrix"])
+    if not matrix or any(len(row) != len(matrix) for row in matrix):
+        raise ValueError("witness matrix is not square")
     if any(not 0 <= x < F.q for row in matrix for x in row):
         raise ValueError(f"witness matrix has an entry outside GF({F.spec()})")
     return SemilinearMap(F, matrix, F.frobenius(doc["twist"]))

@@ -21,6 +21,7 @@ from .gf import GF, iter_vectors
 from .matrices import (
     Matrix,
     as_matrix,
+    identity,
     in_row_space,
     row_space,
     scale_vec,
@@ -58,8 +59,6 @@ class Subspace:
 
     @classmethod
     def full(cls, F: GF, n: int) -> "Subspace":
-        from .matrices import identity
-
         return cls(F, n, identity(n))
 
     @property
@@ -188,6 +187,12 @@ class FiniteOrder:
         the elements covering the least element, exhaustively."""
         return order_is_atom_inclusion(self.up_masks, self.atoms, self.elem_atom_masks)
 
+    @cached_property
+    def atomistic(self) -> bool:
+        """verify_atomistic(), run once per order and kept: the one verdict
+        the atom searches' guard and verify_lattice_map read."""
+        return self.verify_atomistic()
+
     def is_modular_pair_idx(self, a: int, b: int) -> bool:
         """(a,b)M in a lattice: (x v a) ^ b == x v (a ^ b) for every x <= b.
         With y = x v (a ^ b), x v a = y v a, and y runs over all of
@@ -306,6 +311,23 @@ class SubspaceLattice(FiniteOrder):
         if len(sigma) != len(columns) or set(sigma) != ordinals:
             raise NotAnAtomPermutation("the atom images are not a permutation of the atoms")
         return _unpack_slots(sum(map(lshift, columns, sigma)), self.size, nbytes)
+
+    def lift_atom_perm(self, sigma, target: FiniteOrder | None = None) -> tuple[int, ...] | None:
+        """The element permutation sigma induces from L onto target, L
+        itself by default or L.dual: element i goes to the target element
+        whose atom set is sigma A(i), sigma a permutation of L's atom
+        ordinals onto target's. None when the packed lift refuses sigma as
+        no permutation, or when some image atom set belongs to no target
+        element; any other error of the lift propagates. A lift found is a
+        permutation of the elements, with no count: the target's atom sets
+        are pairwise distinct (_mask_index proved it), and a permutation
+        sigma keeps L's distinct atom sets distinct."""
+        try:
+            masks = self.lift_atom_masks(sigma)
+        except NotAnAtomPermutation:
+            return None
+        perm = tuple(map((self if target is None else target).atom_mask_index.get, masks))
+        return None if None in perm else perm
 
     @cached_property
     def dual(self) -> FiniteOrder:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .gf import GF
+from .gf import GF, iter_vectors
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -192,8 +192,6 @@ def stack(*blocks: Matrix) -> Matrix:
 
 def all_matrices(F: GF, rows: int, cols: int) -> Iterator[Matrix]:
     """Every rows x cols matrix, lexicographic by flattened entries."""
-    from .gf import iter_vectors
-
     for flat in iter_vectors(F, rows * cols):
         yield tuple(flat[i * cols : (i + 1) * cols] for i in range(rows))
 

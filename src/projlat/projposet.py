@@ -98,13 +98,15 @@ class ProjectionPoset(FiniteOrder):
         self.lattice = L
         self.pairs = pairs
         self.size = len(pairs)
-        self.index = {p: i for i, p in enumerate(pairs)}
         self.image = [a for a, _ in pairs]
         self.kernel = [b for _, b in pairs]
         self.grade = [L.dims[a] for a, _ in pairs]
-        self.bottom = self.index[(L.bottom, L.top)]
-        self.top = self.index[(L.top, L.bottom)]
-        self.ortho = [self.index[(b, a)] for a, b in pairs]
+        rows = self.pair_rows
+        self.bottom = rows[L.bottom][L.top]
+        self.top = rows[L.top][L.bottom]
+        self.ortho = [rows[b][a] for a, b in pairs]
+        if None in (self.bottom, self.top, *self.ortho):
+            raise ValueError("the pairs lack bottom, top or the swap (b, a) of some (a, b)")
         self.by_image: dict[int, list[int]] = {}
         self.by_kernel: dict[int, list[int]] = {}
         for i, (a, b) in enumerate(pairs):
@@ -189,8 +191,8 @@ class ProjectionPoset(FiniteOrder):
     def pair_rows(self) -> list[list[int | None]]:
         """The (image, kernel) -> element table, one row per image:
         pair_rows[a][b] is the element (a, b), None when a and b are not
-        complements. Built on first use; the transports from lattice
-        maps read it."""
+        complements. The constructor reads it for bottom, top and ortho,
+        and the transports from lattice maps read it."""
         w = self.lattice.size
         rows: list[list[int | None]] = [[None] * w for _ in range(w)]
         for i, (a, b) in enumerate(self.pairs):

@@ -28,7 +28,7 @@ from .autos import (
     decompose_poset_automorphism,
     verify_poset_map,
 )
-from .gf import GF, FieldAutomorphism
+from .gf import GF, FieldAutomorphism, iter_vectors
 from .lattice import AmbientTooLarge
 from .maps import ANTI, AUTO, EVEN, ODD, LatticeMap, PosetMap, perm_compose
 from .matrices import (
@@ -40,6 +40,7 @@ from .matrices import (
     mat_mul,
     rank,
     random_matrix,
+    right_kernel,
     row_space,
     scalar_matrix,
     stack,
@@ -224,7 +225,6 @@ def center_is_scalars(F: GF, n: int) -> CampaignReport:
                     for k in range(n):
                         coeffs[k * n + b] = F.sub(coeffs[k * n + b], e[a][k])
                     rows.append(tuple(coeffs))
-    from .matrices import right_kernel
 
     constraint = tuple(rows)
     sol = right_kernel(F, constraint)
@@ -385,8 +385,6 @@ def extract_semilinear_from_ring_iso(
     # small, seeded random + structured probes otherwise
     rng = random.Random(seed)
     if F.q**n <= EXHAUSTIVE_LIMIT:
-        from .gf import iter_vectors
-
         probe = list(iter_vectors(F, n))
     else:
         probe = [tuple(rng.randrange(F.q) for _ in range(n)) for _ in range(SAMPLES)]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf import GF, FieldAutomorphism
-from .lattice import NotAnAtomPermutation, Subspace, SubspaceLattice
+from .lattice import Subspace, SubspaceLattice
 from .maps import ANTI, AUTO, LatticeMap
 from .matrices import (
     Matrix,
@@ -27,6 +27,7 @@ from .matrices import (
     dims,
     identity,
     is_invertible,
+    left_kernel,
     mat_inv,
     mat_mul,
     row_space,
@@ -147,37 +148,24 @@ def induced_lattice_map(s: SemilinearMap, L: SubspaceLattice) -> LatticeMap:
     return LatticeMap(perm, AUTO, witness=s)
 
 
-def _kept_atomistic(S) -> bool:
-    """S.verify_atomistic(), run once and kept on S. Kept apart from
-    _atomistic, the atom searches' guard, which proves more of a poset."""
-    verdict = getattr(S, "_atomistic_verdict", None)
-    if verdict is None:
-        verdict = S._atomistic_verdict = S.verify_atomistic()
-    return verdict
-
-
 def _lift_proves(m: LatticeMap, L: SubspaceLattice) -> bool:
     """Whether one packed lift proves m an automorphism of L (AUTO) or an
     anti-automorphism (ANTI), that is an isomorphism from L onto L or
     onto L.dual. Both orders are proved, once per lattice, to be inclusion
     of their atom sets; L.dual's atoms are L's coatoms. The atoms must go
     to the target's atoms, by ordinals sigma, and each element i to the
-    element whose target atom set is sigma A(i). Then i <= j iff A(i) is
-    in A(j) iff sigma A(i) is in sigma A(j) iff m(i) <= m(j) in the
-    target, which for L.dual reads m(j) <= m(i) in the order down_masks
-    gives: what the pair walk checks, so an accepted map passes it. The
-    target's atom sets are distinct, so an accepted perm is injective;
-    nothing else is assumed of it."""
+    element whose target atom set is sigma A(i) (L.lift_atom_perm). Then
+    i <= j iff A(i) is in A(j) iff sigma A(i) is in sigma A(j) iff
+    m(i) <= m(j) in the target, which for L.dual reads m(j) <= m(i) in the
+    order down_masks gives: what the pair walk checks, so an accepted map
+    passes it. Nothing else is assumed of perm."""
     perm = m.perm
     target = L if m.direction == AUTO else L.dual
-    if not (_kept_atomistic(L) and _kept_atomistic(target)):
+    if not (L.atomistic and target.atomistic):
         return False
     ordinal = target.atom_ordinal
-    try:
-        lifted = L.lift_atom_masks([ordinal.get(perm[a]) for a in L.atoms])
-    except NotAnAtomPermutation:
-        return False
-    return list(map(target.atom_mask_index.get, lifted)) == list(perm)
+    lifted = L.lift_atom_perm([ordinal.get(perm[a]) for a in L.atoms], target)
+    return lifted == tuple(perm)
 
 
 def verify_lattice_map(m: LatticeMap, L: SubspaceLattice) -> None:
@@ -234,8 +222,6 @@ def dual_complement(x: Subspace, b: BilinearForm) -> Subspace:
         return Subspace.full(F, n)
     # v @ gram @ twist(basis)^T = 0 row by row
     constraint = mat_mul(F, b.gram, transpose(b.twist.on_matrix(x.basis)))
-    from .matrices import left_kernel
-
     out = Subspace(F, n, left_kernel(F, constraint))
     if out.dim != n - x.dim:
         raise AssertionError("orthogonal complement has wrong dimension")

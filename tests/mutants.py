@@ -104,22 +104,22 @@ MUTANTS = [
     ),
     (
         "projlat/semilinear.py",
-        "    return list(map(target.atom_mask_index.get, lifted)) == list(perm)\n",
-        "    return list(map(target.atom_mask_index.get, lifted))[:-1] == list(perm)[:-1]\n",
+        "    return lifted == tuple(perm)\n",
+        "    return lifted is not None and lifted[:-1] == tuple(perm)[:-1]\n",
         ["tests/test_semilinear.py::test_verify_lattice_map_refuses_a_perm_repeating_an_image"],
         "the witness lift is compared on every element but the last",
     ),
     (
         "projlat/semilinear.py",
-        "    if not (_kept_atomistic(L) and _kept_atomistic(target)):\n",
-        "    if not (target is L or _kept_atomistic(target)):\n",
+        "    if not (L.atomistic and target.atomistic):\n",
+        "    if not (target is L or target.atomistic):\n",
         ["tests/test_semilinear.py::test_verify_lattice_map_proves_nothing_on_a_corrupted_order"],
         "the witness lift skips the proof that L is atomistic",
     ),
     (
         "projlat/semilinear.py",
-        "    if not (_kept_atomistic(L) and _kept_atomistic(target)):\n",
-        "    if not _kept_atomistic(L):\n",
+        "    if not (L.atomistic and target.atomistic):\n",
+        "    if not L.atomistic:\n",
         ["tests/test_semilinear.py::test_verify_lattice_map_proves_nothing_on_a_corrupted_order"],
         "the witness lift skips the proof that L is coatomistic",
     ),
@@ -131,11 +131,11 @@ MUTANTS = [
         "is_permutation accepts entries that repeat",
     ),
     (
-        "projlat/autos.py",
-        "    except NotAnAtomPermutation:\n        return None\n",
-        "    except ValueError:\n        return None\n",
+        "projlat/lattice.py",
+        "        except NotAnAtomPermutation:\n            return None\n",
+        "        except ValueError:\n            return None\n",
         ["tests/test_autos.py::test_lift_errors_other_than_the_lattice_refusal_propagate"],
-        "_lift_bijective reads any ValueError of a lift as no lift",
+        "L.lift_atom_perm reads any ValueError of a lift as no lift",
     ),
     (
         "projlat/autos.py",
@@ -346,6 +346,43 @@ MUTANTS = [
         "",
         ["tests/test_ringmaps.py::test_restriction_refuses_a_projection_sent_outside_P[P32]"],
         "the restriction drops its refusal of an image that is no projection",
+    ),
+    (
+        "projlat/autos.py",
+        "    if count > bound:\n",
+        "    if count >= bound:\n",
+        ["tests/test_autos.py::test_lattice_campaigns_refuse_a_lattice_above_the_search_bound"],
+        "a search bound refuses a count equal to it",
+    ),
+    (
+        "projlat/autos.py",
+        "        return math.factorial((q**n - 1) // (q - 1))\n",
+        "        return projective_group_order(n, q, k)\n",
+        [
+            "tests/test_autos.py::test_expected_lattice_automorphism_counts",
+            "tests/test_cli.py::test_simple_verbs_pass",
+            "tests/test_cli.py::test_ambient_beyond_a_search_bound_exits_2[argv6-3628800-1048576]",
+        ],
+        "the lattice map count at n <= 2 is |PGammaL(2, q)|, not (number of atoms)!",
+    ),
+    (
+        "projlat/autos.py",
+        "semi == keys if L.n >= 3 else semi <= keys",
+        "semi == keys",
+        [
+            "tests/test_autos.py::test_semilinear_check_compares_by_inclusion_only_below_3[2-5-720-120]",
+            "tests/test_cli.py::test_simple_verbs_pass",
+        ],
+        "the semilinear check asks for equality at n <= 2 too",
+    ),
+    (
+        "projlat/autos.py",
+        "semi == keys if L.n >= 3 else semi <= keys",
+        "semi <= keys",
+        [
+            "tests/test_autos.py::test_semilinear_check_compares_by_inclusion_only_below_3[3-2-168-168]",
+        ],
+        "the semilinear check asks for inclusion only at n >= 3 too",
     ),
     # Not listed: the partner write skipped altogether. Every entry then
     # comes from projector_matrix of its own pair, the same matrices, so

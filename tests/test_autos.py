@@ -44,7 +44,7 @@ from projlat.gf import iter_vectors
 from projlat.lattice import AmbientTooLarge, NotAnAtomPermutation, _bits as lattice_bits, atom_masks
 from projlat.matrices import all_matrices, rank, vec_mat
 from projlat.projposet import ProjectionPoset, verify_omp_axioms
-from projlat.semilinear import SemilinearMap, _kept_atomistic
+from projlat.semilinear import SemilinearMap
 
 
 def test_lattice_automorphism_counts(L22, L32, L23, L33, aut_l32):
@@ -107,19 +107,18 @@ def test_semilinear_oracle_limit_guard(L33, L34, monkeypatch):
     assert len(semilinear_atom_perms(L33)) == 5616
 
 
-def test_semilinear_check_skips_only_a_refused_ambient(L32, monkeypatch):
-    """check_semilinear_generation passes, marked skipped, when the oracle
-    refuses the ambient; any other ValueError raised inside the oracle
-    propagates rather than passing the check."""
+def test_semilinear_check_lets_every_oracle_error_propagate(L32, monkeypatch):
+    """check_semilinear_generation skips nothing: the oracle's refusal of
+    an ambient, which no admitted lattice search reaches, propagates out
+    of the check, and so does any other ValueError raised inside the
+    oracle; neither passes the check."""
     keys = semilinear_atom_perms(L32)
     rep = autos.CampaignReport("semilinear", (3, "2"))
     autos.check_semilinear_generation(rep, L32, keys, "kept", "semilinear set {}")
+    assert rep.checks == [("kept", True, "semilinear set 168")]
     monkeypatch.setattr(autos, "SEMILINEAR_LIMIT", 167)
-    autos.check_semilinear_generation(rep, L32, keys, "refused", "semilinear set {}")
-    assert rep.checks == [
-        ("kept", True, "semilinear set 168"),
-        ("refused", True, "skipped: ambient too large"),
-    ]
+    with pytest.raises(AmbientTooLarge):
+        autos.check_semilinear_generation(rep, L32, keys, "refused", "semilinear set {}")
     monkeypatch.undo()
 
     def broken(*args):
@@ -128,7 +127,41 @@ def test_semilinear_check_skips_only_a_refused_ambient(L32, monkeypatch):
     monkeypatch.setattr(autos, "vec_mat", broken)
     with pytest.raises(ValueError, match="not an ambient refusal"):
         autos.check_semilinear_generation(rep, L32, keys, "broken", "semilinear set {}")
-    assert len(rep.checks) == 2
+    assert len(rep.checks) == 1
+
+
+@pytest.mark.parametrize("n, spec, maps, semi", [(2, "5", 720, 120), (3, "2", 168, 168)])
+def test_semilinear_check_compares_by_inclusion_only_below_3(n, spec, maps, semi):
+    """At n <= 2 every atom permutation extends, so the oracle's set need
+    only lie among the searched keys: (2,5) has 720 maps and PGammaL(2,5)
+    120. At n >= 3 the two sets must be equal. Either way a key set
+    missing one semilinear map fails, and at n >= 3 so does one holding
+    an atom permutation that is no automorphism."""
+    L = enumerate_subspaces(n, parse_field(spec))
+    keys = {bytes(aperm) for aperm, _ in iter_lattice_atom_perms(L)}
+    oracle = semilinear_atom_perms(L)
+    assert (len(keys), len(oracle)) == (maps, semi)
+    rep = autos.CampaignReport("semilinear", (n, spec))
+    autos.check_semilinear_generation(rep, L, keys, "all", "{}")
+    autos.check_semilinear_generation(rep, L, keys - {min(oracle)}, "missing", "{}")
+    verdicts = [("all", True, str(semi)), ("missing", False, str(semi))]
+    if n >= 3:
+        swap = bytes([1, 0, *range(2, len(L.atoms))])
+        assert swap not in keys
+        autos.check_semilinear_generation(rep, L, keys | {swap}, "extra", "{}")
+        verdicts.append(("extra", False, str(semi)))
+    assert rep.checks == verdicts
+
+
+def test_expected_lattice_automorphism_counts():
+    """(number of atoms)! at n <= 2, |PGammaL(n, q)| from n = 3 up; those
+    counts, not the atoms, bound the lattice searches."""
+    count = autos.expected_lattice_automorphism_count
+    assert [count(1, 4, 2), count(2, 5, 1), count(2, 8, 3), count(2, 9, 2)] == [
+        1, 720, 362880, 3628800,
+    ]
+    assert count(3, 5, 1) == projective_group_order(3, 5, 1) == 372000
+    assert count(4, 2, 1) == 20160 and count(3, 4, 2) == 120960
 
 
 def test_semilinear_oracle_runs_no_rref(monkeypatch, L42):
@@ -326,7 +359,7 @@ def test_poset_atom_perm_transport_agrees(L32, P32, aut_l32):
 def test_flat_pair_table_matches_full_constructions(L42, P42, aut_l42):
     """The atom action read from the flat pair table equals the atom
     restriction of the full even and odd maps, which in turn match a
-    lookup of every image pair in P.index."""
+    lookup of every image pair in P.pair_rows."""
     gamma = standard_duality(L42)
     ordinal = {a: t for t, a in enumerate(P42.atoms)}
     for f in random.Random(11).sample(aut_l42, 50):
@@ -335,8 +368,9 @@ def test_flat_pair_table_matches_full_constructions(L42, P42, aut_l42):
         psi = odd_from_anti_automorphism(g, P42)
         verify_poset_map(phi, P42)
         verify_poset_map(psi, P42)
-        assert phi.perm == tuple(P42.index[(f.perm[a], f.perm[b])] for a, b in P42.pairs)
-        assert psi.perm == tuple(P42.index[(g.perm[b], g.perm[a])] for a, b in P42.pairs)
+        rows = P42.pair_rows
+        assert phi.perm == tuple(rows[f.perm[a]][f.perm[b]] for a, b in P42.pairs)
+        assert psi.perm == tuple(rows[g.perm[b]][g.perm[a]] for a, b in P42.pairs)
         assert poset_atom_perm_from_lattice(P42, f.perm, odd=False) == tuple(
             ordinal[phi.perm[a]] for a in P42.atoms
         )
@@ -359,7 +393,7 @@ def test_constructors_reject_a_pair_leaving_the_poset(L42, P42):
     ]
     for construct, direction, odd, what in cases:
         images = [(swap[b], swap[a]) if odd else (swap[a], swap[b]) for a, b in P42.pairs]
-        missing = next(pair for pair in images if pair not in P42.index)
+        missing = next((a, b) for a, b in images if P42.pair_rows[a][b] is None)
         with pytest.raises(FalsificationError) as exc:
             construct(LatticeMap(swap, direction), P42)
         assert str(exc.value) == f"{what} image of a projection pair left the poset"
@@ -569,6 +603,27 @@ def test_poset_search_unchanged_on_reference_colors(ambient, branch, maps, nodes
     assert len(got) == maps and stats["nodes"] == ref_stats["nodes"] == nodes
 
 
+@pytest.mark.parametrize("n, seed, branch", [(3, 1, None), (3, 2, None), (4, 3, 0)])
+def test_poset_from_shuffled_pairs_has_the_same_automorphisms(n, seed, branch):
+    """P built from a seeded shuffle of its pairs, so with its elements,
+    atoms and ortho pairs renumbered, keeps its bottom, top and ortho, and
+    its search finds the same maps: the 336 of P(3,2), and the 336 of one
+    root branch of P(4,2), 168 of them even either way. A list missing
+    one pair, and with it the partner of another, is refused."""
+    L = enumerate_subspaces(n, parse_field("2"))
+    pairs = list(build_projection_poset(L).pairs)
+    random.Random(seed).shuffle(pairs)
+    with pytest.raises(ValueError, match="lack bottom, top or the swap"):
+        ProjectionPoset(L, pairs[1:])
+    P = ProjectionPoset(L, pairs)
+    assert P.pairs[P.bottom] == (L.bottom, L.top) and P.pairs[P.top] == (L.top, L.bottom)
+    assert all(P.pairs[o] == (b, a) for o, (a, b) in zip(P.ortho, pairs))
+    restrict = None if branch is None else {poset_search_plan(P)[1][branch]}
+    found = iter_poset_atom_perms(P, restrict_first=restrict)
+    parities = [classify_parity(eperm, P) for _, eperm in found]
+    assert (len(parities), parities.count(EVEN)) == (336, 168)
+
+
 def _keys_by_rows(P, rows, keys=_pair_keys):
     """A row-restricted copy of _colors_by_ordered_pairs: the key of every
     ordered pair (i, j), i != j, with i or j in rows, keyed one pair at a
@@ -649,8 +704,8 @@ class _BareOrder:
             self.up_masks[b] |= 1 << e
         return e
 
-    # a fake: the atomisticity guard of the pair colors counts it passed
-    _atomistic = True
+    # a fake: the atomisticity guard of the pair colors reads this verdict
+    atomistic = True
 
     @property
     def elem_atom_masks(self):
@@ -891,7 +946,7 @@ def test_lattice_packed_lift_matches_reference(n, spec, atoms, slot_bytes):
         assert L.lift_atom_masks(sigma) == _reference_image_masks(L, sigma)
         want = _reference_lift(L, sigma)
         bijective = None not in want and len(set(want)) == L.size
-        assert autos._lift_bijective(L, sigma) == (tuple(want) if bijective else None)
+        assert L.lift_atom_perm(sigma) == (tuple(want) if bijective else None)
 
     rng = random.Random(n * 1000 + atoms)
     for _ in range(6):
@@ -900,14 +955,14 @@ def test_lattice_packed_lift_matches_reference(n, spec, atoms, slot_bytes):
         assert_matches(sigma)
     auto = next(iter_lattice_atom_perms(L, restrict_first={lattice_search_plan(L)[1][-1]}))[0]
     assert_matches(auto)
-    assert autos._lift_bijective(L, auto) is not None
+    assert L.lift_atom_perm(auto) is not None
     near = list(auto)
     i, j = rng.sample(range(atoms), 2)
     near[i], near[j] = near[j], near[i]
     assert_matches(near)
     clash = list(auto)
     clash[0] = clash[1]
-    assert autos._lift_bijective(L, clash) is None
+    assert L.lift_atom_perm(clash) is None
     for bad in (clash, auto[:-1], auto + (0,)):
         with pytest.raises(NotAnAtomPermutation, match="not a permutation"):
             L.lift_atom_masks(bad)
@@ -922,7 +977,8 @@ def test_every_atom_perm_at_22_checks_the_orthocomplement_as_reference(P22):
     refused."""
     perms = list(itertools.permutations(range(len(P22.atoms))))
     assert len(perms) == 720
-    assert all(autos._lift_bijective(P22, sigma) is not None for sigma in perms)
+    index = P22.atom_mask_index
+    assert all(None not in map(index.get, P22.lift_atom_masks(sigma)) for sigma in perms)
     kept = [expand_poset_atom_perm(P22, sigma) for sigma in perms]
     assert kept == [_reference_expand(P22, sigma) for sigma in perms]
     assert sum(e is not None for e in kept) == 48
@@ -1066,17 +1122,17 @@ def test_ortho_with_a_fixed_point_is_refused_before_the_leaf_split(L32):
 
 
 def test_kept_atomistic_verdict_does_not_pass_the_poset_guard(L32):
-    """The witness matcher's kept verify_atomistic verdict is not the
-    atom searches' guard, which proves more of a poset: on a fresh P(3,2)
-    whose verdict was kept first the guard still runs, so the search
-    finds its 336 maps, and on a P whose ortho has a fixed point it
-    still refuses."""
+    """The kept verify_atomistic verdict, P.atomistic, which the witness
+    matcher reads too, is not the whole of the atom searches' guard, which
+    proves more of a poset: on a fresh P(3,2) whose verdict was kept first
+    the guard still runs, so the search finds its 336 maps, and on a P
+    whose ortho has a fixed point it still refuses."""
     P = build_projection_poset(L32)
-    assert _kept_atomistic(P)
+    assert P.atomistic
     assert sum(1 for _ in iter_poset_atom_perms(P)) == 336
     bad = build_projection_poset(L32)
     bad.ortho[bad.atoms[0]] = bad.atoms[0]
-    assert _kept_atomistic(bad)
+    assert bad.atomistic
     with pytest.raises(FalsificationError, match="not a fixed-point-free involution"):
         poset_search_plan(bad)
 
@@ -1104,7 +1160,7 @@ def test_ortho_that_does_not_reverse_the_order_is_refused(L32):
     ):
         with pytest.raises(FalsificationError, match="not a fixed-point-free involution reversing"):
             refused()
-    assert not hasattr(P, "_atomistic")
+    assert not hasattr(P, "_ortho_split")
 
 
 def test_verify_poset_map_refuses_atom_images_that_repeat(P32):
@@ -1126,17 +1182,24 @@ def test_verify_poset_map_refuses_atom_images_that_repeat(P32):
         _reference_verify_poset_map(perm, P32)
 
 
-def test_lift_errors_other_than_the_lattice_refusal_propagate(L32, P22):
-    """_lift_bijective reads only L's refusal of a non-permutation as no
-    lift. A ValueError raised inside P's lift, here a negative atom
-    ordinal, propagates out of the leaf lift."""
+def test_lift_errors_other_than_the_lattice_refusal_propagate(L32, P22, monkeypatch):
+    """L.lift_atom_perm reads only L's refusal of a non-permutation as no
+    lift: any other ValueError of the packed lift propagates. A ValueError
+    raised inside P's lift, here a negative atom ordinal, propagates out
+    of P's leaf lift."""
     m = len(L32.atoms)
     with pytest.raises(NotAnAtomPermutation):
         L32.lift_atom_masks([0] * m)
-    assert autos._lift_bijective(L32, [0] * m) is None
+    assert L32.lift_atom_perm([0] * m) is None
+
+    def broken(sigma):
+        raise ValueError("not a lattice refusal")
+
+    L = enumerate_subspaces(3, parse_field("2"))
+    monkeypatch.setattr(L, "lift_atom_masks", broken)
+    with pytest.raises(ValueError, match="not a lattice refusal"):
+        L.lift_atom_perm(range(m))
     bad = [-1, *range(1, len(P22.atoms))]
-    with pytest.raises(ValueError, match="negative shift count"):
-        autos._lift_bijective(P22, bad)
     with pytest.raises(ValueError, match="negative shift count"):
         expand_poset_atom_perm(P22, bad)
 
@@ -1409,13 +1472,20 @@ def test_main_theorem_refuses_a_poset_above_the_search_bound(L32, monkeypatch):
 
 
 def test_lattice_campaigns_refuse_a_lattice_above_the_search_bound(L32, P32, monkeypatch):
-    """With the bound one below L's 7 atoms, the semidirect check and
-    witness matching are refused before the lattice search runs."""
-    monkeypatch.setattr(autos, "MAX_SEARCH_ATOMS", 6)
+    """The bound is on the closed-form count of L's maps, 168 at (3,2),
+    inclusive: at 168 the search runs, and one below it the enumeration,
+    the semidirect check and witness matching are refused before the
+    lattice search runs."""
+    monkeypatch.setattr(autos, "SEMILINEAR_LIMIT", 168)
+    assert len(enumerate_lattice_automorphisms(L32)) == 168
+    monkeypatch.setattr(autos, "SEMILINEAR_LIMIT", 167)
     monkeypatch.setattr(autos, "iter_lattice_atom_perms", None)
-    with pytest.raises(AmbientTooLarge, match="^7 atoms exceeds the search bound 6$"):
+    refused = "^168 lattice automorphisms exceeds the search bound 167$"
+    with pytest.raises(AmbientTooLarge, match=refused):
+        enumerate_lattice_automorphisms(L32)
+    with pytest.raises(AmbientTooLarge, match=refused):
         verify_semidirect_structure(L32, P32)
-    with pytest.raises(AmbientTooLarge, match="^7 atoms exceeds the search bound 6$"):
+    with pytest.raises(AmbientTooLarge, match=refused):
         autos.verify_fundamental_correspondence(L32)
 
 
@@ -1545,7 +1615,7 @@ def _previous_lattice_search(L, budget=None, restrict_first=None, stats=None, fa
 
     yield from _previous_atom_search(
         init_cand, _counting(narrow, failed),
-        lambda perm: autos._lift_bijective(L, perm), budget, restrict_first, stats,
+        L.lift_atom_perm, budget, restrict_first, stats,
     )
 
 
@@ -1905,10 +1975,10 @@ def test_atom_action_names_the_first_atom_sent_to_no_atom(L32, P32):
         t, image = exc.value.payload["atom"], exc.value.payload["image"]
         a, b = P32.atom_pairs[t]
         assert image == ((swap[b], swap[a]) if odd else (swap[a], swap[b]))
-        assert P32.index.get(image) not in P32.atom_ordinal
+        assert P32.pair_rows[image[0]][image[1]] not in P32.atom_ordinal
         for a, b in P32.atom_pairs[:t]:
             pair = (swap[b], swap[a]) if odd else (swap[a], swap[b])
-            assert P32.index.get(pair) in P32.atom_ordinal
+            assert P32.pair_rows[pair[0]][pair[1]] in P32.atom_ordinal
 
 
 def test_decompose_names_the_first_element_the_rebuild_misses(P32):

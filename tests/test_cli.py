@@ -22,6 +22,9 @@ def test_simple_verbs_pass(run_cli):
         ("enumerate-lattice-autos", "1", "2"),
         ("enumerate-lattice-autos", "1", "4"),
         ("enumerate-lattice-autos", "1", "9"),
+        # every atom permutation extends at n = 2, beyond PGammaL(2, q)
+        ("enumerate-lattice-autos", "2", "5"),
+        ("enumerate-lattice-autos", "2", "7"),
     ]:
         code, out, err = run_cli(verb, "--n", n, "--field", field)
         assert code == 0, (verb, err)
@@ -90,27 +93,38 @@ def test_main_theorem_refusal_names_the_hypothesis(run_cli):
 
 
 @pytest.mark.parametrize(
-    "argv, atoms, bound",
+    "argv, count, bound",
     [
-        (("export-json", "--n", "3", "--field", "7", "--target", "autos"), 57, 40),
-        (("ring-odd-experiment", "--n", "3", "--field", "7"), 57, 40),
-        (("ring-extend", "--n", "4", "--field", "4"), 85, 40),
+        (("export-json", "--n", "3", "--field", "7", "--target", "autos"), 5630688, 2**20),
+        (("ring-odd-experiment", "--n", "3", "--field", "7"), 5630688, 2**20),
+        (("ring-extend", "--n", "4", "--field", "4"), 1974067200, 2**20),
         (("verify-main-theorem", "--n", "4", "--field", "3"), 1080, 150),
-        (("verify-ftpg", "--n", "3", "--field", "7"), 57, 40),
-        (("verify-semidirect", "--n", "3", "--field", "7"), 57, 40),
+        (("verify-ftpg", "--n", "3", "--field", "7"), 5630688, 2**20),
+        (("verify-semidirect", "--n", "3", "--field", "7"), 5630688, 2**20),
+        (("enumerate-lattice-autos", "--n", "2", "--field", "9"), 3628800, 2**20),
+        (("export-json", "--n", "2", "--field", "9", "--target", "autos"), 3628800, 2**20),
+        (("verify-semidirect", "--n", "2", "--field", "9"), 3628800, 2**20),
+        (("enumerate-lattice-autos", "--n", "5", "--field", "2"), 9999360, 2**20),
+        (("verify-ftpg", "--n", "5", "--field", "2"), 9999360, 2**20),
+        (("enumerate-lattice-autos", "--n", "4", "--field", "3"), 12130560, 2**20),
+        (("ring-extend", "--n", "4", "--field", "3"), 12130560, 2**20),
     ],
 )
-def test_ambient_beyond_a_search_bound_exits_2(run_cli, argv, atoms, bound):
-    """A search bound refuses the ambient with one line, then the wall
-    time; the first three are refused by the lattice search's bound
-    before P is built, the fourth by the poset search's, and the last two
-    by the lattice search's before it runs (verify-semidirect has built
-    P by then)."""
-    code, out, err = run_cli(*argv)
+def test_ambient_beyond_a_search_bound_exits_2(run_cli, argv, count, bound):
+    """A search bound refuses the ambient with one line naming the count
+    and the bound, then the wall time. verify-main-theorem is refused by
+    the poset search's bound on P-atoms; every other verb by the lattice
+    search's bound on the closed-form count of L's automorphisms, before
+    the search runs: before P is built in enumerate-lattice-autos,
+    export-json, ring-extend and ring-odd-experiment, after it in
+    verify-semidirect. Each run passes a small node budget, so a bound
+    that admitted the ambient would exit 3 at once, not search on."""
+    code, out, err = run_cli(*argv, "--budget-nodes", "50")
     assert code == 2
     assert out == ""
     message, wall = err.splitlines()
-    assert message == f"projlat {argv[0]}: {atoms} atoms exceeds the search bound {bound}"
+    what = "atoms" if argv[0] == "verify-main-theorem" else "lattice automorphisms"
+    assert message == f"projlat {argv[0]}: {count} {what} exceeds the search bound {bound}"
     assert wall.startswith("# wall ")
 
 
@@ -267,6 +281,34 @@ def test_malformed_map_file_exits_2(run_cli, tmp_path, doc, why):
     code, _, err = run_cli("verify-map", "--n", "2", "--field", "2", "--in", str(path))
     assert code == 2
     assert "bad map file" in err and why in err
+
+
+@pytest.mark.parametrize(
+    "witness, why",
+    [
+        ({"field": "2", "matrix": [[1, 0], [1]], "twist": 0}, "witness matrix is not square"),
+        ({"field": "3", "matrix": [[1, 0], [0, 1]], "twist": 0},
+         "the witness is 2 x 2 over GF(3), the ambient GF(2)^2"),
+        ({"field": "2", "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "twist": 0},
+         "the witness is 3 x 3 over GF(2), the ambient GF(2)^2"),
+    ],
+)
+def test_verify_map_refuses_a_witness_that_does_not_fit_the_ambient(run_cli, tmp_path, witness, why):
+    """A ragged witness matrix, or one over another field or of another
+    size than the ambient, is a bad map file (exit 2), not a traceback
+    and not a passing report; the identity with a fitting witness
+    passes."""
+    doc = {"schema": "projlat-map/1", "kind": "lattice", "direction": "automorphism",
+           "permutation": [0, 1, 2, 3, 4]}
+    path = tmp_path / "map.json"
+    for w, want in ((witness, 2), ({"field": "2", "matrix": [[1, 0], [0, 1]], "twist": 0}, 0)):
+        path.write_text(json.dumps({**doc, "witness": w}))
+        code, out, err = run_cli("verify-map", "--n", "2", "--field", "2", "--in", str(path))
+        assert code == want
+        if want:
+            assert err.splitlines()[0] == f"projlat verify-map: bad map file: {why}"
+        else:
+            assert "PASS" in out
 
 
 def test_worker_branch_budget_and_digest(P22):

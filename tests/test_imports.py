@@ -38,3 +38,40 @@ def test_unused_import_is_caught():
     source = "from .gf import GF, parse_field\nparse_field('2')\n"
     assert unused_imports(source) == {"GF"}
     assert unused_imports("import os.path\n__all__ = ['os']\n") == set()
+
+
+def local_package_imports(source: str) -> list[str]:
+    """The package modules imported inside a function body: every
+    relative import, and every import of projlat, made by a statement
+    below a def. Imports of other packages, such as the pool's lazy
+    multiprocessing, are not counted."""
+    tree = ast.parse(source)
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "projlat"
+            ):
+                found.append(f"{func.name}: {'.' * node.level}{node.module or ''}")
+            elif isinstance(node, ast.Import):
+                found += [
+                    f"{func.name}: {a.name}" for a in node.names if a.name.split(".")[0] == "projlat"
+                ]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_imports_from_the_package(path):
+    """Every module imports the package's names at its top, where an
+    import cycle would show at once."""
+    assert local_package_imports(path.read_text()) == []
+
+
+def test_function_local_package_import_is_caught():
+    source = (
+        "def f():\n    from .gf import GF\n    import projlat.maps\n    import multiprocessing\n"
+        "def g():\n    from . import autos\n"
+    )
+    assert local_package_imports(source) == ["f: .gf", "f: projlat.maps", "g: ."]

@@ -294,7 +294,7 @@ def test_atom_list_naming_a_non_minimal_element_is_refused(L32, P32):
     for S, plan in ((L32, lattice_search_plan), (P32, poset_search_plan)):
         grade = S.dims if S is L32 else S.grade
         bad = copy.copy(S)
-        for kept in ("_atomistic", "_auto_search_cache", "atom_ordinal"):
+        for kept in ("atomistic", "_auto_search_cache", "atom_ordinal"):
             bad.__dict__.pop(kept, None)
         bad.atoms = S.atoms + [grade.index(2)]
         bad.elem_atom_masks = atom_masks(S.up_masks, bad.atoms)

@@ -78,7 +78,7 @@ def _corrupted(P, grade=None, up=None):
     Q.grade = grade if grade is not None else P.grade
     if up is not None:
         Q.up_masks, Q.down_masks = up, down_masks(up)
-    for kept in ("_atomistic", "up_mask_index", "down_mask_index"):
+    for kept in ("atomistic", "up_mask_index", "down_mask_index"):
         Q.__dict__.pop(kept, None)
     return Q
 

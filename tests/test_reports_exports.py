@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from projlat import canonical_json, report_to_jsonable, sha256_of
 from projlat.autos import CampaignReport
 from projlat.exports import (
@@ -112,6 +114,20 @@ def test_semilinear_witness_survives_export(L34, f4):
     assert back.witness is not None
     assert back.witness.matrix == s.matrix
     assert back.witness.twist.power == 1
+
+
+def test_witness_matrix_must_be_square():
+    """A witness matrix that is ragged, empty or not square is refused
+    with ValueError, which verify-map reports as a bad map file, before
+    any matrix routine indexes it; a square one is read."""
+    doc = {"schema": "projlat-map/1", "kind": "lattice", "direction": AUTO,
+           "permutation": [0, 1, 2, 3, 4]}
+    for matrix in ([[1, 0], [1]], [], [[1, 0]], [[1], [0]]):
+        witness = {"field": "2", "matrix": matrix, "twist": 0}
+        with pytest.raises(ValueError, match="^witness matrix is not square$"):
+            map_from_jsonable({**doc, "witness": witness})
+    witness = {"field": "2", "matrix": [[1, 0], [1, 1]], "twist": 0}
+    assert map_from_jsonable({**doc, "witness": witness}).witness.matrix == ((1, 0), (1, 1))
 
 
 def test_ringmap_export_is_deterministic(f3):
