@@ -963,7 +963,9 @@ def _branch_results(P: ProjectionPoset, todo, budget, jobs: int):
 def _load_checkpoint(path: str | None, fingerprint: str, targets: list[int]) -> dict:
     """The checkpoint state at path, or a fresh one. Every completed branch
     is checked for its fields and for a target in the plan before it is
-    trusted."""
+    trusted. A path in no directory is refused here, before any search."""
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise CheckpointError(f"cannot write checkpoint {path}: no such directory")
     if not (path and os.path.exists(path)):
         return {"schema": SCHEMA_CHECKPOINT, "fingerprint": fingerprint, "done": {}}
     try:
@@ -1000,9 +1002,12 @@ def _save_checkpoint(path: str | None, state: dict) -> None:
     if not path:
         return
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(canonical_json(state))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(canonical_json(state))
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise CheckpointError(f"cannot write checkpoint {path}: {exc.strerror}") from None
 
 
 def _constructed_side(L: SubspaceLattice, P: ProjectionPoset, budget: int | None):

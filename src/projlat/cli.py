@@ -26,9 +26,12 @@ import sys
 import time
 
 from .autos import (
+    MAX_POSET_SEARCH_ATOMS,
     CheckpointError,
     FalsificationError,
     SearchBudgetExceeded,
+    _check_lattice_search_bound,
+    _check_search_bound,
     check_semilinear_generation,
     enumerate_lattice_automorphisms,
     even_from_lattice_automorphism,
@@ -65,6 +68,7 @@ from .projposet import (
 )
 from .reports import CampaignReport, canonical_json, render_text, report_to_jsonable
 from .ringmaps import (
+    _check_im_ker_bound,
     anti_automorphism_from_semilinear,
     check_im_ker_lemma,
     conjugation_automorphism,
@@ -109,7 +113,6 @@ def _emit(rep: CampaignReport, args, verb: str, name: str | None = None) -> int:
     else:
         sys.stdout.write(render_text(doc))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, f"{verb}.json"), "w") as fh:
             fh.write(payload)
     return EXIT_BY_STATUS[doc["status"]]
@@ -117,7 +120,6 @@ def _emit(rep: CampaignReport, args, verb: str, name: str | None = None) -> int:
 
 def _write_artifact(text: str, args, filename: str) -> None:
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, filename), "w") as fh:
             fh.write(text)
     else:
@@ -223,6 +225,7 @@ def cmd_verify_ftpg(args) -> int:
 
 def cmd_verify_semidirect(args) -> int:
     F, L = _lattice(args, min_n=2)
+    _check_lattice_search_bound(L)
     P = build_projection_poset(L)
     rep = verify_semidirect_structure(L, P, budget=args.budget_nodes)
     return _emit(rep, args, "verify-semidirect")
@@ -230,6 +233,9 @@ def cmd_verify_semidirect(args) -> int:
 
 def cmd_verify_main_theorem(args) -> int:
     F, L = _lattice(args, 4, "(the classification theorem assumes lattice length >= 4)")
+    # P's atoms are the points p with each of the q^(n-1) hyperplanes off p
+    atoms = gaussian_binomial(L.n, 1, F.q) * F.q ** (L.n - 1)
+    _check_search_bound(atoms, "atoms", MAX_POSET_SEARCH_ATOMS)
     P = build_projection_poset(L)
     try:
         rep = verify_main_theorem(
@@ -247,6 +253,7 @@ def cmd_verify_main_theorem(args) -> int:
 
 def cmd_ring_lemma(args) -> int:
     F, L = _lattice(args)
+    _check_im_ker_bound(projection_pair_count(L.n, F.q))
     P = build_projection_poset(L)
     rep = check_im_ker_lemma(P)
     return _emit(rep, args, "ring-lemma", name="ring-lemma")
@@ -648,6 +655,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     if not args.verb:
         parser.print_help()
+        return EXIT_USAGE
+    try:  # --out is made before the verb runs, so a bad path costs no work
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        why = f"cannot write to --out {args.out}: {exc.strerror}"
+        sys.stderr.write(f"projlat {args.verb}: {why}\n")
         return EXIT_USAGE
     t0 = time.monotonic()
     try:

@@ -3,8 +3,9 @@
 Subspaces are identified with their reduced-row-echelon bases, which makes
 equality representational and hashing free. The lattice object indexes
 every subspace and stores its order as bitmasks; a meet or a join is one
-lookup of a down-set or up-set intersection, and the modular-pair and
-dual-modular-pair predicates take one lookup per element of one interval.
+lookup of a down-set or up-set intersection, and the modular-pair
+predicate, read on the lattice or on its dual, takes one lookup per
+element of one interval.
 At desk scale (q^n <= 10^6, element counts in the tens to hundreds) all of
 this is exact.
 """
@@ -160,7 +161,9 @@ class FiniteOrder:
         return self.down_mask_index.get(self.down_masks[i] & self.down_masks[j])
 
     def cover_pairs(self) -> list[tuple[int, int]]:
-        return cover_pairs(self.up_masks, self.down_masks)
+        """Pairs (i, j) with j covering i, i ascending, then j."""
+        up, covers = self.up_masks, self.covers_idx
+        return [(i, j) for i, u in enumerate(up) for j in _bits(u) if covers(i, j)]
 
     @cached_property
     def atom_ordinal(self) -> dict[int, int]:
@@ -205,17 +208,30 @@ class FiniteOrder:
             dm[join[um[y] & ua]] & db == dm[y] for y in _bits(um[self.glb_idx(a, b)] & db)
         )
 
-    def is_dual_modular_pair_idx(self, a: int, b: int) -> bool:
-        """(a,b)M* in a lattice: (x ^ a) v b == x ^ (a v b) for every x >= b.
-        With y = x ^ (a v b), x ^ a = y ^ a, and y runs over all of
-        [b, a v b]; so (a,b)M* holds exactly when (y ^ a) v b == y on that
-        interval, compared by up-sets: one lookup per y. For complements
-        the interval is all of up(b)."""
-        um, dm, meet = self.up_masks, self.down_masks, self.down_mask_index
-        da, ub = dm[a], um[b]
-        return all(
-            um[meet[dm[y] & da]] & ub == um[y] for y in _bits(dm[self.lub_idx(a, b)] & ub)
-        )
+    def covers_idx(self, i: int, j: int) -> bool:
+        """j covers i: i < j with nothing strictly between, so the
+        interval [i, j] is {i, j}; it is empty when i is not below j."""
+        return i != j and self.up_masks[i] & self.down_masks[j] == (1 << i) | (1 << j)
+
+    @cached_property
+    def up_lists(self) -> list[list[int]]:
+        """Every element's up-set as a list, lowest first, built once: the
+        comparable pairs a lattice-map check walks."""
+        return [_bits(u) for u in self.up_masks]
+
+    @cached_property
+    def atom_lists(self) -> list[list[int]]:
+        """Every element's atom set as a list of atom ordinals."""
+        return [_bits(m) for m in self.elem_atom_masks]
+
+    @cached_property
+    def dual(self) -> FiniteOrder:
+        """The reverse order, up-sets and down-sets swapped: each predicate
+        read on it is its dual, so (a,b)M* is dual.is_modular_pair_idx(a, b)
+        (Maeda & Maeda 1970, ch. I). Built on first use."""
+        D = FiniteOrder()
+        D.up_masks, D.down_masks = self.down_masks, self.up_masks
+        return D
 
 
 class SubspaceLattice(FiniteOrder):
@@ -264,28 +280,12 @@ class SubspaceLattice(FiniteOrder):
 
     # -- order and operations ----------------------------------------------
 
-    def covers_idx(self, i: int, j: int) -> bool:
-        """j covers i: i < j with nothing strictly between, so the
-        interval [i, j] is {i, j}; it is empty when i is not below j."""
-        return i != j and self.up_masks[i] & self.down_masks[j] == (1 << i) | (1 << j)
-
     def complements_idx(self, i: int) -> list[int]:
         """The j with i v j the top and i ^ j the bottom: the only common
         upper bound is the top, and the only common lower bound the bottom."""
         um, dm = self.up_masks, self.down_masks
         ui, di, top, bottom = um[i], dm[i], 1 << self.top, 1 << self.bottom
         return [j for j in range(self.size) if ui & um[j] == top and di & dm[j] == bottom]
-
-    @cached_property
-    def up_lists(self) -> list[list[int]]:
-        """Every element's up-set as a list, lowest first, built once: the
-        comparable pairs a lattice-map check walks."""
-        return [_bits(u) for u in self.up_masks]
-
-    @cached_property
-    def atom_lists(self) -> list[list[int]]:
-        """Every element's atom set as a list of atom ordinals."""
-        return [_bits(m) for m in self.elem_atom_masks]
 
     @cached_property
     def _atom_columns(self) -> tuple[list[int], int, set[int]]:
@@ -331,12 +331,10 @@ class SubspaceLattice(FiniteOrder):
 
     @cached_property
     def dual(self) -> FiniteOrder:
-        """The same elements under the reverse order, the one down_masks
-        gives: its atoms are L's coatoms, and an element's atom set is the
-        set of coatoms above it. Built on first use."""
-        D = FiniteOrder()
-        D.size, D.atoms = self.size, self.coatoms
-        D.up_masks, D.down_masks = self.down_masks, self.up_masks
+        """The reverse order with L's coatoms as atoms, bottom and top
+        swapped: the order P reads on kernels."""
+        D = super().dual
+        D.size, D.atoms, D.bottom, D.top = self.size, self.coatoms, self.top, self.bottom
         D.elem_atom_masks = atom_masks(D.up_masks, D.atoms)
         return D
 
@@ -452,16 +450,6 @@ def atom_masks(up: list[int], atoms: list[int]) -> list[int]:
     return masks
 
 
-def cover_pairs(up: list[int], down: list[int]) -> list[tuple[int, int]]:
-    """Pairs (i, j) with j covering i: i < j and nothing strictly between."""
-    out = []
-    for i, ui in enumerate(up):
-        for j in _bits(ui & ~(1 << i)):
-            if ui & down[j] == (1 << i) | (1 << j):
-                out.append((i, j))
-    return out
-
-
 def order_is_atom_inclusion(up: list[int], atoms: list[int], stored: list[int]) -> bool:
     """Whether i <= j exactly when the atoms below i are all below j, the
     stored sets (bit t of stored[i] for atoms[t] <= i) are those atoms and
@@ -521,7 +509,7 @@ def check_g_lattice_properties(L: SubspaceLattice) -> CampaignReport:
     mod_bad = []
     for i in range(L.size):
         for j in range(L.size):
-            if not L.is_modular_pair_idx(i, j) or not L.is_dual_modular_pair_idx(i, j):
+            if not L.is_modular_pair_idx(i, j) or not L.dual.is_modular_pair_idx(i, j):
                 mod_bad.append((i, j))
     rep.add(
         "all_pairs_modular_and_dual_modular",
@@ -529,27 +517,17 @@ def check_g_lattice_properties(L: SubspaceLattice) -> CampaignReport:
         f"violations={mod_bad[:3]}" if mod_bad else f"pairs={L.size**2}",
     )
 
-    cov_bad = []
-    for p in L.atoms:
-        for a in range(L.size):
-            if L.glb_idx(a, p) == L.bottom and not L.covers_idx(a, L.lub_idx(a, p)):
-                cov_bad.append((p, a))
-    rep.add(
-        "covering_property",
-        not cov_bad,
-        f"violations={cov_bad[:3]}" if cov_bad else "all atom joins cover",
-    )
-
-    dual_cov_bad = []
-    for h in L.coatoms:
-        for a in range(L.size):
-            if L.lub_idx(a, h) == L.top and not L.covers_idx(L.glb_idx(a, h), a):
-                dual_cov_bad.append((h, a))
-    rep.add(
-        "dual_covering_property",
-        not dual_cov_bad,
-        f"violations={dual_cov_bad[:3]}" if dual_cov_bad else "all coatom meets cover",
-    )
+    for check, S, holds in (
+        ("covering_property", L, "all atom joins cover"),
+        ("dual_covering_property", L.dual, "all coatom meets cover"),
+    ):
+        bad = [
+            (p, a)
+            for p in S.atoms
+            for a in range(S.size)
+            if S.glb_idx(a, p) == S.bottom and not S.covers_idx(a, S.lub_idx(a, p))
+        ]
+        rep.add(check, not bad, f"violations={bad[:3]}" if bad else holds)
 
     dim_bad = [
         (i, j)

@@ -118,33 +118,28 @@ class ProjectionPoset(FiniteOrder):
         self._build_order()
 
     def _build_order(self) -> None:
-        """The order is L's order on images times its dual on kernels:
-        (a, b) <= (c, d) iff c is above a and d below b. So the up-set of
-        (a, b) is the elements whose image lies in a's up-set, intersected
-        with those whose kernel lies in b's down-set, and the down-set is
-        the same product read the other way. The atoms below (a, b) are
-        the down-set's atoms: those whose image point lies under a, and
-        whose kernel hyperplane lies over b."""
-        L = self.lattice
+        """P is the product of L on images and L.dual on kernels: the up-set
+        of (a, b) is the elements whose image lies in a's up-set in L and
+        whose kernel lies in b's up-set in L.dual, and the down-set is the
+        same product with the factors swapped. The atoms below (a, b) are
+        those whose image is an atom of L below a and whose kernel an atom
+        of L.dual (a hyperplane) below b there."""
+        L, D = self.lattice, self.lattice.dual
         bits = [1 << i for i in range(self.size)]
         img = or_lists(bits, [self.by_image.get(c, []) for c in range(L.size)])
         ker = or_lists(bits, [self.by_kernel.get(c, []) for c in range(L.size)])
         del bits  # P-sized; freed before the order tables are built
-        down_lists = [_bits(d) for d in L.down_masks]
-        self.up_masks = self._product(img, ker, L.up_lists, down_lists)
-        self.down_masks = self._product(img, ker, down_lists, L.up_lists)
+        self.up_masks = self._product(img, ker, L.up_lists, D.up_lists)
+        self.down_masks = self._product(img, ker, D.up_lists, L.up_lists)
         self.atoms = [i for i, g in enumerate(self.grade) if g == 1]
         self.atom_pairs = [self.pairs[x] for x in self.atoms]
-        # the down-set product over the atoms alone, by L's atom ordinals on
-        # the image side and its coatom ordinals on the kernel side
-        hyperplane = {h: t for t, h in enumerate(L.coatoms)}
+        # the down-set product over the atoms alone, by the atom ordinals
+        # of L on the image side and of L.dual on the kernel side
         self._on_point: list[list[int]] = [[] for _ in L.atoms]
-        self._on_hyperplane: list[list[int]] = [[] for _ in L.coatoms]
+        self._on_hyperplane: list[list[int]] = [[] for _ in D.atoms]
         for t, (p, h) in enumerate(self.atom_pairs):
             self._on_point[L.atom_ordinal[p]].append(t)
-            self._on_hyperplane[hyperplane[h]].append(t)
-        coatoms = sum(1 << h for h in L.coatoms)
-        self._hyperplanes_over = [[hyperplane[h] for h in _bits(u & coatoms)] for u in L.up_masks]
+            self._on_hyperplane[D.atom_ordinal[h]].append(t)
         self.elem_atom_masks = self.lift_atom_masks(range(len(self.atoms)))
         self.atom_mask_index = _mask_index(self.elem_atom_masks, "atom set")
 
@@ -166,7 +161,7 @@ class ProjectionPoset(FiniteOrder):
         the identity."""
         bits = [1 << y for y in sigma]
         if part is None:
-            part = self.lattice.atom_lists, self._hyperplanes_over, None
+            part = self.lattice.atom_lists, self.lattice.dual.atom_lists, None
         img_lists, ker_lists, pairs = part
         return self._product(
             or_lists(bits, self._on_point), or_lists(bits, self._on_hyperplane),
@@ -184,8 +179,8 @@ class ProjectionPoset(FiniteOrder):
              kernels.setdefault(self.kernel[e], len(kernels)))
             for e in elements
         ]
-        atom_lists, over = self.lattice.atom_lists, self._hyperplanes_over
-        return [atom_lists[a] for a in images], [over[b] for b in kernels], pairs
+        on_image, on_kernel = self.lattice.atom_lists, self.lattice.dual.atom_lists
+        return [on_image[a] for a in images], [on_kernel[b] for b in kernels], pairs
 
     @cached_property
     def pair_rows(self) -> list[list[int | None]]:
@@ -257,14 +252,15 @@ class ProjectionPoset(FiniteOrder):
 
 def build_projection_poset(L: SubspaceLattice) -> ProjectionPoset:
     """All complementary pairs (a, b) of L that are also a modular pair and
-    a dual-modular pair, (a,b)M and (a,b)M*: each pair is re-checked by L's
-    two predicates rather than trusting modularity. For complements each
-    predicate walks all of down(b) or up(b), one lookup per element."""
+    a dual-modular pair, (a,b)M and (a,b)M*: each pair is re-checked by the
+    modular-pair predicate of L and of L.dual rather than trusting
+    modularity. For complements each walks all of down(b) or up(b), one
+    lookup per element."""
     pairs = [
         (a, b)
         for a in range(L.size)
         for b in L.complements_idx(a)
-        if L.is_modular_pair_idx(a, b) and L.is_dual_modular_pair_idx(a, b)
+        if L.is_modular_pair_idx(a, b) and L.dual.is_modular_pair_idx(a, b)
     ]
     expected = projection_pair_count(L.n, L.field.q)
     if len(pairs) != expected:

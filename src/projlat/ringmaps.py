@@ -254,6 +254,13 @@ def center_is_scalars(F: GF, n: int) -> CampaignReport:
     return rep
 
 
+def _check_im_ker_bound(size: int) -> None:
+    """Refuse check_im_ker_lemma on a P whose size^2 pairs exceed MAX_IM_KER_PAIRS."""
+    if size * size > MAX_IM_KER_PAIRS:
+        pairs = f"{size * size} idempotent pairs"
+        raise AmbientTooLarge(f"{pairs} exceeds the exhaustive bound {MAX_IM_KER_PAIRS}")
+
+
 def check_im_ker_lemma(P: ProjectionPoset) -> CampaignReport:
     """Idempotent image/kernel laws, over every ordered pair (p, q).
 
@@ -266,9 +273,7 @@ def check_im_ker_lemma(P: ProjectionPoset) -> CampaignReport:
     L = P.lattice
     F = L.field
     rep = CampaignReport("im-ker-lemma", (L.n, F.spec()))
-    if P.size * P.size > MAX_IM_KER_PAIRS:
-        pairs = f"{P.size * P.size} idempotent pairs"
-        raise AmbientTooLarge(f"{pairs} exceeds the exhaustive bound {MAX_IM_KER_PAIRS}")
+    _check_im_ker_bound(P.size)
     mats = P.idempotents
     img, ker = P.image, P.kernel
     up = L.up_masks

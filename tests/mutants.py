@@ -267,17 +267,22 @@ MUTANTS = [
     ),
     (
         "projlat/lattice.py",
-        "        um, dm, meet = self.up_masks, self.down_masks, self.down_mask_index\n"
-        "        da, ub = dm[a], um[b]\n"
-        "        return all(\n"
-        "            um[meet[dm[y] & da]] & ub == um[y] for y in _bits(dm[self.lub_idx(a, b)] & ub)\n"
-        "        )\n",
-        "        return True\n",
+        "        D.up_masks, D.down_masks = self.down_masks, self.up_masks\n",
+        "        D.up_masks, D.down_masks = self.up_masks, self.down_masks\n",
         [
             "tests/test_lattice.py::test_modular_pair_predicates_match_their_definitions[N5]",
             "tests/test_lattice.py::test_pentagon_has_one_pair_failing_each_predicate",
         ],
-        "every pair counts as a dual-modular pair",
+        "the dual leaves the order unreversed, so (a,b)M* is read as (a,b)M",
+    ),
+    (
+        "projlat/lattice.py",
+        "self.coatoms, self.top, self.bottom\n",
+        "self.coatoms, self.bottom, self.top\n",
+        [
+            "tests/test_lattice.py::test_covering_checks_match_reference_where_they_fail",
+        ],
+        "the dual's bounds are left unswapped, so the dual covering check passes vacuously",
     ),
     (
         "projlat/lattice.py",
@@ -315,6 +320,16 @@ MUTANTS = [
             "tests/test_ringmaps.py::test_row_tables_match_products_on_every_matrix[2-3]",
         ],
         "the ring tables of one witness are read by the ring maps of every other",
+    ),
+    (
+        "projlat/projposet.py",
+        "            part = self.lattice.atom_lists, self.lattice.dual.atom_lists, None\n",
+        "            part = self.lattice.atom_lists, self.lattice.atom_lists, None\n",
+        [
+            "tests/test_autos.py::test_product_lift_matches_reference_on_seeded_perms[3-2]",
+            "tests/test_projposet.py::test_product_order_matches_pairwise_order[3-2]",
+        ],
+        "P's kernel side is read from L's atom sets, not L.dual's",
     ),
     (
         "projlat/projposet.py",

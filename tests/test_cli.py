@@ -92,6 +92,10 @@ def test_main_theorem_refusal_names_the_hypothesis(run_cli):
     assert "length >= 4" in err
 
 
+def _no_poset(L):
+    raise AssertionError("P was built before the bound refused the ambient")
+
+
 @pytest.mark.parametrize(
     "argv, count, bound",
     [
@@ -110,15 +114,18 @@ def test_main_theorem_refusal_names_the_hypothesis(run_cli):
         (("ring-extend", "--n", "4", "--field", "3"), 12130560, 2**20),
     ],
 )
-def test_ambient_beyond_a_search_bound_exits_2(run_cli, argv, count, bound):
+def test_ambient_beyond_a_search_bound_exits_2(run_cli, argv, count, bound, monkeypatch):
     """A search bound refuses the ambient with one line naming the count
     and the bound, then the wall time. verify-main-theorem is refused by
-    the poset search's bound on P-atoms; every other verb by the lattice
-    search's bound on the closed-form count of L's automorphisms, before
-    the search runs: before P is built in enumerate-lattice-autos,
-    export-json, ring-extend and ring-odd-experiment, after it in
-    verify-semidirect. Each run passes a small node budget, so a bound
-    that admitted the ambient would exit 3 at once, not search on."""
+    the poset search's bound on P-atoms, counted in closed form; every
+    other verb by the lattice search's bound on the closed-form count of
+    L's automorphisms. Every verb refuses before the search runs and
+    before P is built: building P raises here. Each run passes a small
+    node budget, so a bound that admitted the ambient would exit 3 at
+    once, not search on."""
+    from projlat import cli
+
+    monkeypatch.setattr(cli, "build_projection_poset", _no_poset)
     code, out, err = run_cli(*argv, "--budget-nodes", "50")
     assert code == 2
     assert out == ""
@@ -128,9 +135,13 @@ def test_ambient_beyond_a_search_bound_exits_2(run_cli, argv, count, bound):
     assert wall.startswith("# wall ")
 
 
-def test_im_ker_lemma_beyond_its_pair_bound_exits_2(run_cli):
-    """ring-lemma at (3,5) refuses the 1 552^2 ordered idempotent pairs with
+def test_im_ker_lemma_beyond_its_pair_bound_exits_2(run_cli, monkeypatch):
+    """ring-lemma at (3,5) refuses the 1 552^2 ordered idempotent pairs,
+    counted in closed form before P is built (building P raises here), with
     one line naming the count and the bound, then the wall time."""
+    from projlat import cli
+
+    monkeypatch.setattr(cli, "build_projection_poset", _no_poset)
     code, out, err = run_cli("ring-lemma", "--n", "3", "--field", "5")
     assert code == 2
     assert out == ""
@@ -395,6 +406,51 @@ def test_corrupted_checkpoint_entry_exits_2(run_cli, tmp_path, P42):
     )
     assert code == 2
     assert "entry '9999'" in err
+
+
+@pytest.mark.parametrize("verb", ["enumerate-lattice", "export-dot"])
+def test_out_path_that_is_a_file_exits_2_before_the_verb_runs(run_cli, tmp_path, verb):
+    """An --out naming an existing file is refused with one line before the
+    verb runs: no report on stdout, no wall time, and the file untouched."""
+    path = tmp_path / "F"
+    path.write_text("kept")
+    code, out, err = run_cli(verb, "--n", "2", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"projlat {verb}: cannot write to --out {path}: File exists"]
+    assert path.read_text() == "kept"
+
+
+def test_checkpoint_in_a_missing_directory_exits_2_before_any_search(run_cli, tmp_path):
+    """A checkpoint whose directory is missing is refused when it is
+    loaded, before the lattice search: with a budget of 10 nodes an
+    admitted run would stop in that search and exit 3."""
+    path = tmp_path / "missing" / "x.ckpt"
+    code, out, err = run_cli(
+        "verify-main-theorem", "--n", "4", "--checkpoint", str(path), "--budget-nodes", "10"
+    )
+    assert (code, out) == (2, "")
+    message, wall = err.splitlines()
+    assert message == (
+        f"projlat verify-main-theorem: cannot write checkpoint {path}: no such directory"
+    )
+    assert wall.startswith("# wall ")
+
+
+def test_checkpoint_that_cannot_be_saved_exits_2(run_cli, tmp_path):
+    """A checkpoint save that fails, here because the temporary file's name
+    is taken by a directory, is a usage error with one line, not a
+    traceback, after the first branch."""
+    path = tmp_path / "x.ckpt"
+    (tmp_path / "x.ckpt.tmp").mkdir()
+    code, out, err = run_cli("verify-main-theorem", "--n", "4", "--checkpoint", str(path))
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert lines[0].startswith("# verify-main-theorem: ")
+    assert lines[1] == (
+        f"projlat verify-main-theorem: cannot write checkpoint {path}: Is a directory"
+    )
+    assert lines[2].startswith("# wall ") and len(lines) == 3
+    assert not path.exists()
 
 
 def test_unreadable_checkpoint_path_exits_2(run_cli, tmp_path):

@@ -19,6 +19,7 @@ from projlat.autos import FalsificationError, lattice_search_plan, poset_search_
 from projlat.lattice import (
     FiniteOrder,
     Subspace,
+    _bits as lattice_bits,
     atom_masks,
     down_masks,
     order_is_atom_inclusion,
@@ -165,13 +166,13 @@ def _modular_pair_failures(order):
 
 @pytest.mark.parametrize("name", ["N5", "M3", "L32", "L23"])
 def test_modular_pair_predicates_match_their_definitions(name, request):
-    """Both predicates, which walk one interval, agree with their
-    definitions on every ordered pair."""
+    """The modular-pair predicate, which walks one interval, agrees with
+    (a,b)M on every ordered pair, and read on the dual with (a,b)M*."""
     order = {"N5": N5, "M3": M3}.get(name) or request.getfixturevalue(name)
     pairs = [(a, b) for a in range(len(order.up_masks)) for b in range(len(order.up_masks))]
     not_m, not_m_star = _modular_pair_failures(order)
     assert [p for p in pairs if not order.is_modular_pair_idx(*p)] == not_m
-    assert [p for p in pairs if not order.is_dual_modular_pair_idx(*p)] == not_m_star
+    assert [p for p in pairs if not order.dual.is_modular_pair_idx(*p)] == not_m_star
 
 
 def test_pentagon_has_one_pair_failing_each_predicate():
@@ -181,7 +182,7 @@ def test_pentagon_has_one_pair_failing_each_predicate():
     p, c, q = 1, 2, 3
     pairs = [(a, b) for a in range(5) for b in range(5)]
     assert [x for x in pairs if not N5.is_modular_pair_idx(*x)] == [(q, c)]
-    assert [x for x in pairs if not N5.is_dual_modular_pair_idx(*x)] == [(q, p)]
+    assert [x for x in pairs if not N5.dual.is_modular_pair_idx(*x)] == [(q, p)]
     assert _modular_pair_failures(N5) == ([(q, c)], [(q, p)])
     assert _modular_pair_failures(M3) == ([], [])
 
@@ -323,6 +324,73 @@ def test_g_lattice_battery(L22, L32, L23, L33):
     for L in (L22, L32, L23, L33):
         rep = check_g_lattice_properties(L)
         assert rep.passed, rep.checks
+
+
+def _covering_reference(L):
+    """Reference: the covering and dual covering loops as
+    check_g_lattice_properties ran them on L before it ran one loop on L
+    and on L.dual, as (ok, detail) pairs."""
+    cov_bad = [
+        (p, a)
+        for p in L.atoms
+        for a in range(L.size)
+        if L.glb_idx(a, p) == L.bottom and not L.covers_idx(a, L.lub_idx(a, p))
+    ]
+    dual_cov_bad = [
+        (h, a)
+        for h in L.coatoms
+        for a in range(L.size)
+        if L.lub_idx(a, h) == L.top and not L.covers_idx(L.glb_idx(a, h), a)
+    ]
+    return {
+        "covering_property": (
+            not cov_bad, f"violations={cov_bad[:3]}" if cov_bad else "all atom joins cover"
+        ),
+        "dual_covering_property": (
+            not dual_cov_bad,
+            f"violations={dual_cov_bad[:3]}" if dual_cov_bad else "all coatom meets cover",
+        ),
+    }
+
+
+def _covering_checks(L):
+    rep = check_g_lattice_properties(L)
+    return {name: (ok, detail) for name, ok, detail in rep.checks if "covering" in name}
+
+
+def test_covering_checks_match_reference_where_they_fail(L32):
+    """L32 with a line added to its atoms and a point to its coatoms: the
+    join of that line with a point off it is the top, which covers no
+    point, and the meet of that point with a line off it is the bottom,
+    which no line covers. Both checks fail, and each gives the ok flag
+    and detail of the reference loops, as on L32 itself, where both hold."""
+    bad = copy.copy(L32)
+    bad.__dict__.pop("dual", None)
+    bad.atoms = L32.atoms + [L32.dim_index[2][0]]
+    bad.coatoms = L32.coatoms + [L32.dim_index[1][0]]
+    assert _covering_checks(L32) == _covering_reference(L32)
+    assert all(ok for ok, _ in _covering_checks(L32).values())
+    got = _covering_checks(bad)
+    assert got == _covering_reference(bad)
+    assert not any(ok for ok, _ in got.values())
+
+
+@pytest.mark.parametrize("n, spec", [(2, "3"), (3, "2"), (4, "2"), (3, "5")])
+def test_dual_tables_are_the_kernel_side_tables(n, spec):
+    """L.dual's up-set lists are L's down-sets, its atoms are the
+    hyperplanes with their ordinals, each element's atom set is the
+    hyperplanes above it, and its bounds are L's swapped: the tables P
+    reads on its kernel side, as P built them before it read L.dual."""
+    L = enumerate_subspaces(n, parse_field(spec))
+    D = L.dual
+    hyperplane = {h: t for t, h in enumerate(L.coatoms)}
+    coatoms = sum(1 << h for h in L.coatoms)
+    assert D.up_lists == [lattice_bits(d) for d in L.down_masks]
+    assert D.atom_lists == [
+        [hyperplane[h] for h in lattice_bits(u & coatoms)] for u in L.up_masks
+    ]
+    assert D.atom_ordinal == hyperplane
+    assert (D.bottom, D.top) == (L.top, L.bottom)
 
 
 def test_complements_exist_and_are_plentiful(L32):
