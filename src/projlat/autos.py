@@ -30,7 +30,7 @@ import sys
 from array import array
 from operator import itemgetter
 
-from .gf import parse_field
+from .gf import GF, parse_field
 from .lattice import (
     _SLOT_FORMATS,
     AmbientTooLarge,
@@ -383,12 +383,12 @@ def _check_search_bound(count: int, what: str, bound: int) -> None:
         raise AmbientTooLarge(f"{count} {what} exceeds the search bound {bound}")
 
 
-def _check_lattice_search_bound(L: SubspaceLattice) -> None:
-    """Refuse a full search of L that would find more than SEMILINEAR_LIMIT
-    maps, counted in closed form before any search. The oracle holds
-    |PGammaL(n, q)| <= |Aut L| maps, so it never refuses an ambient
-    admitted here."""
-    count = expected_lattice_automorphism_count(L.n, L.field.q, L.field.k)
+def _check_lattice_search_bound(n: int, F: GF) -> None:
+    """Refuse a full search of the subspace lattice of F^n that would find
+    more than SEMILINEAR_LIMIT maps, counted in closed form from (n, q, k)
+    alone, so before L is built. The oracle holds |PGammaL(n, q)| <=
+    |Aut L| maps, so it never refuses an ambient admitted here."""
+    count = expected_lattice_automorphism_count(n, F.q, F.k)
     _check_search_bound(count, "lattice automorphisms", SEMILINEAR_LIMIT)
 
 
@@ -397,7 +397,7 @@ def enumerate_lattice_automorphisms(
 ) -> list[LatticeMap]:
     """All order-automorphisms of L, sorted by their permutation; every
     one was lifted and verified at its search leaf."""
-    _check_lattice_search_bound(L)
+    _check_lattice_search_bound(L.n, L.field)
     maps = [
         LatticeMap(eperm, AUTO) for _, eperm in iter_lattice_atom_perms(L, budget=budget)
     ]
@@ -1016,7 +1016,7 @@ def _constructed_side(L: SubspaceLattice, P: ProjectionPoset, budget: int | None
     the P-atom permutations of the even maps (a, b) -> (f(a), f(b)) and of
     the odd maps built from the anti-automorphisms f . gamma. L's search
     is refused above SEMILINEAR_LIMIT maps."""
-    _check_lattice_search_bound(L)
+    _check_lattice_search_bound(L.n, L.field)
     gamma = standard_duality(L)
     keys: set[bytes] = set()
     evens: list[tuple[int, ...]] = []
@@ -1237,7 +1237,7 @@ def verify_fundamental_correspondence(
     rep = CampaignReport("semilinear-witnesses", (L.n, L.field.spec()))
     if L.n < 3:
         raise ValueError("witness matching requires ambient dimension >= 3")
-    _check_lattice_search_bound(L)
+    _check_lattice_search_bound(L.n, L.field)
     total = 0
     matched = 0
     twist_hist: dict[int, int] = {}

@@ -53,6 +53,7 @@ from .exports import (
 from .gf import FieldAutomorphism, FieldError, parse_field
 from .lattice import (
     AmbientTooLarge,
+    check_enumerable,
     check_g_lattice_properties,
     enumerate_subspaces,
     gaussian_binomial,
@@ -224,18 +225,22 @@ def cmd_verify_ftpg(args) -> int:
 
 
 def cmd_verify_semidirect(args) -> int:
-    F, L = _lattice(args, min_n=2)
-    _check_lattice_search_bound(L)
+    F = _ambient(args, min_n=2)
+    check_enumerable(args.n, F)
+    _check_lattice_search_bound(args.n, F)
+    L = enumerate_subspaces(args.n, F)
     P = build_projection_poset(L)
     rep = verify_semidirect_structure(L, P, budget=args.budget_nodes)
     return _emit(rep, args, "verify-semidirect")
 
 
 def cmd_verify_main_theorem(args) -> int:
-    F, L = _lattice(args, 4, "(the classification theorem assumes lattice length >= 4)")
+    F = _ambient(args, 4, "(the classification theorem assumes lattice length >= 4)")
+    check_enumerable(args.n, F)
     # P's atoms are the points p with each of the q^(n-1) hyperplanes off p
-    atoms = gaussian_binomial(L.n, 1, F.q) * F.q ** (L.n - 1)
+    atoms = gaussian_binomial(args.n, 1, F.q) * F.q ** (args.n - 1)
     _check_search_bound(atoms, "atoms", MAX_POSET_SEARCH_ATOMS)
+    L = enumerate_subspaces(args.n, F)
     P = build_projection_poset(L)
     try:
         rep = verify_main_theorem(
@@ -252,9 +257,10 @@ def cmd_verify_main_theorem(args) -> int:
 
 
 def cmd_ring_lemma(args) -> int:
-    F, L = _lattice(args)
-    _check_im_ker_bound(projection_pair_count(L.n, F.q))
-    P = build_projection_poset(L)
+    F = _ambient(args)
+    check_enumerable(args.n, F)
+    _check_im_ker_bound(projection_pair_count(args.n, F.q))
+    P = build_projection_poset(enumerate_subspaces(args.n, F))
     rep = check_im_ker_lemma(P)
     return _emit(rep, args, "ring-lemma", name="ring-lemma")
 

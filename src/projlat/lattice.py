@@ -19,14 +19,7 @@ from itertools import combinations
 from operator import lshift
 
 from .gf import GF, iter_vectors
-from .matrices import (
-    Matrix,
-    as_matrix,
-    identity,
-    in_row_space,
-    row_space,
-    scale_vec,
-)
+from .matrices import Matrix, as_matrix, identity, row_space, scale_vec, vec_mat
 from .reports import CampaignReport
 
 
@@ -95,13 +88,11 @@ VECTOR_LIMIT = 10**6
 ELEMENT_LIMIT = 10**4
 
 
-def enumerate_subspaces(n: int, F: GF) -> "SubspaceLattice":
-    """Every subspace exactly once via RREF pivot patterns, dimension-major order.
-
-    Refuses ambients whose vector count exceeds VECTOR_LIMIT or whose
+def check_enumerable(n: int, F: GF) -> None:
+    """Refuse ambients whose vector count exceeds VECTOR_LIMIT or whose
     subspace count exceeds ELEMENT_LIMIT: the lattice stores order masks
-    quadratic in the element count.
-    """
+    quadratic in the element count. Reads (n, q) alone, so a caller can
+    run it, then other closed-form bounds, before building L."""
     if n < 1:
         raise ValueError(f"ambient dimension must be >= 1, got {n}")
     if F.q**n > VECTOR_LIMIT:
@@ -113,6 +104,12 @@ def enumerate_subspaces(n: int, F: GF) -> "SubspaceLattice":
         raise AmbientTooLarge(
             f"{total} subspaces exceeds the element limit {ELEMENT_LIMIT}"
         )
+
+
+def enumerate_subspaces(n: int, F: GF) -> "SubspaceLattice":
+    """Every subspace exactly once via RREF pivot patterns, dimension-major
+    order, for an ambient that check_enumerable admits."""
+    check_enumerable(n, F)
     elements: list[Subspace] = []
     for d in range(n + 1):
         bucket = []
@@ -138,6 +135,22 @@ def enumerate_subspaces(n: int, F: GF) -> "SubspaceLattice":
             f"enumeration produced {len(elements)} subspaces, expected {expected}"
         )
     return SubspaceLattice(F, n, elements)
+
+
+def point_vectors(F: GF, basis: Matrix):
+    """The vectors of span(basis) that lead with 1, one per point, basis
+    an RREF basis b_0..b_{d-1}: for each row i and each c in F^(d-i-1),
+    b_i plus the combination c of the rows below it. RREF makes each lead
+    with 1 at b_i's pivot, since b_i is 0 before its pivot and 1 there, and
+    every row below is 0 up to and at that column. Each point of the span
+    is met exactly once: its vectors have one coefficient tuple each in the
+    independent rows, and exactly one of them has first nonzero
+    coefficient 1, at the row i whose pivot leads it."""
+    d = len(basis)
+    for i in range(d):
+        head = (0,) * i + (1,)
+        for c in iter_vectors(F, d - i - 1):
+            yield vec_mat(F, head + c, basis)
 
 
 class FiniteOrder:
@@ -261,17 +274,22 @@ class SubspaceLattice(FiniteOrder):
     # -- construction ------------------------------------------------------
 
     def _build_order(self) -> None:
-        F, els, dims = self.field, self.elements, self.dims
-        # ground-truth containment, element by element: s lies in a t of
-        # larger dimension when every basis row of s does
-        up = [
-            sum(
-                1 << j
-                for j, t in enumerate(els)
-                if j == i or dims[j] > dims[i] and all(in_row_space(F, r, t.basis) for r in s.basis)
-            )
-            for i, s in enumerate(els)
-        ]
+        # ground-truth containment from point incidences: s lies in t when
+        # every basis row of s does, and each RREF row, leading with 1, is
+        # the canonical vector of a point; so one table, point -> elements
+        # through it, answers every pair with one AND per basis row of s
+        through: dict[tuple[int, ...], int] = {}
+        for j, t in enumerate(self.elements):
+            bit = 1 << j
+            for v in point_vectors(self.field, t.basis):
+                through[v] = through.get(v, 0) | bit
+        everything = (1 << self.size) - 1
+        up = []
+        for s in self.elements:
+            mask = everything
+            for r in s.basis:
+                mask &= through[r]
+            up.append(mask)
         self.up_masks = up
         self.down_masks = down_masks(up)
         # atom sets, for export and for the automorphism search

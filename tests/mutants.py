@@ -286,6 +286,36 @@ MUTANTS = [
     ),
     (
         "projlat/lattice.py",
+        "            for r in s.basis:\n                mask &= through[r]\n",
+        "            for r in s.basis[:1]:\n                mask &= through[r]\n",
+        [
+            "tests/test_lattice.py::test_order_against_pairwise_containment[4-2]",
+            "tests/test_lattice.py::test_tables_against_rref_oracle[L32]",
+        ],
+        "L's up-set of an element is read from its first basis row only",
+    ),
+    (
+        "projlat/lattice.py",
+        "            yield vec_mat(F, head + c, basis)\n",
+        "            yield basis[i]\n",
+        [
+            "tests/test_lattice.py::test_point_vectors_are_one_per_point_of_each_element[3-2]",
+            "tests/test_lattice.py::test_order_against_pairwise_containment[3-5]",
+        ],
+        "the point enumeration yields each basis row without its combinations",
+    ),
+    (
+        "projlat/lattice.py",
+        "    for i in range(d):\n        head = (0,) * i + (1,)\n",
+        "    for i in range(min(d, 1)):\n        head = (0,) * i + (1,)\n",
+        [
+            "tests/test_lattice.py::test_point_vectors_are_one_per_point_of_each_element[2-5]",
+            "tests/test_lattice.py::test_order_against_pairwise_containment[2-8]",
+        ],
+        "the point enumeration yields only the points led by the first basis row",
+    ),
+    (
+        "projlat/lattice.py",
         "        return self.point_index[scale_vec(self.field, self.field.inv_table[lead], v)]\n",
         "        return self.point_index[tuple(v)]\n",
         [

@@ -96,6 +96,10 @@ def _no_poset(L):
     raise AssertionError("P was built before the bound refused the ambient")
 
 
+def _no_lattice(n, F):
+    raise AssertionError("L was built before the bound refused the ambient")
+
+
 @pytest.mark.parametrize(
     "argv, count, bound",
     [
@@ -120,12 +124,15 @@ def test_ambient_beyond_a_search_bound_exits_2(run_cli, argv, count, bound, monk
     the poset search's bound on P-atoms, counted in closed form; every
     other verb by the lattice search's bound on the closed-form count of
     L's automorphisms. Every verb refuses before the search runs and
-    before P is built: building P raises here. Each run passes a small
-    node budget, so a bound that admitted the ambient would exit 3 at
-    once, not search on."""
+    before P is built: building P raises here. verify-main-theorem and
+    verify-semidirect refuse before L is built as well: building L raises
+    for them. Each run passes a small node budget, so a bound that
+    admitted the ambient would exit 3 at once, not search on."""
     from projlat import cli
 
     monkeypatch.setattr(cli, "build_projection_poset", _no_poset)
+    if argv[0] in ("verify-main-theorem", "verify-semidirect"):
+        monkeypatch.setattr(cli, "enumerate_subspaces", _no_lattice)
     code, out, err = run_cli(*argv, "--budget-nodes", "50")
     assert code == 2
     assert out == ""
@@ -137,11 +144,13 @@ def test_ambient_beyond_a_search_bound_exits_2(run_cli, argv, count, bound, monk
 
 def test_im_ker_lemma_beyond_its_pair_bound_exits_2(run_cli, monkeypatch):
     """ring-lemma at (3,5) refuses the 1 552^2 ordered idempotent pairs,
-    counted in closed form before P is built (building P raises here), with
-    one line naming the count and the bound, then the wall time."""
+    counted in closed form before L and P are built (building either
+    raises here), with one line naming the count and the bound, then the
+    wall time."""
     from projlat import cli
 
     monkeypatch.setattr(cli, "build_projection_poset", _no_poset)
+    monkeypatch.setattr(cli, "enumerate_subspaces", _no_lattice)
     code, out, err = run_cli("ring-lemma", "--n", "3", "--field", "5")
     assert code == 2
     assert out == ""
@@ -149,6 +158,18 @@ def test_im_ker_lemma_beyond_its_pair_bound_exits_2(run_cli, monkeypatch):
     assert message == (
         "projlat ring-lemma: 2408704 idempotent pairs exceeds the exhaustive bound 2000000"
     )
+    assert wall.startswith("# wall ")
+
+
+@pytest.mark.parametrize("verb", ["verify-main-theorem", "verify-semidirect", "ring-lemma"])
+def test_enumeration_limit_refuses_before_the_closed_form_bounds(run_cli, verb):
+    """At (400, 251) the enumeration limit, which reads q^n alone, refuses
+    first, as it did when these verbs built L before their bounds: none of
+    their closed-form counts, over numbers of thousands of digits, runs."""
+    code, out, err = run_cli(verb, "--n", "400", "--field", "251")
+    assert (code, out) == (2, "")
+    message, wall = err.splitlines()
+    assert message == f"projlat {verb}: q^n = 251^400 exceeds enumeration limit 1000000"
     assert wall.startswith("# wall ")
 
 

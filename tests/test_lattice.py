@@ -23,6 +23,7 @@ from projlat.lattice import (
     atom_masks,
     down_masks,
     order_is_atom_inclusion,
+    point_vectors,
 )
 from projlat.matrices import (
     as_matrix,
@@ -111,6 +112,35 @@ def test_tables_against_rref_oracle(ambient, request):
             assert L.leq_idx(i, j) == subspace_leq(els[i], els[j])
             assert els[L.glb_idx(i, j)] == subspace_meet(els[i], els[j])
             assert els[L.lub_idx(i, j)] == subspace_join(els[i], els[j])
+
+
+@pytest.mark.parametrize("n, spec", [(4, "2"), (3, "5"), (2, "8"), (3, "2^3")])
+def test_order_against_pairwise_containment(n, spec):
+    """L's up-sets, built from point incidences, against subspace_leq, one
+    row reduction per basis row, on every pair: over GF(5), over GF(8) in
+    dimensions 2 and 3, and at (4,2), the ambient of the main theorem's
+    campaigns."""
+    L = enumerate_subspaces(n, parse_field(spec))
+    els = L.elements
+    assert L.up_masks == [
+        sum(1 << j for j, t in enumerate(els) if subspace_leq(s, t)) for s in els
+    ]
+
+
+@pytest.mark.parametrize("n, spec", [(3, "2"), (2, "5"), (3, "2^2"), (4, "3")])
+def test_point_vectors_are_one_per_point_of_each_element(n, spec):
+    """Each element of dimension d yields (q^d - 1)/(q - 1) distinct
+    vectors, each in its span, each leading with 1 and each the key of a
+    point in point_index."""
+    F = parse_field(spec)
+    L = enumerate_subspaces(n, F)
+    for s in L.elements:
+        vectors = list(point_vectors(F, s.basis))
+        assert len(set(vectors)) == len(vectors) == (F.q**s.dim - 1) // (F.q - 1)
+        for v in vectors:
+            assert next(x for x in v if x) == 1
+            assert v in L.point_index
+            assert in_row_space(F, v, s.basis)
 
 
 def test_atomistic(L32, L23):
