@@ -37,7 +37,6 @@ from .lattice import (
     SubspaceLattice,
     _bits,
     _slot_bytes,
-    _unpack_slots,
     enumerate_subspaces,
 )
 from .maps import (
@@ -377,10 +376,23 @@ SEMILINEAR_LIMIT = 2**20
 MAX_POSET_SEARCH_ATOMS = 150
 
 
+def _count_text(count: int) -> str:
+    """count written out up to 30 digits; a longer one by its first four
+    digits, its power of ten and its digit count: (q + 1)! at (2, q) has
+    500 digits at q = 251, and beyond 4 300 digits str() refuses it."""
+    if count < 10**30:
+        return str(count)
+    e = int(math.log10(count))
+    e += count >= 10 ** (e + 1)
+    e -= count < 10**e
+    lead = str(count // 10 ** (e - 3))
+    return f"{lead[0]}.{lead[1:]}e{e} ({e + 1} digits)"
+
+
 def _check_search_bound(count: int, what: str, bound: int) -> None:
     """Refuse a full search when count, of what, is above bound."""
     if count > bound:
-        raise AmbientTooLarge(f"{count} {what} exceeds the search bound {bound}")
+        raise AmbientTooLarge(f"{_count_text(count)} {what} exceeds the search bound {bound}")
 
 
 def _check_lattice_search_bound(n: int, F: GF) -> None:
@@ -508,15 +520,6 @@ def expected_lattice_automorphism_count(n: int, q: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _DenseIds(dict):
-    """Dense ids in order of first sight: looking up a new key gives it
-    the next id."""
-
-    def __missing__(self, key) -> int:
-        value = self[key] = len(self)
-        return value
-
-
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -525,6 +528,60 @@ def _byte_equal_table(b: int) -> bytes:
     """The bytes.translate table sending byte b to b"1" and every other
     byte to b"0"."""
     return bytes(49 if v == b else 48 for v in range(256))
+
+
+def _row_lanes(raw: bytes, m: int, nbytes: int, i: int, ids: dict) -> list[tuple[int, int]]:
+    """The colors of row i and their lanes, in order of first sight: raw
+    is the row's m key slots of nbytes bytes, written high slot first and
+    each slot high byte first, so byte b of slot j sits at raw[b::nbytes]
+    position m - 1 - j. The lane of a key is bytes.translate of those
+    strided bytes against the key's byte, ANDed over the bytes of a wider
+    slot: b"1" where the slot holds the key. Read as a binary numeral it
+    has bit j for slot j, and with bit i cleared it is the mask of the
+    atoms j != i whose key it is. A new key takes the next id in ids.
+
+    The first slot off the diagonal that no lane covers yet holds the next
+    key of the row, so the row costs one lane per key it holds, and its
+    keys are met in order of their first slot: ids stay dense in order of
+    first sight over the pairs, row by row."""
+    full = (1 << m) - 1
+    covered = 1 << i
+    found = []
+    while covered != full:
+        j = (~covered & (covered + 1)).bit_length() - 1
+        at = (m - 1 - j) * nbytes
+        key = raw[at : at + nbytes]
+        lane = full ^ (1 << i)
+        for b, byte in enumerate(key):
+            lane &= int(raw[b::nbytes].translate(_byte_equal_table(byte)), 2)
+        covered |= lane
+        found.append((ids.setdefault(key, len(ids)), lane))
+    return found
+
+
+def _id_row(found: list[tuple[int, int]], m: int, width: int):
+    """The color-id row Σ c·lane_c over the (color, lane) pairs of one
+    row, stored packed: bytes when ids take one byte, else an array of
+    the id width. Each lane is spread to one slot of width bytes per atom,
+    its ASCII digits written into the low byte of each slot of b"0"s; the
+    lanes are disjoint and miss the diagonal, so no slot carries and the
+    diagonal holds 0."""
+    zeros = b"0" * (m * width)
+    base = int.from_bytes(zeros, "big")
+    total = 0
+    for c, lane in found:
+        if c:
+            spread = bytearray(zeros)
+            spread[width - 1 :: width] = format(lane, f"0{m}b").encode()
+            total += c * (int.from_bytes(spread, "big") - base)
+    row = total.to_bytes(m * width, "little")
+    if width == 1:
+        return row
+    packed = array(_SLOT_FORMATS[width])
+    packed.frombytes(row)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return packed
 
 
 def _poset_search_structure(P: ProjectionPoset):
@@ -545,9 +602,14 @@ def _poset_search_structure(P: ProjectionPoset):
     when e = o_j, the flag of slot j, to the row of every atom below e; no
     Python code runs per atom pair.
 
-    The search reads colors by rows only. Each orientation of a pair is an
-    invariant by itself, and on an orthoposet the key is symmetric anyway
-    (x_i <= o_j exactly when x_j <= o_i)."""
+    Colors are read off the packed rows with byte kernels, again with no
+    Python code per pair: _row_lanes gives each row's colors, dense in
+    order of first sight, with their lanes, allowed[y][c] being the lane
+    of c in row y; _id_row stores the row of color ids packed, as bytes,
+    or as an array when ids need more than one byte. The search reads
+    colors by rows only. Each orientation of a pair is an invariant by
+    itself, and on an orthoposet the key is symmetric anyway (x_i <= o_j
+    exactly when x_j <= o_i)."""
     cached = getattr(P, "_auto_search_cache", None)
     if cached is not None:
         return cached
@@ -573,33 +635,22 @@ def _poset_search_structure(P: ProjectionPoset):
             rows[t] += column
             t = below.find(1, t + 1)
 
-    # the colors, dense in order of first sight over the pairs i != j, row
-    # by row; the diagonal holds 0 and is never read. Each row is dropped
-    # once read
-    color_ids = _DenseIds()
-    colors = []
+    # each row's colors and lanes, the row dropped once read; then the
+    # packed color-id rows, whose width only the last row settles, and
+    # allowed[y][c], the lane of color c in row y, 0 where row y lacks c
+    ids: dict[bytes, int] = {}
+    lanes = []
     for i in range(m):
-        keys = _unpack_slots(rows[i], m, nbytes)
+        lanes.append(_row_lanes(rows[i].to_bytes(m * nbytes, "big"), m, nbytes, i, ids))
         rows[i] = None
-        row_colors = [0] * m
-        row_colors[:i] = map(color_ids.__getitem__, keys[:i])
-        row_colors[i + 1 :] = map(color_ids.__getitem__, keys[i + 1 :])
-        colors.append(row_colors)
-
-    # allowed[y][c] masks the y2 != y with colors[y][y2] == c: for each
-    # color of row y, the AND over the bytes of the color's id of the row's
-    # bytes equal to it, read as a binary numeral
-    n_colors = len(color_ids)
+    n_colors = len(ids)
     width = _slot_bytes((n_colors - 1).bit_length())
-    allowed = []
-    for y, row in enumerate(colors):
-        packed = array(_SLOT_FORMATS[width], row).tobytes()
+    colors, allowed = [], []
+    for found in lanes:
+        colors.append(_id_row(found, m, width))
         masks = [0] * n_colors
-        for c in set(row[:y] + row[y + 1 :]):
-            mask = -1
-            for b, byte in enumerate(c.to_bytes(width, sys.byteorder)):
-                mask &= int(packed[b::width].translate(_byte_equal_table(byte))[::-1], 2)
-            masks[c] = mask & ~(1 << y)
+        for c, lane in found:
+            masks[c] = lane
         allowed.append(masks)
     # each atom's initial candidates: the atoms with as many elements above
     # them, and above them and their orthocomplements, as it has
@@ -674,7 +725,10 @@ def iter_poset_atom_perms(
 ):
     """All atom permutations extending to orthoposet automorphisms of P,
     yielding (atom_perm, element_perm) pairs in deterministic order."""
-    init_cand, colors, allowed = _poset_search_structure(P)
+    init_cand, packed, allowed = _poset_search_structure(P)
+    # the narrowing reads the color rows one atom at a time, which list
+    # rows serve faster than packed ones: unpack them for this search
+    colors = list(map(list, packed))
 
     def narrow(x, y, assigned, forced, images):
         # z keeps the candidates w with colors[y][w] == colors[x][z], and

@@ -291,7 +291,19 @@ class SubspaceLattice(FiniteOrder):
                 mask &= through[r]
             up.append(mask)
         self.up_masks = up
-        self.down_masks = down_masks(up)
+        # every s < t lies below a lower cover of t, an element one dimension
+        # below it, so t's down-set is t with its lower covers' down-sets:
+        # one OR per cover pair. Elements are in dimension order, so each
+        # dimension's elements are one run of indices, and each down-set is
+        # whole before an upper cover reads it
+        down = [1 << i for i in range(self.size)]
+        for s, (u, d) in enumerate(zip(up, self.dims)):
+            above = self.dim_index.get(d + 1)
+            if above:
+                lo = above[0]
+                for t in _bits(u >> lo & ((1 << len(above)) - 1)):
+                    down[lo + t] |= down[s]
+        self.down_masks = down
         # atom sets, for export and for the automorphism search
         self.elem_atom_masks = atom_masks(up, self.atoms)
         self.atom_mask_index = _mask_index(self.elem_atom_masks, "atom set")
@@ -430,7 +442,9 @@ def or_lists(values: list[int], lists) -> list[int]:
 
 
 def down_masks(up: list[int]) -> list[int]:
-    """The same order read downward: bit i of entry j is set iff i <= j."""
+    """The same order read downward: bit i of entry j is set iff i <= j.
+    One step per comparable pair, for any order; L fills its own from its
+    lower covers, and the tests compare it with this."""
     down = [0] * len(up)
     for i, ui in enumerate(up):
         for j in _bits(ui):

@@ -429,6 +429,54 @@ MUTANTS = [
         ],
         "the semilinear check asks for inclusion only at n >= 3 too",
     ),
+    (
+        "projlat/autos.py",
+        "        lane = full ^ (1 << i)\n",
+        "        lane = full\n",
+        [
+            "tests/test_autos.py::"
+            "test_diagonal_key_met_off_the_diagonal_stays_out_of_allowed",
+        ],
+        "a pair color's lane keeps the diagonal bit, so allowed[y] can hold y",
+    ),
+    (
+        "projlat/autos.py",
+        "        for b, byte in enumerate(key):\n",
+        "        for b, byte in enumerate(key[:1]):\n",
+        [
+            "tests/test_autos.py::test_pair_key_fields_fill_their_slot[counts1-2]",
+            "tests/test_autos.py::test_more_than_256_pair_colors",
+        ],
+        "keys in slots of two bytes or more are compared on their high byte only",
+    ),
+    (
+        "projlat/autos.py",
+        "        j = (~covered & (covered + 1)).bit_length() - 1\n",
+        "        j = (full ^ covered).bit_length() - 1\n",
+        [
+            "tests/test_autos.py::test_row_whose_first_new_key_follows_the_diagonal",
+        ],
+        "a row's keys are met from its last uncovered slot down, not in order of first sight",
+    ),
+    (
+        "projlat/autos.py",
+        "            spread[width - 1 :: width] = format(lane, f\"0{m}b\").encode()\n",
+        "            spread[::width] = format(lane, f\"0{m}b\").encode()\n",
+        [
+            "tests/test_autos.py::test_more_than_256_pair_colors",
+        ],
+        "color ids of two bytes are written into the high byte of their slot",
+    ),
+    (
+        "projlat/lattice.py",
+        "                    down[lo + t] |= down[s]\n",
+        "                    down[lo + t] |= 1 << s\n",
+        [
+            "tests/test_lattice.py::"
+            "test_down_sets_from_lower_covers_match_the_pairwise_reading[3-2]",
+        ],
+        "L's down-set of an element takes its lower covers, not their down-sets",
+    ),
     # Not listed: the partner write skipped altogether. Every entry then
     # comes from projector_matrix of its own pair, the same matrices, so
     # the mutant is equivalent and no test can kill it.

@@ -2,7 +2,9 @@
 even/odd construction, parity classification, and decomposition."""
 
 import itertools
+import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -162,6 +164,20 @@ def test_expected_lattice_automorphism_counts():
     ]
     assert count(3, 5, 1) == projective_group_order(3, 5, 1) == 372000
     assert count(4, 2, 1) == 20160 and count(3, 4, 2) == 120960
+
+
+def test_search_bound_names_a_long_count_by_its_size():
+    """Counts of up to 30 digits are written out; a longer one by its first
+    four digits, power of ten and digit count, also beyond the 4 300
+    digits str() writes and across a power of ten."""
+    text = autos._count_text
+    assert text(10**30 - 1) == "9" * 30
+    assert text(10**30) == "1.000e30 (31 digits)"
+    assert text(10**31 - 1) == "9.999e30 (31 digits)"
+    assert text(math.factorial(252)) == "2.044e497 (498 digits)"
+    assert text(7 * 10**5000 + 1) == "7.000e5000 (5001 digits)"
+    with pytest.raises(AmbientTooLarge, match=r"^2\.044e497 \(498 digits\) maps exceeds"):
+        autos._check_search_bound(math.factorial(252), "maps", 2**20)
 
 
 def test_semilinear_oracle_runs_no_rref(monkeypatch, L42):
@@ -782,6 +798,74 @@ def test_more_than_256_pair_colors():
     colors = _assert_matches_reference(P)
     assert colors[129][2] - colors[0][2] == 256
     assert len({c for i, row in enumerate(colors) for j, c in enumerate(row) if i != j}) == 258
+
+
+def _assert_same_ids_as_reference(P):
+    """The colors equal the reference's off the diagonal, ids and all, so
+    they are dense in order of first sight over the pairs, row by row;
+    returns the colors and allowed."""
+    _assert_matches_reference(P)
+    _, colors, allowed = autos._poset_search_structure(P)
+    _, ref_colors, _ = _colors_by_ordered_pairs(P)
+    m = len(colors)
+    assert all(colors[i][j] == ref_colors[i][j] for i in range(m) for j in range(m) if i != j)
+    return colors, allowed
+
+
+def test_row_whose_first_new_key_is_in_its_last_slot():
+    """x1 below o3 and nothing else above an atom: row 0 holds one key,
+    and row 1's first new key, its flag, is met in its last slot. The
+    rows after it lack that color, so their allowed entries for it are 0."""
+    P = _BareOrder(4)
+    P.up_masks[1] |= 1 << P.ortho[3]
+    colors, allowed = _assert_same_ids_as_reference(P)
+    assert list(colors[1]) == [0, 0, 0, 1]
+    assert allowed[1] == [0b0101, 0b1000]
+    assert [masks[1] for masks in allowed] == [0, 0b1000, 0, 0]
+
+
+def test_row_whose_first_new_key_follows_the_diagonal():
+    """Among 5 atoms, x2 below o3 and one element above x2 and x4: rows 0
+    and 1 hold one key, and row 2 meets two new keys, the first in slot 3,
+    right after the diagonal, then one in slot 4; they take ids 1 and 2
+    in that order. Row 3 lacks both, and row 4 the first."""
+    P = _BareOrder(5)
+    P.up_masks[2] |= 1 << P.ortho[3]
+    P.add(3, [2, 4])
+    colors, allowed = _assert_same_ids_as_reference(P)
+    assert list(colors[2]) == [0, 0, 0, 1, 2]
+    assert allowed[2] == [0b00011, 0b01000, 0b10000]
+    assert allowed[3][1:] == [0, 0] and allowed[4][1] == 0
+
+
+def test_diagonal_key_met_off_the_diagonal_stays_out_of_allowed():
+    """An order with x1 below x0, so x0 and x1 share x0's up-set: the key
+    of (0, 1) then equals row 0's diagonal key, |up(x0)| and no flag. In a
+    poset no atom lies below another, so every off-diagonal count of a row
+    is below its diagonal one; the colors must leave the diagonal out of
+    allowed all the same."""
+    P = _BareOrder(3)
+    P.up_masks[1] |= 1 << 0
+    colors, allowed = _assert_same_ids_as_reference(P)
+    assert allowed[0][colors[0][1]] == 0b010
+
+
+def test_pair_colors_at_35_retain_under_2_mb(P35_rows):
+    """The colors are kept as one packed row per atom: at (3,5), 775 atoms,
+    the search structure keeps under 2 MB, where rows of 775 list entries
+    would take 4.8 MB alone."""
+    P, _ = P35_rows
+    autos._require_atomistic(P)
+    vars(P).pop("_auto_search_cache", None)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        structure = autos._poset_search_structure(P)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(row, bytes) for row in structure[1])
+    assert retained < 2 * 10**6
 
 
 def test_search_budget_raises(L32):

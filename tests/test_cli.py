@@ -142,6 +142,26 @@ def test_ambient_beyond_a_search_bound_exits_2(run_cli, argv, count, bound, monk
     assert wall.startswith("# wall ")
 
 
+def test_refusal_of_a_count_beyond_30_digits_stays_short(run_cli, monkeypatch):
+    """verify-semidirect at (2,251) refuses 252! lattice automorphisms, a
+    498-digit count, before L is built: the line names the count by its
+    first digits, power of ten and digit count, then the bound, and stays
+    under 120 characters."""
+    from projlat import cli
+
+    monkeypatch.setattr(cli, "enumerate_subspaces", _no_lattice)
+    code, out, err = run_cli("verify-semidirect", "--n", "2", "--field", "251")
+    assert code == 2
+    assert out == ""
+    message, wall = err.splitlines()
+    assert message == (
+        "projlat verify-semidirect: 2.044e497 (498 digits) lattice automorphisms "
+        "exceeds the search bound 1048576"
+    )
+    assert len(message) < 120
+    assert wall.startswith("# wall ")
+
+
 def test_im_ker_lemma_beyond_its_pair_bound_exits_2(run_cli, monkeypatch):
     """ring-lemma at (3,5) refuses the 1 552^2 ordered idempotent pairs,
     counted in closed form before L and P are built (building either

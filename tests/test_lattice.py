@@ -127,6 +127,20 @@ def test_order_against_pairwise_containment(n, spec):
     ]
 
 
+@pytest.mark.parametrize(
+    "n, spec",
+    [(1, "2"), (2, "2"), (2, "3"), (3, "2"), (3, "3"), (4, "2"), (3, "2^2"), (3, "4"),
+     (2, "8"), (3, "5"), (4, "3"), (3, "2^3"), (5, "2"), (6, "2")],
+)
+def test_down_sets_from_lower_covers_match_the_pairwise_reading(n, spec):
+    """L's down-sets, filled dimension by dimension from the lower covers,
+    are its up-sets read downward one comparable pair at a time
+    (lattice.down_masks), at the Tier-1 ambients and at (6,2), 2 825
+    elements."""
+    L = enumerate_subspaces(n, parse_field(spec))
+    assert L.down_masks == down_masks(L.up_masks)
+
+
 @pytest.mark.parametrize("n, spec", [(3, "2"), (2, "5"), (3, "2^2"), (4, "3")])
 def test_point_vectors_are_one_per_point_of_each_element(n, spec):
     """Each element of dimension d yields (q^d - 1)/(q - 1) distinct
