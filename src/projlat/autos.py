@@ -33,11 +33,12 @@ from operator import itemgetter
 from .gf import GF, parse_field
 from .lattice import (
     _SLOT_FORMATS,
-    AmbientTooLarge,
     SubspaceLattice,
     _bits,
     _slot_bytes,
+    check_limit,
     enumerate_subspaces,
+    gaussian_binomial,
 )
 from .maps import (
     ANTI,
@@ -376,23 +377,12 @@ SEMILINEAR_LIMIT = 2**20
 MAX_POSET_SEARCH_ATOMS = 150
 
 
-def _count_text(count: int) -> str:
-    """count written out up to 30 digits; a longer one by its first four
-    digits, its power of ten and its digit count: (q + 1)! at (2, q) has
-    500 digits at q = 251, and beyond 4 300 digits str() refuses it."""
-    if count < 10**30:
-        return str(count)
-    e = int(math.log10(count))
-    e += count >= 10 ** (e + 1)
-    e -= count < 10**e
-    lead = str(count // 10 ** (e - 3))
-    return f"{lead[0]}.{lead[1:]}e{e} ({e + 1} digits)"
-
-
-def _check_search_bound(count: int, what: str, bound: int) -> None:
-    """Refuse a full search when count, of what, is above bound."""
-    if count > bound:
-        raise AmbientTooLarge(f"{_count_text(count)} {what} exceeds the search bound {bound}")
+def _check_poset_search_bound(n: int, F: GF) -> None:
+    """Refuse a full search of P(F^n) with more than MAX_POSET_SEARCH_ATOMS
+    atoms, counted in closed form, so before L is built: a P-atom is a
+    point p with one of the q^(n-1) hyperplanes off p."""
+    atoms = gaussian_binomial(n, 1, F.q) * F.q ** (n - 1)
+    check_limit(atoms, "atoms", "search bound", MAX_POSET_SEARCH_ATOMS)
 
 
 def _check_lattice_search_bound(n: int, F: GF) -> None:
@@ -401,7 +391,7 @@ def _check_lattice_search_bound(n: int, F: GF) -> None:
     alone, so before L is built. The oracle holds |PGammaL(n, q)| <=
     |Aut L| maps, so it never refuses an ambient admitted here."""
     count = expected_lattice_automorphism_count(n, F.q, F.k)
-    _check_search_bound(count, "lattice automorphisms", SEMILINEAR_LIMIT)
+    check_limit(count, "lattice automorphisms", "search bound", SEMILINEAR_LIMIT)
 
 
 def enumerate_lattice_automorphisms(
@@ -434,11 +424,7 @@ def semilinear_atom_perms(L: SubspaceLattice) -> set[bytes]:
     F = L.field
     n, q = L.n, F.q
     order = projective_group_order(n, q, F.k)
-    if order > SEMILINEAR_LIMIT:
-        raise AmbientTooLarge(
-            f"|PGammaL({n}, {q})| = {order} exceeds the semilinear generation "
-            f"limit {SEMILINEAR_LIMIT}"
-        )
+    check_limit(order, "semilinear maps", "generation limit", SEMILINEAR_LIMIT)
     atom_vecs = [L.atom_vector(a) for a in L.atoms]
     ordinal, point_of = L.atom_ordinal, L.point_of
 
@@ -755,7 +741,7 @@ def enumerate_poset_automorphisms(
     """All order-automorphisms of P commuting with the orthocomplementation,
     sorted by permutation. Parity tags are left unknown; classify_parity is
     a separate, falsifiable step."""
-    _check_search_bound(len(P.atoms), "atoms", MAX_POSET_SEARCH_ATOMS)
+    _check_poset_search_bound(P.lattice.n, P.lattice.field)
     out = [
         PosetMap(eperm, UNKNOWN)
         for _, eperm in iter_poset_atom_perms(P, budget=budget)
@@ -1106,7 +1092,7 @@ def verify_main_theorem(
     comes back with outcome "partial". A P with more atoms than
     MAX_POSET_SEARCH_ATOMS is refused before either search.
     """
-    _check_search_bound(len(P.atoms), "atoms", MAX_POSET_SEARCH_ATOMS)
+    _check_poset_search_bound(P.lattice.n, P.lattice.field)
     rep = CampaignReport("verify-main-theorem", (L.n, L.field.spec()))
     # a bad checkpoint is refused before any search runs
     pivot, targets = poset_search_plan(P)

@@ -26,12 +26,11 @@ import sys
 import time
 
 from .autos import (
-    MAX_POSET_SEARCH_ATOMS,
     CheckpointError,
     FalsificationError,
     SearchBudgetExceeded,
     _check_lattice_search_bound,
-    _check_search_bound,
+    _check_poset_search_bound,
     check_semilinear_generation,
     enumerate_lattice_automorphisms,
     even_from_lattice_automorphism,
@@ -145,6 +144,18 @@ def _lattice(args, min_n: int = 1, why: str = "for this verb"):
     return F, enumerate_subspaces(args.n, F)
 
 
+def _poset(args, min_n: int = 1, why: str = "for this verb", bound=None):
+    """The field, L and P of the ambient. The enumeration limits, then the
+    verb's closed-form bound of (n, F), if any, refuse it before L is
+    built; P's element limit refuses it before any pair is tested."""
+    F = _ambient(args, min_n, why)
+    check_enumerable(args.n, F)
+    if bound:
+        bound(args.n, F)
+    L = enumerate_subspaces(args.n, F)
+    return F, L, build_projection_poset(L)
+
+
 # ---------------------------------------------------------------------------
 # simple verbs
 # ---------------------------------------------------------------------------
@@ -169,8 +180,7 @@ def cmd_enumerate_lattice(args) -> int:
 
 
 def cmd_build_poset(args) -> int:
-    F, L = _lattice(args)
-    P = build_projection_poset(L)
+    F, L, P = _poset(args)
     rep = CampaignReport("build-poset", (L.n, F.spec()))
     want = projection_pair_count(L.n, F.q)
     rep.add("pair_count_matches_formula", P.size == want, f"{P.size} vs {want}")
@@ -186,8 +196,7 @@ def cmd_build_poset(args) -> int:
 
 
 def cmd_verify_omp(args) -> int:
-    F, L = _lattice(args)
-    P = build_projection_poset(L)
+    _, _, P = _poset(args)
     rep = verify_omp_axioms(P)
     return _emit(rep, args, "verify-omp", name="verify-omp")
 
@@ -225,23 +234,14 @@ def cmd_verify_ftpg(args) -> int:
 
 
 def cmd_verify_semidirect(args) -> int:
-    F = _ambient(args, min_n=2)
-    check_enumerable(args.n, F)
-    _check_lattice_search_bound(args.n, F)
-    L = enumerate_subspaces(args.n, F)
-    P = build_projection_poset(L)
+    _, L, P = _poset(args, 2, bound=_check_lattice_search_bound)
     rep = verify_semidirect_structure(L, P, budget=args.budget_nodes)
     return _emit(rep, args, "verify-semidirect")
 
 
 def cmd_verify_main_theorem(args) -> int:
-    F = _ambient(args, 4, "(the classification theorem assumes lattice length >= 4)")
-    check_enumerable(args.n, F)
-    # P's atoms are the points p with each of the q^(n-1) hyperplanes off p
-    atoms = gaussian_binomial(args.n, 1, F.q) * F.q ** (args.n - 1)
-    _check_search_bound(atoms, "atoms", MAX_POSET_SEARCH_ATOMS)
-    L = enumerate_subspaces(args.n, F)
-    P = build_projection_poset(L)
+    why = "(the classification theorem assumes lattice length >= 4)"
+    _, L, P = _poset(args, 4, why, _check_poset_search_bound)
     try:
         rep = verify_main_theorem(
             L, P, budget=args.budget_nodes, jobs=args.jobs, checkpoint=args.checkpoint
@@ -257,10 +257,7 @@ def cmd_verify_main_theorem(args) -> int:
 
 
 def cmd_ring_lemma(args) -> int:
-    F = _ambient(args)
-    check_enumerable(args.n, F)
-    _check_im_ker_bound(projection_pair_count(args.n, F.q))
-    P = build_projection_poset(enumerate_subspaces(args.n, F))
+    _, _, P = _poset(args, bound=_check_im_ker_bound)
     rep = check_im_ker_lemma(P)
     return _emit(rep, args, "ring-lemma", name="ring-lemma")
 
@@ -293,8 +290,7 @@ def cmd_ring_extract(args) -> int:
 
 
 def cmd_ring_restrict(args) -> int:
-    F, L = _lattice(args, min_n=2)
-    P = build_projection_poset(L)
+    F, L, P = _poset(args, 2)
     rep = CampaignReport("ring-restrict", (L.n, F.spec()))
     rng = random.Random(args.seed)
     even_ok = odd_ok = 0

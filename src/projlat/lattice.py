@@ -12,6 +12,7 @@ this is exact.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -88,6 +89,26 @@ VECTOR_LIMIT = 10**6
 ELEMENT_LIMIT = 10**4
 
 
+def _count_text(count: int) -> str:
+    """count written out up to 30 digits; a longer one by its first four
+    digits, its power of ten and its digit count: (q + 1)! at (2, q) has
+    500 digits at q = 251, and beyond 4 300 digits str() refuses it."""
+    if count < 10**30:
+        return str(count)
+    e = int(math.log10(count))
+    e += count >= 10 ** (e + 1)
+    e -= count < 10**e
+    lead = str(count // 10 ** (e - 3))
+    return f"{lead[0]}.{lead[1:]}e{e} ({e + 1} digits)"
+
+
+def check_limit(count: int, what: str, limit: str, bound: int) -> None:
+    """Refuse the ambient when count, of what, is above the bound named
+    limit: every refusal of an ambient is raised here, in one shape."""
+    if count > bound:
+        raise AmbientTooLarge(f"{_count_text(count)} {what} exceeds the {limit} {bound}")
+
+
 def check_enumerable(n: int, F: GF) -> None:
     """Refuse ambients whose vector count exceeds VECTOR_LIMIT or whose
     subspace count exceeds ELEMENT_LIMIT: the lattice stores order masks
@@ -95,15 +116,8 @@ def check_enumerable(n: int, F: GF) -> None:
     run it, then other closed-form bounds, before building L."""
     if n < 1:
         raise ValueError(f"ambient dimension must be >= 1, got {n}")
-    if F.q**n > VECTOR_LIMIT:
-        raise AmbientTooLarge(
-            f"q^n = {F.q}^{n} exceeds enumeration limit {VECTOR_LIMIT}"
-        )
-    total = subspace_count_total(n, F.q)
-    if total > ELEMENT_LIMIT:
-        raise AmbientTooLarge(
-            f"{total} subspaces exceeds the element limit {ELEMENT_LIMIT}"
-        )
+    check_limit(F.q**n, "vectors", "vector limit", VECTOR_LIMIT)
+    check_limit(subspace_count_total(n, F.q), "subspaces", "element limit", ELEMENT_LIMIT)
 
 
 def enumerate_subspaces(n: int, F: GF) -> "SubspaceLattice":

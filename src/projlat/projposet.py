@@ -17,13 +17,13 @@ from operator import or_
 
 from .gf import GF
 from .lattice import (
-    AmbientTooLarge,
     FiniteOrder,
     Subspace,
     SubspaceLattice,
     _bits,
     _digit_bits,
     _mask_index,
+    check_limit,
     enumerate_subspaces,
     or_lists,
     projection_pair_count,
@@ -83,11 +83,7 @@ IDEMPOTENT_SCAN_LIMIT = 2**20
 def enumerate_idempotents(F: GF, n: int) -> list[Matrix]:
     """Brute-force scan of all q^(n^2) matrices, in flat lexicographic order;
     refused above IDEMPOTENT_SCAN_LIMIT of them."""
-    total = F.q ** (n * n)
-    if total > IDEMPOTENT_SCAN_LIMIT:
-        raise AmbientTooLarge(
-            f"q^(n^2) = {total} exceeds brute-force limit {IDEMPOTENT_SCAN_LIMIT}"
-        )
+    check_limit(F.q ** (n * n), "matrices", "scan limit", IDEMPOTENT_SCAN_LIMIT)
     return [m for m in all_matrices(F, n, n) if is_idempotent(F, m)]
 
 
@@ -250,19 +246,27 @@ class ProjectionPoset(FiniteOrder):
         return f"ProjectionPoset({L.field.spec()}^{L.n}, {self.size} elements)"
 
 
+# the most elements build_projection_poset builds. P's up- and down-set
+# tables hold up to 2 |P|^2 bits: 4 GiB at the limit, 2.6 GB at (4,4),
+# the largest P it admits (102 274 elements), and 276 GB at (6,2)
+POSET_ELEMENT_LIMIT = 2**17
+
+
 def build_projection_poset(L: SubspaceLattice) -> ProjectionPoset:
     """All complementary pairs (a, b) of L that are also a modular pair and
     a dual-modular pair, (a,b)M and (a,b)M*: each pair is re-checked by the
     modular-pair predicate of L and of L.dual rather than trusting
     modularity. For complements each walks all of down(b) or up(b), one
-    lookup per element."""
+    lookup per element. A P of more than POSET_ELEMENT_LIMIT elements,
+    counted in closed form, is refused before any pair is tested."""
+    expected = projection_pair_count(L.n, L.field.q)
+    check_limit(expected, "projections", "poset element limit", POSET_ELEMENT_LIMIT)
     pairs = [
         (a, b)
         for a in range(L.size)
         for b in L.complements_idx(a)
         if L.is_modular_pair_idx(a, b) and L.dual.is_modular_pair_idx(a, b)
     ]
-    expected = projection_pair_count(L.n, L.field.q)
     if len(pairs) != expected:
         raise AssertionError(
             f"pair filter kept {len(pairs)} elements, expected {expected}"
@@ -346,10 +350,9 @@ def verify_projection_correspondence(n: int, F: GF) -> CampaignReport:
     force) before being matched.
     """
     L = enumerate_subspaces(n, F)
+    brute = enumerate_idempotents(F, n)  # its scan limit refuses before P is built
     P = build_projection_poset(L)
     rep = CampaignReport("projection-correspondence", (n, F.spec()), size=P.size)
-
-    brute = enumerate_idempotents(F, n)
     rep.add(
         "idempotent_count_matches",
         len(brute) == P.size,

@@ -29,7 +29,7 @@ from .autos import (
     verify_poset_map,
 )
 from .gf import GF, FieldAutomorphism, iter_vectors
-from .lattice import AmbientTooLarge
+from .lattice import check_limit, projection_pair_count
 from .maps import ANTI, AUTO, EVEN, ODD, LatticeMap, PosetMap, perm_compose
 from .matrices import (
     Matrix,
@@ -254,11 +254,11 @@ def center_is_scalars(F: GF, n: int) -> CampaignReport:
     return rep
 
 
-def _check_im_ker_bound(size: int) -> None:
-    """Refuse check_im_ker_lemma on a P whose size^2 pairs exceed MAX_IM_KER_PAIRS."""
-    if size * size > MAX_IM_KER_PAIRS:
-        pairs = f"{size * size} idempotent pairs"
-        raise AmbientTooLarge(f"{pairs} exceeds the exhaustive bound {MAX_IM_KER_PAIRS}")
+def _check_im_ker_bound(n: int, F: GF) -> None:
+    """Refuse check_im_ker_lemma on a P(F^n) whose ordered pairs, counted
+    in closed form, exceed MAX_IM_KER_PAIRS."""
+    pairs = projection_pair_count(n, F.q) ** 2
+    check_limit(pairs, "idempotent pairs", "exhaustive bound", MAX_IM_KER_PAIRS)
 
 
 def check_im_ker_lemma(P: ProjectionPoset) -> CampaignReport:
@@ -273,7 +273,7 @@ def check_im_ker_lemma(P: ProjectionPoset) -> CampaignReport:
     L = P.lattice
     F = L.field
     rep = CampaignReport("im-ker-lemma", (L.n, F.spec()))
-    _check_im_ker_bound(P.size)
+    _check_im_ker_bound(L.n, F)
     mats = P.idempotents
     img, ker = P.image, P.kernel
     up = L.up_masks

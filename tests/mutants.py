@@ -393,11 +393,60 @@ MUTANTS = [
         "the restriction drops its refusal of an image that is no projection",
     ),
     (
-        "projlat/autos.py",
+        "projlat/lattice.py",
         "    if count > bound:\n",
         "    if count >= bound:\n",
         ["tests/test_autos.py::test_lattice_campaigns_refuse_a_lattice_above_the_search_bound"],
-        "a search bound refuses a count equal to it",
+        "every limit refuses a count equal to it",
+    ),
+    (
+        "projlat/projposet.py",
+        '    check_limit(expected, "projections", "poset element limit", POSET_ELEMENT_LIMIT)\n',
+        '    check_limit(expected, "projections", "poset element limit", POSET_ELEMENT_LIMIT - 1)\n',
+        ["tests/test_projposet.py::test_poset_element_limit_is_inclusive"],
+        "P's element limit refuses a count equal to it",
+    ),
+    (
+        "projlat/projposet.py",
+        '    check_limit(expected, "projections", "poset element limit", POSET_ELEMENT_LIMIT)\n'
+        "    pairs = [\n"
+        "        (a, b)\n"
+        "        for a in range(L.size)\n"
+        "        for b in L.complements_idx(a)\n"
+        "        if L.is_modular_pair_idx(a, b) and L.dual.is_modular_pair_idx(a, b)\n"
+        "    ]\n",
+        "    pairs = [\n"
+        "        (a, b)\n"
+        "        for a in range(L.size)\n"
+        "        for b in L.complements_idx(a)\n"
+        "        if L.is_modular_pair_idx(a, b) and L.dual.is_modular_pair_idx(a, b)\n"
+        "    ]\n"
+        '    check_limit(expected, "projections", "poset element limit", POSET_ELEMENT_LIMIT)\n',
+        [
+            "tests/test_cli.py::test_poset_beyond_its_element_limit_exits_2[argv0-6-2-1051586]",
+            "tests/test_cli.py::test_poset_beyond_its_element_limit_exits_2[argv1-3-31-1908548]",
+        ],
+        "P's element limit is checked after the pair filter has tested every pair",
+    ),
+    (
+        "projlat/cli.py",
+        "    if bound:\n        bound(args.n, F)\n    L = enumerate_subspaces(args.n, F)\n",
+        "    L = enumerate_subspaces(args.n, F)\n    if bound:\n        bound(args.n, F)\n",
+        [
+            "tests/test_cli.py::test_ambient_beyond_a_search_bound_exits_2[argv3-1080-150]",
+            "tests/test_cli.py::test_im_ker_lemma_beyond_its_pair_bound_exits_2",
+            "tests/test_cli.py::test_refusal_of_a_count_beyond_30_digits_stays_short",
+        ],
+        "the admission helper builds L before the verb's closed-form bound",
+    ),
+    (
+        "projlat/projposet.py",
+        "    brute = enumerate_idempotents(F, n)  # its scan limit refuses before P is built\n"
+        "    P = build_projection_poset(L)\n",
+        "    P = build_projection_poset(L)\n"
+        "    brute = enumerate_idempotents(F, n)  # its scan limit refuses before P is built\n",
+        ["tests/test_cli.py::test_correspondence_scan_limit_refuses_before_p"],
+        "verify_projection_correspondence builds P before the idempotent scan's limit",
     ),
     (
         "projlat/autos.py",

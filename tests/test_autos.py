@@ -43,7 +43,14 @@ from projlat.autos import (
     verify_semidirect_structure,
 )
 from projlat.gf import iter_vectors
-from projlat.lattice import AmbientTooLarge, NotAnAtomPermutation, _bits as lattice_bits, atom_masks
+from projlat.lattice import (
+    AmbientTooLarge,
+    NotAnAtomPermutation,
+    _bits as lattice_bits,
+    _count_text,
+    atom_masks,
+    check_limit,
+)
 from projlat.matrices import all_matrices, rank, vec_mat
 from projlat.projposet import ProjectionPoset, verify_omp_axioms
 from projlat.semilinear import SemilinearMap
@@ -170,14 +177,14 @@ def test_search_bound_names_a_long_count_by_its_size():
     """Counts of up to 30 digits are written out; a longer one by its first
     four digits, power of ten and digit count, also beyond the 4 300
     digits str() writes and across a power of ten."""
-    text = autos._count_text
+    text = _count_text
     assert text(10**30 - 1) == "9" * 30
     assert text(10**30) == "1.000e30 (31 digits)"
     assert text(10**31 - 1) == "9.999e30 (31 digits)"
     assert text(math.factorial(252)) == "2.044e497 (498 digits)"
     assert text(7 * 10**5000 + 1) == "7.000e5000 (5001 digits)"
     with pytest.raises(AmbientTooLarge, match=r"^2\.044e497 \(498 digits\) maps exceeds"):
-        autos._check_search_bound(math.factorial(252), "maps", 2**20)
+        check_limit(math.factorial(252), "maps", "search bound", 2**20)
 
 
 def test_semilinear_oracle_runs_no_rref(monkeypatch, L42):

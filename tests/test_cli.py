@@ -189,7 +189,86 @@ def test_enumeration_limit_refuses_before_the_closed_form_bounds(run_cli, verb):
     code, out, err = run_cli(verb, "--n", "400", "--field", "251")
     assert (code, out) == (2, "")
     message, wall = err.splitlines()
-    assert message == f"projlat {verb}: q^n = 251^400 exceeds enumeration limit 1000000"
+    assert message == (
+        f"projlat {verb}: 7.404e959 (960 digits) vectors exceeds the vector limit 1000000"
+    )
+    assert wall.startswith("# wall ")
+
+
+def _no_pair_filter(L, i):
+    raise AssertionError("the pair filter ran before P's element limit refused the ambient")
+
+
+POSET_MAP = {"schema": "projlat-map/1", "kind": "poset", "permutation": [0]}
+
+
+@pytest.mark.parametrize("n, field, size", [("6", "2", 1051586), ("3", "31", 1908548)])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build-poset",),
+        ("verify-omp",),
+        ("ring-restrict",),
+        ("export-dot", "--target", "poset"),
+        ("export-json", "--target", "poset"),
+        ("verify-map", "--in", "poset-map.json"),
+    ],
+)
+def test_poset_beyond_its_element_limit_exits_2(
+    run_cli, monkeypatch, tmp_path, argv, n, field, size
+):
+    """Every verb that reaches build_projection_poset is refused at (6,2)
+    and (3,31), whose order tables would hold hundreds of GB, with one
+    line naming P's closed-form element count and the limit, then the
+    wall time. The count is checked before the pair filter tests any
+    pair: the filter raises here."""
+    from projlat.lattice import SubspaceLattice
+
+    monkeypatch.setattr(SubspaceLattice, "complements_idx", _no_pair_filter)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "poset-map.json").write_text(json.dumps(POSET_MAP))
+    code, out, err = run_cli(*argv, "--n", n, "--field", field)
+    assert (code, out) == (2, "")
+    message, wall = err.splitlines()
+    assert message == (
+        f"projlat {argv[0]}: {size} projections exceeds the poset element limit 131072"
+    )
+    assert wall.startswith("# wall ")
+
+
+class _Stopped(Exception):
+    pass
+
+
+def test_largest_admitted_poset_passes_its_element_limit(run_cli, monkeypatch):
+    """(4,4), whose P of 102 274 elements builds in seconds, passes the
+    element limit: the build is stopped right after the check."""
+    from projlat import projposet
+
+    check = projposet.check_limit
+
+    def check_then_stop(count, *rest):
+        check(count, *rest)
+        raise _Stopped(count)
+
+    monkeypatch.setattr(projposet, "check_limit", check_then_stop)
+    with pytest.raises(_Stopped) as stopped:
+        run_cli("build-poset", "--n", "4", "--field", "4")
+    assert stopped.value.args == (102274,)
+
+
+def test_correspondence_scan_limit_refuses_before_p(run_cli, monkeypatch):
+    """verify-correspondence at (4,4) is refused by the idempotent scan's
+    limit on its 4^16 matrices before P is built: building P raises here."""
+    from projlat import projposet
+
+    monkeypatch.setattr(projposet, "build_projection_poset", _no_poset)
+    code, out, err = run_cli("verify-correspondence", "--n", "4", "--field", "4")
+    assert (code, out) == (2, "")
+    message, wall = err.splitlines()
+    assert message == (
+        "projlat verify-correspondence: 4294967296 matrices exceeds the scan limit 1048576"
+    )
     assert wall.startswith("# wall ")
 
 

@@ -75,3 +75,32 @@ def test_function_local_package_import_is_caught():
         "def g():\n    from . import autos\n"
     )
     assert local_package_imports(source) == ["f: .gf", "f: projlat.maps", "g: ."]
+
+
+def refusal_sites(source: str) -> list[str | None]:
+    """The function around each raise of AmbientTooLarge, innermost first;
+    None for a raise at module level."""
+    sites = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == "AmbientTooLarge":
+                    sites.append(func)
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+def test_ambient_refusals_are_raised_in_one_function():
+    """Every refusal of an ambient goes through lattice.check_limit, the one
+    place that writes its message."""
+    sample = "def f():\n    raise AmbientTooLarge('x')\nraise AmbientTooLarge\n"
+    assert refusal_sites(sample) == ["f", None]
+    sites = [(path.name, func) for path in MODULES for func in refusal_sites(path.read_text())]
+    assert sites == [("lattice.py", "check_limit")]

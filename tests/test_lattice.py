@@ -451,6 +451,33 @@ def test_complements_exist_and_are_plentiful(L32):
             assert len(comps) > 1  # non-uniqueness marks non-distributivity
 
 
+def test_every_limit_refuses_in_one_shape(monkeypatch):
+    """Each limit names its refusal '<count> <what> exceeds the <limit>
+    <bound>': the vector and element limits of L, the semilinear oracle's
+    limit, the idempotent scan's limit and P's element limit."""
+    from projlat.autos import semilinear_atom_perms
+    from projlat.projposet import build_projection_poset, enumerate_idempotents
+
+    F2, F4, F5 = parse_field("2"), parse_field("2^2"), parse_field("5")
+    cases = [
+        (lambda: enumerate_subspaces(9, F5), "1953125 vectors exceeds the vector limit 1000000"),
+        (lambda: enumerate_subspaces(7, F4), "51409856 subspaces exceeds the element limit 10000"),
+        (
+            lambda: semilinear_atom_perms(enumerate_subspaces(4, parse_field("3"))),
+            "12130560 semilinear maps exceeds the generation limit 1048576",
+        ),
+        (lambda: enumerate_idempotents(F2, 5), "33554432 matrices exceeds the scan limit 1048576"),
+        (
+            lambda: build_projection_poset(enumerate_subspaces(4, parse_field("5"))),
+            "542752 projections exceeds the poset element limit 131072",
+        ),
+    ]
+    for refused, message in cases:
+        with pytest.raises(AmbientTooLarge) as exc:
+            refused()
+        assert str(exc.value) == message
+
+
 def test_ambient_guards():
     F = parse_field("5")
     with pytest.raises(AmbientTooLarge):

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from projlat import (
+    AmbientTooLarge,
     NotIdempotent,
     build_projection_poset,
     enumerate_subspaces,
@@ -32,6 +33,18 @@ def test_frozen_pair_counts(P22, P32, P23, P33):
     assert projection_pair_count(3, 2) == 58
     assert projection_pair_count(2, 3) == 14
     assert projection_pair_count(3, 3) == 236
+
+
+def test_poset_element_limit_is_inclusive(L32, monkeypatch):
+    """P(3,2) has 58 elements: built at a limit of 58, refused at 57
+    before any pair is tested."""
+    from projlat import projposet
+
+    monkeypatch.setattr(projposet, "POSET_ELEMENT_LIMIT", 58)
+    assert build_projection_poset(L32).size == 58
+    monkeypatch.setattr(projposet, "POSET_ELEMENT_LIMIT", 57)
+    with pytest.raises(AmbientTooLarge, match="^58 projections exceeds the poset element limit 57$"):
+        build_projection_poset(L32)
 
 
 def test_pair_count_equals_brute_idempotent_count(f2, f3):
