@@ -375,14 +375,34 @@ def iter_lattice_atom_perms(
 # and the most atoms a full poset search accepts
 SEMILINEAR_LIMIT = 2**20
 MAX_POSET_SEARCH_ATOMS = 150
+# the most entries the constructed side holds: a P-atom image for every
+# atom of the even and of the odd map of every lattice automorphism. It
+# admits (4,2) (4 838 400) and (3,4) (81 285 120); (3,5) (576 600 000)
+# ran out of memory at 2.4 GB before this limit refused it
+CONSTRUCTED_ENTRY_LIMIT = 2**27
+
+
+def _poset_atom_count(n: int, q: int) -> int:
+    """P-atoms of P(GF(q)^n): a point p with one of the q^(n-1)
+    hyperplanes off p."""
+    return gaussian_binomial(n, 1, q) * q ** (n - 1)
 
 
 def _check_poset_search_bound(n: int, F: GF) -> None:
     """Refuse a full search of P(F^n) with more than MAX_POSET_SEARCH_ATOMS
-    atoms, counted in closed form, so before L is built: a P-atom is a
-    point p with one of the q^(n-1) hyperplanes off p."""
-    atoms = gaussian_binomial(n, 1, F.q) * F.q ** (n - 1)
+    atoms, counted in closed form, so before L is built."""
+    atoms = _poset_atom_count(n, F.q)
     check_limit(atoms, "atoms", "search bound", MAX_POSET_SEARCH_ATOMS)
+
+
+def _check_constructed_side_bound(n: int, F: GF) -> None:
+    """Refuse a constructed side of P(F^n) of more than
+    CONSTRUCTED_ENTRY_LIMIT entries, counted in closed form, so before L
+    is built: two P-atom permutations, even and odd, per lattice
+    automorphism, |PGammaL(n, q)| of them from n = 3 up."""
+    maps = expected_lattice_automorphism_count(n, F.q, F.k)
+    entries = 2 * maps * _poset_atom_count(n, F.q)
+    check_limit(entries, "constructed entries", "constructed-side limit", CONSTRUCTED_ENTRY_LIMIT)
 
 
 def _check_lattice_search_bound(n: int, F: GF) -> None:
@@ -765,7 +785,7 @@ def verify_poset_map(phi, P: ProjectionPoset) -> None:
     perm = tuple(phi.perm if isinstance(phi, PosetMap) else phi)
     if len(perm) != P.size:
         raise ValueError("permutation size does not match the poset")
-    sigma = tuple(P.atom_ordinal.get(perm[a]) for a in P.atoms)
+    sigma = tuple(map(P.atom_ordinal.get, map(perm.__getitem__, P.atoms)))
     if not is_permutation(sigma) or _lift_poset_atom_perm(P, sigma) != perm:
         raise FalsificationError(
             "map is not the orthoposet automorphism its atom images induce",
@@ -1055,8 +1075,10 @@ def _constructed_side(L: SubspaceLattice, P: ProjectionPoset, budget: int | None
     the atom keys of every lattice automorphism f, and, in search order,
     the P-atom permutations of the even maps (a, b) -> (f(a), f(b)) and of
     the odd maps built from the anti-automorphisms f . gamma. L's search
-    is refused above SEMILINEAR_LIMIT maps."""
+    is refused above SEMILINEAR_LIMIT maps, and the whole side above
+    CONSTRUCTED_ENTRY_LIMIT entries."""
     _check_lattice_search_bound(L.n, L.field)
+    _check_constructed_side_bound(L.n, L.field)
     gamma = standard_duality(L)
     keys: set[bytes] = set()
     evens: list[tuple[int, ...]] = []

@@ -29,6 +29,7 @@ from .autos import (
     CheckpointError,
     FalsificationError,
     SearchBudgetExceeded,
+    _check_constructed_side_bound,
     _check_lattice_search_bound,
     _check_poset_search_bound,
     check_semilinear_generation,
@@ -144,13 +145,13 @@ def _lattice(args, min_n: int = 1, why: str = "for this verb"):
     return F, enumerate_subspaces(args.n, F)
 
 
-def _poset(args, min_n: int = 1, why: str = "for this verb", bound=None):
+def _poset(args, min_n: int = 1, why: str = "for this verb", bounds=()):
     """The field, L and P of the ambient. The enumeration limits, then the
-    verb's closed-form bound of (n, F), if any, refuse it before L is
+    verb's closed-form bounds of (n, F), in order, refuse it before L is
     built; P's element limit refuses it before any pair is tested."""
     F = _ambient(args, min_n, why)
     check_enumerable(args.n, F)
-    if bound:
+    for bound in bounds:
         bound(args.n, F)
     L = enumerate_subspaces(args.n, F)
     return F, L, build_projection_poset(L)
@@ -234,14 +235,14 @@ def cmd_verify_ftpg(args) -> int:
 
 
 def cmd_verify_semidirect(args) -> int:
-    _, L, P = _poset(args, 2, bound=_check_lattice_search_bound)
+    _, L, P = _poset(args, 2, bounds=(_check_lattice_search_bound, _check_constructed_side_bound))
     rep = verify_semidirect_structure(L, P, budget=args.budget_nodes)
     return _emit(rep, args, "verify-semidirect")
 
 
 def cmd_verify_main_theorem(args) -> int:
     why = "(the classification theorem assumes lattice length >= 4)"
-    _, L, P = _poset(args, 4, why, _check_poset_search_bound)
+    _, L, P = _poset(args, 4, why, (_check_poset_search_bound, _check_constructed_side_bound))
     try:
         rep = verify_main_theorem(
             L, P, budget=args.budget_nodes, jobs=args.jobs, checkpoint=args.checkpoint
@@ -257,7 +258,7 @@ def cmd_verify_main_theorem(args) -> int:
 
 
 def cmd_ring_lemma(args) -> int:
-    _, _, P = _poset(args, bound=_check_im_ker_bound)
+    _, _, P = _poset(args, bounds=(_check_im_ker_bound,))
     rep = check_im_ker_lemma(P)
     return _emit(rep, args, "ring-lemma", name="ring-lemma")
 

@@ -9,6 +9,7 @@ in element objects: the hot paths live inside search loops.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator, Sequence
 
 from .gf import GF, iter_vectors
@@ -194,6 +195,48 @@ def all_matrices(F: GF, rows: int, cols: int) -> Iterator[Matrix]:
     """Every rows x cols matrix, lexicographic by flattened entries."""
     for flat in iter_vectors(F, rows * cols):
         yield tuple(flat[i * cols : (i + 1) * cols] for i in range(rows))
+
+
+# the most row codes a byte holds: rows of length n over GF(q) have byte
+# codes when q^n is at most this, and their planes map by bytes.translate
+BYTE_CODES = 256
+
+
+def vector_codes(F: GF, n: int) -> dict[Vector, int]:
+    """The code of each vector of GF(q)^n: its position in iter_vectors
+    order, the base-q number its entries spell with the first entry as
+    the highest digit."""
+    return {v: c for c, v in enumerate(iter_vectors(F, n))}
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_tables(q: int, n: int) -> list[list[bytes]]:
+    """tables[j][i] sends the code of a row to its digit j placed at digit
+    i: the term that entry (i, j) of a matrix adds to the code of column
+    j. Each is a bytes.translate table, for q^n at most BYTE_CODES."""
+    place = [q ** (n - 1 - d) for d in range(n)]
+    return [
+        [bytes(c // place[j] % q * place[i] for c in range(q**n)).ljust(256, b"\0")
+         for i in range(n)]
+        for j in range(n)
+    ]
+
+
+def transpose_code_planes(planes: list[bytes], q: int) -> list[bytes]:
+    """Column code planes from row code planes: plane i holds the code of
+    row i of each of a run of n x n matrices, q^n at most BYTE_CODES.
+    Column j's code is the sum over i of row i's digit j placed at digit
+    i; each term is one translate of a plane, read as a little-endian int,
+    and the terms add with no carry between bytes, since every sum is a
+    code and below 256."""
+    size = len(planes[0])
+    return [
+        sum(
+            int.from_bytes(plane.translate(table), "little")
+            for plane, table in zip(planes, tables)
+        ).to_bytes(size, "little")
+        for tables in _digit_tables(q, len(planes))
+    ]
 
 
 def random_matrix(F: GF, rows: int, cols: int, rng) -> Matrix:

@@ -20,15 +20,18 @@ from .lattice import (
     FiniteOrder,
     Subspace,
     SubspaceLattice,
+    _SLOT_FORMATS,
     _bits,
     _digit_bits,
     _mask_index,
+    _slot_bytes,
     check_limit,
     enumerate_subspaces,
     or_lists,
     projection_pair_count,
 )
 from .matrices import (
+    BYTE_CODES,
     Matrix,
     all_matrices,
     identity,
@@ -39,6 +42,8 @@ from .matrices import (
     mat_sub,
     row_space,
     stack,
+    transpose,
+    vector_codes,
     zeros,
 )
 from .reports import CampaignReport
@@ -241,9 +246,45 @@ class ProjectionPoset(FiniteOrder):
         """The element of each idempotent."""
         return {m: i for i, m in enumerate(self.idempotents)}
 
+    @cached_property
+    def code_planes(self) -> tuple[list[bytes], list[bytes]] | None:
+        """The row code planes and the column code planes of the
+        idempotents: plane i holds, in element order, the code
+        (matrices.vector_codes) of row i, or of column i, of each. None
+        when q^n exceeds BYTE_CODES, so that a code would not fit a byte."""
+        L = self.lattice
+        if L.field.q**L.n > BYTE_CODES:
+            return None
+        code = vector_codes(L.field, L.n).__getitem__
+        mats = self.idempotents
+        rows = [bytes(map(code, plane)) for plane in zip(*mats)]
+        columns = [bytes(map(code, plane)) for plane in zip(*map(transpose, mats))]
+        return rows, columns
+
+    @cached_property
+    def column_code_index(self) -> dict[int, int]:
+        """The element of each idempotent's column codes, packed by
+        pack_code_planes; for P whose code_planes are not None."""
+        index = dict(zip(pack_code_planes(self.code_planes[1]), range(self.size)))
+        if len(index) != self.size:
+            raise AssertionError("two idempotents share their column codes")
+        return index
+
     def __repr__(self) -> str:
         L = self.lattice
         return f"ProjectionPoset({L.field.spec()}^{L.n}, {self.size} elements)"
+
+
+def pack_code_planes(planes: list[bytes]) -> list[int]:
+    """One int per position of n byte planes, n at most 8: the planes'
+    bytes at that position laid side by side in a slot of 1, 2, 4 or 8
+    bytes and read by one memoryview cast. Equal keys mean equal bytes in
+    every plane."""
+    width = _slot_bytes(8 * len(planes))
+    packed = bytearray(width * len(planes[0]))
+    for j, plane in enumerate(planes):
+        packed[j::width] = plane
+    return memoryview(packed).cast(_SLOT_FORMATS[width]).tolist()
 
 
 # the most elements build_projection_poset builds. P's up- and down-set

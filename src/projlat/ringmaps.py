@@ -32,6 +32,7 @@ from .gf import GF, FieldAutomorphism, iter_vectors
 from .lattice import check_limit, projection_pair_count
 from .maps import ANTI, AUTO, EVEN, ODD, LatticeMap, PosetMap, perm_compose
 from .matrices import (
+    BYTE_CODES,
     Matrix,
     all_matrices,
     identity,
@@ -45,10 +46,11 @@ from .matrices import (
     scalar_matrix,
     stack,
     transpose,
+    transpose_code_planes,
     vec_mat,
     zeros,
 )
-from .projposet import ProjectionPoset, idempotent_to_subspaces
+from .projposet import ProjectionPoset, idempotent_to_subspaces, pack_code_planes
 from .semilinear import (
     RowEvaluator,
     SemilinearMap,
@@ -117,6 +119,40 @@ def _ring_tables(s: SemilinearMap) -> tuple[_Memo, _Memo]:
     return tables
 
 
+def _code_tables(s: SemilinearMap) -> tuple[bytes, bytes]:
+    """The row tables of s over the codes of matrices.vector_codes, for
+    q^n at most BYTE_CODES: right[c] is the code of twist(v) M and left[c]
+    that of v (M^-1)^t, v the row of code c, each padded to 256 bytes to
+    serve as a bytes.translate table. Built whole on first use and kept
+    on s, so the automorphism and the anti-automorphism of s share
+    them."""
+    tables = getattr(s, "_code_tables", None)
+    if tables is None:
+        F, m = s.field, s.matrix
+        tables = tuple(
+            bytes(_image_codes(F, rows, sigma)).ljust(256, b"\0")
+            for rows, sigma in ((m, s.twist.table), (transpose(mat_inv(F, m)), F.elements()))
+        )
+        object.__setattr__(s, "_code_tables", tables)
+    return tables
+
+
+def _image_codes(F: GF, m: Matrix, sigma) -> list[int]:
+    """The code of sigma(v) m for every row v, in code order. Column j of
+    the images, sum over i of sigma(v_i) m[i][j], is built for all v at
+    once, the last coordinate first, one list pass per row of m; the
+    columns are then read as the digits of the codes."""
+    q, n = F.q, len(m)
+    codes = [0] * q**n
+    for j in range(n):
+        column = [0]
+        for row in reversed(m):
+            adds = [F.add_table[F.mul_table[sigma[x]][row[j]]] for x in F.elements()]
+            column = [add[w] for add in adds for w in column]
+        codes = [c * q + d for c, d in zip(codes, column)]
+    return codes
+
+
 def _row_table_apply(s: SemilinearMap, by_columns: bool):
     """T -> M^-1 twist(T) M, or with twist(T) transposed when by_columns,
     through s's two row tables instead of matrix products.
@@ -124,6 +160,12 @@ def _row_table_apply(s: SemilinearMap, by_columns: bool):
     The rows of twist(T) M are right[r] = twist(r) M over the rows r of T
     (its columns when by_columns), and M^-1 X is the transpose of the
     matrix whose rows are left[c] = c (M^-1)^t over the columns c of X.
+
+    When q^n is at most BYTE_CODES, the function also carries on_planes,
+    the same map on a run of matrices given by their row and column code
+    planes (as ProjectionPoset.code_planes holds them): it returns the
+    column code planes of their images, translated through s's code
+    tables, with transpose_code_planes between the two.
     """
     right, left = (table.__getitem__ for table in _ring_tables(s))
 
@@ -131,6 +173,13 @@ def _row_table_apply(s: SemilinearMap, by_columns: bool):
         x = map(right, zip(*t) if by_columns else t)
         return tuple(zip(*map(left, zip(*x))))
 
+    def on_planes(rows: list[bytes], columns: list[bytes]) -> list[bytes]:
+        right_codes, left_codes = _code_tables(s)
+        x = [plane.translate(right_codes) for plane in (columns if by_columns else rows)]
+        return [plane.translate(left_codes) for plane in transpose_code_planes(x, s.field.q)]
+
+    if s.field.q**s.n <= BYTE_CODES:
+        apply.on_planes = on_planes
     return apply
 
 
@@ -424,9 +473,17 @@ def restrict_to_projections(phi: RingMap, P: ProjectionPoset) -> PosetMap:
     symmetric condition pq = qp = p; additivity plus phi(1) = 1 makes them
     commute with p -> 1 - p. Automorphisms must restrict even,
     anti-automorphisms odd; the parity is classified and checked. Only the
-    ring map's function is read, never its witness.
+    ring map's function is read, never its witness: when the function
+    carries on_planes and P has code planes, every idempotent's image is
+    found at once from the planes, and otherwise one call per idempotent.
     """
-    perm = tuple(map(P.matrix_index.get, map(phi._apply, P.idempotents)))
+    on_planes = getattr(phi._apply, "on_planes", None)
+    planes = None if on_planes is None else P.code_planes
+    if planes is None:
+        perm = tuple(map(P.matrix_index.get, map(phi._apply, P.idempotents)))
+    else:
+        keys = pack_code_planes(on_planes(*planes))
+        perm = tuple(map(P.column_code_index.get, keys))
     if None in perm:
         raise FalsificationError(
             "image of a projection is not a projection", {"index": perm.index(None)}

@@ -430,8 +430,8 @@ MUTANTS = [
     ),
     (
         "projlat/cli.py",
-        "    if bound:\n        bound(args.n, F)\n    L = enumerate_subspaces(args.n, F)\n",
-        "    L = enumerate_subspaces(args.n, F)\n    if bound:\n        bound(args.n, F)\n",
+        "    for bound in bounds:\n        bound(args.n, F)\n    L = enumerate_subspaces(args.n, F)\n",
+        "    L = enumerate_subspaces(args.n, F)\n    for bound in bounds:\n        bound(args.n, F)\n",
         [
             "tests/test_cli.py::test_ambient_beyond_a_search_bound_exits_2[argv3-1080-150]",
             "tests/test_cli.py::test_im_ker_lemma_beyond_its_pair_bound_exits_2",
@@ -525,6 +525,43 @@ MUTANTS = [
             "test_down_sets_from_lower_covers_match_the_pairwise_reading[3-2]",
         ],
         "L's down-set of an element takes its lower covers, not their down-sets",
+    ),
+    (
+        "projlat/ringmaps.py",
+        "        x = [plane.translate(right_codes) for plane in (columns if by_columns else rows)]\n",
+        "        x = [plane.translate(right_codes) for plane in rows]\n",
+        [
+            "tests/test_ringmaps.py::test_batch_restriction_equals_the_per_matrix_one[3-2]",
+            "tests/test_ringmaps.py::test_batch_restriction_equals_the_per_matrix_one[3-5]",
+        ],
+        "the batch anti-automorphism reads the row planes, not the column planes",
+    ),
+    (
+        "projlat/matrices.py",
+        "        [bytes(c // place[j] % q * place[i] for c in range(q**n)).ljust(256, b\"\\0\")\n",
+        "        [bytes(c // place[i] % q * place[j] for c in range(q**n)).ljust(256, b\"\\0\")\n",
+        [
+            "tests/test_ringmaps.py::test_batch_restriction_equals_the_per_matrix_one[2-3]",
+            "tests/test_ringmaps.py::test_code_planes_and_their_transpose[3-5]",
+        ],
+        "the transpose's digit tables take digit i of a row code and place it at digit j",
+    ),
+    (
+        "projlat/ringmaps.py",
+        "    if None in perm:\n        raise FalsificationError(\n",
+        "    if None in perm and planes is None:\n        raise FalsificationError(\n",
+        ["tests/test_ringmaps.py::test_batch_restriction_refuses_an_image_outside_P[P32]"],
+        "the batch restriction drops its refusal of an image that is no projection",
+    ),
+    (
+        "projlat/cli.py",
+        "bounds=(_check_lattice_search_bound, _check_constructed_side_bound)",
+        "bounds=(_check_lattice_search_bound,)",
+        [
+            "tests/test_cli.py::"
+            "test_constructed_side_beyond_its_entry_limit_exits_2[verify-semidirect-3-5-576600000]",
+        ],
+        "verify-semidirect builds L and P before its constructed-side limit",
     ),
     # Not listed: the partner write skipped altogether. Every entry then
     # comes from projector_matrix of its own pair, the same matrices, so

@@ -1580,6 +1580,31 @@ def test_lattice_campaigns_refuse_a_lattice_above_the_search_bound(L32, P32, mon
         autos.verify_fundamental_correspondence(L32)
 
 
+@pytest.mark.parametrize("ambient, entries", [(("L32", "P32"), 9408), (("L23", "P23"), 576)])
+def test_constructed_side_limit_counts_its_entries(ambient, entries, request, monkeypatch):
+    """The constructed side holds 2 |Aut L| [n,1]_q q^(n-1) P-atom images,
+    9 408 at (3,2) and 576 at (2,3), where |Aut L| is 4!: at that limit
+    it is built, and one below it the semidirect check is refused before
+    the lattice search runs."""
+    L, P = map(request.getfixturevalue, ambient)
+    monkeypatch.setattr(autos, "CONSTRUCTED_ENTRY_LIMIT", entries)
+    _, _, evens, odds = autos._constructed_side(L, P, None)
+    assert sum(map(len, evens + odds)) == entries
+    monkeypatch.setattr(autos, "CONSTRUCTED_ENTRY_LIMIT", entries - 1)
+    monkeypatch.setattr(autos, "iter_lattice_atom_perms", None)
+    refused = f"^{entries} constructed entries exceeds the constructed-side limit {entries - 1}$"
+    with pytest.raises(AmbientTooLarge, match=refused):
+        verify_semidirect_structure(L, P)
+
+
+def test_constructed_side_limit_admits_4_2_and_3_4_and_refuses_3_5():
+    for n, spec in ((4, "2"), (3, "4")):
+        autos._check_constructed_side_bound(n, parse_field(spec))
+    refused = "^576600000 constructed entries exceeds the constructed-side limit 134217728$"
+    with pytest.raises(AmbientTooLarge, match=refused):
+        autos._check_constructed_side_bound(3, parse_field("5"))
+
+
 def test_parity_composition_algebra():
     from projlat.maps import compose_parities
 

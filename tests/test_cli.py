@@ -162,6 +162,33 @@ def test_refusal_of_a_count_beyond_30_digits_stays_short(run_cli, monkeypatch):
     assert wall.startswith("# wall ")
 
 
+@pytest.mark.parametrize(
+    "verb, n, field, entries",
+    [("verify-semidirect", "3", "5", 576600000), ("verify-main-theorem", "4", "3", 26202009600)],
+)
+def test_constructed_side_beyond_its_entry_limit_exits_2(run_cli, monkeypatch, verb, n, field, entries):
+    """verify-semidirect at (3,5) passes the lattice search bound (372 000
+    maps), but its constructed side would hold 576 600 000 P-atom images;
+    it once ran out of memory there after 71 s at 2.4 GB. The
+    constructed-side limit, counted in closed form, refuses it before L
+    and P are built (building either raises here), with one line, then
+    the wall time. verify-main-theorem checks the same limit after its
+    poset search bound, raised here to admit the 1 080 atoms of (4,3)."""
+    from projlat import autos, cli
+
+    monkeypatch.setattr(cli, "build_projection_poset", _no_poset)
+    monkeypatch.setattr(cli, "enumerate_subspaces", _no_lattice)
+    monkeypatch.setattr(autos, "MAX_POSET_SEARCH_ATOMS", 1080)
+    code, out, err = run_cli(verb, "--n", n, "--field", field)
+    assert (code, out) == (2, "")
+    message, wall = err.splitlines()
+    assert message == (
+        f"projlat {verb}: {entries} constructed entries exceeds the "
+        "constructed-side limit 134217728"
+    )
+    assert wall.startswith("# wall ")
+
+
 def test_im_ker_lemma_beyond_its_pair_bound_exits_2(run_cli, monkeypatch):
     """ring-lemma at (3,5) refuses the 1 552^2 ordered idempotent pairs,
     counted in closed form before L and P are built (building either

@@ -42,10 +42,13 @@ from projlat.matrices import (
     random_matrix,
     rank,
     transpose,
+    transpose_code_planes,
+    vector_codes,
     zeros,
 )
+from projlat.gf import iter_vectors
 from projlat.maps import PosetMap
-from projlat.projposet import projector_matrix
+from projlat.projposet import pack_code_planes, projector_matrix
 from projlat.ringmaps import RingMap, matrix_units, verify_ring_map
 
 
@@ -391,6 +394,139 @@ def test_restriction_reads_only_apply(P32, f2):
     assert want != _reference_perm(_reference_apply(s_other, AUTO), P32)
     phi = RingMap(f2, 3, AUTO, conjugation_automorphism(s_apply).apply, witness=s_other)
     assert restrict_to_projections(phi, P32).perm == want
+
+
+def _counted(phi):
+    """phi's function behind a counter of its calls, carrying phi's batch
+    evaluator on_planes when phi's function has one."""
+    calls = []
+
+    def apply(t):
+        calls.append(t)
+        return phi.apply(t)
+
+    if hasattr(phi._apply, "on_planes"):
+        apply.on_planes = phi._apply.on_planes
+    return RingMap(phi.field, phi.n, phi.direction, apply), calls
+
+
+def _per_matrix_perm(phi, P):
+    return tuple(map(P.matrix_index.get, map(phi.apply, P.idempotents)))
+
+
+def _seeded_ring_maps(F, n, seed):
+    """The transpose, then for every twist of F one seeded witness as an
+    automorphism and as an anti-automorphism."""
+    rng = random.Random(seed)
+    ring_maps = [transpose_anti_automorphism(F, n)]
+    for twist in F.automorphisms():
+        s = SemilinearMap(F, random_invertible(F, n, rng), twist)
+        ring_maps += [conjugation_automorphism(s), anti_automorphism_from_semilinear(s)]
+    return ring_maps
+
+
+@pytest.fixture(scope="module")
+def byte_code_posets(P32, P23, L34, P42, P35):
+    """P at (3,2), (2,3), (3,2^2), (4,2), (3,5) and (2,16), where q^n is
+    256, the most a code byte holds."""
+    return {
+        "3-2": P32, "2-3": P23, "3-2^2": build_projection_poset(L34), "4-2": P42,
+        "3-5": P35, "2-16": build_projection_poset(enumerate_subspaces(2, parse_field("16"))),
+    }
+
+
+@pytest.mark.parametrize("ambient", ["3-2", "2-3", "3-2^2", "4-2", "3-5", "2-16"])
+def test_batch_restriction_equals_the_per_matrix_one(ambient, byte_code_posets):
+    """Where a row code fits a byte, the transpose and seeded witnesses of
+    every twist, as automorphisms and as anti-automorphisms, restrict
+    through the planes without one call of their function, to the perm
+    that one call per idempotent gives."""
+    P = byte_code_posets[ambient]
+    F, n = P.lattice.field, P.lattice.n
+    assert P.code_planes is not None
+    for phi in _seeded_ring_maps(F, n, 71):
+        counted, calls = _counted(phi)
+        got = restrict_to_projections(counted, P)
+        assert calls == []
+        assert got.perm == _per_matrix_perm(phi, P)
+        assert got.parity == (EVEN if phi.direction == AUTO else ODD)
+
+
+def test_restriction_above_a_byte_calls_the_function_per_idempotent():
+    """At (2,17), where q^n = 289 and a row code does not fit a byte, P
+    keeps no planes, the ring maps carry no batch evaluator, and each
+    restriction calls the function once per idempotent."""
+    F = parse_field("17")
+    P = build_projection_poset(enumerate_subspaces(2, F))
+    assert P.code_planes is None
+    for phi in _seeded_ring_maps(F, 2, 73):
+        assert not hasattr(phi._apply, "on_planes")
+        counted, calls = _counted(phi)
+        got = restrict_to_projections(counted, P)
+        assert len(calls) == P.size
+        assert got.perm == _per_matrix_perm(phi, P)
+
+
+@pytest.mark.parametrize("ambient", ["P23", "P32", "P35"])
+def test_batch_restriction_refuses_an_image_outside_P(ambient, request):
+    """A witness whose right tables, the per-matrix one and the code one
+    alike, send the row (0, ..., 0, 1), of code 1, to zero: the batch path
+    refuses the first idempotent whose image is no projection, with the
+    message and payload of the per-matrix path over the same function."""
+    from projlat import ringmaps
+
+    P = request.getfixturevalue(ambient)
+    F, n = P.lattice.field, P.lattice.n
+    s = SemilinearMap(F, random_invertible(F, n, random.Random(79)), F.frobenius(0))
+    ringmaps._ring_tables(s)[0][list(iter_vectors(F, n))[1]] = (0,) * n
+    right, left = ringmaps._code_tables(s)
+    object.__setattr__(s, "_code_tables", (right[:1] + b"\0" + right[2:], left))
+    phi = conjugation_automorphism(s)
+    want = _per_matrix_perm(phi, P)
+    assert None in want
+    refusals = []
+    for ring_map in (phi, RingMap(F, n, AUTO, lambda t: phi.apply(t))):
+        with pytest.raises(FalsificationError) as caught:
+            restrict_to_projections(ring_map, P)
+        refusals.append((str(caught.value), caught.value.payload))
+    assert refusals[0] == refusals[1] == (
+        "image of a projection is not a projection", {"index": want.index(None)}
+    )
+
+
+@pytest.mark.parametrize("n, spec", [(1, "2^8"), (2, "3"), (3, "5"), (4, "2"), (2, "16"), (8, "2")])
+def test_code_planes_and_their_transpose(n, spec):
+    """transpose_code_planes turns the row code planes of seeded matrices
+    into their column code planes, read directly; pack_code_planes gives
+    equal keys exactly to equal column codes, in slots of 1 to 8 bytes."""
+    F = parse_field(spec)
+    rng = random.Random(83)
+    mats = [random_matrix(F, n, n, rng) for _ in range(300)]
+    mats += mats[:20]
+    code = vector_codes(F, n).__getitem__
+    rows = [bytes(map(code, plane)) for plane in zip(*mats)]
+    columns = [bytes(map(code, plane)) for plane in zip(*map(transpose, mats))]
+    assert transpose_code_planes(rows, F.q) == columns
+    keys = pack_code_planes(columns)
+    assert len(keys) == len(mats)
+    by_key = {}
+    for k, m in zip(keys, mats):
+        assert by_key.setdefault(k, transpose(m)) == transpose(m)
+    assert len(by_key) == len(set(mats))
+
+
+@pytest.mark.parametrize("ambient", ["P23", "P32", "P35"])
+def test_poset_code_planes_read_its_idempotents(ambient, request):
+    """P's code planes hold, element by element, the code of each row and
+    each column of its idempotent, and column_code_index sends the packed
+    column codes of every idempotent back to its element."""
+    P = request.getfixturevalue(ambient)
+    vectors = list(iter_vectors(P.lattice.field, P.lattice.n))
+    rows, columns = P.code_planes
+    for i, m in enumerate(P.idempotents):
+        assert tuple(vectors[plane[i]] for plane in rows) == m
+        assert tuple(vectors[plane[i]] for plane in columns) == transpose(m)
+    assert P.column_code_index == dict(zip(pack_code_planes(columns), range(P.size)))
 
 
 def test_restriction_classifies_through_the_module_name(P32, f2, monkeypatch):
