@@ -839,6 +839,7 @@ def classify_parity(phi, P: ProjectionPoset) -> str:
     scanned, so the payload lists every violation.
     """
     perm = phi.perm if isinstance(phi, PosetMap) else phi
+    P.check_map_size(perm)
     img, ker = P.image, P.kernel
     verdict: str | None = None
     bad: list[dict] = []
@@ -889,6 +890,7 @@ def decompose_poset_automorphism(phi: PosetMap, P: ProjectionPoset) -> LatticeMa
     refuse n < 4 themselves).
     """
     perm = phi.perm
+    P.check_map_size(perm)
     if not P.image_families:
         classify_parity(phi, P)  # raises: no family fixes a parity
     img = P.image

@@ -177,6 +177,12 @@ class FiniteOrder:
     def leq_idx(self, i: int, j: int) -> bool:
         return bool(self.up_masks[i] >> j & 1)
 
+    def check_map_size(self, perm) -> None:
+        """Refuse a map of another ambient, one without one image per
+        element, before any of its images is read."""
+        if len(perm) != self.size:
+            raise ValueError(f"a map of {len(perm)} elements does not act on {self!r}")
+
     def lub_idx(self, i: int, j: int) -> int | None:
         """Least upper bound, or None if there is no least one. The common
         upper bounds form an up-set, and m is their least exactly when that

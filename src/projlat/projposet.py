@@ -42,7 +42,7 @@ from .matrices import (
     mat_sub,
     row_space,
     stack,
-    transpose,
+    transpose_code_planes,
     vector_codes,
     zeros,
 )
@@ -256,10 +256,8 @@ class ProjectionPoset(FiniteOrder):
         if L.field.q**L.n > BYTE_CODES:
             return None
         code = vector_codes(L.field, L.n).__getitem__
-        mats = self.idempotents
-        rows = [bytes(map(code, plane)) for plane in zip(*mats)]
-        columns = [bytes(map(code, plane)) for plane in zip(*map(transpose, mats))]
-        return rows, columns
+        rows = [bytes(map(code, plane)) for plane in zip(*self.idempotents)]
+        return rows, transpose_code_planes(rows, L.field.q)
 
     @cached_property
     def column_code_index(self) -> dict[int, int]:

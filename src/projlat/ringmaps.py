@@ -17,7 +17,6 @@ every unearned property raises FalsificationError.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -88,18 +87,6 @@ class RingMap:
     def apply(self, t: Matrix) -> Matrix:
         return self._apply(t)
 
-    def __call__(self, t: Matrix) -> Matrix:
-        return self._apply(t)
-
-
-@functools.lru_cache(maxsize=None)
-def _shared_rows(F: GF, n: int) -> _Memo:
-    """The one stored copy of each row of length n over F, shared by the
-    row tables of every ring map of that ambient. Rows are immutable and
-    there are at most q^n of them, so sharing changes no result and the
-    table stays bounded."""
-    return _Memo(lambda row: row)
-
 
 def _ring_tables(s: SemilinearMap) -> tuple[_Memo, _Memo]:
     """The row tables right[r] = twist(r) M and left[c] = c (M^-1)^t of
@@ -109,12 +96,8 @@ def _ring_tables(s: SemilinearMap) -> tuple[_Memo, _Memo]:
     tables = getattr(s, "_ring_tables", None)
     if tables is None:
         F = s.field
-        rows = _shared_rows(F, s.n)
         left = RowEvaluator(F, transpose(mat_inv(F, s.matrix)), F.frobenius(0))
-        tables = (
-            _Memo(lambda r: rows[s.apply_vector(r)], rows),
-            _Memo(lambda c: rows[left(c)], rows),
-        )
+        tables = (_Memo(s.apply_vector), _Memo(left))
         object.__setattr__(s, "_ring_tables", tables)
     return tables
 
@@ -161,15 +144,21 @@ def _row_table_apply(s: SemilinearMap, by_columns: bool):
     (its columns when by_columns), and M^-1 X is the transpose of the
     matrix whose rows are left[c] = c (M^-1)^t over the columns c of X.
 
+    The row tables are read on the first call, not when the function is
+    made, so a map restricted only through planes never builds them.
+
     When q^n is at most BYTE_CODES, the function also carries on_planes,
     the same map on a run of matrices given by their row and column code
     planes (as ProjectionPoset.code_planes holds them): it returns the
     column code planes of their images, translated through s's code
     tables, with transpose_code_planes between the two.
     """
-    right, left = (table.__getitem__ for table in _ring_tables(s))
+    right = left = None
 
     def apply(t: Matrix) -> Matrix:
+        nonlocal right, left
+        if right is None:
+            right, left = (table.__getitem__ for table in _ring_tables(s))
         x = map(right, zip(*t) if by_columns else t)
         return tuple(zip(*map(left, zip(*x))))
 
@@ -427,13 +416,11 @@ def extract_semilinear_from_ring_iso(
         u_x = mat_mul(F, c_inv, stack((x,), zero_rows))
         return vec_mat(F, y0, phi.apply(u_x))
 
-    basis_rows = tuple(transport(e) for e in identity(n))
-    m = basis_rows
+    m = tuple(transport(e) for e in identity(n))
     try:
-        mat_inv(F, m)
-    except Exception:
-        raise FalsificationError("extracted witness matrix is singular", {"m": m})
-    s = SemilinearMap(F, m, twist)
+        s = SemilinearMap(F, m, twist)
+    except ValueError:
+        raise FalsificationError("extracted witness matrix is singular", {"m": m}) from None
 
     # semilinearity of the transport: exhaustive when the vector space is
     # small, seeded random + structured probes otherwise
@@ -476,7 +463,11 @@ def restrict_to_projections(phi: RingMap, P: ProjectionPoset) -> PosetMap:
     ring map's function is read, never its witness: when the function
     carries on_planes and P has code planes, every idempotent's image is
     found at once from the planes, and otherwise one call per idempotent.
+    A ring map of another field or size is refused before it is applied.
     """
+    L = P.lattice
+    if (phi.field, phi.n) != (L.field, L.n):
+        raise ValueError(f"a ring map over GF({phi.field.spec()})^{phi.n} does not act on {P!r}")
     on_planes = getattr(phi._apply, "on_planes", None)
     planes = None if on_planes is None else P.code_planes
     if planes is None:

@@ -42,17 +42,13 @@ class MatchFailure(ValueError):
 
 
 class _Memo(dict):
-    """fn(key), evaluated once per distinct key. With `canon`, each key is
-    stored as canon[key], so memos sharing one canon share their keys."""
+    """fn(key), evaluated once per distinct key."""
 
-    def __init__(self, fn, canon=None):
+    def __init__(self, fn):
         super().__init__()
         self.fn = fn
-        self.canon = canon
 
     def __missing__(self, key):
-        if self.canon is not None:
-            key = self.canon[key]
         value = self[key] = self.fn(key)
         return value
 
@@ -176,6 +172,7 @@ def verify_lattice_map(m: LatticeMap, L: SubspaceLattice) -> None:
     for ANTI, and the first pair that fails is named. A permutation the
     walk passes is an (anti-)automorphism, which the lift accepts, so the
     walk runs to name that pair, or on a lattice whose proofs failed."""
+    L.check_map_size(m.perm)
     if _lift_proves(m, L):
         return
     perm = m.perm
@@ -265,6 +262,7 @@ def match_semilinear(f: LatticeMap, L: SubspaceLattice) -> SemilinearMap:
         raise ValueError(f"witness recovery requires ambient dimension >= 3, got {n}")
     if f.direction != AUTO:
         raise ValueError("only automorphisms have semilinear witnesses")
+    L.check_map_size(f.perm)
     points, ordinal, elements, perm = L.point_index, L.atom_ordinal, L.elements, f.perm
 
     def image_vector(v) -> tuple[int, ...]:

@@ -563,6 +563,40 @@ MUTANTS = [
         ],
         "verify-semidirect builds L and P before its constructed-side limit",
     ),
+    (
+        "projlat/projposet.py",
+        "        return rows, transpose_code_planes(rows, L.field.q)\n",
+        "        return rows, rows\n",
+        [
+            "tests/test_ringmaps.py::test_poset_code_planes_read_its_idempotents[P35]",
+            "tests/test_ringmaps.py::test_batch_restriction_equals_the_per_matrix_one[3-5]",
+        ],
+        "P's column code planes are its row code planes",
+    ),
+    (
+        "projlat/ringmaps.py",
+        "    right = left = None\n",
+        "    right, left = (table.__getitem__ for table in _ring_tables(s))\n",
+        ["tests/test_ringmaps.py::test_planes_restriction_builds_no_row_tables"],
+        "a ring map of a witness builds its row tables when it is made, not on first use",
+    ),
+    (
+        "projlat/semilinear.py",
+        "    L.check_map_size(m.perm)\n    if _lift_proves(m, L):\n",
+        "    if _lift_proves(m, L):\n",
+        [
+            "tests/test_autos.py::test_a_map_of_another_ambient_is_refused[verify-lattice-33-on-32]",
+            "tests/test_autos.py::test_a_map_of_another_ambient_is_refused[verify-lattice-32-on-33]",
+        ],
+        "verify_lattice_map judges a map of another lattice instead of refusing it",
+    ),
+    (
+        "projlat/ringmaps.py",
+        "    if (phi.field, phi.n) != (L.field, L.n):\n",
+        "    if phi.field != L.field:\n",
+        ["tests/test_autos.py::test_a_map_of_another_ambient_is_refused[restrict-3^2-on-33]"],
+        "the restriction's ambient check compares the field and not the dimension",
+    ),
     # Not listed: the partner write skipped altogether. Every entry then
     # comes from projector_matrix of its own pair, the same matrices, so
     # the mutant is equivalent and no test can kill it.

@@ -23,10 +23,15 @@ from projlat import (
     enumerate_lattice_automorphisms,
     enumerate_poset_automorphisms,
     even_from_lattice_automorphism,
+    identity_perm,
+    match_semilinear,
     odd_from_anti_automorphism,
     perm_compose,
     projective_group_order,
+    restrict_to_projections,
     standard_duality,
+    transpose_anti_automorphism,
+    verify_lattice_map,
 )
 from projlat import build_projection_poset, enumerate_subspaces, parse_field
 from projlat import autos
@@ -626,14 +631,24 @@ def test_poset_search_unchanged_on_reference_colors(ambient, branch, maps, nodes
     assert len(got) == maps and stats["nodes"] == ref_stats["nodes"] == nodes
 
 
-@pytest.mark.parametrize("n, seed, branch", [(3, 1, None), (3, 2, None), (4, 3, 0)])
-def test_poset_from_shuffled_pairs_has_the_same_automorphisms(n, seed, branch):
+@pytest.mark.parametrize(
+    "n, spec, seed, branch, maps, even",
+    [
+        pytest.param(3, "2", 1, None, 336, 168, id="3-1-None"),
+        pytest.param(3, "2", 2, None, 336, 168, id="3-2-None"),
+        pytest.param(4, "2", 3, 0, 336, 168, id="4-3-0"),
+        pytest.param(3, "3", 4, 0, 96, 48, id="3x3-4-0"),
+    ],
+)
+def test_poset_from_shuffled_pairs_has_the_same_automorphisms(n, spec, seed, branch, maps, even):
     """P built from a seeded shuffle of its pairs, so with its elements,
     atoms and ortho pairs renumbered, keeps its bottom, top and ortho, and
     its search finds the same maps: the 336 of P(3,2), and the 336 of one
-    root branch of P(4,2), 168 of them even either way. A list missing
-    one pair, and with it the partner of another, is refused."""
-    L = enumerate_subspaces(n, parse_field("2"))
+    root branch of P(4,2), 168 of them even either way; and the 96 of one
+    root branch of P(3,3), 48 of them even (11 232 over its 117 root
+    targets). A list missing one pair, and with it the partner of another,
+    is refused."""
+    L = enumerate_subspaces(n, parse_field(spec))
     pairs = list(build_projection_poset(L).pairs)
     random.Random(seed).shuffle(pairs)
     with pytest.raises(ValueError, match="lack bottom, top or the swap"):
@@ -644,7 +659,7 @@ def test_poset_from_shuffled_pairs_has_the_same_automorphisms(n, seed, branch):
     restrict = None if branch is None else {poset_search_plan(P)[1][branch]}
     found = iter_poset_atom_perms(P, restrict_first=restrict)
     parities = [classify_parity(eperm, P) for _, eperm in found]
-    assert (len(parities), parities.count(EVEN)) == (336, 168)
+    assert (len(parities), parities.count(EVEN)) == (maps, even)
 
 
 def _keys_by_rows(P, rows, keys=_pair_keys):
@@ -1271,6 +1286,73 @@ def test_verify_poset_map_refuses_atom_images_that_repeat(P32):
     assert exc.value.payload == {"atom_perm": sigma}
     with pytest.raises(FalsificationError):
         _reference_verify_poset_map(perm, P32)
+
+
+def _transpose_restriction(spec, n, P):
+    return lambda: restrict_to_projections(transpose_anti_automorphism(parse_field(spec), n), P)
+
+
+# each case: (fixtures) -> (the call, texts its refusal must name)
+_OTHER_AMBIENT_CASES = {
+    "verify-lattice-33-on-32": lambda get: (
+        lambda: verify_lattice_map(LatticeMap(identity_perm(28), AUTO), get("L32")),
+        ("28", "16 elements"),
+    ),
+    "verify-lattice-32-on-33": lambda get: (
+        lambda: verify_lattice_map(LatticeMap(identity_perm(16), AUTO), get("L33")),
+        ("16", "28 elements"),
+    ),
+    "parity-33-on-32": lambda get: (
+        lambda: classify_parity(identity_perm(236), get("P32")), ("236", "58 elements")
+    ),
+    "parity-32-on-33": lambda get: (
+        lambda: classify_parity(identity_perm(58), get("P33")), ("58", "236 elements")
+    ),
+    "decompose-33-on-32": lambda get: (
+        lambda: decompose_poset_automorphism(PosetMap(identity_perm(236)), get("P32")),
+        ("236", "58 elements"),
+    ),
+    "decompose-32-on-33": lambda get: (
+        lambda: decompose_poset_automorphism(PosetMap(identity_perm(58)), get("P33")),
+        ("58", "236 elements"),
+    ),
+    "match-33-on-32": lambda get: (
+        lambda: match_semilinear(LatticeMap(identity_perm(28), AUTO), get("L32")),
+        ("28", "16 elements"),
+    ),
+    "match-32-on-33": lambda get: (
+        lambda: match_semilinear(LatticeMap(identity_perm(16), AUTO), get("L33")),
+        ("16", "28 elements"),
+    ),
+    "restrict-2^3-on-33": lambda get: (
+        _transpose_restriction("2", 3, get("P33")), ("GF(2)^3", "(3^3,")
+    ),
+    "restrict-3^2-on-33": lambda get: (
+        _transpose_restriction("3", 2, get("P33")), ("GF(3)^2", "(3^3,")
+    ),
+    "restrict-2^2-on-17^2": lambda get: (
+        _transpose_restriction(
+            "2", 2, build_projection_poset(enumerate_subspaces(2, parse_field("17")))
+        ),
+        ("GF(2)^2", "(17^2,"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_OTHER_AMBIENT_CASES))
+def test_a_map_of_another_ambient_is_refused(case, request):
+    """A map of another ambient is refused with a plain ValueError naming
+    both sizes, or both fields and dimensions for a ring map, before any
+    of its images is read: by verify_lattice_map, classify_parity,
+    decompose_poset_automorphism, match_semilinear and the restriction.
+    Without the check some were judged (L(3,3)'s identity passed as an
+    automorphism of L(3,2), P(3,3)'s was classified even on P(3,2)) and
+    the rest failed on an index, a StopIteration or a false verdict."""
+    call, names = _OTHER_AMBIENT_CASES[case](request.getfixturevalue)
+    with pytest.raises(Exception) as caught:
+        call()
+    assert type(caught.value) is ValueError
+    assert all(name in str(caught.value) for name in names), str(caught.value)
 
 
 def test_lift_errors_other_than_the_lattice_refusal_propagate(L32, P22, monkeypatch):

@@ -41,6 +41,7 @@ from projlat.matrices import (
     random_invertible,
     random_matrix,
     rank,
+    scalar_matrix,
     transpose,
     transpose_code_planes,
     vector_codes,
@@ -143,6 +144,22 @@ def test_extraction_rejects_non_isomorphism(f3):
     phi = RingMap(f3, 2, AUTO, bad)
     with pytest.raises(FalsificationError):
         extract_semilinear_from_ring_iso(phi)
+
+
+def test_extraction_refuses_a_singular_witness(f3):
+    """A black-box map fixing the scalars and sending every other matrix to
+    E_11 transports every basis row to the first unit row: the witness read
+    off is singular and is refused, with its matrix in the payload."""
+    n = 3
+    e11 = matrix_units(f3, n)[0][0]
+    scalars = {scalar_matrix(f3, lam, n) for lam in f3.elements()}
+    phi = RingMap(f3, n, AUTO, lambda t: t if t in scalars else e11)
+    with pytest.raises(FalsificationError) as caught:
+        extract_semilinear_from_ring_iso(phi)
+    m = ((1, 0, 0),) * n
+    assert (str(caught.value), caught.value.payload) == (
+        "extracted witness matrix is singular", {"m": m}
+    )
 
 
 def test_restriction_parities(P32, f2):
@@ -273,6 +290,24 @@ def test_ring_maps_of_one_witness_share_its_row_tables(f4):
     assert all(len(table) > 0 for table in tables)
     copied = pickle.loads(pickle.dumps(s))
     assert copied == s and _ring_map(copied, ANTI).apply(mats[0]) == _ring_map(s, ANTI).apply(mats[0])
+
+
+def test_planes_restriction_builds_no_row_tables(P35, f5):
+    """A witness whose automorphism and anti-automorphism were restricted
+    through the planes carries no row tables, which only apply reads; one
+    apply builds them, kept on the witness for both maps."""
+    from projlat import ringmaps
+
+    s = SemilinearMap(f5, random_invertible(f5, 3, random.Random(89)), f5.frobenius(0))
+    phi, psi = conjugation_automorphism(s), anti_automorphism_from_semilinear(s)
+    for ring_map in (phi, psi):
+        restrict_to_projections(ring_map, P35)
+    assert not hasattr(s, "_ring_tables")
+    t = P35.idempotents[P35.size // 2]
+    assert phi.apply(t) == _reference_apply(s, AUTO)(t)
+    tables = s._ring_tables
+    assert psi.apply(t) == _reference_apply(s, ANTI)(t)
+    assert ringmaps._ring_tables(s) is tables
 
 
 def _reference_perm(ref, P):
