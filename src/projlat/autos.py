@@ -53,8 +53,8 @@ from .maps import (
     perm_compose,
     perm_inverse,
 )
-from .matrices import identity, vec_mat
-from .projposet import ProjectionPoset, build_projection_poset
+from .matrices import BYTE_CODES, identity, vec_mat
+from .projposet import NO_ATOM, ProjectionPoset, build_projection_poset
 from .reports import CampaignReport, canonical_json, sha256_of
 from .semilinear import MatchFailure, match_semilinear, standard_duality, verify_lattice_map
 
@@ -913,17 +913,61 @@ def decompose_poset_automorphism(phi: PosetMap, P: ProjectionPoset) -> LatticeMa
     return fmap
 
 
+# every byte, in order: _BYTES[:k] is the bytes below k
+_BYTES = bytes(range(BYTE_CODES))
+
+
 def poset_atom_perm_from_lattice(
     P: ProjectionPoset, lattice_perm: tuple[int, ...], odd: bool
 ) -> tuple[int, ...]:
     """Fast path: the action on P-atoms induced by a lattice map, without
-    materializing the full poset permutation. When the map sends a P-atom
-    to no P-atom, the payload names the first such atom's ordinal and its
-    image pair (image, kernel)."""
+    materializing the full poset permutation. A map with an entry outside
+    range(L.size) is refused before any image is read. When the map sends
+    a P-atom to no P-atom, the payload names the first such atom's ordinal
+    and its image pair (image, kernel).
+
+    Where P.atom_code_planes is not None, the images are read by
+    bytes.translate kernels, with no Python code per atom: the map,
+    padded to a 256-byte table, translates the image and the kernel
+    planes (swapped for an odd map), the point and hyperplane code tables
+    turn them into two runs of codes, added as little-endian ints, and
+    the ordinal table reads the atom of each code sum. Every sum is below
+    BYTE_CODES, so no byte carries into the next. A map whose entries do
+    not all fit a byte below L.size, or that sends some atom to NO_ATOM,
+    goes through the pair table instead, which refuses it."""
     _require_atomistic(P)
-    rows, lp, ordinal = P.pair_rows, lattice_perm, P.atom_ordinal
-    if len(lp) != P.lattice.size:
+    lp, size = lattice_perm, P.lattice.size
+    if len(lp) != size:
         raise ValueError("lattice map size does not match the poset's lattice")
+    planes = P.atom_code_planes
+    if planes is not None:
+        try:
+            table = bytearray(lp)
+        except (TypeError, ValueError):  # no byte: refused by the pair table
+            table = None
+        # every entry below size: nothing is left once those bytes go
+        if table is not None and not table.translate(None, _BYTES[:size]):
+            images, kernels, point_codes, hyperplane_codes, ordinals = planes
+            table = table.ljust(BYTE_CODES, b"\0")
+            if odd:
+                images, kernels = kernels, images
+            on_points = images.translate(table).translate(point_codes)
+            on_hyperplanes = kernels.translate(table).translate(hyperplane_codes)
+            codes = int.from_bytes(on_points, "little") + int.from_bytes(on_hyperplanes, "little")
+            out = codes.to_bytes(len(images), "little").translate(ordinals)
+            if NO_ATOM not in out:
+                return tuple(out)
+    return _atom_perm_by_pairs(P, lp, odd)
+
+
+def _atom_perm_by_pairs(P: ProjectionPoset, lattice_perm, odd: bool) -> tuple[int, ...]:
+    """poset_atom_perm_from_lattice through the pair table, one lookup per
+    atom, on a map of L's size: the path of every P whose atom_code_planes
+    are None, and the one that refuses a map."""
+    rows, lp, ordinal, size = P.pair_rows, lattice_perm, P.atom_ordinal, P.lattice.size
+    if min(lp) < 0 or max(lp) >= size:
+        i, x = next((i, x) for i, x in enumerate(lp) if not 0 <= x < size)
+        raise ValueError(f"lattice map entry {i} is {x}, outside range({size})")
     try:
         if odd:
             return tuple([ordinal[rows[lp[b]][lp[a]]] for a, b in P.atom_pairs])

@@ -92,6 +92,11 @@ def enumerate_idempotents(F: GF, n: int) -> list[Matrix]:
     return [m for m in all_matrices(F, n, n) if is_idempotent(F, m)]
 
 
+# the byte of ProjectionPoset.atom_code_planes' ordinal table that names
+# no atom
+NO_ATOM = 255
+
+
 class ProjectionPoset(FiniteOrder):
     """Indexed (image, kernel) pairs with order masks, ortho, and atom data."""
 
@@ -267,6 +272,42 @@ class ProjectionPoset(FiniteOrder):
         if len(index) != self.size:
             raise AssertionError("two idempotents share their column codes")
         return index
+
+    @cached_property
+    def atom_code_planes(self) -> tuple[bytes, bytes, bytes, bytes, bytes] | None:
+        """What the transports from lattice maps read the atoms' images
+        by, with bytes.translate: the image plane and the kernel plane of
+        the atoms, as L-element bytes in atom order; the point codes and
+        the hyperplane codes, tables sending L's t-th point to t (H + 1)
+        and its t-th hyperplane to t, every other element to N (H + 1) and
+        to H; and the atom ordinals, a table sending the code sum of each
+        atom's (image, kernel) to its ordinal and every other code to
+        NO_ATOM. N and H count the points and the hyperplanes, so every
+        code sum is below (N + 1)(H + 1) and names one pair. None when L
+        has more than BYTE_CODES elements, when (N + 1)(H + 1) does, or
+        when P has NO_ATOM atoms or more, so that a byte would not hold
+        an element, a code sum or an ordinal."""
+        L, hyperplanes = self.lattice, self.lattice.dual.atoms
+        N, H = len(L.atoms), len(hyperplanes)
+        stride = H + 1
+        if L.size > BYTE_CODES or (N + 1) * stride > BYTE_CODES or len(self.atoms) >= NO_ATOM:
+            return None
+        point_codes = [N * stride] * BYTE_CODES
+        for t, p in enumerate(L.atoms):
+            point_codes[p] = t * stride
+        hyperplane_codes = [H] * BYTE_CODES
+        for t, h in enumerate(hyperplanes):
+            hyperplane_codes[h] = t
+        ordinals = bytearray([NO_ATOM]) * BYTE_CODES
+        for t, (p, h) in enumerate(self.atom_pairs):
+            ordinals[point_codes[p] + hyperplane_codes[h]] = t
+        return (
+            bytes(a for a, _ in self.atom_pairs),
+            bytes(b for _, b in self.atom_pairs),
+            bytes(point_codes),
+            bytes(hyperplane_codes),
+            bytes(ordinals),
+        )
 
     def __repr__(self) -> str:
         L = self.lattice

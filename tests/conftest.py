@@ -91,6 +91,11 @@ def P33(L33):
 
 
 @pytest.fixture(scope="session")
+def P34(L34):
+    return build_projection_poset(L34)
+
+
+@pytest.fixture(scope="session")
 def aut_l32(L32):
     return enumerate_lattice_automorphisms(L32)
 

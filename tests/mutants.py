@@ -597,6 +597,42 @@ MUTANTS = [
         ["tests/test_autos.py::test_a_map_of_another_ambient_is_refused[restrict-3^2-on-33]"],
         "the restriction's ambient check compares the field and not the dimension",
     ),
+    (
+        "projlat/autos.py",
+        "            if NO_ATOM not in out:\n                return tuple(out)\n",
+        "            return tuple(out)\n",
+        ["tests/test_autos.py::test_atom_perm_refusals_are_the_pair_tables_on_the_byte_path"],
+        "the byte kernel returns an atom perm holding NO_ATOM instead of refusing the map",
+    ),
+    (
+        "projlat/autos.py",
+        "            if odd:\n                images, kernels = kernels, images\n",
+        "",
+        ["tests/test_autos.py::test_atom_perms_by_code_planes_match_the_pair_table[3-2-None]"],
+        "the byte kernel reads an odd map's images without swapping the planes",
+    ),
+    (
+        "projlat/projposet.py",
+        "        stride = H + 1\n",
+        "        stride = H\n",
+        ["tests/test_autos.py::test_atom_code_planes_name_every_pair_of_L_exactly[4-2]"],
+        "point codes step by H, so a kernel that is no hyperplane aliases the next point's "
+        "first atom",
+    ),
+    (
+        "projlat/autos.py",
+        "    if min(lp) < 0 or max(lp) >= size:\n",
+        "    if False:\n",
+        ["tests/test_autos.py::test_atom_perm_refuses_an_entry_outside_the_lattice[3-4]"],
+        "the pair table reads a negative entry as an index from the end",
+    ),
+    (
+        "projlat/autos.py",
+        "        if table is not None and not table.translate(None, _BYTES[:size]):\n",
+        "        if table is not None:\n",
+        ["tests/test_autos.py::test_atom_perm_refuses_an_entry_outside_the_lattice[4-2]"],
+        "the byte kernel accepts an entry past L that no atom reads",
+    ),
     # Not listed: the partner write skipped altogether. Every entry then
     # comes from projector_matrix of its own pair, the same matrices, so
     # the mutant is equivalent and no test can kill it.

@@ -57,7 +57,7 @@ from projlat.lattice import (
     check_limit,
 )
 from projlat.matrices import all_matrices, rank, vec_mat
-from projlat.projposet import ProjectionPoset, verify_omp_axioms
+from projlat.projposet import NO_ATOM, ProjectionPoset, verify_omp_axioms
 from projlat.semilinear import SemilinearMap
 
 
@@ -2177,6 +2177,123 @@ def test_atom_action_names_the_first_atom_sent_to_no_atom(L32, P32):
         for a, b in P32.atom_pairs[:t]:
             pair = (swap[b], swap[a]) if odd else (swap[a], swap[b])
             assert P32.pair_rows[pair[0]][pair[1]] in P32.atom_ordinal
+
+
+def _with_duals(L, lattice_perms):
+    """Each lattice automorphism f with f composed with L's duality, the
+    anti-automorphism the constructed side reads as an odd map."""
+    gamma = standard_duality(L).perm
+    return [(f, perm_compose(f, gamma)) for f in lattice_perms]
+
+
+@pytest.mark.parametrize("n, spec", [(3, "2"), (3, "3"), (4, "2"), (2, "13")])
+def test_atom_code_planes_name_every_pair_of_L_exactly(n, spec):
+    """For every pair (a, b) of elements of L, the code sum of a and b is
+    below (N + 1)(H + 1), N points and H hyperplanes, and the ordinal
+    table reads the atom (a, b) when it is one and NO_ATOM otherwise: a
+    kernel that is no hyperplane aliases no atom of the next point. The
+    planes are the atoms' images and kernels in atom order."""
+    L = enumerate_subspaces(n, parse_field(spec))
+    P = build_projection_poset(L)
+    images, kernels, point_codes, hyperplane_codes, ordinals = P.atom_code_planes
+    assert list(zip(images, kernels)) == P.atom_pairs
+    codes = (len(L.atoms) + 1) * (len(L.coatoms) + 1)
+    for a in range(L.size):
+        for b in range(L.size):
+            code = point_codes[a] + hyperplane_codes[b]
+            assert code < codes
+            want = P.atom_ordinal.get(P.pair_rows[a][b], NO_ATOM)
+            assert ordinals[code] == want
+
+
+@pytest.mark.parametrize(
+    "n, q, seed", [(3, 2, None), (3, 3, None), (4, 2, None), (3, 3, 5), (4, 2, 6)]
+)
+def test_atom_perms_by_code_planes_match_the_pair_table(request, monkeypatch, n, q, seed):
+    """The byte kernel answers the even and the odd atom permutation of
+    every lattice automorphism with the pair table's answer, and without
+    calling it. With a seed, on P built from a seeded shuffle of its
+    pairs: the planes follow that P's own atom order."""
+    L = request.getfixturevalue(f"L{n}{q}")
+    P = request.getfixturevalue(f"P{n}{q}")
+    if seed is not None:
+        pairs = list(P.pairs)
+        random.Random(seed).shuffle(pairs)
+        P = ProjectionPoset(L, pairs)
+        assert P.atom_pairs != request.getfixturevalue(f"P{n}{q}").atom_pairs
+    assert P.atom_code_planes is not None
+    maps = _with_duals(L, [f for _, f in iter_lattice_atom_perms(L)])
+    assert len(maps) == projective_group_order(n, q, 1)
+    by_pairs = autos._atom_perm_by_pairs
+    want = [(by_pairs(P, f, False), by_pairs(P, g, True)) for f, g in maps]
+
+    def refused(*args):
+        raise AssertionError("the pair table was read")
+
+    monkeypatch.setattr(autos, "_atom_perm_by_pairs", refused)
+    got = [
+        (poset_atom_perm_from_lattice(P, f, False), poset_atom_perm_from_lattice(P, g, True))
+        for f, g in maps
+    ]
+    assert got == want
+
+
+def test_atom_code_planes_are_none_where_a_code_needs_two_bytes(L34, P34):
+    """At (3,4), 21 points and 21 hyperplanes, and at (2,16), 17 of each,
+    the code sums run past a byte, so P has no code planes. At (3,4) the
+    atom permutations of 40 seeded maps of one root branch, even and odd,
+    are the reference's."""
+    P216 = build_projection_poset(enumerate_subspaces(2, parse_field("2^4")))
+    for L, P in ((L34, P34), (P216.lattice, P216)):
+        assert (len(L.atoms) + 1) * (len(L.coatoms) + 1) > 256
+        assert P.atom_code_planes is None
+    _, targets = lattice_search_plan(L34)
+    branch = [f for _, f in iter_lattice_atom_perms(L34, restrict_first={targets[0]})]
+    for f, g in _with_duals(L34, random.Random(34).sample(branch, 40)):
+        for lp, odd in ((f, False), (g, True)):
+            want = _previous_poset_atom_perm_from_lattice(P34, lp, odd)
+            assert poset_atom_perm_from_lattice(P34, lp, odd) == want
+
+
+def test_atom_perm_refusals_are_the_pair_tables_on_the_byte_path(L42, P42):
+    """At (4,2), where the byte kernel runs, a swap of a point with a line
+    and a swap of a hyperplane with a line send some atom to no atom,
+    even and odd: the message and the payload are the reference's, the
+    first atom so sent and its image pair. A map of another size is
+    refused with the reference's ValueError."""
+    assert P42.atom_code_planes is not None
+    line = next(i for i, d in enumerate(L42.dims) if d == 2)
+    cases = []
+    for x in (L42.atoms[3], L42.coatoms[5]):
+        swap = list(range(L42.size))
+        swap[x], swap[line] = line, x
+        cases.append(tuple(swap))
+    cases.append(tuple(range(L42.size + 1)))
+    for lp in cases:
+        for odd in (False, True):
+            want = _call_outcome(_previous_poset_atom_perm_from_lattice, P42, lp, odd)
+            assert want[0] in ("FalsificationError", "ValueError")
+            assert _call_outcome(poset_atom_perm_from_lattice, P42, lp, odd) == want
+
+
+@pytest.mark.parametrize("n, q", [(4, 2), (3, 4)])
+def test_atom_perm_refuses_an_entry_outside_the_lattice(request, n, q):
+    """An entry -1, p - |L| or |L| is refused with a ValueError naming it,
+    whether or not the atoms read it: at a point p, which they read, and
+    at top, which they do not. Python would read a negative entry as an
+    index from the end, p - |L| as p itself. At (4,2) through the byte
+    kernel, at (3,4) through the pair table."""
+    L = request.getfixturevalue(f"L{n}{q}")
+    P = request.getfixturevalue(f"P{n}{q}")
+    assert (P.atom_code_planes is None) == (q == 4)
+    for where in (L.atoms[0], L.top):
+        for x in (-1, where - L.size, L.size):
+            lp = list(range(L.size))
+            lp[where] = x
+            for odd in (False, True):
+                message = rf"^lattice map entry {where} is {x}, outside range\({L.size}\)$"
+                with pytest.raises(ValueError, match=message):
+                    poset_atom_perm_from_lattice(P, tuple(lp), odd)
 
 
 def test_decompose_names_the_first_element_the_rebuild_misses(P32):
