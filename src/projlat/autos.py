@@ -829,6 +829,14 @@ def odd_from_anti_automorphism(g: LatticeMap, P: ProjectionPoset) -> PosetMap:
     return PosetMap(_transport(P, g.perm, True, "anti-automorphism"), ODD, witness=g)
 
 
+def _refuse_entry_outside(perm, size: int, what: str) -> None:
+    """Refuse a map with an entry outside range(size), naming the first:
+    Python would read a negative entry as an index from the end."""
+    if min(perm) < 0 or max(perm) >= size:
+        i, x = next((i, x) for i, x in enumerate(perm) if not 0 <= x < size)
+        raise ValueError(f"{what} map entry {i} is {x}, outside range({size})")
+
+
 def classify_parity(phi, P: ProjectionPoset) -> str:
     """Even or odd, cross-checked on every image-sharing family.
 
@@ -836,10 +844,15 @@ def classify_parity(phi, P: ProjectionPoset) -> str:
     projection family must all share an image (even evidence) or all share
     a kernel (odd evidence); mixed or absent evidence falsifies the
     dichotomy and raises with a reproducible payload. Every family is
-    scanned, so the payload lists every violation.
+    scanned, so the payload lists every violation. A bare map that is no
+    permutation is refused: an entry outside P before any image is read, a
+    repeat after the scan, so that a map the dichotomy falsifies keeps it.
     """
     perm = phi.perm if isinstance(phi, PosetMap) else phi
     P.check_map_size(perm)
+    repeats = not isinstance(phi, PosetMap) and not is_permutation(perm)
+    if repeats:
+        _refuse_entry_outside(perm, P.size, "poset")
     img, ker = P.image, P.kernel
     verdict: str | None = None
     bad: list[dict] = []
@@ -859,6 +872,10 @@ def classify_parity(phi, P: ProjectionPoset) -> str:
         raise FalsificationError(
             "even/odd dichotomy failed on image-sharing families", {"violations": bad}
         )
+    if repeats:
+        seen: set[int] = set()
+        i, x = next((i, x) for i, x in enumerate(perm) if x in seen or seen.add(x))
+        raise ValueError(f"poset map entries {perm.index(x)} and {i} are both {x}")
     if verdict is None:
         raise ValueError("no image-sharing projections; parity undefined")
     return verdict
@@ -964,10 +981,8 @@ def _atom_perm_by_pairs(P: ProjectionPoset, lattice_perm, odd: bool) -> tuple[in
     """poset_atom_perm_from_lattice through the pair table, one lookup per
     atom, on a map of L's size: the path of every P whose atom_code_planes
     are None, and the one that refuses a map."""
-    rows, lp, ordinal, size = P.pair_rows, lattice_perm, P.atom_ordinal, P.lattice.size
-    if min(lp) < 0 or max(lp) >= size:
-        i, x = next((i, x) for i, x in enumerate(lp) if not 0 <= x < size)
-        raise ValueError(f"lattice map entry {i} is {x}, outside range({size})")
+    rows, lp, ordinal = P.pair_rows, lattice_perm, P.atom_ordinal
+    _refuse_entry_outside(lp, P.lattice.size, "lattice")
     try:
         if odd:
             return tuple([ordinal[rows[lp[b]][lp[a]]] for a, b in P.atom_pairs])
@@ -1200,11 +1215,11 @@ def verify_main_theorem(
     )
     rep.add("duality_involutory", gamma.compose(gamma).is_identity, "")
 
+    atom_keys = list(map(bytes, evens + odds))
     by_branch: dict[int, list[bytes]] = {t: [] for t in targets}
-    for ap in evens + odds:
-        by_branch[ap[pivot]].append(bytes(ap))
-    all_even = set(map(bytes, evens))
-    all_odd = set(map(bytes, odds))
+    for key in atom_keys:
+        by_branch[key[pivot]].append(key)
+    all_even, all_odd = set(atom_keys[: len(evens)]), set(atom_keys[len(evens) :])
     rep.add(
         "even_odd_constructions_distinct",
         not (all_even & all_odd) and len(all_even) == len(all_odd) == len(evens),

@@ -57,13 +57,8 @@ def _witness_jsonable(w) -> dict | None:
 
 
 def map_to_jsonable(m: LatticeMap | PosetMap) -> dict:
-    doc = {"schema": SCHEMA_MAP, "permutation": list(m.perm)}
-    if isinstance(m, LatticeMap):
-        doc["kind"] = "lattice"
-        doc["direction"] = m.direction
-    else:
-        doc["kind"] = "poset"
-        doc["parity"] = m.parity
+    doc = {"schema": SCHEMA_MAP, "permutation": list(m.perm), m.TAG: getattr(m, m.TAG)}
+    doc["kind"] = "lattice" if isinstance(m, LatticeMap) else "poset"
     w = _witness_jsonable(getattr(m, "witness", None))
     if w is not None:
         doc["witness"] = w
@@ -109,34 +104,23 @@ def map_from_jsonable(doc) -> LatticeMap | PosetMap:
         raise ValueError(f"unknown map kind {kind!r}")
     witness = _witness_from_jsonable(doc.get("witness"))
     if kind == "lattice":
-        return LatticeMap(tuple(perm), doc["direction"], witness=witness)
-    return PosetMap(tuple(perm), doc.get("parity", UNKNOWN), witness=witness)
+        return LatticeMap(perm, doc["direction"], witness=witness)
+    return PosetMap(perm, doc.get("parity", UNKNOWN), witness=witness)
+
+
+def _dot_hasse(name: str, node: str, prefix: str, labels, covers) -> str:
+    """A Hasse diagram in DOT, bottom at the bottom: a node per label, an edge per cover."""
+    lines = [f"digraph {name} {{", "  rankdir=BT;", f"  node [{node}];"]
+    lines += [f'  {prefix}{i} [label="{label}"];' for i, label in enumerate(labels)]
+    lines += [f"  {prefix}{a} -> {prefix}{b};" for a, b in covers]
+    return "\n".join(lines) + "\n}\n"
 
 
 def dot_hasse_lattice(L: SubspaceLattice) -> str:
-    lines = [
-        "digraph lattice {",
-        "  rankdir=BT;",
-        '  node [shape=circle, fontsize=10];',
-    ]
-    for i in range(L.size):
-        lines.append(f'  v{i} [label="{i}\\nd{L.dims[i]}"];')
-    for a, b in L.cover_pairs():
-        lines.append(f"  v{a} -> v{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    labels = [f"{i}\\nd{d}" for i, d in enumerate(L.dims)]
+    return _dot_hasse("lattice", "shape=circle, fontsize=10", "v", labels, L.cover_pairs())
 
 
 def dot_hasse_poset(P: ProjectionPoset) -> str:
-    lines = [
-        "digraph projections {",
-        "  rankdir=BT;",
-        '  node [shape=box, fontsize=9];',
-    ]
-    for i in range(P.size):
-        a, b = P.pairs[i]
-        lines.append(f'  p{i} [label="({a},{b})\\ng{P.grade[i]}"];')
-    for a, b in P.cover_pairs():
-        lines.append(f"  p{a} -> p{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    labels = [f"({a},{b})\\ng{g}" for (a, b), g in zip(P.pairs, P.grade)]
+    return _dot_hasse("projections", "shape=box, fontsize=9", "p", labels, P.cover_pairs())

@@ -270,9 +270,12 @@ class FiniteOrder:
 class SubspaceLattice(FiniteOrder):
     """All subspaces of GF(q)^n with their order, atoms and atom sets.
 
-    Elements are indexed 0..size-1 in (dimension, basis) order; index 0 is
-    the zero subspace and the last index is the whole space. Order masks are
-    Python ints with bit j of up_masks[i] set iff element i <= element j.
+    Elements are indexed 0..size-1 in the order given, which must be
+    dimension order: the order build reads each dimension as one run of
+    indices, and elements whose dimensions decrease are refused. Within a
+    dimension any order will do; enumerate_subspaces gives (dimension,
+    basis) order. Order masks are Python ints with bit j of up_masks[i]
+    set iff element i <= element j.
     """
 
     def __init__(self, F: GF, n: int, elements: list[Subspace]):
@@ -282,6 +285,8 @@ class SubspaceLattice(FiniteOrder):
         self.size = len(elements)
         self.index = {s: i for i, s in enumerate(elements)}
         self.dims = [s.dim for s in elements]
+        if self.dims != sorted(self.dims):
+            raise ValueError("elements are not in dimension order")
         self.bottom = self.index[Subspace.zero(F, n)]
         self.top = self.index[Subspace.full(F, n)]
         self.atoms = [i for i, d in enumerate(self.dims) if d == 1]
@@ -534,11 +539,7 @@ def check_g_lattice_properties(L: SubspaceLattice) -> CampaignReport:
 
     multi = [(a, L.complements_idx(a)) for a in L.atoms]
     bad = [(a, len(c)) for a, c in multi if len(c) <= 1]
-    rep.add(
-        "every_atom_has_multiple_complements",
-        not bad,
-        f"violations={bad[:3]}" if bad else f"atoms={len(L.atoms)}",
-    )
+    rep.add_violations("every_atom_has_multiple_complements", bad, f"atoms={len(L.atoms)}")
 
     rep.add(
         "at_least_two_atoms",
@@ -563,11 +564,7 @@ def check_g_lattice_properties(L: SubspaceLattice) -> CampaignReport:
         for j in range(L.size):
             if not L.is_modular_pair_idx(i, j) or not L.dual.is_modular_pair_idx(i, j):
                 mod_bad.append((i, j))
-    rep.add(
-        "all_pairs_modular_and_dual_modular",
-        not mod_bad,
-        f"violations={mod_bad[:3]}" if mod_bad else f"pairs={L.size**2}",
-    )
+    rep.add_violations("all_pairs_modular_and_dual_modular", mod_bad, f"pairs={L.size**2}")
 
     for check, S, holds in (
         ("covering_property", L, "all atom joins cover"),
@@ -579,7 +576,7 @@ def check_g_lattice_properties(L: SubspaceLattice) -> CampaignReport:
             for a in range(S.size)
             if S.glb_idx(a, p) == S.bottom and not S.covers_idx(a, S.lub_idx(a, p))
         ]
-        rep.add(check, not bad, f"violations={bad[:3]}" if bad else holds)
+        rep.add_violations(check, bad, holds)
 
     dim_bad = [
         (i, j)
@@ -588,11 +585,7 @@ def check_g_lattice_properties(L: SubspaceLattice) -> CampaignReport:
         if L.dims[i] + L.dims[j]
         != L.dims[L.lub_idx(i, j)] + L.dims[L.glb_idx(i, j)]
     ]
-    rep.add(
-        "dimension_law",
-        not dim_bad,
-        f"violations={dim_bad[:3]}" if dim_bad else f"pairs={L.size**2}",
-    )
+    rep.add_violations("dimension_law", dim_bad, f"pairs={L.size**2}")
 
     counts_ok = all(
         len(L.dim_index.get(d, [])) == gaussian_binomial(L.n, d, L.field.q)

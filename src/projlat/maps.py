@@ -60,66 +60,62 @@ def compose_parities(p1: str, p2: str) -> str:
 
 
 @dataclass(frozen=True)
-class LatticeMap:
+class PermutationMap:
+    """The core of LatticeMap and PosetMap: a permutation of 0..len(perm)-1,
+    kept as a tuple, whose subclass names its tag field in TAG and its tag
+    algebra in compose_tags, and checks its tag before calling _check_perm."""
+
+    perm: tuple[int, ...]
+
+    def _check_perm(self) -> None:
+        if type(self.perm) is not tuple:
+            object.__setattr__(self, "perm", tuple(self.perm))
+        if not is_permutation(self.perm):
+            raise ValueError("not a permutation")
+
+    def __call__(self, i: int) -> int:
+        return self.perm[i]
+
+    @property
+    def is_identity(self) -> bool:
+        return self.perm == identity_perm(len(self.perm))
+
+    def compose(self, other):
+        """self after other."""
+        tag = self.compose_tags(getattr(self, self.TAG), getattr(other, self.TAG))
+        return type(self)(perm_compose(self.perm, other.perm), tag)
+
+    def inverse(self):
+        return type(self)(perm_inverse(self.perm), getattr(self, self.TAG))
+
+
+@dataclass(frozen=True)
+class LatticeMap(PermutationMap):
     """A bijection of lattice element indices, order-preserving (direction
     AUTO) or order-reversing (ANTI)."""
 
-    perm: tuple[int, ...]
     direction: str
     witness: object = field(default=None, compare=False, repr=False)
+    TAG = "direction"
+    compose_tags = staticmethod(compose_directions)
 
     def __post_init__(self):
         if self.direction not in (AUTO, ANTI):
             raise ValueError(f"bad direction {self.direction!r}")
-        if not is_permutation(self.perm):
-            raise ValueError("not a permutation")
-
-    def __call__(self, i: int) -> int:
-        return self.perm[i]
-
-    @property
-    def is_identity(self) -> bool:
-        return self.perm == identity_perm(len(self.perm))
-
-    def compose(self, other: "LatticeMap") -> "LatticeMap":
-        """self after other."""
-        return LatticeMap(
-            perm_compose(self.perm, other.perm),
-            compose_directions(self.direction, other.direction),
-        )
-
-    def inverse(self) -> "LatticeMap":
-        return LatticeMap(perm_inverse(self.perm), self.direction)
+        self._check_perm()
 
 
 @dataclass(frozen=True)
-class PosetMap:
+class PosetMap(PermutationMap):
     """A bijection of projection-poset element indices preserving order and
     orthocomplementation, tagged with its parity."""
 
-    perm: tuple[int, ...]
     parity: str = UNKNOWN
     witness: object = field(default=None, compare=False, repr=False)
+    TAG = "parity"
+    compose_tags = staticmethod(compose_parities)
 
     def __post_init__(self):
         if self.parity not in (EVEN, ODD, UNKNOWN):
             raise ValueError(f"bad parity {self.parity!r}")
-        if not is_permutation(self.perm):
-            raise ValueError("not a permutation")
-
-    def __call__(self, i: int) -> int:
-        return self.perm[i]
-
-    @property
-    def is_identity(self) -> bool:
-        return self.perm == identity_perm(len(self.perm))
-
-    def compose(self, other: "PosetMap") -> "PosetMap":
-        """self after other."""
-        return PosetMap(
-            perm_compose(self.perm, other.perm),
-            compose_parities(self.parity, other.parity),
-        )
-
-    def inverse(self) -> "PosetMap":
-        return PosetMap(perm_inverse(self.perm), self.parity)
+        self._check_perm()

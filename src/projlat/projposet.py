@@ -369,7 +369,7 @@ def verify_omp_axioms(P: ProjectionPoset) -> CampaignReport:
     )
 
     invol_bad = [i for i in range(size) if ortho[ortho[i]] != i]
-    rep.add("ortho_is_involution", not invol_bad, f"violations={invol_bad[:3]}")
+    rep.add_violations("ortho_is_involution", invol_bad)
 
     lub = P.lub_idx
     bad_meet = [
@@ -401,22 +401,10 @@ def verify_omp_axioms(P: ProjectionPoset) -> CampaignReport:
             if m is None or up_i & up[m] != up[k]:
                 om_bad.append((i, k))
     no_join.sort()
-    rep.add("ortho_reverses_order", not rev_bad, f"violations={rev_bad[:3]}")
-    rep.add(
-        "complementation",
-        not bad_meet,
-        f"violations={bad_meet[:3]}" if bad_meet else "p ^ p' = 0, p v p' = 1 for all p",
-    )
-    rep.add(
-        "orthogonal_joins_exist",
-        not no_join,
-        f"violations={no_join[:3]}" if no_join else "all orthogonal pairs",
-    )
-    rep.add(
-        "orthomodular_law",
-        not om_bad,
-        f"violations={om_bad[:3]}" if om_bad else "all comparable pairs",
-    )
+    rep.add_violations("ortho_reverses_order", rev_bad)
+    rep.add_violations("complementation", bad_meet, "p ^ p' = 0, p v p' = 1 for all p")
+    rep.add_violations("orthogonal_joins_exist", no_join, "all orthogonal pairs")
+    rep.add_violations("orthomodular_law", om_bad, "all comparable pairs")
 
     return rep
 
@@ -454,7 +442,7 @@ def verify_projection_correspondence(n: int, F: GF) -> CampaignReport:
         img, ker = idempotent_to_subspaces(F, constructed[i])
         if (L.index[img], L.index[ker]) != P.pairs[i]:
             rt_bad.append(i)
-    rep.add("round_trip_pairs", not rt_bad, f"violations={rt_bad[:3]}")
+    rep.add_violations("round_trip_pairs", rt_bad)
 
     order_bad = []
     for i in range(P.size):
@@ -464,7 +452,7 @@ def verify_projection_correspondence(n: int, F: GF) -> CampaignReport:
             mat_leq = mat_mul(F, mi, mj) == mi and mat_mul(F, mj, mi) == mi
             if mat_leq != P.leq_idx(i, j):
                 order_bad.append((i, j))
-    rep.add("order_isomorphism", not order_bad, f"violations={order_bad[:3]}")
+    rep.add_violations("order_isomorphism", order_bad)
 
     one = identity(n)
     ortho_bad = [
@@ -472,6 +460,6 @@ def verify_projection_correspondence(n: int, F: GF) -> CampaignReport:
         for i in range(P.size)
         if constructed[P.ortho[i]] != mat_sub(F, one, constructed[i])
     ]
-    rep.add("ortho_is_one_minus_p", not ortho_bad, f"violations={ortho_bad[:3]}")
+    rep.add_violations("ortho_is_one_minus_p", ortho_bad)
 
     return rep

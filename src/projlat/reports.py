@@ -41,6 +41,12 @@ class CampaignReport:
     def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append((name, ok, detail))
 
+    def add_violations(self, name: str, bad: list, holds: str | None = None) -> None:
+        """Record check name from its list of violations: it passes when
+        bad is empty, with detail holds if given; otherwise the detail
+        names the first three violations."""
+        self.add(name, not bad, f"violations={bad[:3]}" if bad or holds is None else holds)
+
 
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, minimal separators, one newline."""

@@ -621,8 +621,8 @@ MUTANTS = [
     ),
     (
         "projlat/autos.py",
-        "    if min(lp) < 0 or max(lp) >= size:\n",
-        "    if False:\n",
+        '    _refuse_entry_outside(lp, P.lattice.size, "lattice")\n',
+        "",
         ["tests/test_autos.py::test_atom_perm_refuses_an_entry_outside_the_lattice[3-4]"],
         "the pair table reads a negative entry as an index from the end",
     ),
@@ -632,6 +632,23 @@ MUTANTS = [
         "        if table is not None:\n",
         ["tests/test_autos.py::test_atom_perm_refuses_an_entry_outside_the_lattice[4-2]"],
         "the byte kernel accepts an entry past L that no atom reads",
+    ),
+    (
+        "projlat/lattice.py",
+        "        if self.dims != sorted(self.dims):\n",
+        "        if False:\n",
+        [
+            "tests/test_autos.py::"
+            "test_lattice_shuffled_within_each_dimension_has_the_same_automorphisms",
+        ],
+        "L takes elements out of dimension order, and its down-sets come out wrong",
+    ),
+    (
+        "projlat/autos.py",
+        "    repeats = not isinstance(phi, PosetMap) and not is_permutation(perm)\n",
+        "    repeats = False\n",
+        ["tests/test_autos.py::test_classify_parity_refuses_a_bare_map_that_is_no_permutation"],
+        "classify_parity judges a bare map that is no permutation of P",
     ),
     # Not listed: the partner write skipped altogether. Every entry then
     # comes from projector_matrix of its own pair, the same matrices, so

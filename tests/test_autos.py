@@ -51,6 +51,7 @@ from projlat.gf import iter_vectors
 from projlat.lattice import (
     AmbientTooLarge,
     NotAnAtomPermutation,
+    SubspaceLattice,
     _bits as lattice_bits,
     _count_text,
     atom_masks,
@@ -660,6 +661,53 @@ def test_poset_from_shuffled_pairs_has_the_same_automorphisms(n, spec, seed, bra
     found = iter_poset_atom_perms(P, restrict_first=restrict)
     parities = [classify_parity(eperm, P) for _, eperm in found]
     assert (len(parities), parities.count(EVEN)) == (maps, even)
+
+
+def test_lattice_shuffled_within_each_dimension_has_the_same_automorphisms():
+    """L(3,2) built from a seeded shuffle of its elements within each
+    dimension has the 168 lattice automorphisms whose atom actions
+    semilinear_atom_perms generates on it, and its P has 58 elements and
+    336 orthoposet automorphisms, 168 of them even. The same elements
+    shuffled across dimensions are refused."""
+    F = parse_field("2")
+    elements = enumerate_subspaces(3, F).elements
+    rng = random.Random(10)
+    runs = [[s for s in elements if s.dim == d] for d in range(4)]
+    for run in runs:
+        rng.shuffle(run)
+    L = SubspaceLattice(F, 3, [s for run in runs for s in run])
+    assert L.elements != elements
+    ordinal = L.atom_ordinal
+    searched = {bytes(ordinal[f.perm[a]] for a in L.atoms) for f in enumerate_lattice_automorphisms(L)}
+    assert len(searched) == 168 and searched == semilinear_atom_perms(L)
+    P = build_projection_poset(L)
+    parities = [classify_parity(eperm, P) for _, eperm in iter_poset_atom_perms(P)]
+    assert (P.size, len(parities), parities.count(EVEN)) == (58, 336, 168)
+    shuffled = list(elements)
+    rng.shuffle(shuffled)
+    with pytest.raises(ValueError, match="not in dimension order"):
+        SubspaceLattice(F, 3, shuffled)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ("wrap", "poset map entry 1 is -57, outside range(58)"),
+        ("repeat", "poset map entries 1 and 2 are both 2"),
+        ("past", "poset map entry 1 is 58, outside range(58)"),
+    ],
+    ids=["wrap", "repeat", "past"],
+)
+def test_classify_parity_refuses_a_bare_map_that_is_no_permutation(P32, change, message):
+    """The identity of P(3,2) with atom 1's entry made 1 - |P| (an index
+    from the end), 2 (the entry of another member of its image family, so
+    every family still reads even) or |P| (past the end) is refused."""
+    perm = list(range(P32.size))
+    assert P32.atoms[0] == 1 and P32.image[1] == P32.image[2]
+    perm[1] = {"wrap": 1 - P32.size, "repeat": 2, "past": P32.size}[change]
+    with pytest.raises(ValueError) as exc:
+        classify_parity(tuple(perm), P32)
+    assert str(exc.value) == message
 
 
 def _keys_by_rows(P, rows, keys=_pair_keys):

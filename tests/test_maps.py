@@ -37,3 +37,15 @@ def test_entries_that_do_not_compare_are_not_permutations(entries):
         PosetMap(entries, EVEN)
     with pytest.raises(ValueError, match="not a permutation"):
         LatticeMap(entries, AUTO)
+
+
+def test_maps_built_from_lists_keep_tuples():
+    """A map given its permutation as a list stores it as a tuple, so it
+    is the identity when it should be, equal to and hashing like the map
+    given the tuple, and it composes and inverts with its tag."""
+    m = LatticeMap([0, 1, 2], AUTO)
+    assert m.perm == (0, 1, 2) and m.is_identity
+    assert m == LatticeMap((0, 1, 2), AUTO) and hash(m) == hash(LatticeMap((0, 1, 2), AUTO))
+    p = PosetMap([1, 2, 0], EVEN)
+    assert p.perm == (1, 2, 0) and hash(p) == hash(PosetMap((1, 2, 0), EVEN))
+    assert p.compose(p.inverse()) == PosetMap((0, 1, 2), EVEN)

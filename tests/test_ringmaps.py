@@ -3,6 +3,7 @@ witness extraction from black-box ring isomorphisms, restriction to the
 projection poset, and the even-extension construction."""
 
 import hashlib
+import itertools
 import pickle
 import random
 
@@ -49,7 +50,7 @@ from projlat.matrices import (
 )
 from projlat.gf import iter_vectors
 from projlat.maps import PosetMap
-from projlat.projposet import pack_code_planes, projector_matrix
+from projlat.projposet import ProjectionPoset, pack_code_planes, projector_matrix
 from projlat.ringmaps import RingMap, matrix_units, verify_ring_map
 
 
@@ -57,6 +58,37 @@ def test_im_ker_lemma_exhaustive(P22, P32, P23):
     for P in (P22, P32, P23):
         rep = check_im_ker_lemma(P)
         assert rep.passed, rep.checks
+
+
+def test_im_ker_lemma_records_each_law_once_with_its_first_failing_pairs(L32, P32):
+    """With two atoms' idempotents swapped, each of the four laws is one
+    check, in order: a failing law names its first three failing pairs,
+    in pair order, as the reference reading of the law finds them, and a
+    law that holds keeps its pass detail."""
+    P = ProjectionPoset(L32, P32.pairs)
+    s, t = P.atoms[:2]
+    mats = list(P32.idempotents)
+    mats[s], mats[t] = mats[t], mats[s]
+    P.idempotents = mats
+    F, img, ker, leq = L32.field, P.image, P.kernel, L32.leq_idx
+    bad = {"im_inclusion": [], "ker_inclusion": [], "im_equality": [], "ker_equality": []}
+    for i, j in itertools.product(range(P.size), repeat=2):
+        pq, qp = mat_mul(F, mats[i], mats[j]), mat_mul(F, mats[j], mats[i])
+        laws = (
+            ("im_inclusion", leq(img[i], img[j]), pq == mats[i]),
+            ("ker_inclusion", leq(ker[j], ker[i]), qp == mats[i]),
+            ("im_equality", img[i] == img[j], pq == mats[i] and qp == mats[j]),
+            ("ker_equality", ker[i] == ker[j], pq == mats[j] and qp == mats[i]),
+        )
+        for name, lattice_side, matrix_side in laws:
+            if lattice_side != matrix_side:
+                bad[name].append((i, j))
+    rep = check_im_ker_lemma(P)
+    want = [
+        (name, not b, f"violations={b[:3]}" if b else f"all {P.size**2} ordered pairs")
+        for name, b in bad.items()
+    ]
+    assert rep.checks == want and not rep.passed
 
 
 def test_center_is_scalars(f2, f3, f4):
