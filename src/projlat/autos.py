@@ -218,7 +218,8 @@ def _atom_search(init_cand, narrow, lift, budget, restrict_first, stats):
     forced images complete the permutation and lift verifies it outright.
     restrict_first limits the initial candidates of the pivot of
     _search_plan, so it limits the images of the first atom the search
-    sends."""
+    sends. stats, when given, gets the nodes visited and the maps found
+    however the walk ends: at its end, on a budget stop or on a close."""
     m = len(init_cand)
     nodes = 0
     found = 0
@@ -227,8 +228,6 @@ def _atom_search(init_cand, narrow, lift, budget, restrict_first, stats):
         nonlocal nodes
         nodes += 1
         if budget is not None and nodes > budget:
-            if stats is not None:
-                stats["nodes"] = nodes
             raise SearchBudgetExceeded(nodes, found)
         if y in images:
             return None
@@ -282,11 +281,13 @@ def _atom_search(init_cand, narrow, lift, budget, restrict_first, stats):
         cands[_search_plan(init_cand)[0]] &= sum(1 << y for y in set(restrict_first))
     forced, images = [], []
     state = _settle(cands, list(range(m)), forced, images)
-    if state is not None:
-        yield from rec([None] * m, *state, forced, images)
-    if stats is not None:
-        stats["nodes"] = nodes
-        stats["found"] = found
+    try:
+        if state is not None:
+            yield from rec([None] * m, *state, forced, images)
+    finally:
+        if stats is not None:
+            stats["nodes"] = nodes
+            stats["found"] = found
 
 
 # ---------------------------------------------------------------------------
@@ -1364,22 +1365,20 @@ def verify_fundamental_correspondence(
     total = 0
     matched = 0
     twist_hist: dict[int, int] = {}
-    failures: list[int] = []
     for _, eperm in iter_lattice_atom_perms(L, budget=budget):
         total += 1
-        f = LatticeMap(eperm, AUTO)
         try:
-            s = match_semilinear(f, L)
-            matched += 1
-            twist_hist[s.twist.power] = twist_hist.get(s.twist.power, 0) + 1
+            s = match_semilinear(LatticeMap(eperm, AUTO), L)
         except MatchFailure:
-            failures.append(total - 1)
+            continue
+        matched += 1
+        twist_hist[s.twist.power] = twist_hist.get(s.twist.power, 0) + 1
     rep.counts["total"] = total
     rep.counts["matched"] = matched
     rep.counts["twist_histogram"] = {str(k): v for k, v in sorted(twist_hist.items())}
     rep.add(
         "all_automorphisms_have_witnesses",
-        matched == total and not failures,
+        matched == total,
         f"{matched}/{total} matched",
     )
     if L.field.k > 1:

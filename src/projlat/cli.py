@@ -104,17 +104,17 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _emit(rep: CampaignReport, args, verb: str, name: str | None = None) -> int:
+def _emit(rep: CampaignReport, args) -> int:
     """Write the report to stdout and, with --out, to VERB.json; return the
     exit code of its status."""
-    doc = report_to_jsonable(rep, name=name)
+    doc = report_to_jsonable(rep)
     payload = canonical_json(doc)
     if args.format == "json":
         sys.stdout.write(payload)
     else:
         sys.stdout.write(render_text(doc))
     if args.out:
-        with open(os.path.join(args.out, f"{verb}.json"), "w") as fh:
+        with open(os.path.join(args.out, f"{args.verb}.json"), "w") as fh:
             fh.write(payload)
     return EXIT_BY_STATUS[doc["status"]]
 
@@ -177,7 +177,7 @@ def cmd_enumerate_lattice(args) -> int:
             rep.add(f"dimension_{d}_count", False, f"{have} vs {want}")
     rep.counts["size"] = L.size
     rep.counts["by_dim"] = by_dim
-    return _emit(rep, args, "enumerate-lattice")
+    return _emit(rep, args)
 
 
 def cmd_build_poset(args) -> int:
@@ -193,25 +193,25 @@ def cmd_build_poset(args) -> int:
     rep.counts["size"] = P.size
     rep.counts["atoms"] = len(P.atoms)
     rep.counts["by_grade"] = by_grade
-    return _emit(rep, args, "build-poset")
+    return _emit(rep, args)
 
 
 def cmd_verify_omp(args) -> int:
     _, _, P = _poset(args)
     rep = verify_omp_axioms(P)
-    return _emit(rep, args, "verify-omp", name="verify-omp")
+    return _emit(rep, args)
 
 
 def cmd_verify_glattice(args) -> int:
     F, L = _lattice(args)
     rep = check_g_lattice_properties(L)
-    return _emit(rep, args, "verify-glattice", name="verify-glattice")
+    return _emit(rep, args)
 
 
 def cmd_verify_correspondence(args) -> int:
     F = _ambient(args)
     rep = verify_projection_correspondence(args.n, F)
-    return _emit(rep, args, "verify-correspondence", name="verify-correspondence")
+    return _emit(rep, args)
 
 
 def cmd_enumerate_lattice_autos(args) -> int:
@@ -225,19 +225,19 @@ def cmd_enumerate_lattice_autos(args) -> int:
         rep, L, keys, "matches_semilinear_generation", "{} generated"
     )
     rep.counts["automorphisms"] = len(maps)
-    return _emit(rep, args, "enumerate-lattice-autos")
+    return _emit(rep, args)
 
 
 def cmd_verify_ftpg(args) -> int:
     F, L = _lattice(args, 3, "(witness matching requires ambient dimension >= 3)")
     rep = verify_fundamental_correspondence(L, budget=args.budget_nodes)
-    return _emit(rep, args, "verify-ftpg")
+    return _emit(rep, args)
 
 
 def cmd_verify_semidirect(args) -> int:
     _, L, P = _poset(args, 2, bounds=(_check_lattice_search_bound, _check_constructed_side_bound))
     rep = verify_semidirect_structure(L, P, budget=args.budget_nodes)
-    return _emit(rep, args, "verify-semidirect")
+    return _emit(rep, args)
 
 
 def cmd_verify_main_theorem(args) -> int:
@@ -249,7 +249,7 @@ def cmd_verify_main_theorem(args) -> int:
         )
     except CheckpointError as exc:
         raise UsageError(str(exc)) from None
-    return _emit(rep, args, "verify-main-theorem")
+    return _emit(rep, args)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +260,7 @@ def cmd_verify_main_theorem(args) -> int:
 def cmd_ring_lemma(args) -> int:
     _, _, P = _poset(args, bounds=(_check_im_ker_bound,))
     rep = check_im_ker_lemma(P)
-    return _emit(rep, args, "ring-lemma", name="ring-lemma")
+    return _emit(rep, args)
 
 
 def cmd_ring_extract(args) -> int:
@@ -287,7 +287,7 @@ def cmd_ring_extract(args) -> int:
     )
     rep.counts["cases"] = args.cases
     rep.counts["twists_recovered"] = twist_counts
-    return _emit(rep, args, "ring-extract")
+    return _emit(rep, args)
 
 
 def cmd_ring_restrict(args) -> int:
@@ -315,7 +315,7 @@ def cmd_ring_restrict(args) -> int:
         "anti_automorphisms_restrict_odd", odd_ok == args.cases, f"{odd_ok}/{args.cases}"
     )
     rep.add("transpose_restricts_odd", transpose_odd, "")
-    return _emit(rep, args, "ring-restrict")
+    return _emit(rep, args)
 
 
 def _sampled_extensions(args, L, odd: bool) -> tuple[int, int]:
@@ -352,7 +352,7 @@ def cmd_ring_extend(args) -> int:
     ok, sampled = _sampled_extensions(args, L, odd=False)
     rep.add("extension_round_trips", ok == sampled, f"{ok}/{sampled} even maps")
     rep.counts["sampled"] = sampled
-    return _emit(rep, args, "ring-extend")
+    return _emit(rep, args)
 
 
 def cmd_ring_odd_experiment(args) -> int:
@@ -371,7 +371,7 @@ def cmd_ring_odd_experiment(args) -> int:
         "EXPERIMENT: a positive finite-scale outcome; it does not settle "
         "whether odd maps extend in general"
     )
-    return _emit(rep, args, "ring-odd-experiment")
+    return _emit(rep, args)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +447,7 @@ def cmd_verify_map(args) -> int:
             rep.add("poset_map_verified", True, "")
         except FalsificationError as exc:
             rep.add("poset_map_verified", False, str(exc))
-    return _emit(rep, args, "verify-map")
+    return _emit(rep, args)
 
 
 # ---------------------------------------------------------------------------

@@ -281,9 +281,6 @@ class FieldAutomorphism:
             raise FieldError("automorphisms of different fields")
         return FieldAutomorphism(self.field, self.power + other.power)
 
-    def inverse(self) -> "FieldAutomorphism":
-        return FieldAutomorphism(self.field, -self.power % self.field.k)
-
     @property
     def is_identity(self) -> bool:
         return self.power == 0

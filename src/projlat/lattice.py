@@ -535,7 +535,7 @@ def check_g_lattice_properties(L: SubspaceLattice) -> CampaignReport:
     """Structural battery: atom complement bounds, irreducibility witnesses,
     common complements, modularity of all pairs, the covering property both
     ways, and the dimension law. Failures carry explicit witnesses."""
-    rep = CampaignReport("g-lattice", (L.n, L.field.spec()))
+    rep = CampaignReport("verify-glattice", (L.n, L.field.spec()))
 
     multi = [(a, L.complements_idx(a)) for a in L.atoms]
     bad = [(a, len(c)) for a, c in multi if len(c) <= 1]

@@ -81,7 +81,11 @@ class PermutationMap:
         return self.perm == identity_perm(len(self.perm))
 
     def compose(self, other):
-        """self after other."""
+        """self after other, a map of the same class and size."""
+        if type(other) is not type(self):
+            raise TypeError(f"cannot compose {type(self).__name__} with {type(other).__name__}")
+        if len(other.perm) != len(self.perm):
+            raise ValueError(f"cannot compose maps of sizes {len(self.perm)} and {len(other.perm)}")
         tag = self.compose_tags(getattr(self, self.TAG), getattr(other, self.TAG))
         return type(self)(perm_compose(self.perm, other.perm), tag)
 

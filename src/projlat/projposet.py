@@ -357,7 +357,7 @@ def build_projection_poset(L: SubspaceLattice) -> ProjectionPoset:
 def verify_omp_axioms(P: ProjectionPoset) -> CampaignReport:
     """Exhaustive check of the orthomodular-poset axioms on P."""
     L = P.lattice
-    rep = CampaignReport("omp-axioms", (L.n, L.field.spec()), size=P.size)
+    rep = CampaignReport("verify-omp", (L.n, L.field.spec()), size=P.size)
     size = P.size
     up, down, ortho = P.up_masks, P.down_masks, P.ortho
 
@@ -420,7 +420,7 @@ def verify_projection_correspondence(n: int, F: GF) -> CampaignReport:
     L = enumerate_subspaces(n, F)
     brute = enumerate_idempotents(F, n)  # its scan limit refuses before P is built
     P = build_projection_poset(L)
-    rep = CampaignReport("projection-correspondence", (n, F.spec()), size=P.size)
+    rep = CampaignReport("verify-correspondence", (n, F.spec()), size=P.size)
     rep.add(
         "idempotent_count_matches",
         len(brute) == P.size,

@@ -62,12 +62,12 @@ def report_status(rep: CampaignReport) -> str:
     return rep.outcome or ("pass" if rep.passed else "fail")
 
 
-def report_to_jsonable(rep: CampaignReport, name: str | None = None) -> dict:
-    """Canonical document of a report, optionally under another name."""
+def report_to_jsonable(rep: CampaignReport) -> dict:
+    """Canonical document of a report."""
     n, field_spec = rep.ambient
     out = {
         "schema": SCHEMA_REPORT,
-        "name": name or rep.name,
+        "name": rep.name,
         "ambient": {"n": n, "field": field_spec},
         "status": report_status(rep),
         "checks": [

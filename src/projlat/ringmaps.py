@@ -311,7 +311,7 @@ def check_im_ker_lemma(P: ProjectionPoset) -> CampaignReport:
     """
     L = P.lattice
     F = L.field
-    rep = CampaignReport("im-ker-lemma", (L.n, F.spec()))
+    rep = CampaignReport("ring-lemma", (L.n, F.spec()))
     _check_im_ker_bound(L.n, F)
     mats = P.idempotents
     img, ker = P.image, P.kernel

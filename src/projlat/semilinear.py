@@ -112,18 +112,6 @@ class SemilinearMap:
         rows = [self.apply_vector(r) for r in s.basis]
         return Subspace(self.field, s.n, row_space(self.field, as_matrix(rows)))
 
-    def compose(self, other: "SemilinearMap") -> "SemilinearMap":
-        """self after other: v -> self(other(v))."""
-        if self.field != other.field:
-            raise ValueError("different fields")
-        m = mat_mul(self.field, self.twist.on_matrix(other.matrix), self.matrix)
-        return SemilinearMap(self.field, m, self.twist.compose(other.twist))
-
-    def inverse(self) -> "SemilinearMap":
-        inv_twist = self.twist.inverse()
-        m = inv_twist.on_matrix(mat_inv(self.field, self.matrix))
-        return SemilinearMap(self.field, m, inv_twist)
-
     def normalized(self) -> "SemilinearMap":
         """Scale so the first nonzero entry of the first row is 1."""
         first = next((x for x in self.matrix[0] if x), None)
@@ -205,10 +193,6 @@ class BilinearForm:
     @classmethod
     def standard(cls, F: GF, n: int, twist: FieldAutomorphism | None = None) -> "BilinearForm":
         return cls(F, identity(n), twist if twist is not None else F.frobenius(0))
-
-    @property
-    def n(self) -> int:
-        return len(self.gram)
 
 
 def dual_complement(x: Subspace, b: BilinearForm) -> Subspace:

@@ -650,6 +650,31 @@ MUTANTS = [
         ["tests/test_autos.py::test_classify_parity_refuses_a_bare_map_that_is_no_permutation"],
         "classify_parity judges a bare map that is no permutation of P",
     ),
+    (
+        "projlat/maps.py",
+        "        if len(other.perm) != len(self.perm):\n",
+        "        if False:\n",
+        [
+            "tests/test_maps.py::test_compose_refuses_a_map_of_another_size[lattice]",
+            "tests/test_maps.py::test_compose_refuses_a_map_of_another_size[poset]",
+        ],
+        "compose cuts a map to the shorter size or fails by an index",
+    ),
+    (
+        "projlat/autos.py",
+        "    try:\n"
+        "        if state is not None:\n"
+        "            yield from rec([None] * m, *state, forced, images)\n"
+        "    finally:\n"
+        "        if stats is not None:\n",
+        "    if True:\n"
+        "        if state is not None:\n"
+        "            yield from rec([None] * m, *state, forced, images)\n"
+        "    if True:\n"
+        "        if stats is not None:\n",
+        ["tests/test_autos.py::test_search_counts_are_written_however_the_search_ends"],
+        "the search writes its counts only after its last map, not on a close or a budget stop",
+    ),
     # Not listed: the partner write skipped altogether. Every entry then
     # comes from projector_matrix of its own pair, the same matrices, so
     # the mutant is equivalent and no test can kill it.

@@ -283,6 +283,7 @@ C10_VERB_RUNS = [
     ("verify-omp", "--n", "2", "--field", "2"),
     ("verify-correspondence", "--n", "2", "--field", "3"),
     ("enumerate-lattice-autos", "--n", "2", "--field", "3"),
+    ("verify-ftpg", "--n", "3", "--field", "2"),
     ("verify-semidirect", "--n", "2", "--field", "2"),
     ("ring-lemma", "--n", "2", "--field", "2"),
     ("ring-extract", "--n", "2", "--field", "3", "--cases", "5", "--seed", "3"),
@@ -317,6 +318,8 @@ FROZEN_REPORT_SHA256 = {
     "verify-omp": "3bea0ef7cb85864c27576795b2ebfa35127d24bec291f39e114f5a8d557b79af",
     "verify-correspondence": "3ffca6ba95059ad6b33e88d132ec2b2263696c681c4f6d3fe23105cb987b8497",
     "enumerate-lattice-autos": "1a396381019abc0cc5f79381131dc74f6bf91e4a2cf0366f8d5f6f3f30572eb3",
+    # taken later than the rest, from the code of that time
+    "verify-ftpg": "690e434cbbb67584bec894419022f57b61e834127bde6aad5b4bb34c54f78c3b",
     "verify-semidirect": "dcf02d270ffee1e6150c9c049a12196a70f913e5e4ca71b10d76978936bcbd11",
     "ring-lemma": "b55d7c1cb6007c6e31241284d2a10e2fdfc7e35cb0cab529593b71780e5ace95",
     "ring-extract": "fd47ebe53fbc163001a4f55900ea14747dba70b854e18b895b887042dd5f7943",

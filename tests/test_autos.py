@@ -2,6 +2,7 @@
 even/odd construction, parity classification, and decomposition."""
 
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -1813,6 +1814,7 @@ def _previous_atom_search(init_cand, narrow, lift, budget, restrict_first, stats
             if budget is not None and nodes > budget:
                 if stats is not None:
                     stats["nodes"] = nodes
+                    stats["found"] = found
                 raise SearchBudgetExceeded(nodes, found)
             new_assigned = assigned.copy()
             new_assigned[best] = y
@@ -2450,3 +2452,75 @@ def test_decompose_classifies_only_when_the_rebuild_fails(P32, monkeypatch):
     with pytest.raises(FalsificationError, match="dichotomy"):
         decompose_poset_automorphism(PosetMap(tuple(shuffled), UNKNOWN), P32)
     assert calls == [1]
+
+
+# ---------------------------------------------------------------------------
+# the counts a search leaves, and the budget inside a poset branch
+# ---------------------------------------------------------------------------
+
+
+def test_search_counts_are_written_however_the_search_ends(L32, P32):
+    """stats gets the nodes visited and the maps found when the consumer
+    closes the search after its first map, when the budget stops it (the
+    exception's own counts) and at its end."""
+    for search, S, first in (
+        (iter_lattice_atom_perms, L32, {"nodes": 4, "found": 1}),
+        (iter_poset_atom_perms, P32, {"nodes": 9, "found": 1}),
+    ):
+        stats = {}
+        it = search(S, stats=stats)
+        next(it)
+        it.close()
+        assert stats == first, search
+    stats = {}
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        list(iter_lattice_atom_perms(L32, budget=10, stats=stats))
+    assert stats == {"nodes": exc.value.nodes, "found": exc.value.found} == {"nodes": 11, "found": 5}
+    stats = {}
+    assert len(list(iter_lattice_atom_perms(L32, stats=stats))) == 168
+    assert stats == {"nodes": 259, "found": 168}
+
+
+def test_budget_inside_a_poset_branch_checkpoints_and_resumes(L32, P32, tmp_path, monkeypatch):
+    """The lattice search needs 259 nodes at (3,2) and each poset branch
+    76, so only a lattice search run without the budget lets a budget
+    stop a branch. Budget 20 stops the first branch: the report is
+    partial and the checkpoint is written. With the first three branches
+    also run without it, those three are checkpointed. A resume without a
+    budget gives the bytes of an uninterrupted run."""
+    from projlat import canonical_json, report_to_jsonable
+    from projlat.autos import verify_main_theorem
+
+    def doc(rep):
+        return canonical_json(report_to_jsonable(rep))
+
+    whole = doc(verify_main_theorem(L32, P32))
+    constructed, branch = autos._constructed_side, autos.run_poset_branch
+    monkeypatch.setattr(autos, "_constructed_side", lambda L, P, budget: constructed(L, P, None))
+    targets = poset_search_plan(P32)[1]
+    for free, ckpt in ((0, tmp_path / "a.ckpt"), (3, tmp_path / "b.ckpt")):
+        monkeypatch.setattr(
+            autos, "run_poset_branch",
+            lambda P, t, budget: branch(P, t, None if t in targets[:free] else budget),
+        )
+        rep = verify_main_theorem(L32, P32, budget=20, checkpoint=str(ckpt))
+        assert rep.outcome == "partial" and not rep.passed
+        assert rep.checks[-1] == (
+            "poset_enumeration_complete", False,
+            f"budget exhausted in branch {targets[free]} after 21 nodes; "
+            f"{free}/28 branches checkpointed",
+        )
+        assert list(json.loads(ckpt.read_text())["done"]) == list(map(str, targets[:free]))
+        monkeypatch.setattr(autos, "run_poset_branch", branch)
+        assert doc(verify_main_theorem(L32, P32, checkpoint=str(ckpt))) == whole
+
+
+def test_constructors_refuse_a_map_of_the_other_direction(P32, aut_l32):
+    """Even maps come from automorphisms and odd ones from
+    anti-automorphisms: a witness of the other direction is refused
+    before any pair is transported."""
+    f = aut_l32[3]
+    with pytest.raises(ValueError, match="^even maps come from lattice automorphisms$"):
+        even_from_lattice_automorphism(LatticeMap(f.perm, ANTI), P32)
+    with pytest.raises(ValueError, match="^odd maps come from lattice anti-automorphisms$"):
+        odd_from_anti_automorphism(f, P32)

@@ -767,7 +767,6 @@ LIBRARY_DEFAULTS = {
     "verify_semidirect_structure": {"budget": "None"},
     "RingMap": {"witness": "None"},
     "extract_semilinear_from_ring_iso": {"idempotent": "None", "seed": "0"},
-    "report_to_jsonable": {"name": "None"},
 }
 
 
@@ -796,5 +795,133 @@ def test_library_defaults_are_pinned():
     assert _defaults(autos.run_poset_branch) == {"budget": "None"}
     assert _defaults(gf.make_field) == {"k": "1"}
     removed = {"allow_short", "enforce_length", "exhaustive", "samples", "limit",
-               "twists", "modulus", "verify"}
+               "twists", "modulus", "verify", "name"}
     assert not removed & {p for d in got.values() for p in d}
+
+
+@pytest.mark.parametrize(
+    "text, why",
+    [
+        ("{not json", "is not a checkpoint file: Expecting property name"),
+        ("[]", "is not a checkpoint file"),
+        ('{"schema": "projlat-report/1", "done": {}}', "is not a checkpoint file"),
+        (None, "has no table of done branches"),
+    ],
+    ids=["not-json", "a-list", "another-schema", "no-done-table"],
+)
+def test_untrusted_checkpoint_file_exits_2_with_one_line(run_cli, tmp_path, P42, text, why):
+    """A checkpoint that is not JSON, JSON that is not an object of the
+    checkpoint schema, or an object of the right schema and fingerprint
+    with no done table is refused with one message line, then the wall
+    time, before any search: with 10 nodes an admitted run would exit 3."""
+    from projlat import autos, sha256_of
+
+    if text is None:
+        pivot, targets = autos.poset_search_plan(P42)
+        fingerprint = sha256_of({
+            "n": 4, "field": "2", "poset_size": P42.size, "pivot": pivot,
+            "targets": targets, "search_order": autos.SEARCH_ORDER_VERSION,
+        })
+        text = canonical_json({"schema": autos.SCHEMA_CHECKPOINT, "fingerprint": fingerprint})
+    ckpt = tmp_path / "x.ckpt"
+    ckpt.write_text(text)
+    code, out, err = run_cli(
+        "verify-main-theorem", "--n", "4", "--checkpoint", str(ckpt), "--budget-nodes", "10"
+    )
+    assert (code, out) == (2, "")
+    message, wall = err.splitlines()
+    assert message.startswith("projlat verify-main-theorem: ") and why in message
+    assert str(ckpt) in message and wall.startswith("# wall ")
+
+
+def test_verify_map_on_a_poset_map_file(run_cli, tmp_path, P32, aut_l32):
+    """An even map of P(3,2), written with map_to_jsonable, passes
+    verify-map; with the images of two atoms swapped it fails."""
+    from projlat import even_from_lattice_automorphism
+
+    doc = map_to_jsonable(even_from_lattice_automorphism(aut_l32[3], P32))
+    assert doc["kind"] == "poset" and doc["parity"] == "even"
+    good = tmp_path / "good.json"
+    good.write_text(canonical_json(doc))
+    code, out, err = run_cli("verify-map", "--n", "3", "--field", "2", "--in", str(good))
+    assert code == 0 and "PASS" in out, err
+
+    a, b = P32.atoms[0], P32.atoms[1]
+    doc["permutation"][a], doc["permutation"][b] = doc["permutation"][b], doc["permutation"][a]
+    bad = tmp_path / "bad.json"
+    bad.write_text(canonical_json(doc))
+    code, out, _ = run_cli("verify-map", "--n", "3", "--field", "2", "--in", str(bad))
+    assert code == 1 and "FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "verb, target, filename",
+    [
+        ("export-json", "poset", "poset.json"),
+        ("export-json", "autos", "lattice-autos.json"),
+        ("export-dot", "lattice", "lattice.dot"),
+    ],
+)
+def test_exports_are_byte_identical_across_reruns(run_cli, tmp_path, verb, target, filename):
+    outputs = []
+    for rerun in range(2):
+        out_dir = tmp_path / str(rerun)
+        code, out, err = run_cli(
+            verb, "--n", "3", "--field", "2", "--target", target, "--out", str(out_dir)
+        )
+        assert (code, out) == (0, ""), err
+        outputs.append((out_dir / filename).read_bytes())
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
+def test_falsified_campaign_exits_1_with_its_payload(run_cli, monkeypatch):
+    """A campaign that raises FalsificationError exits 1 with the message
+    and the payload on stderr, then the wall time, and no report."""
+    from projlat import cli
+
+    def falsified(P):
+        raise FalsificationError("orthomodular law fails", {"pair": [1, 2]})
+
+    monkeypatch.setattr(cli, "verify_omp_axioms", falsified)
+    code, out, err = run_cli("verify-omp", "--n", "2", "--field", "2")
+    assert (code, out) == (1, "")
+    message, payload, wall = err.splitlines()
+    assert message == "projlat verify-omp: FALSIFIED: orthomodular law fails"
+    assert payload == "payload: {'pair': [1, 2]}" and wall.startswith("# wall ")
+
+
+@pytest.mark.parametrize(
+    "verb, n, field",
+    [
+        ("verify-omp", 2, "2"),
+        ("verify-glattice", 2, "3"),
+        ("verify-correspondence", 2, "3"),
+        ("ring-lemma", 2, "2"),
+    ],
+)
+def test_library_report_bytes_equal_the_cli_report(run_cli, tmp_path, verb, n, field):
+    """Each campaign's report carries its verb's name, so the library's
+    canonical bytes are the CLI's --out bytes."""
+    from projlat import (
+        build_projection_poset,
+        check_g_lattice_properties,
+        check_im_ker_lemma,
+        enumerate_subspaces,
+        parse_field,
+        report_to_jsonable,
+        verify_omp_axioms,
+        verify_projection_correspondence,
+    )
+
+    F = parse_field(field)
+    L = enumerate_subspaces(n, F)
+    rep = {
+        "verify-omp": lambda: verify_omp_axioms(build_projection_poset(L)),
+        "verify-glattice": lambda: check_g_lattice_properties(L),
+        "verify-correspondence": lambda: verify_projection_correspondence(n, F),
+        "ring-lemma": lambda: check_im_ker_lemma(build_projection_poset(L)),
+    }[verb]()
+    assert rep.name == verb
+    code, _, err = run_cli(verb, "--n", str(n), "--field", field, "--out", str(tmp_path))
+    assert code == 0, err
+    assert canonical_json(report_to_jsonable(rep)) == (tmp_path / f"{verb}.json").read_text()

@@ -49,3 +49,27 @@ def test_maps_built_from_lists_keep_tuples():
     p = PosetMap([1, 2, 0], EVEN)
     assert p.perm == (1, 2, 0) and hash(p) == hash(PosetMap((1, 2, 0), EVEN))
     assert p.compose(p.inverse()) == PosetMap((0, 1, 2), EVEN)
+
+
+@pytest.mark.parametrize(
+    "cls, tag", [(LatticeMap, AUTO), (PosetMap, EVEN)], ids=["lattice", "poset"]
+)
+def test_compose_refuses_a_map_of_another_size(cls, tag):
+    """Maps of two sizes act on two structures: in either order the
+    composition is refused with both sizes named, not cut to the shorter
+    map or failed by an index."""
+    big, small = cls((1, 0, 2), tag), cls((0, 1), tag)
+    with pytest.raises(ValueError, match="^cannot compose maps of sizes 3 and 2$"):
+        big.compose(small)
+    with pytest.raises(ValueError, match="^cannot compose maps of sizes 2 and 3$"):
+        small.compose(big)
+
+
+def test_compose_refuses_a_map_of_another_class():
+    """A lattice map and a poset map share no tag algebra: in either order
+    the composition is refused with both classes named."""
+    lat, pos = LatticeMap((1, 0), AUTO), PosetMap((1, 0), EVEN)
+    with pytest.raises(TypeError, match="^cannot compose LatticeMap with PosetMap$"):
+        lat.compose(pos)
+    with pytest.raises(TypeError, match="^cannot compose PosetMap with LatticeMap$"):
+        pos.compose(lat)
