@@ -1042,7 +1042,7 @@ def run_poset_branch(P: ProjectionPoset, target: int, budget: int | None = None)
             except (FalsificationError, ValueError) as exc:
                 failures.append(str(exc))
     except SearchBudgetExceeded as exc:
-        return {"target": target, "budget_exhausted": exc.nodes}
+        return {"target": target, "budget_exhausted": exc.nodes, "found": exc.found}
     return {
         "target": target,
         "count": len(keys),
@@ -1240,7 +1240,7 @@ def verify_main_theorem(
                 "poset_enumeration_complete",
                 False,
                 f"budget exhausted in branch {result['target']} "
-                f"after {result['budget_exhausted']} nodes; "
+                f"after {result['budget_exhausted']} nodes, {result['found']} maps found; "
                 f"{len(done)}/{len(targets)} branches checkpointed",
             )
             rep.outcome = "partial"

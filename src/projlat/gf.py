@@ -275,12 +275,6 @@ class FieldAutomorphism:
         t = self.table
         return tuple(tuple(t[x] for x in row) for row in m)
 
-    def compose(self, other: "FieldAutomorphism") -> "FieldAutomorphism":
-        """self after other."""
-        if self.field != other.field:
-            raise FieldError("automorphisms of different fields")
-        return FieldAutomorphism(self.field, self.power + other.power)
-
     @property
     def is_identity(self) -> bool:
         return self.power == 0

@@ -5,7 +5,7 @@ equality representational and hashing free. The lattice object indexes
 every subspace and stores its order as bitmasks; a meet or a join is one
 lookup of a down-set or up-set intersection, and the modular-pair
 predicate, read on the lattice or on its dual, takes one lookup per
-element of one interval.
+element to build a's join row and one AND per element of each interval.
 At desk scale (q^n <= 10^6, element counts in the tens to hundreds) all of
 this is exact.
 """
@@ -229,17 +229,33 @@ class FiniteOrder:
         the atom searches' guard and verify_lattice_map read."""
         return self.verify_atomistic()
 
+    def modular_partners(self, a: int, candidates) -> list[int]:
+        """The b in candidates, in order, with (a,b)M in a lattice: (x v a)
+        ^ b == x v (a ^ b) for every x <= b. As y = x v (a ^ b) runs over
+        [a ^ b, b] with y v a = x v a, that is (y v a) ^ b == y on the
+        interval, compared by down-sets against a's join row (the down-set
+        of y v a for every y, one lookup each) over the interval's kept
+        list; for complements the interval is down(b)."""
+        um, dm, spans = self.up_masks, self.down_masks, self._interval_lists
+        join = self.up_mask_index
+        row = [dm[join[u]] for u in map(um[a].__and__, um)]
+        kept = []
+        for b in candidates:
+            db = dm[b]
+            span = um[self.glb_idx(a, b)] & db
+            ys = spans.get(span) or spans.setdefault(span, _bits(span))
+            if all(row[y] & db == dm[y] for y in ys):
+                kept.append(b)
+        return kept
+
     def is_modular_pair_idx(self, a: int, b: int) -> bool:
-        """(a,b)M in a lattice: (x v a) ^ b == x v (a ^ b) for every x <= b.
-        With y = x v (a ^ b), x v a = y v a, and y runs over all of
-        [a ^ b, b] (x = y reaches each y); so (a,b)M holds exactly when
-        (y v a) ^ b == y on that interval, compared by down-sets: one
-        lookup per y. For complements the interval is all of down(b)."""
-        um, dm, join = self.up_masks, self.down_masks, self.up_mask_index
-        ua, db = um[a], dm[b]
-        return all(
-            dm[join[um[y] & ua]] & db == dm[y] for y in _bits(um[self.glb_idx(a, b)] & db)
-        )
+        """(a,b)M: modular_partners with b the one candidate."""
+        return bool(self.modular_partners(a, (b,)))
+
+    @cached_property
+    def _interval_lists(self) -> dict[int, list[int]]:
+        """{interval mask: its elements, lowest first}, filled on use."""
+        return {}
 
     def covers_idx(self, i: int, j: int) -> bool:
         """j covers i: i < j with nothing strictly between, so the
@@ -561,9 +577,8 @@ def check_g_lattice_properties(L: SubspaceLattice) -> CampaignReport:
 
     mod_bad = []
     for i in range(L.size):
-        for j in range(L.size):
-            if not L.is_modular_pair_idx(i, j) or not L.dual.is_modular_pair_idx(i, j):
-                mod_bad.append((i, j))
+        both = set(L.dual.modular_partners(i, L.modular_partners(i, range(L.size))))
+        mod_bad += [(i, j) for j in range(L.size) if j not in both]
     rep.add_violations("all_pairs_modular_and_dual_modular", mod_bad, f"pairs={L.size**2}")
 
     for check, S, holds in (

@@ -89,9 +89,6 @@ class PermutationMap:
         tag = self.compose_tags(getattr(self, self.TAG), getattr(other, self.TAG))
         return type(self)(perm_compose(self.perm, other.perm), tag)
 
-    def inverse(self):
-        return type(self)(perm_inverse(self.perm), getattr(self, self.TAG))
-
 
 @dataclass(frozen=True)
 class LatticeMap(PermutationMap):

@@ -335,17 +335,16 @@ POSET_ELEMENT_LIMIT = 2**17
 def build_projection_poset(L: SubspaceLattice) -> ProjectionPoset:
     """All complementary pairs (a, b) of L that are also a modular pair and
     a dual-modular pair, (a,b)M and (a,b)M*: each pair is re-checked by the
-    modular-pair predicate of L and of L.dual rather than trusting
-    modularity. For complements each walks all of down(b) or up(b), one
-    lookup per element. A P of more than POSET_ELEMENT_LIMIT elements,
+    modular-pair routine of L and of L.dual rather than trusting
+    modularity: one join row per image a, and one AND per element of all
+    of down(b) or up(b). A P of more than POSET_ELEMENT_LIMIT elements,
     counted in closed form, is refused before any pair is tested."""
     expected = projection_pair_count(L.n, L.field.q)
     check_limit(expected, "projections", "poset element limit", POSET_ELEMENT_LIMIT)
     pairs = [
         (a, b)
         for a in range(L.size)
-        for b in L.complements_idx(a)
-        if L.is_modular_pair_idx(a, b) and L.dual.is_modular_pair_idx(a, b)
+        for b in L.dual.modular_partners(a, L.modular_partners(a, L.complements_idx(a)))
     ]
     if len(pairs) != expected:
         raise AssertionError(

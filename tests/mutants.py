@@ -253,17 +253,23 @@ MUTANTS = [
     ),
     (
         "projlat/lattice.py",
-        "        um, dm, join = self.up_masks, self.down_masks, self.up_mask_index\n"
-        "        ua, db = um[a], dm[b]\n"
-        "        return all(\n"
-        "            dm[join[um[y] & ua]] & db == dm[y] for y in _bits(um[self.glb_idx(a, b)] & db)\n"
-        "        )\n",
-        "        return True\n",
+        "            if all(row[y] & db == dm[y] for y in ys):\n",
+        "            if True:\n",
         [
             "tests/test_lattice.py::test_modular_pair_predicates_match_their_definitions[N5]",
             "tests/test_lattice.py::test_pentagon_has_one_pair_failing_each_predicate",
         ],
         "every pair counts as a modular pair",
+    ),
+    (
+        "projlat/lattice.py",
+        "            if all(row[y] & db == dm[y] for y in ys):\n",
+        "            if all(row[y] & db == dm[y] for y in ys[:1]):\n",
+        [
+            "tests/test_projposet.py::test_a_corrupted_join_fails_only_m_and_the_build",
+            "tests/test_projposet.py::test_a_corrupted_meet_fails_only_m_star_and_the_build",
+        ],
+        "the interval walk stops after its first element, a ^ b, where the check always holds",
     ),
     (
         "projlat/lattice.py",
@@ -412,14 +418,12 @@ MUTANTS = [
         "    pairs = [\n"
         "        (a, b)\n"
         "        for a in range(L.size)\n"
-        "        for b in L.complements_idx(a)\n"
-        "        if L.is_modular_pair_idx(a, b) and L.dual.is_modular_pair_idx(a, b)\n"
+        "        for b in L.dual.modular_partners(a, L.modular_partners(a, L.complements_idx(a)))\n"
         "    ]\n",
         "    pairs = [\n"
         "        (a, b)\n"
         "        for a in range(L.size)\n"
-        "        for b in L.complements_idx(a)\n"
-        "        if L.is_modular_pair_idx(a, b) and L.dual.is_modular_pair_idx(a, b)\n"
+        "        for b in L.dual.modular_partners(a, L.modular_partners(a, L.complements_idx(a)))\n"
         "    ]\n"
         '    check_limit(expected, "projections", "poset element limit", POSET_ELEMENT_LIMIT)\n',
         [
@@ -427,6 +431,13 @@ MUTANTS = [
             "tests/test_cli.py::test_poset_beyond_its_element_limit_exits_2[argv1-3-31-1908548]",
         ],
         "P's element limit is checked after the pair filter has tested every pair",
+    ),
+    (
+        "projlat/projposet.py",
+        "        for b in L.dual.modular_partners(a, L.modular_partners(a, L.complements_idx(a)))\n",
+        "        for b in L.modular_partners(a, L.complements_idx(a))\n",
+        ["tests/test_projposet.py::test_a_corrupted_meet_fails_only_m_star_and_the_build"],
+        "P's pair filter drops its (a,b)M* half and keeps every complement pair with (a,b)M",
     ),
     (
         "projlat/cli.py",

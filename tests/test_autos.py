@@ -2484,8 +2484,8 @@ def test_search_counts_are_written_however_the_search_ends(L32, P32):
 def test_budget_inside_a_poset_branch_checkpoints_and_resumes(L32, P32, tmp_path, monkeypatch):
     """The lattice search needs 259 nodes at (3,2) and each poset branch
     76, so only a lattice search run without the budget lets a budget
-    stop a branch. Budget 20 stops the first branch: the report is
-    partial and the checkpoint is written. With the first three branches
+    stop a branch. Budget 20 stops the first branch, 2 maps in: the report
+    is partial, names those maps, and the checkpoint is written. With the first three branches
     also run without it, those three are checkpointed. A resume without a
     budget gives the bytes of an uninterrupted run."""
     from projlat import canonical_json, report_to_jsonable
@@ -2507,7 +2507,7 @@ def test_budget_inside_a_poset_branch_checkpoints_and_resumes(L32, P32, tmp_path
         assert rep.outcome == "partial" and not rep.passed
         assert rep.checks[-1] == (
             "poset_enumeration_complete", False,
-            f"budget exhausted in branch {targets[free]} after 21 nodes; "
+            f"budget exhausted in branch {targets[free]} after 21 nodes, 2 maps found; "
             f"{free}/28 branches checkpointed",
         )
         assert list(json.loads(ckpt.read_text())["done"]) == list(map(str, targets[:free]))

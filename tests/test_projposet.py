@@ -47,6 +47,69 @@ def test_poset_element_limit_is_inclusive(L32, monkeypatch):
         build_projection_poset(L32)
 
 
+def _is_modular_pair_by_lookups(S, a, b):
+    """Reference: (a,b)M by one join lookup per element y of [a ^ b, b],
+    (y v a) ^ b == y compared by down-sets; read on S.dual it is (a,b)M*.
+    The per-pair predicate that the shared join-row routine replaced."""
+    um, dm, join = S.up_masks, S.down_masks, S.up_mask_index
+    ua, db = um[a], dm[b]
+    return all(dm[join[um[y] & ua]] & db == dm[y] for y in _bits(um[S.glb_idx(a, b)] & db))
+
+
+@pytest.mark.parametrize(
+    "n, spec", [(2, "2"), (2, "3"), (3, "2"), (3, "3"), (4, "2"), (2, "5"), (3, "2^2")]
+)
+def test_pair_filter_matches_the_per_pair_reference(n, spec):
+    """P's pairs, kept through one join row per image, are the complement
+    pairs that pass the per-pair predicate on L and on L.dual, in the
+    same order."""
+    L = enumerate_subspaces(n, parse_field(spec))
+    reference = [
+        (a, b)
+        for a in range(L.size)
+        for b in L.complements_idx(a)
+        if _is_modular_pair_by_lookups(L, a, b) and _is_modular_pair_by_lookups(L.dual, a, b)
+    ]
+    assert list(build_projection_poset(L).pairs) == reference
+
+
+def _pair_past_the_first_element():
+    """At (3,2): a point a, a line b complementary to it, and an element y
+    of b's interval past its first element (the bottom): a point of b."""
+    L = enumerate_subspaces(3, parse_field("2"))
+    a = L.atoms[0]
+    comps = L.complements_idx(a)
+    b = comps[0]
+    y = _bits(L.down_masks[b])[1]
+    assert L.dims[b] == 2 and L.dims[y] == 1
+    return L, a, b, y, comps
+
+
+def test_a_corrupted_join_fails_only_m_and_the_build():
+    """One wrong join, y v a sent to the top, fails (a,b)M at y, leaves
+    every (a,b)M* standing, and P's count check refuses the filter's
+    pairs. y is not the interval's first element, whose check always
+    holds, so a walk that stops there misses it."""
+    L, a, b, y, comps = _pair_past_the_first_element()
+    L.up_mask_index[L.up_masks[y] & L.up_masks[a]] = L.top
+    assert b not in L.modular_partners(a, comps)
+    assert L.dual.modular_partners(a, comps) == comps
+    with pytest.raises(AssertionError, match="^pair filter kept"):
+        build_projection_poset(L)
+
+
+def test_a_corrupted_meet_fails_only_m_star_and_the_build():
+    """One wrong meet, top ^ a sent to the bottom, fails (a,b)M* at the
+    top, an element of [b, top] past its first element b, leaves every
+    (a,b)M standing, and P's count check refuses the filter's pairs."""
+    L, a, b, _, comps = _pair_past_the_first_element()
+    L.dual.up_mask_index[L.down_masks[L.top] & L.down_masks[a]] = L.bottom
+    assert L.modular_partners(a, comps) == comps
+    assert b not in L.dual.modular_partners(a, comps)
+    with pytest.raises(AssertionError, match="^pair filter kept"):
+        build_projection_poset(L)
+
+
 def test_pair_count_equals_brute_idempotent_count(f2, f3):
     for F, n in ((f2, 2), (f2, 3), (f3, 2)):
         brute = len(enumerate_idempotents(F, n))

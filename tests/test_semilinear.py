@@ -76,14 +76,14 @@ def test_duality_involutivity_tracks_twist_involutivity():
     for pw, want in expected8.items():
         tw = F8.frobenius(pw)
         g = make_duality(BilinearForm.standard(F8, 2, tw), L8)
-        assert tw.compose(tw).is_identity == want
+        assert all(tw(tw(x)) == x for x in range(F8.q)) == want
         assert g.compose(g).is_identity == want
 
     F9 = parse_field("3^2")
     L9 = enumerate_subspaces(2, F9)
     for pw in range(2):
         tw = F9.frobenius(pw)
-        assert tw.compose(tw).is_identity
+        assert all(tw(tw(x)) == x for x in range(F9.q))
         g = make_duality(BilinearForm.standard(F9, 2, tw), L9)
         assert g.compose(g).is_identity
 
